@@ -175,10 +175,14 @@ def build_key_aggregates(add_table: Table, key_column: str) -> KeyAggregates:
 
 
 def map_aggregates(keys: np.ndarray, agg: KeyAggregates) -> np.ndarray:
-    out = np.empty((len(keys), len(agg.fallback)))
-    for i, key in enumerate(keys):
-        out[i] = agg.by_key.get(int(key), agg.fallback)
-    return out
+    """Aggregate row of each key; keys the additional table lacks get the fallback."""
+    known = sorted(agg.by_key)
+    table = np.vstack([agg.by_key[key] for key in known] + [agg.fallback])
+    keys = np.asarray(keys, dtype=np.int64)
+    known = np.array(known, dtype=np.int64)
+    row = np.searchsorted(known, keys)
+    row[~np.isin(keys, known)] = len(known)
+    return table[row]
 
 
 def featurize_joined(
@@ -241,7 +245,22 @@ def fit_agg_weight(
     return min(1.0, float(np.sqrt(agg_share * v_main / v_agg)))
 
 
-_TEST_BLOCK = 512
+_TEST_BLOCK = 128
+
+
+def _closest(rows_X: np.ndarray, train_X: np.ndarray, cand: np.ndarray, k: int):
+    """The k candidates nearest each row by exact distance, ties by index.
+
+    ``cand`` holds training indices, one row of candidates per row of
+    ``rows_X``. Distances come from explicit differences, so exact matches
+    are exact zeros.
+    """
+    diff = train_X[cand]
+    diff -= rows_X[:, None, :]
+    diff *= diff
+    dist = np.sqrt(diff.sum(axis=2))
+    order = np.lexsort((cand, dist), axis=1)[:, :k]
+    return np.take_along_axis(cand, order, axis=1), np.take_along_axis(dist, order, axis=1)
 
 
 def _select_neighbors(
@@ -249,37 +268,58 @@ def _select_neighbors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Indices and exact distances of the k nearest training rows per test row.
 
-    Ranking uses the expanded-square form for speed (blocked over test rows
-    to bound memory); the selected distances are then recomputed from
-    explicit differences so exact matches come out as exact zeros. Ties
-    order by training index.
+    Candidates are ranked by the expanded square of the rows centred on the
+    training mean (centring keeps a large common offset from cancelling),
+    blocked over test rows into one preallocated buffer. Every training row
+    whose expanded square lies within the rounding bound of the k-th
+    smallest is a candidate; candidates are then ordered by exact distance,
+    ties by training index, which is the order of a brute-force search.
     """
-    train_sq = (train_X * train_X).sum(axis=1)[None, :]
+    n, width = train_X.shape
+    center = train_X.mean(axis=0)
+    train_c = train_X - center
+    train_sq = (train_c * train_c).sum(axis=1)
+    # Centring and the expanded square err by under about
+    # (width + 6) * eps * (|test row|^2 + |train row|^2), explicit distances
+    # by about (width + 3) * eps / 2 relative. ``scale`` is twice what a row
+    # that ties the k-th nearest on exact distance needs to stay a candidate.
+    scale = 4.0 * (width + 8) * np.finfo(float).eps
+    max_train_sq = train_sq.max(initial=0.0)
     idx = np.empty((len(test_X), k), dtype=np.intp)
     dist = np.empty((len(test_X), k))
+    buf = np.empty((min(_TEST_BLOCK, len(test_X)), n))
     for start in range(0, len(test_X), _TEST_BLOCK):
         block = test_X[start : start + _TEST_BLOCK]
-        sq = (block * block).sum(axis=1)[:, None] - 2.0 * (block @ train_X.T) + train_sq
-        np.maximum(sq, 0.0, out=sq)
-        if k < sq.shape[1]:
+        block_c = block - center
+        block_sq = (block_c * block_c).sum(axis=1)
+        sq = buf[: len(block)]
+        np.matmul(block_c, train_c.T, out=sq)
+        sq *= -2.0
+        sq += block_sq[:, None]
+        sq += train_sq
+        if k < n:
             part = np.argpartition(sq, k - 1, axis=1)[:, :k]
+            kth = np.take_along_axis(sq, part[:, k - 1 :], axis=1)[:, 0]
+            limit = kth + scale * (block_sq + max_train_sq + np.abs(kth))
+            tied = np.flatnonzero(np.count_nonzero(sq <= limit[:, None], axis=1) > k)
         else:
-            part = np.tile(np.arange(sq.shape[1]), (sq.shape[0], 1))
-        rows = np.arange(sq.shape[0])[:, None]
-        order = np.lexsort((part, sq[rows, part]), axis=1)
-        block_idx = part[rows, order]
-        diff = block[:, None, :] - train_X[block_idx]
+            part = np.broadcast_to(np.arange(n), (len(block), n))
+            tied = ()
+        block_idx, block_dist = _closest(block, train_X, part, k)
+        for r in tied:
+            cand = np.flatnonzero(sq[r] <= limit[r])[None, :]
+            block_idx[r], block_dist[r] = _closest(block[r : r + 1], train_X, cand, k)
         idx[start : start + _TEST_BLOCK] = block_idx
-        dist[start : start + _TEST_BLOCK] = np.sqrt((diff * diff).sum(axis=2))
+        dist[start : start + _TEST_BLOCK] = block_dist
     return idx, dist
 
 
 def knn_predict(
     train_X: np.ndarray,
-    train_y: np.ndarray,
+    train_y: np.ndarray | list[np.ndarray],
     test_X: np.ndarray,
     k: int = 10,
-    task: str = "regression",
+    task: str | list[str] = "regression",
 ):
     """Inverse-distance weighted k-nearest-neighbor prediction.
 
@@ -288,7 +328,20 @@ def knn_predict(
     Regression returns predictions; classification returns (scores, classes)
     where scores rows sum to one and the hard label is the argmax, ties going
     to the lowest class id.
+
+    Multi-target form: with ``train_y`` a list of 1-D arrays and ``task`` a
+    list of the same length, one neighbour search serves every target and
+    the result is a list holding, in order, what the single-target call
+    would return for each.
     """
+    single = isinstance(task, str)
+    if single:
+        train_y, task = [train_y], [task]
+    elif len(train_y) != len(task):
+        raise InvalidParameterError(f"{len(train_y)} targets but {len(task)} tasks")
+    for t in task:
+        if t not in ("regression", "classification"):
+            raise InvalidParameterError(f"unknown task {t!r}")
     if k < 1 or k > len(train_X):
         raise InvalidParameterError(f"k must lie in [1, {len(train_X)}], got {k}")
     if train_X.shape[1] != test_X.shape[1]:
@@ -300,18 +353,19 @@ def knn_predict(
     weights[has_exact] = exact[has_exact].astype(float)
     denom = weights.sum(axis=1, keepdims=True)
 
-    if task == "regression":
-        neighbor_y = train_y[idx]
-        return (weights * neighbor_y).sum(axis=1) / denom[:, 0]
-    if task != "classification":
-        raise InvalidParameterError(f"unknown task {task!r}")
-    classes = np.unique(train_y)
-    neighbor_y = train_y[idx]
-    scores = np.empty((len(test_X), len(classes)))
-    for j, cls in enumerate(classes):
-        scores[:, j] = (weights * (neighbor_y == cls)).sum(axis=1)
-    scores /= denom
-    return scores, classes
+    predictions = []
+    for y, t in zip(train_y, task):
+        neighbor_y = y[idx]
+        if t == "regression":
+            predictions.append((weights * neighbor_y).sum(axis=1) / denom[:, 0])
+            continue
+        classes = np.unique(y)
+        scores = np.empty((len(test_X), len(classes)))
+        for j, cls in enumerate(classes):
+            scores[:, j] = (weights * (neighbor_y == cls)).sum(axis=1)
+        scores /= denom
+        predictions.append((scores, classes))
+    return predictions[0] if single else predictions
 
 
 def hard_labels(scores: np.ndarray, classes: np.ndarray) -> np.ndarray:
@@ -327,17 +381,9 @@ def rmse(predictions: np.ndarray, truth: np.ndarray) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values))
-    sorted_values = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    return ((last - counts + 1 + last) / 2.0)[group]
 
 
 def auc_binary(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -406,27 +452,30 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
         dataset.schema.merged.node(i).name: flag for i, flag in affected.items()
     }
 
-    results = []
-    for col in dataset.main_table.columns:
-        if col.role != "target":
-            continue
-        task = "classification" if col.kind == KIND_CATEGORICAL else "regression"
-        y_train = train.column(col.name).values
-        y_test = test.column(col.name).values
-        values = {}
-        for condition, (ftrain, ftest) in features.items():
-            preds = knn_predict(ftrain.values, y_train, ftest.values, k=cfg.k, task=task)
-            values[condition] = score(preds, y_test, task)
-        results.append(
-            TargetResult(
-                column=col.name,
-                task=task,
-                metric="AUC" if task == "classification" else "RMSE",
-                main_only=values["main_only"],
-                joined=values["joined"],
-                latently_affected=bool(name_to_affected.get(col.name, False)),
-            )
+    targets = [
+        (col.name, "classification" if col.kind == KIND_CATEGORICAL else "regression")
+        for col in dataset.main_table.columns
+        if col.role == "target"
+    ]
+    tasks = [task for _, task in targets]
+    y_train = [train.column(name).values for name, _ in targets]
+    values = {}
+    for condition, (ftrain, ftest) in features.items():
+        preds = knn_predict(ftrain.values, y_train, ftest.values, k=cfg.k, task=tasks)
+        values[condition] = [
+            score(p, test.column(name).values, task) for p, (name, task) in zip(preds, targets)
+        ]
+    results = [
+        TargetResult(
+            column=name,
+            task=task,
+            metric="AUC" if task == "classification" else "RMSE",
+            main_only=values["main_only"][i],
+            joined=values["joined"][i],
+            latently_affected=bool(name_to_affected.get(name, False)),
         )
+        for i, (name, task) in enumerate(targets)
+    ]
     return EvalReport(
         targets=results,
         k=cfg.k,

@@ -218,6 +218,19 @@ def test_knn_matches_brute_force_classification():
     assert np.allclose(mine_scores.sum(axis=1), 1.0, atol=1e-12)
 
 
+def test_knn_matches_brute_force_at_large_common_offset():
+    # A shared offset of 1e7 cancels in an uncentred expanded square.
+    train_X = rng(12).normal(size=(300, 4)) + 1e7
+    test_X = rng(13).normal(size=(40, 4)) + 1e7
+    y_reg = rng(14).normal(size=300)
+    y_cls = rng(15).integers(0, 3, size=300)
+    mine = knn_predict(train_X, y_reg, test_X, k=10, task="regression")
+    assert np.allclose(mine, brute_force_knn(train_X, y_reg, test_X, 10, "regression"), atol=1e-9, rtol=0)
+    scores, _ = knn_predict(train_X, y_cls, test_X, k=10, task="classification")
+    ref_scores, _ = brute_force_knn(train_X, y_cls, test_X, 10, "classification")
+    assert np.allclose(scores, ref_scores, atol=1e-9, rtol=0)
+
+
 def test_k_larger_than_train_rejected():
     with pytest.raises(InvalidParameterError):
         knn_predict(np.zeros((3, 2)), np.zeros(3), np.zeros((1, 2)), k=4)
@@ -319,6 +332,39 @@ def test_empty_add_table_gives_identical_metrics():
     report = run_comparison(ds)
     for t in report.targets:
         assert t.main_only == pytest.approx(t.joined, abs=1e-12)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"latent_count": 0, "seed": 7}])
+def test_one_neighbor_search_per_condition(monkeypatch, kwargs):
+    from relgen import evaluate
+
+    calls = []
+    search = evaluate._select_neighbors
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(evaluate, "_select_neighbors", counted)
+    report = run_comparison(small_dataset(**kwargs))
+    assert len(report.targets) > 1
+    assert len(calls) == len(report.feature_widths) == 2
+
+
+def test_report_metrics_pinned():
+    # Fixed reference values: a change to eval results that keeps them
+    # finite, and so passes every other eval test, fails here.
+    expected = [
+        ("M5", "RMSE", 0.15124651885832702, 0.15078703545537495),
+        ("M6", "RMSE", 0.44780092112509257, 0.4444586033141009),
+        ("M7", "AUC", 0.9823232323232324, 0.9848484848484849),
+    ]
+    report = run_comparison(small_dataset())
+    got = [(t.column, t.metric, t.main_only, t.joined) for t in report.targets]
+    assert [g[:2] for g in got] == [e[:2] for e in expected]
+    for g, e in zip(got, expected):
+        assert g[2] == pytest.approx(e[2], abs=1e-12, rel=0)
+        assert g[3] == pytest.approx(e[3], abs=1e-12, rel=0)
 
 
 def test_report_is_deterministic():
