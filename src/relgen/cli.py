@@ -5,12 +5,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from .config import config_from_dict, load_config, with_overrides
-from .errors import RelgenError
+from .errors import InvalidConfigError, RelgenError
 from .evaluate import EvalConfig, run_comparison
 from .relational import run_generation
+from .seeding import STREAM_VERSION
 from .serialize import (
     MANIFEST_JSON,
     SCHEMA_DOT,
@@ -75,9 +77,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_regenerate(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
-    cfg = config_from_dict(manifest["config"])
-    out_dir = Path(args.out) if args.out else Path(args.manifest).parent
-    cfg = with_overrides(cfg, out_dir=str(out_dir))
+    version = manifest.get("stream_version", 1)
+    if version != STREAM_VERSION:
+        raise InvalidConfigError(
+            f"{args.manifest} was written with random stream version {version}; "
+            f"this relgen uses version {STREAM_VERSION} and cannot reproduce its bytes"
+        )
+    if args.out:
+        return _regenerate_into(manifest, Path(args.out))
+    # Without --out, regenerate next to the dataset and compare there, so a
+    # mismatch never touches the files being verified.
+    dataset_dir = Path(args.manifest).resolve().parent
+    prefix = f".{dataset_dir.name}-regen-"
+    with tempfile.TemporaryDirectory(prefix=prefix, dir=dataset_dir.parent) as tmp:
+        return _regenerate_into(manifest, Path(tmp))
+
+
+def _regenerate_into(manifest: dict, out_dir: Path) -> int:
+    cfg = with_overrides(config_from_dict(manifest["config"]), out_dir=str(out_dir))
     dataset = run_generation(cfg)
     new_manifest = write_dataset(dataset, cfg, out_dir)
     mismatched = [
@@ -122,7 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     regen = sub.add_parser("regenerate", help=f"re-run generation from a {MANIFEST_JSON} and verify hashes")
     regen.add_argument("manifest", type=Path)
-    regen.add_argument("--out", type=Path, help="output directory (defaults to the manifest's directory)")
+    regen.add_argument(
+        "--out",
+        type=Path,
+        help="keep the regenerated files here (default: a temporary directory beside the dataset, removed after the check)",
+    )
     regen.set_defaults(func=cmd_regenerate)
 
     dot = sub.add_parser("export-dot", help=f"render {SCHEMA_DOT} from a {SCHEMA_JSON}")

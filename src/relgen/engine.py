@@ -9,16 +9,18 @@ activation, and adds noise scaled component-wise by the spread (90%- minus
 
     x_i = activation(W_i @ concat(parents)) + (q90_i - q10_i) * eps_i
 
-The batch runner :func:`propagate_rows` executes this for many rows at once.
-Each row draws all of its randomness from a private generator seeded by
-``derive_subseed(seed, run_tag, row_index)``, so results are independent of
-chunking and thread count.
+The batch runner :func:`propagate_rows` executes this for many rows at once,
+in fixed blocks of ``CHUNK_ROWS`` rows. Block b draws all of its randomness
+from one generator, ``substream(seed, run_tag, b)``: one vectorised draw per
+node for a full block, sliced to the rows that exist. Row r therefore depends
+only on (seed, run_tag, r // CHUNK_ROWS), never on the row count or the
+thread count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,8 +43,9 @@ ACTIVATIONS = {
 
 ROOT_FAMILIES = ("normal", "gamma", "mixture")
 
-# Rows are generated in fixed-size blocks regardless of thread count, so the
-# worker pool only changes who computes a block, never what it contains.
+# Rows are generated in fixed-size blocks regardless of thread count and row
+# count, so the worker pool only changes who computes a block, never what it
+# contains. Changing this value changes the output bytes (see STREAM_VERSION).
 CHUNK_ROWS = 8192
 
 
@@ -141,18 +144,18 @@ class NoiseConfig:
             raise InvalidParameterError(f"unknown noise granularity {self.granularity!r}")
 
 
-def sample_root(dist: RootDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one n-dimensional root vector."""
+def sample_root(dist: RootDistribution, shape, rng: np.random.Generator) -> np.ndarray:
+    """Draw root values of the given shape: n for one row, (rows, n) for a block."""
     p = dist.params
     if dist.kind == "normal":
-        return rng.normal(p["mean"], p["std"], n)
+        return rng.normal(p["mean"], p["std"], shape)
     if dist.kind == "gamma":
-        return rng.gamma(p["shape"], p["scale"], n)
+        return rng.gamma(p["shape"], p["scale"], shape)
     # mixture: mask first, then both branches, so the draw count per call is
-    # fixed and the stream stays aligned across rows.
-    pick_normal = rng.random(n) < p["p"]
-    gauss = rng.normal(0.0, 1.0, n)
-    expo = rng.exponential(p["exp_scale"], n)
+    # fixed and the stream stays aligned.
+    pick_normal = rng.random(shape) < p["p"]
+    gauss = rng.normal(0.0, 1.0, shape)
+    expo = rng.exponential(p["exp_scale"], shape)
     return np.where(pick_normal, gauss, expo)
 
 
@@ -184,15 +187,25 @@ def structural_assign(
     return propagate(parents, f) + q.scale * eps
 
 
-def sample_noise(cfg: NoiseConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one node's noise vector (zero when the coin says unaffected)."""
+def sample_noise(
+    cfg: NoiseConfig, shape, rng: np.random.Generator, row_hit: np.ndarray | None = None
+) -> np.ndarray:
+    """Draw one node's noise: n values for one row, or (rows, n) for a block.
+
+    Values are always drawn and then masked, so the number of draws is fixed.
+    The coin is tossed per cell for "component" granularity and per row
+    otherwise; for "row" granularity the caller passes ``row_hit``, the
+    per-row coin it shares across all nodes (without it a coin is tossed here).
+    """
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
     if cfg.granularity == "component":
-        mask = rng.random(n) < cfg.affected_fraction
-        values = rng.normal(0.0, cfg.noise_std, n)
-        return np.where(mask, values, 0.0)
-    if rng.random() >= cfg.affected_fraction:
-        return np.zeros(n)
-    return rng.normal(0.0, cfg.noise_std, n)
+        hit = rng.random(shape) < cfg.affected_fraction
+    else:
+        if row_hit is None:
+            row_hit = rng.random(shape[:-1]) < cfg.affected_fraction
+        hit = row_hit[..., None]
+    values = rng.normal(0.0, cfg.noise_std, shape)
+    return np.where(hit, values, 0.0)
 
 
 def _ensure_finite(values: np.ndarray, name: str, activation: str | None) -> None:
@@ -209,7 +222,6 @@ def propagate_rows(
     noise: NoiseConfig | None = None,
     quantiles: dict[int, QuantilePair] | None = None,
     threads: int = 1,
-    chunk_rows: int = CHUNK_ROWS,
 ) -> dict[int, np.ndarray]:
     """Run the full graph for ``num_rows`` rows; one (num_rows, n) matrix per node.
 
@@ -231,52 +243,41 @@ def propagate_rows(
                 scales[node.index] = quantiles[node.index].scale
 
     out = {node.index: np.empty((num_rows, n)) for node in nodes}
-    if num_rows == 0:
-        return out
+    block_shape = (CHUNK_ROWS, n)
 
-    always = replace(noise, granularity="node", affected_fraction=1.0) if noise else None
-    never = replace(noise, granularity="node", affected_fraction=0.0) if noise else None
-
-    def run_chunk(start: int, stop: int) -> None:
+    def run_block(block: int) -> None:
+        start = block * CHUNK_ROWS
+        stop = min(start + CHUNK_ROWS, num_rows)
         m = stop - start
-        roots = {node.index: np.empty((m, n)) for node in nodes if not parent_map[node.index]}
-        eps: dict[int, np.ndarray] = {}
-        if noise is not None:
-            eps = {node.index: np.empty((m, n)) for node in nodes if parent_map[node.index]}
-        for local, row in enumerate(range(start, stop)):
-            rng = substream(seed, run_tag, row)
-            row_noise = noise
-            if noise is not None and noise.granularity == "row":
-                row_noise = always if rng.random() < noise.affected_fraction else never
-            for node in nodes:
-                if not parent_map[node.index]:
-                    roots[node.index][local] = sample_root(node.root_dist, n, rng)
-                elif noise is not None:
-                    eps[node.index][local] = sample_noise(row_noise, n, rng)
+        # Every draw covers a full block and is sliced to the m rows that
+        # exist, so a row's values do not depend on num_rows.
+        rng = substream(seed, run_tag, block)
+        row_hit = None
+        if noise is not None and noise.granularity == "row":
+            row_hit = rng.random(CHUNK_ROWS) < noise.affected_fraction
         values: dict[int, np.ndarray] = {}
         for node in nodes:
             idx = node.index
             parents = parent_map[idx]
             if not parents:
-                x = roots[idx]
+                x = sample_root(node.root_dist, block_shape, rng)[:m]
             else:
                 stacked = np.concatenate([values[p] for p in parents], axis=1)
                 # einsum keeps a fixed summation order, independent of BLAS
                 # threading, so reruns are bit-identical.
                 x = ACTIVATIONS[node.activation](np.einsum("rk,jk->rj", stacked, node.weights))
                 if noise is not None:
-                    x = x + scales[idx] * eps[idx]
+                    x += scales[idx] * sample_noise(noise, block_shape, rng, row_hit)[:m]
             _ensure_finite(x, node.name, node.activation)
             values[idx] = x
-        for idx, x in values.items():
             out[idx][start:stop] = x
 
-    bounds = [(s, min(s + chunk_rows, num_rows)) for s in range(0, num_rows, chunk_rows)]
-    if threads <= 1 or len(bounds) == 1:
-        for start, stop in bounds:
-            run_chunk(start, stop)
+    blocks = range(-(-num_rows // CHUNK_ROWS))
+    if threads <= 1 or len(blocks) <= 1:
+        for block in blocks:
+            run_block(block)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for future in [pool.submit(run_chunk, s, e) for s, e in bounds]:
+            for future in [pool.submit(run_block, b) for b in blocks]:
                 future.result()
     return out

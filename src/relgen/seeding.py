@@ -1,13 +1,19 @@
 """Deterministic sub-seed derivation.
 
 Every random decision in a pipeline run is drawn from a numpy generator
-seeded through :func:`derive_subseed`, so any row, run stage, or retry can be
-reproduced in isolation. The derivation is a plain SHA-256 hash and is simple
-enough to re-implement elsewhere:
+seeded through :func:`derive_subseed`, so any row block, run stage, or retry
+can be reproduced in isolation. The derivation is a plain SHA-256 hash and is
+simple enough to re-implement elsewhere:
 
     subseed = int.from_bytes(sha256(f"{master_seed}|{run_tag}|{index}".encode())[:16], "big")
 
 The resulting 128-bit integer seeds ``numpy.random.default_rng`` (PCG64).
+For the table runs ("prerun", "main", "add") the index is the block index
+``row // CHUNK_ROWS``: one stream serves a whole block of rows.
+
+``STREAM_VERSION`` names this stream layout. It is written into every
+manifest, and a dataset is only regenerated by code of the same version,
+because another layout gives other output bytes from the same seed.
 """
 
 from __future__ import annotations
@@ -28,7 +34,13 @@ def substream(master_seed: int, run_tag: str, index: int = 0) -> np.random.Gener
     return np.random.default_rng(derive_subseed(master_seed, run_tag, index))
 
 
+# Version 1 seeded one stream per row; version 2 seeds one per block of
+# CHUNK_ROWS = 8192 rows.
+STREAM_VERSION = 2
+
 SEED_DERIVATION_NOTE = (
     "subseed = int.from_bytes(sha256(f'{master_seed}|{run_tag}|{index}')"
-    ".digest()[:16], 'big'); streams are numpy PCG64 (default_rng)"
+    ".digest()[:16], 'big'); streams are numpy PCG64 (default_rng); "
+    "for the table runs index is the block index row // 8192, and each "
+    "block draws its roots and noise vectorised for all 8192 rows"
 )

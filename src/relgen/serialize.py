@@ -21,7 +21,7 @@ from .errors import InvalidConfigError
 from .graphs import DagSpec, NodeSpec
 from .prerun import Codebook, PrerunStats
 from .relational import RelationalDataset, RelationalSchema
-from .seeding import SEED_DERIVATION_NOTE
+from .seeding import SEED_DERIVATION_NOTE, STREAM_VERSION
 from .tables import KIND_CATEGORICAL, Column, Table
 
 TOOL_VERSION = "0.1.0"
@@ -259,6 +259,7 @@ def write_dataset(dataset: RelationalDataset, cfg: GenerationConfig, out_dir: st
         "schema_fingerprint": schema_dict["fingerprint"],
         "files": files,
         "seed_derivation": SEED_DERIVATION_NOTE,
+        "stream_version": STREAM_VERSION,
         "prerun_warnings": list(dataset.stats.warnings),
     }
     (out / MANIFEST_JSON).write_text(json.dumps(manifest, indent=1), encoding="utf-8")

@@ -108,7 +108,9 @@ def generate_table(
     """Sample ``num_rows`` rows over the annotated graph and pool every node.
 
     Columns follow node-index order. Row r draws all of its randomness from
-    the sub-stream (seed, run_tag, r), so output is independent of threading.
+    the block stream (seed, run_tag, r // CHUNK_ROWS), so output does not
+    depend on the thread count, and the first rows of a longer run equal a
+    shorter run.
     """
     if not stats.covers(dag):
         raise ContractViolationError("pre-run stats do not cover the graph")

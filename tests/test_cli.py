@@ -88,6 +88,50 @@ def test_regenerate_detects_tampering(tmp_path, small_config, capsys):
     assert main(["regenerate", str(out / "manifest.json"), "--out", str(tmp_path / "x")]) == 1
 
 
+def dir_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_regenerate_in_place_leaves_dataset_untouched(tmp_path, small_config, capsys):
+    out = generate(tmp_path, small_config, seed=6)
+    assert main(["regenerate", str(out / "manifest.json")]) == 0
+    assert "identical hashes" in capsys.readouterr().out
+    manifest = load_manifest(out / "manifest.json")
+    manifest["config"]["rows_main"] = 301
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    before = dir_bytes(tmp_path)
+    assert main(["regenerate", str(out / "manifest.json")]) == 1
+    assert dir_bytes(tmp_path) == before  # main.csv unchanged, no temporary directory left
+
+
+def test_regenerate_rejects_other_stream_version(tmp_path, small_config, capsys):
+    out = generate(tmp_path, small_config, seed=6)
+    manifest = load_manifest(out / "manifest.json")
+    assert manifest["stream_version"] == 2
+    del manifest["stream_version"]  # a version-1 manifest has no field
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    before = dir_bytes(tmp_path)
+    assert main(["regenerate", str(out / "manifest.json")]) == 2
+    assert main(["regenerate", str(out / "manifest.json"), "--out", str(tmp_path / "again")]) == 2
+    assert "stream version 1" in capsys.readouterr().err
+    assert dir_bytes(tmp_path) == before
+    assert not (tmp_path / "again").exists()
+
+
+# SHA-256 of the SMALL profile at seed 4, random-stream version 2. A change to
+# the stream layout, the CSV format or the schema encoding changes these.
+GOLDEN = {
+    "main.csv": "ba2f09167a298b3e0ba3d76ae18a22000c7462854b4dbf973c5f223f63ae74fd",
+    "additional.csv": "e045bc10c5d6831b7a48fd6259ee1d2d6f6049af4a85e41499b1cfe201d122e5",
+    "schema.json": "4eac18586b7e90b032cc601b3b3f3493f74ead2b1560ac699b624b27d369cf5e",
+}
+
+
+def test_golden_hashes(tmp_path, small_config):
+    out = generate(tmp_path, small_config, seed=4)
+    assert {name: file_sha256(out / name) for name in GOLDEN} == GOLDEN
+
+
 def test_eval_writes_reports(tmp_path, small_config):
     out = generate(tmp_path, small_config, seed=8)
     assert main(["eval", str(out)]) == 0

@@ -1,19 +1,25 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from relgen.engine import (
     ACTIVATIONS,
+    CHUNK_ROWS,
     NoiseConfig,
     PropagationFn,
     QuantilePair,
     RootDistribution,
     init_propagation_fn,
     propagate,
+    propagate_rows,
     sample_noise,
     sample_root,
     structural_assign,
 )
 from relgen.errors import ContractViolationError, InvalidParameterError
+from relgen.graphs import DagSpec, NodeSpec, classify_nodes
+from relgen.seeding import SEED_DERIVATION_NOTE
 
 
 def rng(seed=0):
@@ -180,9 +186,6 @@ def test_activation_registry_complete():
 
 
 def test_row_granularity_hits_whole_rows():
-    from relgen.engine import RootDistribution, propagate_rows
-    from relgen.graphs import DagSpec, NodeSpec, classify_nodes
-
     n = 2
     nodes = [
         NodeSpec(index=0, name="N0", root_dist=RootDistribution("normal", {"mean": 0.0, "std": 1.0}), pooling="mean"),
@@ -203,9 +206,6 @@ def test_row_granularity_hits_whole_rows():
 
 
 def test_propagate_rows_requires_quantiles_with_noise():
-    from relgen.engine import propagate_rows
-    from relgen.graphs import DagSpec, NodeSpec, classify_nodes
-
     nodes = [
         NodeSpec(index=0, name="N0", root_dist=RootDistribution("normal", {"mean": 0.0, "std": 1.0}), pooling="mean"),
         NodeSpec(index=1, name="N1", activation="identity", weights=np.eye(2), pooling="mean"),
@@ -213,3 +213,55 @@ def test_propagate_rows_requires_quantiles_with_noise():
     dag = classify_nodes(DagSpec(nodes=nodes, edges={(0, 1)}, hidden_dim=2))
     with pytest.raises(ContractViolationError):
         propagate_rows(dag, 5, seed=0, run_tag="main", noise=NoiseConfig())
+
+
+# --- block streams ----------------------------------------------------------------
+
+def chain_dag(n=2):
+    """Two roots (normal, mixture) feeding a tanh node, then an identity node."""
+    nodes = [
+        NodeSpec(index=0, name="N0", root_dist=RootDistribution("normal", {"mean": 0.0, "std": 1.0}), pooling="mean"),
+        NodeSpec(index=1, name="N1", root_dist=RootDistribution("mixture", {"p": 0.5, "exp_scale": 0.6}), pooling="mean"),
+        NodeSpec(index=2, name="N2", activation="tanh", weights=rng(3).normal(size=(n, 2 * n)), pooling="mean"),
+        NodeSpec(index=3, name="N3", activation="identity", weights=np.eye(n), pooling="mean"),
+    ]
+    dag = classify_nodes(DagSpec(nodes=nodes, edges={(0, 2), (1, 2), (2, 3)}, hidden_dim=n))
+    quantiles = {i: QuantilePair(q10=np.zeros(n), q90=np.ones(n)) for i in (2, 3)}
+    return dag, quantiles
+
+
+@pytest.mark.parametrize("granularity", ["node", "row", "component"])
+@pytest.mark.parametrize("short, long", [(1_000, 10_000), (CHUNK_ROWS + 100, 9_000)])
+def test_rows_do_not_depend_on_num_rows(granularity, short, long):
+    dag, quantiles = chain_dag()
+    noise = NoiseConfig(affected_fraction=0.3, noise_std=0.5, granularity=granularity)
+    a = propagate_rows(dag, short, seed=4, run_tag="main", noise=noise, quantiles=quantiles)
+    b = propagate_rows(dag, long, seed=4, run_tag="main", noise=noise, quantiles=quantiles)
+    for idx in a:
+        assert a[idx].tobytes() == b[idx][:short].tobytes()
+
+
+@pytest.mark.parametrize("granularity", ["node", "component"])
+def test_realised_noise_rate_matches_affected_fraction(granularity):
+    dag, quantiles = chain_dag()
+    noise = NoiseConfig(affected_fraction=0.1, noise_std=0.1, granularity=granularity)
+    mats = propagate_rows(dag, 20_000, seed=6, run_tag="main", noise=noise, quantiles=quantiles)
+    hits = mats[3] != mats[2]  # N3 = N2 + eps, with unit scale
+    rate = hits.mean() if granularity == "component" else hits.any(axis=1).mean()
+    assert abs(rate - 0.1) < 0.01
+
+
+def test_batched_noise_shapes():
+    cfg = NoiseConfig(affected_fraction=0.5, noise_std=0.1)
+    assert sample_noise(cfg, 3, rng()).shape == (3,)
+    block = sample_noise(cfg, (100, 3), rng())
+    assert block.shape == (100, 3)
+    hit = block.any(axis=1)
+    assert np.array_equal(block.all(axis=1), hit)  # "node": one coin per row covers the row
+    shared = np.arange(100) % 2 == 0
+    row = sample_noise(replace(cfg, granularity="row"), (100, 3), rng(), shared)
+    assert np.array_equal(row.any(axis=1), shared)
+
+
+def test_seed_note_names_the_block_size():
+    assert f"row // {CHUNK_ROWS}" in SEED_DERIVATION_NOTE

@@ -353,11 +353,12 @@ def test_one_neighbor_search_per_condition(monkeypatch, kwargs):
 
 def test_report_metrics_pinned():
     # Fixed reference values: a change to eval results that keeps them
-    # finite, and so passes every other eval test, fails here.
+    # finite, and so passes every other eval test, fails here. They depend on
+    # the generated data too, so they are pinned at random stream version 2.
     expected = [
-        ("M5", "RMSE", 0.15124651885832702, 0.15078703545537495),
-        ("M6", "RMSE", 0.44780092112509257, 0.4444586033141009),
-        ("M7", "AUC", 0.9823232323232324, 0.9848484848484849),
+        ("M5", "RMSE", 0.09534400723864363, 0.09208216829179582),
+        ("M6", "RMSE", 0.41350299242380095, 0.3884576233632534),
+        ("M7", "AUC", 0.9733333333333334, 0.9706666666666667),
     ]
     report = run_comparison(small_dataset())
     got = [(t.column, t.metric, t.main_only, t.joined) for t in report.targets]
