@@ -62,7 +62,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset_dir)
     report = run_comparison(
         dataset,
-        EvalConfig(test_fraction=args.test_fraction, k=args.k, eval_seed=args.seed),
+        EvalConfig(test_fraction=args.test_fraction, k=args.k),
     )
     out_dir = args.out if args.out else args.dataset_dir
     write_eval_report(report, out_dir)
@@ -133,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("dataset_dir", type=Path)
     ev.add_argument("--k", type=int, default=10)
     ev.add_argument("--test-fraction", type=float, default=0.1, dest="test_fraction")
-    ev.add_argument("--seed", type=int, default=0, help="eval seed recorded in the report")
     ev.add_argument("--out", type=Path, help="report directory (defaults to dataset dir)")
     ev.set_defaults(func=cmd_eval)
 

@@ -184,17 +184,8 @@ def config_from_dict(data: dict) -> GenerationConfig:
 
 
 def config_to_dict(cfg: GenerationConfig) -> dict:
-    """Plain-JSON dict that round-trips through config_from_dict."""
-    out = asdict(cfg)
-    for key in ("main_graph", "add_graph"):
-        out[key]["num_nodes"] = list(out[key]["num_nodes"])
-    for key in ("normal_mean", "normal_std", "gamma_shape", "gamma_scale", "mixture_exp_scale"):
-        out["root_distributions"][key] = list(out["root_distributions"][key])
-    out["category_count"] = list(out["category_count"])
-    out["coupling_categories"] = list(out["coupling_categories"])
-    out["activations"] = list(out["activations"])
-    out["numeric_poolings"] = list(out["numeric_poolings"])
-    return out
+    """Plain-JSON dict (tuples become lists) that round-trips through config_from_dict."""
+    return json.loads(json.dumps(asdict(cfg)))
 
 
 def load_config(path: str | Path) -> GenerationConfig:

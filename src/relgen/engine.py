@@ -9,12 +9,13 @@ activation, and adds noise scaled component-wise by the spread (90%- minus
 
     x_i = activation(W_i @ concat(parents)) + (q90_i - q10_i) * eps_i
 
-The batch runner :func:`propagate_rows` executes this for many rows at once,
-in fixed blocks of ``CHUNK_ROWS`` rows. Block b draws all of its randomness
-from one generator, ``substream(seed, run_tag, b)``: one vectorised draw per
-node for a full block, sliced to the rows that exist. Row r therefore depends
-only on (seed, run_tag, r // CHUNK_ROWS), never on the row count or the
-thread count.
+One kernel, :func:`apply_layer`, computes activation(W_i @ x) for a block of
+rows; :func:`propagate` is that kernel on a block of one row. The batch
+runner :func:`propagate_rows` calls it for many rows at once, in fixed blocks
+of ``CHUNK_ROWS`` rows. Block b draws all of its randomness from one
+generator, ``substream(seed, run_tag, b)``: one vectorised draw per node for
+a full block, sliced to the rows that exist. Row r therefore depends only on
+(seed, run_tag, r // CHUNK_ROWS), never on the row count or the thread count.
 """
 
 from __future__ import annotations
@@ -170,14 +171,20 @@ def init_propagation_fn(
     return PropagationFn(weights=weights, activation=activation)
 
 
-def propagate(parents: list[np.ndarray], f: PropagationFn) -> np.ndarray:
-    """Apply the one-layer map to a single row's parent vectors."""
-    x = np.concatenate(parents)
-    if x.shape[0] != f.weights.shape[1]:
+def apply_layer(stacked: np.ndarray, weights: np.ndarray, activation: str) -> np.ndarray:
+    """The node kernel: act(W @ x) for every row x of a (rows, parent_count * n) block."""
+    if stacked.shape[1] != weights.shape[1]:
         raise ContractViolationError(
-            f"concatenated parent size {x.shape[0]} does not match weight shape {f.weights.shape}"
+            f"concatenated parent size {stacked.shape[1]} does not match weight shape {weights.shape}"
         )
-    return ACTIVATIONS[f.activation](f.weights @ x)
+    # einsum keeps a fixed summation order, independent of BLAS threading, so
+    # reruns are bit-identical.
+    return ACTIVATIONS[activation](np.einsum("rk,jk->rj", stacked, weights))
+
+
+def propagate(parents: list[np.ndarray], f: PropagationFn) -> np.ndarray:
+    """Apply the one-layer map to a single row's parent vectors: a block of one row."""
+    return apply_layer(np.concatenate(parents)[None], f.weights, f.activation)[0]
 
 
 def structural_assign(
@@ -263,9 +270,7 @@ def propagate_rows(
                 x = sample_root(node.root_dist, block_shape, rng)[:m]
             else:
                 stacked = np.concatenate([values[p] for p in parents], axis=1)
-                # einsum keeps a fixed summation order, independent of BLAS
-                # threading, so reruns are bit-identical.
-                x = ACTIVATIONS[node.activation](np.einsum("rk,jk->rj", stacked, node.weights))
+                x = apply_layer(stacked, node.weights, node.activation)
                 if noise is not None:
                     x += scales[idx] * sample_noise(noise, block_shape, rng, row_hit)[:m]
             _ensure_finite(x, node.name, node.activation)

@@ -35,7 +35,6 @@ class FeatureMatrix:
 class EvalConfig:
     test_fraction: float = 0.1
     k: int = 10
-    eval_seed: int = 0
     key_column: str = "C"
     # Share of the main block's total feature variance granted to the
     # aggregate block. Keeps the joined metric a bounded perturbation of the
@@ -61,7 +60,6 @@ class EvalReport:
     rows_main: int
     rows_add: int
     generation_seed: int
-    eval_seed: int
     schema_fingerprint: str | None = None
     feature_widths: dict = field(default_factory=dict)
 
@@ -201,16 +199,23 @@ def featurize_joined(
     multiplies the whole aggregate block before concatenation.
     """
     base = featurize_main_only(rows, stats)
-    mapped = map_aggregates(rows.column(key_column).values, agg)
-    mean, std = agg_norms
-    scaled = mapped.copy()
-    if agg.numeric_mask.any():
-        mask = agg.numeric_mask
-        scaled[:, mask] = (mapped[:, mask] - mean[mask]) / np.maximum(std[mask], STD_FLOOR)
+    scaled = _scaled_aggregates(rows, agg, key_column, agg_norms)
     return FeatureMatrix(
         values=np.concatenate([base.values, agg_weight * scaled], axis=1),
         descriptors=base.descriptors + agg.descriptors,
     )
+
+
+def _scaled_aggregates(
+    rows: Table, agg: KeyAggregates, key_column: str, agg_norms: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Mapped aggregates of ``rows`` with the mean-aggregated columns standardized."""
+    scaled = map_aggregates(rows.column(key_column).values, agg)  # a fresh array
+    mask = agg.numeric_mask
+    if mask.any():
+        mean, std = agg_norms
+        scaled[:, mask] = (scaled[:, mask] - mean[mask]) / np.maximum(std[mask], STD_FLOOR)
+    return scaled
 
 
 def fit_agg_norms(train_rows: Table, agg: KeyAggregates, key_column: str) -> tuple[np.ndarray, np.ndarray]:
@@ -232,14 +237,8 @@ def fit_agg_weight(
     with per-column variances measured over the training rows; it is capped
     at 1 so sparse aggregate blocks are never inflated.
     """
-    mapped = map_aggregates(train_rows.column(key_column).values, agg)
-    mean, std = agg_norms
-    if agg.numeric_mask.any():
-        mask = agg.numeric_mask
-        mapped = mapped.copy()
-        mapped[:, mask] = (mapped[:, mask] - mean[mask]) / np.maximum(std[mask], STD_FLOOR)
     v_main = float(train_main.values.var(axis=0).sum())
-    v_agg = float(mapped.var(axis=0).sum())
+    v_agg = float(_scaled_aggregates(train_rows, agg, key_column, agg_norms).var(axis=0).sum())
     if v_agg <= 0.0 or v_main <= 0.0:
         return 1.0
     return min(1.0, float(np.sqrt(agg_share * v_main / v_agg)))
@@ -483,7 +482,6 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
         rows_main=dataset.main_table.row_count,
         rows_add=dataset.add_table.row_count,
         generation_seed=dataset.seed,
-        eval_seed=cfg.eval_seed,
         schema_fingerprint=dataset.main_table.provenance.get("schema_fingerprint"),
         feature_widths={name: f[0].values.shape[1] for name, f in features.items()},
     )

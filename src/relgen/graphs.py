@@ -29,9 +29,6 @@ class UndirectedGraph:
     num_nodes: int
     edges: frozenset  # of (lo, hi) index pairs
 
-    def degree(self, i: int) -> int:
-        return sum(1 for a, b in self.edges if i in (a, b))
-
 
 @dataclass
 class NodeSpec:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import QuantilePair, propagate_rows
+from .engine import CHUNK_ROWS, QuantilePair, propagate_rows
 from .errors import DegenerateDataError, InvalidParameterError
 from .graphs import DagSpec
 from .seeding import substream
@@ -72,10 +72,22 @@ def compute_quantiles(samples: np.ndarray, lo: float = 0.1, hi: float = 0.9) -> 
     return QuantilePair(q10=q[0], q90=q[1])
 
 
-def _nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)  # ties resolve to the lowest centroid index
-    return labels, d2[np.arange(len(points)), labels]
+def nearest_centroid(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of, and squared distance to, the nearest centroid of every point.
+
+    Ties resolve to the lowest centroid index. Squared distances are sums of
+    explicit squared differences, computed over blocks of ``CHUNK_ROWS``
+    points so the (block, K, n) temporary stays bounded.
+    """
+    labels = np.empty(len(points), dtype=np.int64)
+    nearest_d2 = np.empty(len(points))
+    for start in range(0, len(points), CHUNK_ROWS):
+        block = points[start : start + CHUNK_ROWS]
+        d2 = ((block[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        block_labels = np.argmin(d2, axis=1)
+        labels[start : start + CHUNK_ROWS] = block_labels
+        nearest_d2[start : start + CHUNK_ROWS] = d2[np.arange(len(block)), block_labels]
+    return labels, nearest_d2
 
 
 def fit_codebook(
@@ -107,7 +119,7 @@ def fit_codebook(
     for j in range(1, k_eff):
         total = d2.sum()
         if total <= 0.0:  # all mass already covered; take any unused distinct point
-            unused = distinct[_nearest(distinct, centroids[:j])[1] > 0]
+            unused = distinct[nearest_centroid(distinct, centroids[:j])[1] > 0]
             centroids[j] = unused[0]
         else:
             centroids[j] = samples[int(rng.choice(len(samples), p=d2 / total))]
@@ -115,7 +127,7 @@ def fit_codebook(
 
     prev_objective = np.inf
     for _ in range(KMEANS_MAX_ITER):
-        labels, nearest_d2 = _nearest(samples, centroids)
+        labels, nearest_d2 = nearest_centroid(samples, centroids)
         objective = float(nearest_d2.sum())
         if objective > prev_objective * (1 + 1e-12) + 1e-12:
             raise AssertionError("k-means objective increased")
@@ -134,7 +146,7 @@ def fit_codebook(
 
     # Re-number clusters by first appearance over the sample order; clusters
     # that never win a point keep their relative order at the end.
-    labels, _ = _nearest(samples, centroids)
+    labels, _ = nearest_centroid(samples, centroids)
     order: list[int] = []
     seen = set()
     for lab in labels:

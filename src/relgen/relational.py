@@ -56,8 +56,6 @@ class RelationalDataset:
     schema: RelationalSchema  # effective schema (post pre-run demotions)
     stats: PrerunStats
     seed: int
-    noise: NoiseConfig
-    num_presamples: int
 
 
 def compose(
@@ -243,8 +241,6 @@ def generate_relational(
         schema=working,
         stats=stats,
         seed=seed,
-        noise=noise,
-        num_presamples=num_presamples,
     )
 
 

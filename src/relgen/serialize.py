@@ -15,14 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import GenerationConfig, config_from_dict, config_to_dict
-from .engine import NoiseConfig, QuantilePair, RootDistribution
+from .config import GenerationConfig, config_to_dict
+from .engine import QuantilePair, RootDistribution
 from .errors import InvalidConfigError
 from .graphs import DagSpec, NodeSpec
 from .prerun import Codebook, PrerunStats
 from .relational import RelationalDataset, RelationalSchema
 from .seeding import SEED_DERIVATION_NOTE, STREAM_VERSION
-from .tables import KIND_CATEGORICAL, Column, Table
+from .tables import KIND_CATEGORICAL, Column, Table, column_info
 
 TOOL_VERSION = "0.1.0"
 
@@ -277,7 +277,6 @@ def report_to_dict(report) -> dict:
         "rows_main": report.rows_main,
         "rows_add": report.rows_add,
         "generation_seed": report.generation_seed,
-        "eval_seed": report.eval_seed,
         "schema_fingerprint": report.schema_fingerprint,
         "feature_widths": dict(report.feature_widths),
         "targets": [
@@ -318,21 +317,12 @@ def load_dataset(dataset_dir: str | Path) -> RelationalDataset:
     schema, stats = schema_from_dict(schema_dict)
     if stats is None:
         raise InvalidConfigError(f"{root / SCHEMA_JSON} lacks prerun_stats")
-    merged = schema.merged
 
     def info(indices: list[int]) -> list[tuple[str, str, str]]:
-        out = []
-        for i in indices:
-            node = merged.node(i)
-            kind = KIND_CATEGORICAL if node.pooling == "categorical" else "numeric"
-            role = "target" if node.role == "target" else "feature"
-            out.append((node.name, kind, role))
-        return out
+        return [column_info(schema.merged.node(i)) for i in [*indices, schema.coupling_index]]
 
-    main_info = info(list(schema.main_indices) + [schema.coupling_index])
-    add_info = info(list(schema.add_indices) + [schema.coupling_index])
-    main_table = read_csv_table(root / MAIN_CSV, main_info)
-    add_table = read_csv_table(root / ADD_CSV, add_info)
+    main_table = read_csv_table(root / MAIN_CSV, info(schema.main_indices))
+    add_table = read_csv_table(root / ADD_CSV, info(schema.add_indices))
 
     key_sha = coupling_codebook_sha(stats, schema.coupling_index)
     seeds = schema_dict.get("seeds", {})
@@ -341,13 +331,10 @@ def load_dataset(dataset_dir: str | Path) -> RelationalDataset:
         table.provenance["master_seed"] = seeds.get("master_seed")
         table.provenance["schema_fingerprint"] = schema_dict.get("fingerprint")
 
-    noise_cfg = config_from_dict(load_manifest(root / MANIFEST_JSON)["config"]).noise if (root / MANIFEST_JSON).exists() else NoiseConfig()
     return RelationalDataset(
         main_table=main_table,
         add_table=add_table,
         schema=schema,
         stats=stats,
         seed=seeds.get("master_seed", 0),
-        noise=noise_cfg,
-        num_presamples=stats.num_presamples,
     )

@@ -8,13 +8,11 @@ import numpy as np
 
 from .engine import NoiseConfig, propagate_rows
 from .errors import ContractViolationError, InvalidParameterError
-from .graphs import ROLE_TARGET, DagSpec
-from .prerun import Codebook, PrerunStats
+from .graphs import ROLE_FEATURE, ROLE_TARGET, DagSpec, NodeSpec
+from .prerun import Codebook, PrerunStats, nearest_centroid
 
 KIND_NUMERIC = "numeric"
 KIND_CATEGORICAL = "categorical"
-
-_CAT_CHUNK = 8192
 
 
 @dataclass
@@ -50,7 +48,13 @@ class Table:
 
 
 def pool(x: np.ndarray, pooling: str, codebook: Codebook | None = None):
-    """Reduce one node vector to a scalar readout.
+    """Reduce one node vector to a scalar readout: :func:`pool_batch` on one row."""
+    value = pool_batch(x[None], pooling, codebook)[0]
+    return int(value) if pooling == "categorical" else float(value)
+
+
+def pool_batch(matrix: np.ndarray, pooling: str, codebook: Codebook | None = None) -> np.ndarray:
+    """Reduce every row of a (rows, n) matrix to a scalar readout.
 
     Numeric kinds: Euclidean norm, arithmetic mean, component median (even
     lengths average the middle pair), or population variance. Categorical:
@@ -59,32 +63,9 @@ def pool(x: np.ndarray, pooling: str, codebook: Codebook | None = None):
     if pooling == "categorical":
         if codebook is None:
             raise ContractViolationError("categorical pooling requires a fitted codebook")
-        d2 = ((codebook.centroids - x) ** 2).sum(axis=1)
-        return int(np.argmin(d2))
+        return nearest_centroid(matrix, codebook.centroids)[0]
     if codebook is not None:
         raise ContractViolationError(f"codebook passed for {pooling} pooling")
-    if pooling == "norm":
-        return float(np.sqrt((x * x).sum()))
-    if pooling == "mean":
-        return float(np.mean(x))
-    if pooling == "median":
-        return float(np.median(x))
-    if pooling == "variance":
-        return float(np.var(x))
-    raise InvalidParameterError(f"unknown pooling kind {pooling!r}")
-
-
-def pool_batch(matrix: np.ndarray, pooling: str, codebook: Codebook | None = None) -> np.ndarray:
-    """Vectorized pooling of a (rows, n) matrix."""
-    if pooling == "categorical":
-        if codebook is None:
-            raise ContractViolationError("categorical pooling requires a fitted codebook")
-        out = np.empty(len(matrix), dtype=np.int64)
-        for start in range(0, len(matrix), _CAT_CHUNK):
-            block = matrix[start : start + _CAT_CHUNK]
-            d2 = ((block[:, None, :] - codebook.centroids[None, :, :]) ** 2).sum(axis=2)
-            out[start : start + _CAT_CHUNK] = np.argmin(d2, axis=1)
-        return out
     if pooling == "norm":
         return np.sqrt((matrix * matrix).sum(axis=1))
     if pooling == "mean":
@@ -94,6 +75,13 @@ def pool_batch(matrix: np.ndarray, pooling: str, codebook: Codebook | None = Non
     if pooling == "variance":
         return matrix.var(axis=1)
     raise InvalidParameterError(f"unknown pooling kind {pooling!r}")
+
+
+def column_info(node: NodeSpec) -> tuple[str, str, str]:
+    """(name, kind, role) of the column a node writes."""
+    kind = KIND_CATEGORICAL if node.pooling == "categorical" else KIND_NUMERIC
+    role = ROLE_TARGET if node.role == ROLE_TARGET else ROLE_FEATURE
+    return node.name, kind, role
 
 
 def generate_table(
@@ -120,8 +108,6 @@ def generate_table(
     columns = []
     for node in dag.nodes:
         values = pool_batch(matrices[node.index], node.pooling, stats.codebooks.get(node.index))
-        kind = KIND_CATEGORICAL if node.pooling == "categorical" else KIND_NUMERIC
-        role = ROLE_TARGET if node.role == ROLE_TARGET else "feature"
-        columns.append(Column(name=node.name, kind=kind, role=role, values=values))
+        columns.append(Column(*column_info(node), values=values))
     provenance = {"seed": seed, "run_tag": run_tag, "rows": num_rows}
     return Table(columns=columns, provenance=provenance)

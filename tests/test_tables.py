@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relgen.config import config_from_dict
-from relgen.engine import NoiseConfig
+from relgen.engine import CHUNK_ROWS, NoiseConfig
 from relgen.errors import ContractViolationError
 from relgen.graphs import sample_dag
 from relgen.prerun import Codebook, build_prerun_stats, prerun
@@ -53,6 +53,26 @@ def test_batch_matches_single():
     batch = pool_batch(mat, "categorical", cb)
     single = np.array([pool(row, "categorical", cb) for row in mat])
     assert np.array_equal(batch, single)
+
+
+def test_categorical_batch_matches_brute_force_across_blocks():
+    """Nearest centroid over two row blocks, exact ties included, against a scan."""
+    rng = np.random.default_rng(11)
+    mid = np.array([0.5, -1.0, 2.0])
+    delta = np.array([1.0, 0.25, -0.5])
+    # centroids 1 and 3 mirror each other around ``mid``, as do 0 and 4 around
+    # the origin; all coordinates are dyadic, so the mirrored distances are
+    # exactly equal
+    centroids = np.array([[2.0, 1.0, 0.0], mid - delta, [-3.0, 3.0, 3.0], mid + delta, [-2.0, -1.0, 0.0]])
+    cb = codebook(centroids)
+    rows = rng.normal(scale=2.0, size=(10_000, 3))
+    tied = np.concatenate([[0, CHUNK_ROWS - 1, CHUNK_ROWS, 9_999], rng.choice(10_000, 400, replace=False)])
+    rows[tied[::2]] = mid
+    rows[tied[1::2]] = 0.0
+    got = pool_batch(rows, "categorical", cb)
+    want = [min(range(len(centroids)), key=lambda j: (float(((row - centroids[j]) ** 2).sum()), j)) for row in rows]
+    assert np.array_equal(got, want)
+    assert set(got[tied[::2]]) == {1} and set(got[tied[1::2]]) == {0}
 
 
 # --- table generation ----------------------------------------------------------
