@@ -421,17 +421,6 @@ def score(predictions, truth: np.ndarray, task: str) -> float:
 
 def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -> EvalReport:
     """Score every main-table target under the main-only and joined conditions."""
-    main_sha = dataset.main_table.provenance.get("coupling_codebook_sha")
-    add_sha = dataset.add_table.provenance.get("coupling_codebook_sha")
-    if main_sha != add_sha:
-        raise ContractViolationError("tables disagree on the coupling-key codebook")
-    prints = {
-        t.provenance.get("schema_fingerprint")
-        for t in (dataset.main_table, dataset.add_table)
-    }
-    if len(prints - {None}) > 1:
-        raise ContractViolationError("tables carry different schema fingerprints")
-
     train, test = split(dataset.main_table, cfg.test_fraction)
     stats = fit_feature_stats(train)
     agg = build_key_aggregates(dataset.add_table, cfg.key_column)
@@ -482,6 +471,6 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
         rows_main=dataset.main_table.row_count,
         rows_add=dataset.add_table.row_count,
         generation_seed=dataset.seed,
-        schema_fingerprint=dataset.main_table.provenance.get("schema_fingerprint"),
+        schema_fingerprint=dataset.schema_fingerprint,
         feature_widths={name: f[0].values.shape[1] for name, f in features.items()},
     )

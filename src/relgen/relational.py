@@ -11,7 +11,6 @@ across tables.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +55,7 @@ class RelationalDataset:
     schema: RelationalSchema  # effective schema (post pre-run demotions)
     stats: PrerunStats
     seed: int
+    schema_fingerprint: str | None = None  # set by serialize.load_dataset
 
 
 def compose(
@@ -188,13 +188,6 @@ def latently_affected_targets(schema: RelationalSchema) -> dict[int, bool]:
     return {t: (t in seen) for t in schema.main_targets()}
 
 
-def coupling_codebook_sha(stats: PrerunStats, coupling_index: int) -> str:
-    codebook = stats.codebooks.get(coupling_index)
-    if codebook is None:
-        raise ContractViolationError("coupling node has no fitted codebook")
-    return hashlib.sha256(np.ascontiguousarray(codebook.centroids).tobytes()).hexdigest()
-
-
 def generate_relational(
     schema: RelationalSchema,
     rows_main: int,
@@ -213,16 +206,14 @@ def generate_relational(
     working = copy_schema(schema)
     matrices = prerun(working.merged, num_presamples, seed, threads=threads)
     stats = build_prerun_stats(working.merged, matrices, seed)
-    key_sha = coupling_codebook_sha(stats, working.coupling_index)
+    if working.coupling_index not in stats.codebooks:
+        raise ContractViolationError("coupling node has no fitted codebook")
 
     merged_table = generate_table(
         working.merged, stats, rows_main, noise, seed, run_tag="main", threads=threads
     )
     keep = list(working.main_indices) + [working.coupling_index]
-    main_table = Table(
-        columns=[merged_table.columns[i] for i in keep],
-        provenance=dict(merged_table.provenance),
-    )
+    main_table = Table(columns=[merged_table.columns[i] for i in keep])
 
     sub, index_map = add_subgraph(working)
     sub_stats = PrerunStats(
@@ -231,10 +222,6 @@ def generate_relational(
         num_presamples=stats.num_presamples,
     )
     add_table = generate_table(sub, sub_stats, rows_add, noise, seed, run_tag="add", threads=threads)
-
-    for table in (main_table, add_table):
-        table.provenance["coupling_codebook_sha"] = key_sha
-        table.provenance["master_seed"] = seed
     return RelationalDataset(
         main_table=main_table,
         add_table=add_table,

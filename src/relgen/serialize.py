@@ -161,22 +161,13 @@ def schema_fingerprint(schema_dict: dict) -> str:
 
 # --- CSV -------------------------------------------------------------------
 
-def _format_cell(value, kind: str) -> str:
-    if kind == KIND_CATEGORICAL:
-        return str(int(value))
-    return repr(float(value))
-
-
 def write_csv(table: Table, path: Path) -> None:
+    cells = [
+        map(str if c.kind == KIND_CATEGORICAL else repr, c.values.tolist()) for c in table.columns
+    ]
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(table.names)
-        kinds = [c.kind for c in table.columns]
-        columns = [c.values for c in table.columns]
-        for r in range(table.row_count):
-            writer.writerow(
-                _format_cell(columns[j][r], kinds[j]) for j in range(len(columns))
-            )
+        fh.write(",".join(table.names) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def read_csv_table(path: Path, column_info: list[tuple[str, str, str]]) -> Table:
@@ -244,18 +235,18 @@ def write_dataset(dataset: RelationalDataset, cfg: GenerationConfig, out_dir: st
     }
     schema_dict = schema_to_dict(dataset.schema, dataset.stats, seeds)
     schema_dict["fingerprint"] = schema_fingerprint(schema_dict)
-    for table in (dataset.main_table, dataset.add_table):
-        table.provenance["schema_fingerprint"] = schema_dict["fingerprint"]
     (out / SCHEMA_JSON).write_text(json.dumps(schema_dict, indent=1), encoding="utf-8")
     (out / SCHEMA_DOT).write_text(schema_to_dot(dataset.schema), encoding="utf-8")
     write_csv(dataset.main_table, out / MAIN_CSV)
     write_csv(dataset.add_table, out / ADD_CSV)
 
     files = {name: file_sha256(out / name) for name in (MAIN_CSV, ADD_CSV, SCHEMA_JSON, SCHEMA_DOT)}
+    # The snapshot says how the data was made, not where this copy was written.
+    config = {k: v for k, v in config_to_dict(cfg).items() if k != "out_dir"}
     manifest = {
         "tool": "relgen",
         "tool_version": TOOL_VERSION,
-        "config": config_to_dict(cfg),
+        "config": config,
         "schema_fingerprint": schema_dict["fingerprint"],
         "files": files,
         "seed_derivation": SEED_DERIVATION_NOTE,
@@ -309,10 +300,18 @@ def write_eval_report(report, out_dir: str | Path) -> None:
 
 
 def load_dataset(dataset_dir: str | Path) -> RelationalDataset:
-    """Rebuild an in-memory dataset from a generated directory."""
-    from .relational import coupling_codebook_sha  # local to avoid cycles at import time
+    """Rebuild an in-memory dataset from a generated directory.
 
+    Each file read must have the SHA-256 that manifest.json lists for it, so
+    a truncated, edited or swapped file raises InvalidConfigError instead of
+    being evaluated.
+    """
     root = Path(dataset_dir)
+    listed = load_manifest(root / MANIFEST_JSON).get("files", {})
+    for name in (SCHEMA_JSON, MAIN_CSV, ADD_CSV):
+        if file_sha256(root / name) != listed.get(name):
+            raise InvalidConfigError(f"{root / name}: SHA-256 is not the one {MANIFEST_JSON} lists")
+
     schema_dict = json.loads((root / SCHEMA_JSON).read_text(encoding="utf-8"))
     schema, stats = schema_from_dict(schema_dict)
     if stats is None:
@@ -321,20 +320,11 @@ def load_dataset(dataset_dir: str | Path) -> RelationalDataset:
     def info(indices: list[int]) -> list[tuple[str, str, str]]:
         return [column_info(schema.merged.node(i)) for i in [*indices, schema.coupling_index]]
 
-    main_table = read_csv_table(root / MAIN_CSV, info(schema.main_indices))
-    add_table = read_csv_table(root / ADD_CSV, info(schema.add_indices))
-
-    key_sha = coupling_codebook_sha(stats, schema.coupling_index)
-    seeds = schema_dict.get("seeds", {})
-    for table in (main_table, add_table):
-        table.provenance["coupling_codebook_sha"] = key_sha
-        table.provenance["master_seed"] = seeds.get("master_seed")
-        table.provenance["schema_fingerprint"] = schema_dict.get("fingerprint")
-
     return RelationalDataset(
-        main_table=main_table,
-        add_table=add_table,
+        main_table=read_csv_table(root / MAIN_CSV, info(schema.main_indices)),
+        add_table=read_csv_table(root / ADD_CSV, info(schema.add_indices)),
         schema=schema,
         stats=stats,
-        seed=seeds.get("master_seed", 0),
+        seed=schema_dict.get("seeds", {}).get("master_seed", 0),
+        schema_fingerprint=schema_dict.get("fingerprint"),
     )

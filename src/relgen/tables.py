@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class Column:
 @dataclass
 class Table:
     columns: list[Column]
-    provenance: dict = field(default_factory=dict)
 
     @property
     def row_count(self) -> int:
@@ -44,7 +43,7 @@ class Table:
 
     def slice(self, start: int, stop: int) -> "Table":
         cols = [Column(c.name, c.kind, c.role, c.values[start:stop]) for c in self.columns]
-        return Table(columns=cols, provenance=dict(self.provenance))
+        return Table(columns=cols)
 
 
 def pool(x: np.ndarray, pooling: str, codebook: Codebook | None = None):
@@ -109,5 +108,4 @@ def generate_table(
     for node in dag.nodes:
         values = pool_batch(matrices[node.index], node.pooling, stats.codebooks.get(node.index))
         columns.append(Column(*column_info(node), values=values))
-    provenance = {"seed": seed, "run_tag": run_tag, "rows": num_rows}
-    return Table(columns=columns, provenance=provenance)
+    return Table(columns=columns)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from relgen.cli import main
+from relgen.errors import InvalidConfigError
 from relgen.serialize import (
     file_sha256,
     load_dataset,
@@ -68,6 +69,21 @@ def test_threads_flag_keeps_output_identical(tmp_path, small_config):
     ]) == 0
     for name in ("main.csv", "additional.csv"):
         assert file_sha256(a / name) == file_sha256(out / name)
+
+
+def test_manifest_does_not_depend_on_output_directory(tmp_path, small_config):
+    a = generate(tmp_path, small_config, "a", seed=4)
+    b = generate(tmp_path, small_config, "b", seed=4)
+    assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+
+
+def test_regenerate_accepts_manifest_with_out_dir(tmp_path, small_config, capsys):
+    out = generate(tmp_path, small_config, seed=6)
+    manifest = load_manifest(out / "manifest.json")
+    manifest["config"]["out_dir"] = str(out)  # older manifests recorded it
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["regenerate", str(out / "manifest.json")]) == 0
+    assert "identical hashes" in capsys.readouterr().out
 
 
 def test_regenerate_verifies_hashes(tmp_path, small_config, capsys):
@@ -149,6 +165,46 @@ def test_eval_flags_ablation_dataset(tmp_path):
     assert main(["eval", str(out)]) == 0
     report = json.loads((out / "eval_report.json").read_text())
     assert all(not t["latently_affected"] for t in report["targets"])
+
+
+def truncate_main(out):
+    lines = (out / "main.csv").read_text().splitlines(keepends=True)
+    (out / "main.csv").write_text("".join(lines[:201]))
+
+
+def flip_schema_byte(out):
+    data = bytearray((out / "schema.json").read_bytes())
+    i = data.rindex(b'"') - 1  # last hex digit of the fingerprint; still valid JSON
+    data[i] = ord("a") if data[i] != ord("a") else ord("b")
+    (out / "schema.json").write_bytes(bytes(data))
+
+
+def unlist_main(out):
+    manifest = load_manifest(out / "manifest.json")
+    del manifest["files"]["main.csv"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize(
+    "tamper, name",
+    [(truncate_main, "main.csv"), (flip_schema_byte, "schema.json"), (unlist_main, "main.csv")],
+    ids=["truncated-main", "edited-schema", "unlisted-main"],
+)
+def test_eval_rejects_dataset_that_differs_from_manifest(tmp_path, small_config, capsys, tamper, name):
+    out = generate(tmp_path, small_config, seed=8)
+    tamper(out)
+    with pytest.raises(InvalidConfigError, match=name):
+        load_dataset(out)
+    assert main(["eval", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not (out / "eval_report.json").exists()
+
+
+def test_eval_without_manifest_fails_cleanly(tmp_path, small_config, capsys):
+    out = generate(tmp_path, small_config, seed=8)
+    (out / "manifest.json").unlink()
+    assert main(["eval", str(out)]) == 2
+    assert "manifest.json" in capsys.readouterr().err
 
 
 def test_export_dot(tmp_path, small_config):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relgen.config import config_from_dict
-from relgen.errors import InvalidConfigError
+from relgen.errors import ContractViolationError, InvalidConfigError
 from relgen.graphs import ROLE_TARGET, validate_dag
 from relgen.relational import (
     build_schema,
@@ -89,15 +89,20 @@ def test_generate_relational_projects_main_columns():
 def test_shared_coupling_codebook():
     cfg, schema = schema_for(8)
     ds = generate_relational(schema, 200, 50, cfg.noise, 200, seed=2)
-    assert (
-        ds.main_table.provenance["coupling_codebook_sha"]
-        == ds.add_table.provenance["coupling_codebook_sha"]
-    )
     kc = ds.schema.merged.node(ds.schema.coupling_index).category_count
     for table in (ds.main_table, ds.add_table):
         c = table.column("C")
         assert c.kind == "categorical"
         assert c.values.min() >= 0 and c.values.max() < kc
+
+
+def test_demoted_coupling_node_is_rejected():
+    # C with zero weights sees constant pre-run data, so the pre-run demotes
+    # it to mean pooling and the tables would share no categorical key.
+    cfg, schema = schema_for(8, main_graph={"num_nodes": 8}, add_graph={"num_nodes": 5})
+    schema.merged.node(schema.coupling_index).weights[:] = 0.0
+    with pytest.raises(ContractViolationError, match="coupling node has no fitted codebook"):
+        generate_relational(schema, 100, 20, cfg.noise, 200, seed=1)
 
 
 def test_empty_additional_table_keeps_headers():
