@@ -19,6 +19,7 @@ from .serialize import (
     SCHEMA_JSON,
     load_dataset,
     load_manifest,
+    mismatched_files,
     schema_from_dict,
     schema_to_dot,
     write_dataset,
@@ -83,30 +84,34 @@ def cmd_regenerate(args: argparse.Namespace) -> int:
             f"{args.manifest} was written with random stream version {version}; "
             f"this relgen uses version {STREAM_VERSION} and cannot reproduce its bytes"
         )
-    if args.out:
-        return _regenerate_into(manifest, Path(args.out))
-    # Without --out, regenerate next to the dataset and compare there, so a
-    # mismatch never touches the files being verified.
+    # The files beside the manifest are hashed before anything is written,
+    # so an --out that names the dataset itself still checks the originals.
+    listed = manifest["files"]
     dataset_dir = Path(args.manifest).resolve().parent
-    prefix = f".{dataset_dir.name}-regen-"
-    with tempfile.TemporaryDirectory(prefix=prefix, dir=dataset_dir.parent) as tmp:
-        return _regenerate_into(manifest, Path(tmp))
-
-
-def _regenerate_into(manifest: dict, out_dir: Path) -> int:
-    cfg = with_overrides(config_from_dict(manifest["config"]), out_dir=str(out_dir))
-    dataset = run_generation(cfg)
-    new_manifest = write_dataset(dataset, cfg, out_dir)
-    mismatched = [
-        name
-        for name, sha in manifest["files"].items()
-        if new_manifest["files"].get(name) != sha
-    ]
-    if mismatched:
-        print(f"regeneration MISMATCH for {mismatched}", file=sys.stderr)
+    on_disk = mismatched_files(dataset_dir, listed, listed)
+    if args.out:
+        regenerated = _regenerate_into(manifest, Path(args.out))
+    else:
+        # Without --out, regenerate next to the dataset and compare there, so
+        # a mismatch never touches the files being verified.
+        prefix = f".{dataset_dir.name}-regen-"
+        with tempfile.TemporaryDirectory(prefix=prefix, dir=dataset_dir.parent) as tmp:
+            regenerated = _regenerate_into(manifest, Path(tmp))
+    for side, names in (("on disk", on_disk), ("regenerated", regenerated)):
+        if names:
+            print(f"MISMATCH {side}: {names} differ from {MANIFEST_JSON}", file=sys.stderr)
+    if on_disk or regenerated:
         return 1
-    print(f"regenerated {sorted(manifest['files'])} with identical hashes in {out_dir}")
+    kept = f" in {args.out}" if args.out else ""
+    print(f"regenerated {sorted(listed)} with identical hashes{kept}, and the files on disk match")
     return 0
+
+
+def _regenerate_into(manifest: dict, out_dir: Path) -> list[str]:
+    """Regenerate into ``out_dir``; the names whose hash differs from the manifest's."""
+    cfg = with_overrides(config_from_dict(manifest["config"]), out_dir=str(out_dir))
+    write_dataset(run_generation(cfg), cfg, out_dir)
+    return mismatched_files(out_dir, manifest["files"], manifest["files"])
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:

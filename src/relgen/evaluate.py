@@ -9,7 +9,7 @@ categorical targets score (macro one-vs-rest) AUC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -127,15 +127,16 @@ def featurize_main_only(rows: Table, stats: FeatureStats) -> FeatureMatrix:
 
 @dataclass
 class KeyAggregates:
-    """Per-key aggregation of the additional table.
+    """Per-key aggregation of the additional table, one dense row per key.
 
     Numeric columns aggregate by mean, categorical columns by normalized
-    one-hot frequency; keys absent from the additional table fall back to the
-    table-global means and frequencies.
+    one-hot frequency. ``table`` has one row per entry of the sorted
+    ``keys`` plus a last row, the table-global means and frequencies, for
+    keys absent from the additional table.
     """
 
-    by_key: dict[int, np.ndarray]
-    fallback: np.ndarray
+    keys: np.ndarray  # sorted int64
+    table: np.ndarray  # (len(keys) + 1, width)
     descriptors: list[str]
     numeric_mask: np.ndarray  # True where the aggregate column is a mean
 
@@ -154,83 +155,42 @@ def build_key_aggregates(add_table: Table, key_column: str) -> KeyAggregates:
             descriptors.append(f"add:{col.name}:aggmean")
             numeric_flags.append(True)
         else:
-            cats = np.unique(col.values) if len(col.values) else np.zeros(0, dtype=np.int64)
+            cats = np.unique(col.values)
             encoded.append((col.values[:, None] == cats[None, :]).astype(float))
             descriptors.extend(f"add:{col.name}:aggfreq:{c}" for c in cats)
             numeric_flags.extend([False] * len(cats))
-    width = sum(e.shape[1] for e in encoded)
     rows = np.concatenate(encoded, axis=1) if encoded else np.zeros((add_table.row_count, 0))
-    fallback = rows.mean(axis=0) if len(rows) else np.zeros(width)
-    by_key: dict[int, np.ndarray] = {}
-    for value in np.unique(key.values) if len(key.values) else []:
-        by_key[int(value)] = rows[key.values == value].mean(axis=0)
-    return KeyAggregates(
-        by_key=by_key,
-        fallback=fallback,
-        descriptors=descriptors,
-        numeric_mask=np.array(numeric_flags, dtype=bool),
-    )
+    keys = np.unique(key.values).astype(np.int64)
+    table = np.zeros((len(keys) + 1, rows.shape[1]))
+    for i, value in enumerate(keys):
+        table[i] = rows[key.values == value].mean(axis=0)
+    if len(rows):
+        table[-1] = rows.mean(axis=0)
+    return KeyAggregates(keys, table, descriptors, np.array(numeric_flags, dtype=bool))
 
 
 def map_aggregates(keys: np.ndarray, agg: KeyAggregates) -> np.ndarray:
     """Aggregate row of each key; keys the additional table lacks get the fallback."""
-    known = sorted(agg.by_key)
-    table = np.vstack([agg.by_key[key] for key in known] + [agg.fallback])
     keys = np.asarray(keys, dtype=np.int64)
-    known = np.array(known, dtype=np.int64)
-    row = np.searchsorted(known, keys)
-    row[~np.isin(keys, known)] = len(known)
-    return table[row]
+    row = np.searchsorted(agg.keys, keys)
+    row[~np.isin(keys, agg.keys)] = len(agg.keys)
+    return agg.table[row]
 
 
-def featurize_joined(
-    rows: Table,
-    stats: FeatureStats,
-    agg: KeyAggregates,
-    key_column: str,
-    agg_norms: tuple[np.ndarray, np.ndarray],
-    agg_weight: float = 1.0,
-) -> FeatureMatrix:
-    """Main-table features plus standardized key-matched aggregates.
+def fit_agg_norms(train_rows: Table, agg: KeyAggregates, key_column: str) -> KeyAggregates:
+    """``agg`` with its mean-aggregated columns standardized.
 
-    ``agg_norms`` are (mean, std) of the mapped aggregate columns over the
-    training rows; only mean-aggregated (numeric) columns are standardized,
-    frequency columns stay raw like every other one-hot block. ``agg_weight``
-    multiplies the whole aggregate block before concatenation.
+    Mean and std are those of the aggregate rows mapped to the training
+    rows; frequency columns stay raw like every other one-hot block.
     """
-    base = featurize_main_only(rows, stats)
-    scaled = _scaled_aggregates(rows, agg, key_column, agg_norms)
-    return FeatureMatrix(
-        values=np.concatenate([base.values, agg_weight * scaled], axis=1),
-        descriptors=base.descriptors + agg.descriptors,
-    )
-
-
-def _scaled_aggregates(
-    rows: Table, agg: KeyAggregates, key_column: str, agg_norms: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """Mapped aggregates of ``rows`` with the mean-aggregated columns standardized."""
-    scaled = map_aggregates(rows.column(key_column).values, agg)  # a fresh array
-    mask = agg.numeric_mask
-    if mask.any():
-        mean, std = agg_norms
-        scaled[:, mask] = (scaled[:, mask] - mean[mask]) / np.maximum(std[mask], STD_FLOOR)
-    return scaled
-
-
-def fit_agg_norms(train_rows: Table, agg: KeyAggregates, key_column: str) -> tuple[np.ndarray, np.ndarray]:
     mapped = map_aggregates(train_rows.column(key_column).values, agg)
-    return mapped.mean(axis=0), mapped.std(axis=0)
+    mean, std, mask = mapped.mean(axis=0), mapped.std(axis=0), agg.numeric_mask
+    table = agg.table.copy()
+    table[:, mask] = (table[:, mask] - mean[mask]) / np.maximum(std[mask], STD_FLOOR)
+    return replace(agg, table=table)
 
 
-def fit_agg_weight(
-    train_main: FeatureMatrix,
-    train_rows: Table,
-    agg: KeyAggregates,
-    key_column: str,
-    agg_norms: tuple[np.ndarray, np.ndarray],
-    agg_share: float,
-) -> float:
+def fit_agg_weight(train_main: FeatureMatrix, train_agg: np.ndarray, agg_share: float) -> float:
     """Block weight granting the aggregates a fixed share of the metric.
 
     The weight w solves w^2 * var(agg block) = agg_share * var(main block),
@@ -238,10 +198,24 @@ def fit_agg_weight(
     at 1 so sparse aggregate blocks are never inflated.
     """
     v_main = float(train_main.values.var(axis=0).sum())
-    v_agg = float(_scaled_aggregates(train_rows, agg, key_column, agg_norms).var(axis=0).sum())
+    v_agg = float(train_agg.var(axis=0).sum())
     if v_agg <= 0.0 or v_main <= 0.0:
         return 1.0
     return min(1.0, float(np.sqrt(agg_share * v_main / v_agg)))
+
+
+def featurize_joined(
+    main: FeatureMatrix, agg_rows: np.ndarray, agg: KeyAggregates, agg_weight: float = 1.0
+) -> FeatureMatrix:
+    """Main-table features with the key-matched aggregate rows appended.
+
+    ``agg_rows`` are the standardized aggregates mapped to the same rows;
+    ``agg_weight`` multiplies the whole aggregate block.
+    """
+    return FeatureMatrix(
+        values=np.concatenate([main.values, agg_weight * agg_rows], axis=1),
+        descriptors=main.descriptors + agg.descriptors,
+    )
 
 
 _TEST_BLOCK = 128
@@ -423,16 +397,16 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
     """Score every main-table target under the main-only and joined conditions."""
     train, test = split(dataset.main_table, cfg.test_fraction)
     stats = fit_feature_stats(train)
-    agg = build_key_aggregates(dataset.add_table, cfg.key_column)
-    agg_norms = fit_agg_norms(train, agg, cfg.key_column)
-
-    main_train = featurize_main_only(train, stats)
-    weight = fit_agg_weight(main_train, train, agg, cfg.key_column, agg_norms, cfg.agg_share)
+    agg = fit_agg_norms(train, build_key_aggregates(dataset.add_table, cfg.key_column), cfg.key_column)
+    main_train, main_test = featurize_main_only(train, stats), featurize_main_only(test, stats)
+    agg_train = map_aggregates(train.column(cfg.key_column).values, agg)
+    agg_test = map_aggregates(test.column(cfg.key_column).values, agg)
+    weight = fit_agg_weight(main_train, agg_train, cfg.agg_share)
     features = {
-        "main_only": (main_train, featurize_main_only(test, stats)),
+        "main_only": (main_train, main_test),
         "joined": (
-            featurize_joined(train, stats, agg, cfg.key_column, agg_norms, weight),
-            featurize_joined(test, stats, agg, cfg.key_column, agg_norms, weight),
+            featurize_joined(main_train, agg_train, agg, weight),
+            featurize_joined(main_test, agg_test, agg, weight),
         ),
     }
     affected = latently_affected_targets(dataset.schema)

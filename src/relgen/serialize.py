@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -172,19 +173,21 @@ def write_csv(table: Table, path: Path) -> None:
 
 def read_csv_table(path: Path, column_info: list[tuple[str, str, str]]) -> Table:
     """Load a CSV written by write_csv; column_info is (name, kind, role) per column."""
+    expected = [name for name, _, _ in column_info]
     with path.open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        expected = [name for name, _, _ in column_info]
+        header = next(csv.reader(fh))
         if header != expected:
             raise InvalidConfigError(f"{path}: header {header} does not match schema {expected}")
-        raw = list(reader)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a table of no rows
+            data = np.loadtxt(fh, delimiter=",", ndmin=2).reshape(-1, len(expected))
     columns = []
     for j, (name, kind, role) in enumerate(column_info):
+        values = data[:, j].copy()
         if kind == KIND_CATEGORICAL:
-            values = np.array([int(row[j]) for row in raw], dtype=np.int64)
-        else:
-            values = np.array([float(row[j]) for row in raw], dtype=float)
+            values = values.astype(np.int64)
+            if not np.array_equal(values, data[:, j]):
+                raise InvalidConfigError(f"{path}: categorical column {name} holds a non-integer cell")
         columns.append(Column(name=name, kind=kind, role=role, values=values))
     return Table(columns=columns)
 
@@ -221,6 +224,11 @@ def file_sha256(path: Path) -> str:
         for block in iter(lambda: fh.read(1 << 16), b""):
             digest.update(block)
     return digest.hexdigest()
+
+
+def mismatched_files(root: Path, listed: dict, names) -> list[str]:
+    """The names among ``names`` whose file in ``root`` lacks the SHA-256 ``listed`` gives."""
+    return [name for name in names if file_sha256(root / name) != listed.get(name)]
 
 
 def write_dataset(dataset: RelationalDataset, cfg: GenerationConfig, out_dir: str | Path) -> dict:
@@ -308,9 +316,9 @@ def load_dataset(dataset_dir: str | Path) -> RelationalDataset:
     """
     root = Path(dataset_dir)
     listed = load_manifest(root / MANIFEST_JSON).get("files", {})
-    for name in (SCHEMA_JSON, MAIN_CSV, ADD_CSV):
-        if file_sha256(root / name) != listed.get(name):
-            raise InvalidConfigError(f"{root / name}: SHA-256 is not the one {MANIFEST_JSON} lists")
+    bad = mismatched_files(root, listed, (SCHEMA_JSON, MAIN_CSV, ADD_CSV))
+    if bad:
+        raise InvalidConfigError(f"{root / bad[0]}: SHA-256 is not the one {MANIFEST_JSON} lists")
 
     schema_dict = json.loads((root / SCHEMA_JSON).read_text(encoding="utf-8"))
     schema, stats = schema_from_dict(schema_dict)

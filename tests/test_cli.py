@@ -120,6 +120,21 @@ def test_regenerate_in_place_leaves_dataset_untouched(tmp_path, small_config, ca
     assert dir_bytes(tmp_path) == before  # main.csv unchanged, no temporary directory left
 
 
+@pytest.mark.parametrize("use_out", [False, True], ids=["beside", "out"])
+def test_regenerate_reads_the_dataset_it_verifies(tmp_path, small_config, capsys, use_out):
+    out = generate(tmp_path, small_config, seed=6)
+    truncate_main(out)
+    before = dir_bytes(out)
+    argv = ["regenerate", str(out / "manifest.json")]
+    if use_out:
+        argv += ["--out", str(tmp_path / "again")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "main.csv" in err and "on disk" in err
+    assert "regenerated:" not in err  # the regenerated side still matches the manifest
+    assert dir_bytes(out) == before
+
+
 def test_regenerate_rejects_other_stream_version(tmp_path, small_config, capsys):
     out = generate(tmp_path, small_config, seed=6)
     manifest = load_manifest(out / "manifest.json")

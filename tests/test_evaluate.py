@@ -115,7 +115,7 @@ def make_add_table(keys, a_num, a_cat):
 def test_single_match_aggregate_equals_row_encoding():
     add = make_add_table(keys=[5, 6], a_num=[2.5, 7.0], a_cat=[1, 0])
     agg = build_key_aggregates(add, "C")
-    vec = agg.by_key[5]
+    vec = map_aggregates(np.array([5]), agg)[0]
     # columns: A0 mean, then A1 one-hot frequencies over observed {0, 1}
     assert vec[0] == 2.5
     assert np.array_equal(vec[1:], [0.0, 1.0])
@@ -124,8 +124,9 @@ def test_single_match_aggregate_equals_row_encoding():
 def test_two_matches_average():
     add = make_add_table(keys=[5, 5], a_num=[1.0, 3.0], a_cat=[0, 1])
     agg = build_key_aggregates(add, "C")
-    assert agg.by_key[5][0] == 2.0
-    assert np.array_equal(agg.by_key[5][1:], [0.5, 0.5])
+    vec = map_aggregates(np.array([5]), agg)[0]
+    assert vec[0] == 2.0
+    assert np.array_equal(vec[1:], [0.5, 0.5])
 
 
 def test_missing_key_falls_back_to_global():
@@ -141,10 +142,9 @@ def test_joined_concatenates_main_and_aggregates():
     main.columns.append(Column("C", "categorical", "feature", np.array([1, 2, 1, 2])))
     add = make_add_table(keys=[1, 2], a_num=[0.0, 4.0], a_cat=[0, 1])
     stats = fit_feature_stats(main)
-    agg = build_key_aggregates(add, "C")
-    norms = fit_agg_norms(main, agg, "C")
-    fm = featurize_joined(main, stats, agg, "C", norms)
+    agg = fit_agg_norms(main, build_key_aggregates(add, "C"), "C")
     base = featurize_main_only(main, stats)
+    fm = featurize_joined(base, map_aggregates(main.column("C").values, agg), agg)
     assert fm.values.shape[1] == base.values.shape[1] + len(agg.descriptors)
     assert fm.descriptors[: len(base.descriptors)] == base.descriptors
 
@@ -401,3 +401,85 @@ def test_feature_width_mismatch_rejected():
 
     with pytest.raises(ContractViolationError):
         knn_predict(np.zeros((5, 3)), np.zeros(5), np.zeros((2, 4)), k=2)
+
+
+def reference_aggregate_block(ds, train_keys, test_keys, main_train, cfg):
+    """Independent per-row reference of the weighted, standardized join block.
+
+    Each row averages the additional rows with its key (all rows if none),
+    numeric columns are standardized by the training rows' mapped mean and
+    std, and the block is weighted by min(1, sqrt(agg_share * v_main / v_agg)).
+    """
+    add = ds.add_table
+    add_keys = add.column(cfg.key_column).values
+    blocks, numeric = [], []
+    for col in add.columns:
+        if col.name == cfg.key_column:
+            continue
+        if col.kind == "numeric":
+            blocks.append(np.asarray(col.values, dtype=float).reshape(-1, 1))
+            numeric.append(True)
+        else:
+            cats = sorted(set(col.values.tolist()))
+            onehot = [[float(v == c) for c in cats] for v in col.values.tolist()]
+            blocks.append(np.array(onehot).reshape(-1, len(cats)))
+            numeric.extend([False] * len(cats))
+    encoded = np.concatenate(blocks, axis=1)
+
+    def row(key):
+        match = encoded[add_keys == key]
+        return match.mean(axis=0) if len(match) else encoded.mean(axis=0)
+
+    raw_train = np.array([row(k) for k in train_keys])
+    raw_test = np.array([row(k) for k in test_keys])
+    mean, std = raw_train.mean(axis=0), raw_train.std(axis=0)
+    for raw in (raw_train, raw_test):
+        for j in np.flatnonzero(numeric):
+            raw[:, j] = (raw[:, j] - mean[j]) / max(std[j], 1e-12)
+    v_main = main_train.var(axis=0).sum()
+    v_agg = raw_train.var(axis=0).sum()
+    weight = min(1.0, np.sqrt(cfg.agg_share * v_main / v_agg)) if v_main > 0 and v_agg > 0 else 1.0
+    return weight * raw_train, weight * raw_test
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+@pytest.mark.parametrize("rows_add", [60, 400, 3])
+def test_joined_values_match_per_row_reference(monkeypatch, seed, rows_add):
+    from relgen import evaluate
+
+    searched = []
+    search = evaluate.knn_predict
+
+    def captured(train_X, train_y, test_X, **kwargs):
+        searched.append((train_X, test_X))
+        return search(train_X, train_y, test_X, **kwargs)
+
+    monkeypatch.setattr(evaluate, "knn_predict", captured)
+    ds = small_dataset(seed=seed, rows_add=rows_add)
+    cfg = evaluate.EvalConfig()
+    run_comparison(ds, cfg)
+    (main_train, main_test), (joined_train, joined_test) = searched
+    width = main_train.shape[1]
+    assert np.array_equal(joined_train[:, :width], main_train)
+    assert np.array_equal(joined_test[:, :width], main_test)
+    train, test = split(ds.main_table, cfg.test_fraction)
+    ref_train, ref_test = reference_aggregate_block(
+        ds, train.column("C").values, test.column("C").values, main_train, cfg
+    )
+    assert np.allclose(joined_train[:, width:], ref_train, rtol=1e-12, atol=1e-12)
+    assert np.allclose(joined_test[:, width:], ref_test, rtol=1e-12, atol=1e-12)
+
+
+def test_each_split_is_featurized_once(monkeypatch):
+    from relgen import evaluate
+
+    calls = []
+    featurize = evaluate.featurize_main_only
+
+    def counted(*args):
+        calls.append(args)
+        return featurize(*args)
+
+    monkeypatch.setattr(evaluate, "featurize_main_only", counted)
+    run_comparison(small_dataset())
+    assert len(calls) == 2

@@ -69,6 +69,31 @@ def test_csv_round_trip_exotic_floats(tmp_path):
     assert back.columns[0].values.tobytes() == values.tobytes()
 
 
+@pytest.mark.parametrize("rows", [0, 1, 3])
+def test_csv_round_trip_few_rows(tmp_path, rows):
+    table = Table(
+        columns=[
+            Column("x", "numeric", "feature", np.linspace(-1.5, 2.25, rows)),
+            Column("k", "categorical", "feature", np.arange(rows, dtype=np.int64) * 7),
+        ]
+    )
+    info = [("x", "numeric", "feature"), ("k", "categorical", "feature")]
+    path = tmp_path / "t.csv"
+    write_csv(table, path)
+    back = read_csv_table(path, info)
+    for col, got in zip(table.columns, back.columns):
+        assert got.values.dtype == col.values.dtype
+        assert got.values.shape == (rows,)
+        assert got.values.tobytes() == col.values.tobytes()
+
+
+def test_csv_non_integer_category_rejected(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x,k\n0.5,1\n2.5,1.5\n", encoding="utf-8")
+    with pytest.raises(InvalidConfigError, match="categorical column k"):
+        read_csv_table(path, [("x", "numeric", "feature"), ("k", "categorical", "feature")])
+
+
 def test_csv_header_mismatch_rejected(tmp_path):
     table = Table(columns=[Column("x", "numeric", "feature", np.zeros(2))])
     path = tmp_path / "t.csv"
