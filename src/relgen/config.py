@@ -9,13 +9,21 @@ and 100,000 main rows against 500 additional rows.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .engine import ACTIVATIONS, NoiseConfig, ROOT_FAMILIES
 from .errors import InvalidConfigError
 
 NUMERIC_POOLINGS = ("norm", "mean", "median", "variance")
+
+
+def _require_ints(cfg, prefix: str = "") -> None:
+    """Reject a float, string or boolean in any field of ``cfg`` declared ``int``."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+            raise InvalidConfigError(f"{prefix}{f.name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -26,6 +34,7 @@ class GraphConfig:
     attach_m: int = 2
 
     def validate(self, prefix: str) -> None:
+        _require_ints(self, f"{prefix}.")
         lo, hi = self.num_nodes
         if lo < 2 or hi < lo:
             raise InvalidConfigError(f"{prefix}.num_nodes must be a range with 2 <= lo <= hi")
@@ -80,6 +89,7 @@ class GenerationConfig:
     threads: int = 1
 
     def validate(self) -> None:
+        _require_ints(self)
         if self.hidden_dim < 1:
             raise InvalidConfigError("hidden_dim must be >= 1")
         self.main_graph.validate("main_graph")
@@ -113,16 +123,23 @@ def _pair(value, key: str, cast=float) -> tuple:
 
 
 def _build(cls, data: dict, path: str, builders: dict | None = None):
-    """Construct a dataclass from a dict, rejecting unknown keys."""
+    """Construct a dataclass from a dict, rejecting unknown keys and values of the wrong shape."""
+    if not isinstance(data, dict):
+        raise InvalidConfigError(f"{path or 'config root'} must be a JSON object")
     builders = builders or {}
-    fields = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    unknown = set(data) - fields
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise InvalidConfigError(f"{path}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for key, value in data.items():
         if key in builders:
-            kwargs[key] = builders[key](value, f"{path}.{key}" if path else key)
+            key_path = f"{path}.{key}" if path else key
+            try:
+                kwargs[key] = builders[key](value, key_path)
+            except InvalidConfigError:
+                raise
+            except (TypeError, ValueError) as exc:
+                raise InvalidConfigError(f"{key_path}: {exc}") from exc
         else:
             kwargs[key] = value
     try:
@@ -133,11 +150,8 @@ def _build(cls, data: dict, path: str, builders: dict | None = None):
 
 def config_from_dict(data: dict) -> GenerationConfig:
     """Build a validated GenerationConfig from a (possibly partial) dict."""
-    if not isinstance(data, dict):
-        raise InvalidConfigError("config root must be a JSON object")
-
     def graph(value, path):
-        if "num_nodes" in value:
+        if isinstance(value, dict) and "num_nodes" in value:
             raw = value["num_nodes"]
             value = dict(value)
             value["num_nodes"] = (int(raw), int(raw)) if isinstance(raw, int) else _pair(raw, f"{path}.num_nodes", int)
@@ -151,10 +165,7 @@ def config_from_dict(data: dict) -> GenerationConfig:
         return _build(RootDistConfig, value, path)
 
     def noise(value, path):
-        try:
-            return _build(NoiseConfig, value, path)
-        except Exception as exc:
-            raise InvalidConfigError(f"{path}: {exc}") from exc
+        return _build(NoiseConfig, value, path)
 
     def pair_of(cast):
         return lambda value, path: _pair(value, path, cast)

@@ -4,14 +4,14 @@ A main graph and an additional graph are merged through a high-cardinality
 categorical coupling node C (fed by a sink of the additional graph, feeding a
 feature of the main graph) plus a configurable number of latent edges running
 from additional-graph features straight into main-graph targets. The merged
-graph is sampled once for the main table and the additional subgraph (with C)
-once more for the additional table, sharing one pre-run so category ids match
-across tables.
+graph is sampled once for the main table and its prefix (the additional nodes
+and C) once more for the additional table, sharing one pre-run so category ids
+match across tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +36,11 @@ from .tables import Table, generate_table
 
 @dataclass
 class RelationalSchema:
-    """Merged graph plus the bookkeeping of which table each node feeds."""
+    """Merged graph plus the bookkeeping of which table each node feeds.
+
+    :func:`compose` lays the merged graph out as ``[A0 ... A(c-1), C, M0 ...]``
+    with C at the coupling index c, so the additional nodes and C are its prefix.
+    """
 
     merged: DagSpec
     main_indices: list[int]  # merged indices of main-graph nodes
@@ -46,6 +50,14 @@ class RelationalSchema:
 
     def main_targets(self) -> list[int]:
         return [i for i in self.main_indices if self.merged.node(i).role == ROLE_TARGET]
+
+    def main_columns(self) -> list[int]:
+        """Merged indices of main.csv's columns, in order: the main nodes, then C."""
+        return [*self.main_indices, self.coupling_index]
+
+    def add_columns(self) -> list[int]:
+        """Merged indices of additional.csv's columns, in order: the additional nodes, then C."""
+        return [*self.add_indices, self.coupling_index]
 
 
 @dataclass
@@ -141,38 +153,6 @@ def compose(
     )
 
 
-def copy_schema(schema: RelationalSchema) -> RelationalSchema:
-    return RelationalSchema(
-        merged=copy_dag(schema.merged),
-        main_indices=list(schema.main_indices),
-        add_indices=list(schema.add_indices),
-        coupling_index=schema.coupling_index,
-        latent_edges=set(schema.latent_edges),
-    )
-
-
-def add_subgraph(schema: RelationalSchema) -> tuple[DagSpec, dict[int, int]]:
-    """Restrict the merged graph to the additional nodes plus C, re-indexed.
-
-    Returns the subgraph and the merged->subgraph index map. Node specs are
-    copied; roles keep their merged-graph meaning (C stays a feature).
-    """
-    keep = list(schema.add_indices) + [schema.coupling_index]
-    index_map = {old: new for new, old in enumerate(keep)}
-    sub = copy_dag(schema.merged)
-    nodes = []
-    for old in keep:
-        node = sub.nodes[old]
-        node.index = index_map[old]
-        nodes.append(node)
-    edges = {
-        (index_map[a], index_map[b])
-        for a, b in schema.merged.edges
-        if a in index_map and b in index_map
-    }
-    return DagSpec(nodes=nodes, edges=edges, hidden_dim=schema.merged.hidden_dim), index_map
-
-
 def latently_affected_targets(schema: RelationalSchema) -> dict[int, bool]:
     """Per main-target flag: reachable from the additional graph avoiding C?"""
     children = schema.merged.child_map()
@@ -199,29 +179,28 @@ def generate_relational(
 ) -> RelationalDataset:
     """One shared pre-run, then the main-table and additional-table runs.
 
-    The main run covers the merged graph and is projected down to the main
-    columns plus C; the additional run covers the additional subgraph with C,
-    reusing the same weights, quantiles, and codebooks.
+    Both runs use the merged graph's weights, quantiles and codebooks. The
+    main run propagates the whole merged graph and pools only the main
+    columns; the additional run covers the prefix of additional nodes and C.
     """
-    working = copy_schema(schema)
-    matrices = prerun(working.merged, num_presamples, seed, threads=threads)
-    stats = build_prerun_stats(working.merged, matrices, seed)
-    if working.coupling_index not in stats.codebooks:
+    c = schema.coupling_index
+    if schema.add_indices != list(range(c)):
+        raise ContractViolationError("additional-graph nodes must take the merged indices before C")
+    # Only the merged graph is edited (pre-run demotions), so only it is copied.
+    working = replace(schema, merged=copy_dag(schema.merged))
+    merged = working.merged
+    matrices = prerun(merged, num_presamples, seed, threads=threads)
+    stats = build_prerun_stats(merged, matrices, seed)
+    if c not in stats.codebooks:
         raise ContractViolationError("coupling node has no fitted codebook")
 
-    merged_table = generate_table(
-        working.merged, stats, rows_main, noise, seed, run_tag="main", threads=threads
+    main_table = generate_table(
+        merged, stats, rows_main, noise, seed, run_tag="main", threads=threads, indices=working.main_columns()
     )
-    keep = list(working.main_indices) + [working.coupling_index]
-    main_table = Table(columns=[merged_table.columns[i] for i in keep])
-
-    sub, index_map = add_subgraph(working)
-    sub_stats = PrerunStats(
-        quantiles={index_map[i]: q for i, q in stats.quantiles.items() if i in index_map},
-        codebooks={index_map[i]: c for i, c in stats.codebooks.items() if i in index_map},
-        num_presamples=stats.num_presamples,
+    prefix = DagSpec(merged.nodes[: c + 1], {(a, b) for a, b in merged.edges if b <= c}, merged.hidden_dim)
+    add_table = generate_table(
+        prefix, stats, rows_add, noise, seed, run_tag="add", threads=threads, indices=working.add_columns()
     )
-    add_table = generate_table(sub, sub_stats, rows_add, noise, seed, run_tag="add", threads=threads)
     return RelationalDataset(
         main_table=main_table,
         add_table=add_table,

@@ -266,7 +266,11 @@ def write_dataset(dataset: RelationalDataset, cfg: GenerationConfig, out_dir: st
 
 
 def load_manifest(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Parse a manifest.json; its root, ``files`` and ``config`` must be JSON objects."""
+    manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not (isinstance(manifest, dict) and all(isinstance(manifest.get(k), dict) for k in ("files", "config"))):
+        raise InvalidConfigError(f"{path}: not a manifest (needs an object with 'files' and 'config' objects)")
+    return manifest
 
 
 def report_to_dict(report) -> dict:
@@ -315,7 +319,7 @@ def load_dataset(dataset_dir: str | Path) -> RelationalDataset:
     being evaluated.
     """
     root = Path(dataset_dir)
-    listed = load_manifest(root / MANIFEST_JSON).get("files", {})
+    listed = load_manifest(root / MANIFEST_JSON)["files"]
     bad = mismatched_files(root, listed, (SCHEMA_JSON, MAIN_CSV, ADD_CSV))
     if bad:
         raise InvalidConfigError(f"{root / bad[0]}: SHA-256 is not the one {MANIFEST_JSON} lists")
@@ -325,12 +329,10 @@ def load_dataset(dataset_dir: str | Path) -> RelationalDataset:
     if stats is None:
         raise InvalidConfigError(f"{root / SCHEMA_JSON} lacks prerun_stats")
 
-    def info(indices: list[int]) -> list[tuple[str, str, str]]:
-        return [column_info(schema.merged.node(i)) for i in [*indices, schema.coupling_index]]
-
+    node = schema.merged.node
     return RelationalDataset(
-        main_table=read_csv_table(root / MAIN_CSV, info(schema.main_indices)),
-        add_table=read_csv_table(root / ADD_CSV, info(schema.add_indices)),
+        main_table=read_csv_table(root / MAIN_CSV, [column_info(node(i)) for i in schema.main_columns()]),
+        add_table=read_csv_table(root / ADD_CSV, [column_info(node(i)) for i in schema.add_columns()]),
         schema=schema,
         stats=stats,
         seed=schema_dict.get("seeds", {}).get("master_seed", 0),

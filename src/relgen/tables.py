@@ -91,13 +91,15 @@ def generate_table(
     seed: int,
     run_tag: str = "main",
     threads: int = 1,
+    indices: list[int] | None = None,
 ) -> Table:
-    """Sample ``num_rows`` rows over the annotated graph and pool every node.
+    """Sample ``num_rows`` rows over the annotated graph and pool the given nodes.
 
-    Columns follow node-index order. Row r draws all of its randomness from
-    the block stream (seed, run_tag, r // CHUNK_ROWS), so output does not
-    depend on the thread count, and the first rows of a longer run equal a
-    shorter run.
+    Column j pools node ``indices[j]`` (default: every node, in index order);
+    the whole graph is propagated either way. Row r draws all of its
+    randomness from the block stream (seed, run_tag, r // CHUNK_ROWS), so
+    output does not depend on the thread count, and the first rows of a
+    longer run equal a shorter run.
     """
     if not stats.covers(dag):
         raise ContractViolationError("pre-run stats do not cover the graph")
@@ -105,7 +107,7 @@ def generate_table(
         dag, num_rows, seed, run_tag, noise=noise, quantiles=stats.quantiles, threads=threads
     )
     columns = []
-    for node in dag.nodes:
+    for node in dag.nodes if indices is None else [dag.node(i) for i in indices]:
         values = pool_batch(matrices[node.index], node.pooling, stats.codebooks.get(node.index))
         columns.append(Column(*column_info(node), values=values))
     return Table(columns=columns)

@@ -262,3 +262,43 @@ def test_bad_command_errors_cleanly(tmp_path, capsys):
     missing.write_text("{\"rows_main\": -2}")
     assert main(["generate", "--config", str(missing)]) == 2
     assert "rows_main" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"main_graph": 5}, "main_graph"),
+        ({"category_count": [4, "x"]}, "category_count"),
+        ({"rows_main": "100"}, "rows_main"),
+        ({"hidden_dim": 2.5}, "hidden_dim"),
+    ],
+    ids=["section-is-number", "pair-holds-string", "rows-is-string", "hidden-dim-is-float"],
+)
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, config, key):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "ds")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def drop_files(manifest):
+    del manifest["files"]
+    return manifest
+
+
+@pytest.mark.parametrize(
+    "malform", [drop_files, lambda manifest: [manifest]], ids=["without-files", "json-list"]
+)
+@pytest.mark.parametrize("command", ["eval", "regenerate"])
+def test_malformed_manifest_exits_2(tmp_path, small_config, capsys, malform, command):
+    out = generate(tmp_path, small_config, seed=8)
+    manifest_path = out / "manifest.json"
+    manifest_path.write_text(json.dumps(malform(load_manifest(manifest_path))))
+    capsys.readouterr()
+    target = out if command == "eval" else manifest_path
+    assert main([command, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "not a manifest" in err
+    assert len(err.strip().splitlines()) == 1

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from relgen import tables
 from relgen.config import config_from_dict
 from relgen.errors import ContractViolationError, InvalidConfigError
 from relgen.graphs import ROLE_TARGET, validate_dag
@@ -126,3 +129,28 @@ def test_generation_does_not_mutate_input_schema():
     poolings = [n.pooling for n in schema.merged.nodes]
     generate_relational(schema, 50, 20, cfg.noise, 200, seed=5)
     assert [n.pooling for n in schema.merged.nodes] == poolings
+
+
+def test_each_column_is_pooled_once(monkeypatch):
+    # The main run pools only main.csv's columns; the additional-only nodes
+    # are pooled once, by the additional run.
+    cfg, schema = schema_for(12)
+    calls = []
+    original = tables.pool_batch
+
+    def counting_pool_batch(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tables, "pool_batch", counting_pool_batch)
+    ds = generate_relational(schema, 120, 40, cfg.noise, 200, seed=6)
+    assert len(calls) == len(ds.main_table.columns) + len(ds.add_table.columns)
+    assert ds.main_table.names == [schema.merged.node(i).name for i in schema.main_columns()]
+    assert ds.add_table.names == [schema.merged.node(i).name for i in schema.add_columns()]
+
+
+def test_additional_nodes_must_precede_coupling_node():
+    cfg, schema = schema_for(13)
+    shifted = replace(schema, add_indices=schema.add_indices[1:])
+    with pytest.raises(ContractViolationError, match="before C"):
+        generate_relational(shifted, 50, 20, cfg.noise, 200, seed=1)
