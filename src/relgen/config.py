@@ -4,26 +4,28 @@ The default profile targets a two-table dataset with hidden dimension 2,
 a 1,000-sample pre-run, 10% noise of standard deviation 0.1, category counts
 drawn from Normal(4, 2), a coupling-key cardinality drawn from Normal(100, 50),
 and 100,000 main rows against 500 additional rows.
+
+Each key's JSON type is declared once, by its dataclass annotation: ``_read``
+walks the annotations of ``GenerationConfig`` and its sections, so a section
+reads from an object (unknown keys rejected), a tuple from a list, an ``int``
+from an integer only, a ``float`` from any number (stored as ``float``) and a
+``str`` from a string; no number reads from a boolean. The one shorthand is
+an integer k for a ``tuple[int, int]`` range, read as (k, k). Errors name the
+key path, e.g. ``main_graph.num_nodes[0]``. A ``GenerationConfig`` checks its
+ranges when it is constructed, so every config that exists is valid.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .engine import ACTIVATIONS, NoiseConfig, ROOT_FAMILIES
 from .errors import InvalidConfigError
 
 NUMERIC_POOLINGS = ("norm", "mean", "median", "variance")
-
-
-def _require_ints(cfg, prefix: str = "") -> None:
-    """Reject a float, string or boolean in any field of ``cfg`` declared ``int``."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-            raise InvalidConfigError(f"{prefix}{f.name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,6 @@ class GraphConfig:
     attach_m: int = 2
 
     def validate(self, prefix: str) -> None:
-        _require_ints(self, f"{prefix}.")
         lo, hi = self.num_nodes
         if lo < 2 or hi < lo:
             raise InvalidConfigError(f"{prefix}.num_nodes must be a range with 2 <= lo <= hi")
@@ -46,7 +47,7 @@ class GraphConfig:
 class RootDistConfig:
     """Family weights and parameter ranges for root-node distributions."""
 
-    family_weights: dict = field(
+    family_weights: dict[str, float] = field(
         default_factory=lambda: {"normal": 1.0, "gamma": 1.0, "mixture": 1.0}
     )
     normal_mean: tuple[float, float] = (-1.0, 1.0)
@@ -88,8 +89,7 @@ class GenerationConfig:
     out_dir: str = "dataset"
     threads: int = 1
 
-    def validate(self) -> None:
-        _require_ints(self)
+    def __post_init__(self) -> None:
         if self.hidden_dim < 1:
             raise InvalidConfigError("hidden_dim must be >= 1")
         self.main_graph.validate("main_graph")
@@ -116,82 +116,46 @@ class GenerationConfig:
             raise InvalidConfigError("threads must be >= 1")
 
 
-def _pair(value, key: str, cast=float) -> tuple:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise InvalidConfigError(f"{key} must be a two-element list")
-    return (cast(value[0]), cast(value[1]))
+_JSON_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _build(cls, data: dict, path: str, builders: dict | None = None):
-    """Construct a dataclass from a dict, rejecting unknown keys and values of the wrong shape."""
-    if not isinstance(data, dict):
-        raise InvalidConfigError(f"{path or 'config root'} must be a JSON object")
-    builders = builders or {}
-    unknown = set(data) - {f.name for f in fields(cls)}
-    if unknown:
-        raise InvalidConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if key in builders:
-            key_path = f"{path}.{key}" if path else key
-            try:
-                kwargs[key] = builders[key](value, key_path)
-            except InvalidConfigError:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise InvalidConfigError(f"{key_path}: {exc}") from exc
-        else:
-            kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise InvalidConfigError(f"{path}: {exc}") from exc
+def _read(tp, value, path: str):
+    """Read the JSON ``value`` as the annotated type ``tp``; ``path`` names it in errors."""
+    where = path or "config"
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise InvalidConfigError(f"{where} must be a JSON object, got {value!r}")
+        unknown = set(value) - {f.name for f in fields(tp)}
+        if unknown:
+            raise InvalidConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        hints = get_type_hints(tp)
+        return tp(**{k: _read(hints[k], v, f"{path}.{k}" if path else k) for k, v in value.items()})
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is tuple:
+        if args == (int, int) and isinstance(value, int) and not isinstance(value, bool):
+            value = [value, value]  # "num_nodes": k pins the range to (k, k)
+        if not isinstance(value, (list, tuple)):
+            raise InvalidConfigError(f"{where} must be a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise InvalidConfigError(f"{where} must be a {len(args)}-element list, got {value!r}")
+        return tuple(_read(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise InvalidConfigError(f"{where} must be a JSON object, got {value!r}")
+        return {k: _read(args[1], v, f"{path}.{k}") for k, v in value.items()}
+    if tp not in _JSON_NAMES:
+        raise TypeError(f"{where}: no JSON reader for type {tp!r}")
+    accepted = (int, float) if tp is float else tp
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise InvalidConfigError(f"{where} must be {_JSON_NAMES[tp]}, got {value!r}")
+    return tp(value)
 
 
 def config_from_dict(data: dict) -> GenerationConfig:
-    """Build a validated GenerationConfig from a (possibly partial) dict."""
-    def graph(value, path):
-        if isinstance(value, dict) and "num_nodes" in value:
-            raw = value["num_nodes"]
-            value = dict(value)
-            value["num_nodes"] = (int(raw), int(raw)) if isinstance(raw, int) else _pair(raw, f"{path}.num_nodes", int)
-        return _build(GraphConfig, value, path)
-
-    def roots(value, path):
-        value = dict(value)
-        for key in ("normal_mean", "normal_std", "gamma_shape", "gamma_scale", "mixture_exp_scale"):
-            if key in value:
-                value[key] = _pair(value[key], f"{path}.{key}")
-        return _build(RootDistConfig, value, path)
-
-    def noise(value, path):
-        return _build(NoiseConfig, value, path)
-
-    def pair_of(cast):
-        return lambda value, path: _pair(value, path, cast)
-
-    def seq(value, path):
-        if not isinstance(value, (list, tuple)):
-            raise InvalidConfigError(f"{path} must be a list")
-        return tuple(value)
-
-    cfg = _build(
-        GenerationConfig,
-        data,
-        "",
-        builders={
-            "main_graph": graph,
-            "add_graph": graph,
-            "root_distributions": roots,
-            "noise": noise,
-            "category_count": pair_of(float),
-            "coupling_categories": pair_of(float),
-            "activations": seq,
-            "numeric_poolings": seq,
-        },
-    )
-    cfg.validate()
-    return cfg
+    """Read a (possibly partial) dict into a GenerationConfig; defaults fill missing keys."""
+    return _read(GenerationConfig, data, "")
 
 
 def config_to_dict(cfg: GenerationConfig) -> dict:
@@ -215,10 +179,6 @@ def load_config(path: str | Path) -> GenerationConfig:
 
 
 def with_overrides(cfg: GenerationConfig, **overrides) -> GenerationConfig:
-    """Apply non-None keyword overrides and re-validate."""
+    """Apply non-None keyword overrides; constructing the new config validates it."""
     changes = {k: v for k, v in overrides.items() if v is not None}
-    if not changes:
-        return cfg
-    cfg = replace(cfg, **changes)
-    cfg.validate()
-    return cfg
+    return replace(cfg, **changes) if changes else cfg

@@ -35,7 +35,6 @@ class FeatureMatrix:
 class EvalConfig:
     test_fraction: float = 0.1
     k: int = 10
-    key_column: str = "C"
     # Share of the main block's total feature variance granted to the
     # aggregate block. Keeps the joined metric a bounded perturbation of the
     # main-only metric regardless of how many aggregate columns exist.
@@ -397,10 +396,11 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
     """Score every main-table target under the main-only and joined conditions."""
     train, test = split(dataset.main_table, cfg.test_fraction)
     stats = fit_feature_stats(train)
-    agg = fit_agg_norms(train, build_key_aggregates(dataset.add_table, cfg.key_column), cfg.key_column)
+    key = dataset.schema.merged.node(dataset.schema.coupling_index).name
+    agg = fit_agg_norms(train, build_key_aggregates(dataset.add_table, key), key)
     main_train, main_test = featurize_main_only(train, stats), featurize_main_only(test, stats)
-    agg_train = map_aggregates(train.column(cfg.key_column).values, agg)
-    agg_test = map_aggregates(test.column(cfg.key_column).values, agg)
+    agg_train = map_aggregates(train.column(key).values, agg)
+    agg_test = map_aggregates(test.column(key).values, agg)
     weight = fit_agg_weight(main_train, agg_train, cfg.agg_share)
     features = {
         "main_only": (main_train, main_test),

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import GenerationConfig
 from .engine import RootDistribution, init_propagation_fn
-from .errors import DegenerateGraphError, InvalidConfigError, InvalidParameterError
+from .errors import DegenerateGraphError, InvalidParameterError
 from .seeding import substream
 
 ROLE_ROOT = "root"
@@ -166,10 +166,6 @@ def assign_node_configs(
     dag: DagSpec, cfg: GenerationConfig, rng: np.random.Generator
 ) -> DagSpec:
     """Fill in distributions, activations, weights, and pooling for every node."""
-    if not cfg.activations:
-        raise InvalidConfigError("activation set must not be empty")
-    if not cfg.numeric_poolings:
-        raise InvalidConfigError("pooling set must not be empty")
     parents = dag.parent_map()
     dag.hidden_dim = cfg.hidden_dim
     for node in dag.nodes:

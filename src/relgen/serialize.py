@@ -139,7 +139,18 @@ def schema_to_dict(schema: RelationalSchema, stats: PrerunStats | None = None, s
     return out
 
 
-def schema_from_dict(data: dict) -> tuple[RelationalSchema, PrerunStats | None]:
+def _require_keys(data, keys: tuple[str, ...], what: str) -> None:
+    if not isinstance(data, dict):
+        raise InvalidConfigError(f"{what} must be a JSON object, got {type(data).__name__}")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise InvalidConfigError(f"{what} lacks {missing}")
+
+
+def schema_from_dict(data: dict, source: str = "schema") -> tuple[RelationalSchema, PrerunStats | None]:
+    """Rebuild a schema; ``source`` names it when the root or its graph lacks a part."""
+    _require_keys(data, ("merged", "main_indices", "add_indices", "coupling_index", "latent_edges"), source)
+    _require_keys(data["merged"], ("nodes", "edges", "hidden_dim"), f"{source}: merged")
     schema = RelationalSchema(
         merged=dag_from_dict(data["merged"]),
         main_indices=list(data["main_indices"]),

@@ -271,8 +271,35 @@ def test_bad_command_errors_cleanly(tmp_path, capsys):
         ({"category_count": [4, "x"]}, "category_count"),
         ({"rows_main": "100"}, "rows_main"),
         ({"hidden_dim": 2.5}, "hidden_dim"),
+        ({"categorical_probability": "x"}, "categorical_probability"),
+        ({"root_distributions": {"mixture_p": "x"}}, "root_distributions.mixture_p"),
+        ({"activations": [[1]]}, "activations[0]"),
+        ({"root_distributions": {"family_weights": 3}}, "root_distributions.family_weights"),
+        ({"root_distributions": {"family_weights": {"normal": "x"}}}, "root_distributions.family_weights.normal"),
+        ({"main_graph": {"num_nodes": [5.9, 9]}}, "main_graph.num_nodes[0]"),
+        ({"main_graph": {"num_nodes": ["5", 9]}}, "main_graph.num_nodes[0]"),
+        ({"category_count": ["4", 2]}, "category_count[0]"),
+        ({"coupling_categories": [True, 50]}, "coupling_categories[0]"),
+        ({"noise": {"affected_fraction": True}}, "noise.affected_fraction"),
+        ({"out_dir": 5}, "out_dir"),
     ],
-    ids=["section-is-number", "pair-holds-string", "rows-is-string", "hidden-dim-is-float"],
+    ids=[
+        "section-is-number",
+        "pair-holds-string",
+        "rows-is-string",
+        "hidden-dim-is-float",
+        "probability-is-string",
+        "mixture-p-is-string",
+        "activation-is-list",
+        "family-weights-is-number",
+        "family-weight-is-string",
+        "node-count-is-float",
+        "node-count-is-string",
+        "category-mean-is-string",
+        "key-mean-is-boolean",
+        "noise-fraction-is-boolean",
+        "out-dir-is-number",
+    ],
 )
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, config, key):
     path = tmp_path / "c.json"
@@ -301,4 +328,29 @@ def test_malformed_manifest_exits_2(tmp_path, small_config, capsys, malform, com
     assert main([command, str(target)]) == 2
     err = capsys.readouterr().err
     assert "manifest.json" in err and "not a manifest" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_regenerate_config_value_of_wrong_type_exits_2(tmp_path, small_config, capsys):
+    out = generate(tmp_path, small_config, seed=8)
+    manifest_path = out / "manifest.json"
+    manifest = load_manifest(manifest_path)
+    manifest["config"]["categorical_probability"] = "x"
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["regenerate", str(manifest_path)]) == 2
+    err = capsys.readouterr().err
+    assert "categorical_probability" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "content, part", [({}, "merged"), ([1], "JSON object")], ids=["empty-object", "json-list"]
+)
+def test_export_dot_of_non_schema_exits_2(tmp_path, capsys, content, part):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(content))
+    assert main(["export-dot", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and part in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1

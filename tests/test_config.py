@@ -1,4 +1,6 @@
 import json
+from dataclasses import fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 
@@ -30,6 +32,8 @@ def test_empty_file_yields_default_profile(tmp_path):
 def test_negative_rows_rejected_with_key_name():
     with pytest.raises(InvalidConfigError, match="rows_main"):
         config_from_dict({"rows_main": -1})
+    with pytest.raises(InvalidConfigError, match="rows_main"):
+        GenerationConfig(rows_main=-1)
 
 
 def test_unknown_key_rejected_with_path():
@@ -52,6 +56,51 @@ def test_round_trip(tmp_path):
     path.write_text(json.dumps(config_to_dict(cfg)))
     again = load_config(path)
     assert again == cfg
+
+
+# A valid non-default value for each string field, keyed by field name.
+OTHER_STRINGS = {"out_dir": "elsewhere", "granularity": "row"}
+
+
+def changed(tp, value, name):
+    """A valid value of the annotated type ``tp`` that differs from ``value``."""
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        return replace(value, **{f.name: changed(hints[f.name], getattr(value, f.name), f.name) for f in fields(tp)})
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is tuple and args[-1] is Ellipsis:
+        return value[1:]
+    if origin is tuple:
+        return tuple(changed(t, v, name) for t, v in zip(args, value))
+    if origin is dict:
+        return {k: changed(args[1], v, name) for k, v in value.items()}
+    if tp is int:
+        return value + 1
+    if tp is float:
+        return value / 2
+    if tp is str:
+        return OTHER_STRINGS[name]
+    raise TypeError(f"{name}: no test value for type {tp!r}")
+
+
+def leaves(data, path=""):
+    if isinstance(data, dict):
+        for key, value in data.items():
+            yield from leaves(value, f"{path}.{key}")
+    else:
+        yield path, data
+
+
+def test_every_field_round_trips_through_json():
+    """Every field, nested ones included, survives JSON at a non-default value.
+
+    A new field whose annotated type the config reader cannot read fails here.
+    """
+    default = GenerationConfig()
+    cfg = changed(GenerationConfig, default, "")
+    pairs = zip(leaves(config_to_dict(default)), leaves(config_to_dict(cfg)))
+    assert [path for (path, old), (_, new) in pairs if old == new] == []
+    assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
 def test_pinned_node_count_accepted():

@@ -411,10 +411,11 @@ def reference_aggregate_block(ds, train_keys, test_keys, main_train, cfg):
     std, and the block is weighted by min(1, sqrt(agg_share * v_main / v_agg)).
     """
     add = ds.add_table
-    add_keys = add.column(cfg.key_column).values
+    key = ds.schema.merged.node(ds.schema.coupling_index).name
+    add_keys = add.column(key).values
     blocks, numeric = [], []
     for col in add.columns:
-        if col.name == cfg.key_column:
+        if col.name == key:
             continue
         if col.kind == "numeric":
             blocks.append(np.asarray(col.values, dtype=float).reshape(-1, 1))
