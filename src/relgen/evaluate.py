@@ -61,6 +61,9 @@ class EvalReport:
     generation_seed: int
     schema_fingerprint: str | None = None
     feature_widths: dict = field(default_factory=dict)
+    # Share of the train and of the test rows whose key the additional
+    # table lacks, so their join block is the fallback row.
+    fallback_share: dict = field(default_factory=dict)
 
 
 def split(table: Table, test_fraction: float) -> tuple[Table, Table]:
@@ -168,12 +171,14 @@ def build_key_aggregates(add_table: Table, key_column: str) -> KeyAggregates:
     return KeyAggregates(keys, table, descriptors, np.array(numeric_flags, dtype=bool))
 
 
-def map_aggregates(keys: np.ndarray, agg: KeyAggregates) -> np.ndarray:
-    """Aggregate row of each key; keys the additional table lacks get the fallback."""
+def map_aggregates(keys: np.ndarray, agg: KeyAggregates) -> tuple[np.ndarray, np.ndarray]:
+    """Aggregate row of each key, and a mask of the keys the additional
+    table lacks, which get the fallback row."""
     keys = np.asarray(keys, dtype=np.int64)
     row = np.searchsorted(agg.keys, keys)
-    row[~np.isin(keys, agg.keys)] = len(agg.keys)
-    return agg.table[row]
+    fallback = ~np.isin(keys, agg.keys)
+    row[fallback] = len(agg.keys)
+    return agg.table[row], fallback
 
 
 def fit_agg_norms(train_rows: Table, agg: KeyAggregates, key_column: str) -> KeyAggregates:
@@ -182,7 +187,7 @@ def fit_agg_norms(train_rows: Table, agg: KeyAggregates, key_column: str) -> Key
     Mean and std are those of the aggregate rows mapped to the training
     rows; frequency columns stay raw like every other one-hot block.
     """
-    mapped = map_aggregates(train_rows.column(key_column).values, agg)
+    mapped, _ = map_aggregates(train_rows.column(key_column).values, agg)
     mean, std, mask = mapped.mean(axis=0), mapped.std(axis=0), agg.numeric_mask
     table = agg.table.copy()
     table[:, mask] = (table[:, mask] - mean[mask]) / np.maximum(std[mask], STD_FLOOR)
@@ -220,105 +225,116 @@ def featurize_joined(
 _TEST_BLOCK = 128
 
 
-def _closest(rows_X: np.ndarray, train_X: np.ndarray, cand: np.ndarray, k: int):
-    """The k candidates nearest each row by exact distance, ties by index.
+def _pair_sq(train_X, test_X, rows, cand, widths):
+    """Squared exact distances of (test row, training row) pairs.
 
-    ``cand`` holds training indices, one row of candidates per row of
-    ``rows_X``. Distances come from explicit differences, so exact matches
-    are exact zeros.
+    One array per entry of ``widths``, measuring the pairs over that many
+    leading columns. Distances come from explicit differences, so exact
+    matches are exact zeros. Pairs are gathered half a training matrix at a
+    time: the two gathered copies never hold more rows than ``train_X``,
+    however many pairs there are.
     """
-    diff = train_X[cand]
-    diff -= rows_X[:, None, :]
-    diff *= diff
-    dist = np.sqrt(diff.sum(axis=2))
-    order = np.lexsort((cand, dist), axis=1)[:, :k]
-    return np.take_along_axis(cand, order, axis=1), np.take_along_axis(dist, order, axis=1)
+    out = [np.empty(len(rows)) for _ in widths]
+    step = max(1, len(train_X) // 2)
+    for s in range(0, len(rows), step):
+        diff = train_X[cand[s : s + step]]
+        diff -= test_X[rows[s : s + step]]
+        diff *= diff
+        for sq, width in zip(out, widths):
+            sq[s : s + step] = diff[:, :width].sum(axis=1)
+    return out
 
 
-def _select_neighbors(
-    train_X: np.ndarray, test_X: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _rank_pairs(rows, cand, dist, n_rows, k):
+    """The k pairs of each row nearest by ``dist``, ties by training index.
+
+    ``rows`` is ascending and each of the ``n_rows`` rows has at least k
+    pairs; the result is the (idx, dist) of a brute-force search.
+    """
+    order = np.lexsort((cand, dist, rows))
+    pick = order[np.searchsorted(rows, np.arange(n_rows))[:, None] + np.arange(k)]
+    return cand[pick], dist[pick]
+
+
+def _select_neighbors(train_X, test_X, k, joined=None):
     """Indices and exact distances of the k nearest training rows per test row.
 
-    Candidates are ranked by the expanded square of the rows centred on the
-    training mean (centring keeps a large common offset from cancelling),
-    blocked over test rows into one preallocated buffer. Every training row
-    whose expanded square lies within the rounding bound of the k-th
-    smallest is a candidate; candidates are then ordered by exact distance,
-    ties by training index, which is the order of a brute-force search.
+    Returns a list holding one (idx, dist) pair for ``train_X``/``test_X``
+    and, given ``joined=(train_J, test_J)`` whose leading columns are
+    exactly those matrices, a second pair for the joined rows, both from
+    one pass.
+
+    Candidates are screened by the expanded square of the main rows centred
+    on the training mean (centring keeps a large common offset from
+    cancelling), blocked over test rows into one preallocated buffer. The
+    main candidates are the training rows whose expanded square lies within
+    the rounding bound of the k-th smallest. A joined d^2 is the main d^2
+    plus that of the appended block, so main d^2 is a lower bound of it
+    (multi-step kNN, Seidl & Kriegel, SIGMOD 1998): the largest joined d^2
+    U over the k main-nearest rows bounds the joined k-th d^2 from above,
+    and only rows whose expanded square lies within the rounding bound of U
+    can be joined neighbours. Each condition ranks its candidates by exact
+    distance, ties by training index, which is the order of a brute-force
+    search.
     """
     n, width = train_X.shape
+    train_J, test_J = joined if joined is not None else (train_X, test_X)
+    widths = [width] if joined is None else [width, train_J.shape[1]]
     center = train_X.mean(axis=0)
     train_c = train_X - center
     train_sq = (train_c * train_c).sum(axis=1)
-    # Centring and the expanded square err by under about
-    # (width + 6) * eps * (|test row|^2 + |train row|^2), explicit distances
-    # by about (width + 3) * eps / 2 relative. ``scale`` is twice what a row
-    # that ties the k-th nearest on exact distance needs to stay a candidate.
-    scale = 4.0 * (width + 8) * np.finfo(float).eps
+    # Three errors bound the screen. Centring and the expanded square err by
+    # under about (width + 6) * eps * (|test row|^2 + |train row|^2), the
+    # centred norms. Explicit squared distances err by about (width + 3) *
+    # eps relative, and the square root taken before ranking lets a d^2 up
+    # to 2 * eps larger tie. A main row that ties the k-th nearest has an
+    # expanded square within those errors of ``kth``. A joined neighbour has
+    # exact main d^2 <= exact joined d^2 (the joined rows lead with the main
+    # ones), its exact joined d^2 is at most U plus the relative errors at
+    # the joined width, and its expanded square lies within the first error
+    # of its exact main d^2. With ``scale`` at the width of the distances a
+    # bound comes from, ``bound + scale * (norms + |bound|)`` is twice what
+    # keeps every such row a candidate.
+    scales = [4.0 * (w + 8) * np.finfo(float).eps for w in widths]
     max_train_sq = train_sq.max(initial=0.0)
-    idx = np.empty((len(test_X), k), dtype=np.intp)
-    dist = np.empty((len(test_X), k))
-    buf = np.empty((min(_TEST_BLOCK, len(test_X)), n))
-    for start in range(0, len(test_X), _TEST_BLOCK):
-        block = test_X[start : start + _TEST_BLOCK]
-        block_c = block - center
+    m = len(test_X)
+    out = [(np.empty((m, k), dtype=np.intp), np.empty((m, k))) for _ in widths]
+    buf = np.empty((min(_TEST_BLOCK, m), n))
+    for start in range(0, m, _TEST_BLOCK):
+        stop = start + _TEST_BLOCK
+        block_c = test_X[start:stop] - center
         block_sq = (block_c * block_c).sum(axis=1)
-        sq = buf[: len(block)]
-        np.matmul(block_c, train_c.T, out=sq)
-        sq *= -2.0
+        sq = buf[: len(block_c)]
+        # Scaling by -2 is exact, so scaling the block is scaling the product.
+        np.matmul(-2.0 * block_c, train_c.T, out=sq)
         sq += block_sq[:, None]
         sq += train_sq
         if k < n:
             part = np.argpartition(sq, k - 1, axis=1)[:, :k]
             kth = np.take_along_axis(sq, part[:, k - 1 :], axis=1)[:, 0]
-            limit = kth + scale * (block_sq + max_train_sq + np.abs(kth))
-            tied = np.flatnonzero(np.count_nonzero(sq <= limit[:, None], axis=1) > k)
+            limits = [kth + scales[0] * (block_sq + max_train_sq + np.abs(kth))]
+            if joined is not None:
+                rows = np.arange(len(block_c)).repeat(k)
+                (part_sq,) = _pair_sq(train_J, test_J[start:stop], rows, part.ravel(), widths[1:])
+                upper = part_sq.reshape(-1, k).max(axis=1)
+                limit = upper + scales[1] * (block_sq + max_train_sq + upper)
+                limits.append(np.maximum(limits[0], limit))
         else:
-            part = np.broadcast_to(np.arange(n), (len(block), n))
-            tied = ()
-        block_idx, block_dist = _closest(block, train_X, part, k)
-        for r in tied:
-            cand = np.flatnonzero(sq[r] <= limit[r])[None, :]
-            block_idx[r], block_dist[r] = _closest(block[r : r + 1], train_X, cand, k)
-        idx[start : start + _TEST_BLOCK] = block_idx
-        dist[start : start + _TEST_BLOCK] = block_dist
-    return idx, dist
+            limits = [np.full(len(block_c), np.inf)] * len(widths)
+        flat = np.flatnonzero(sq <= limits[-1][:, None])
+        pair_rows, cand = np.divmod(flat, n)
+        pair_sq = _pair_sq(train_J, test_J[start:stop], pair_rows, cand, widths)
+        # The main condition's pairs are those within its own bound.
+        keep = [sq.ravel()[flat] <= limits[0][pair_rows], slice(None)]
+        for (idx, dist), d2, sel in zip(out, pair_sq, keep):
+            idx[start:stop], dist[start:stop] = _rank_pairs(
+                pair_rows[sel], cand[sel], np.sqrt(d2[sel]), len(block_c), k
+            )
+    return out
 
 
-def knn_predict(
-    train_X: np.ndarray,
-    train_y: np.ndarray | list[np.ndarray],
-    test_X: np.ndarray,
-    k: int = 10,
-    task: str | list[str] = "regression",
-):
-    """Inverse-distance weighted k-nearest-neighbor prediction.
-
-    Weights are 1/(d + 1e-12). Any exact match short-circuits to the plain
-    average (or label frequencies) over the zero-distance neighbors only.
-    Regression returns predictions; classification returns (scores, classes)
-    where scores rows sum to one and the hard label is the argmax, ties going
-    to the lowest class id.
-
-    Multi-target form: with ``train_y`` a list of 1-D arrays and ``task`` a
-    list of the same length, one neighbour search serves every target and
-    the result is a list holding, in order, what the single-target call
-    would return for each.
-    """
-    single = isinstance(task, str)
-    if single:
-        train_y, task = [train_y], [task]
-    elif len(train_y) != len(task):
-        raise InvalidParameterError(f"{len(train_y)} targets but {len(task)} tasks")
-    for t in task:
-        if t not in ("regression", "classification"):
-            raise InvalidParameterError(f"unknown task {t!r}")
-    if k < 1 or k > len(train_X):
-        raise InvalidParameterError(f"k must lie in [1, {len(train_X)}], got {k}")
-    if train_X.shape[1] != test_X.shape[1]:
-        raise ContractViolationError("train and test feature widths differ")
-    idx, dist = _select_neighbors(train_X, test_X, k)
+def _predict(idx, dist, train_y, task):
+    """Every target's prediction from one neighbour set, weighted as ``knn_predict`` says."""
     weights = 1.0 / (dist + DISTANCE_EPS)
     exact = dist == 0.0
     has_exact = exact.any(axis=1)
@@ -332,12 +348,69 @@ def knn_predict(
             predictions.append((weights * neighbor_y).sum(axis=1) / denom[:, 0])
             continue
         classes = np.unique(y)
-        scores = np.empty((len(test_X), len(classes)))
+        scores = np.empty((len(idx), len(classes)))
         for j, cls in enumerate(classes):
             scores[:, j] = (weights * (neighbor_y == cls)).sum(axis=1)
         scores /= denom
         predictions.append((scores, classes))
-    return predictions[0] if single else predictions
+    return predictions
+
+
+def knn_predict(
+    train_X: np.ndarray,
+    train_y: np.ndarray | list[np.ndarray],
+    test_X: np.ndarray,
+    k: int = 10,
+    task: str | list[str] = "regression",
+    joined: tuple[np.ndarray, np.ndarray] | None = None,
+):
+    """Inverse-distance weighted k-nearest-neighbor prediction.
+
+    Weights are 1/(d + 1e-12). Any exact match short-circuits to the plain
+    average (or label frequencies) over the zero-distance neighbors only.
+    Regression returns predictions; classification returns (scores, classes)
+    where scores rows sum to one and the hard label is the argmax, ties going
+    to the lowest class id.
+
+    Multi-target form: with ``train_y`` a list of 1-D arrays and ``task`` a
+    list of the same length, one neighbour search serves every target and
+    the result is a list holding, in order, what the single-target call
+    would return for each.
+
+    Joined form: ``joined=(train_J, test_J)``, the same rows with columns
+    appended, makes the call return (main predictions, joined predictions)
+    from one neighbour search. Main d^2 is a lower bound of joined d^2, so
+    the joined neighbours lie among the rows whose main d^2 is within a
+    rounding margin of an upper bound (see ``_select_neighbors``).
+    """
+    single = isinstance(task, str)
+    if single:
+        train_y, task = [train_y], [task]
+    elif len(train_y) != len(task):
+        raise InvalidParameterError(f"{len(train_y)} targets but {len(task)} tasks")
+    for t in task:
+        if t not in ("regression", "classification"):
+            raise InvalidParameterError(f"unknown task {t!r}")
+    if k < 1 or k > len(train_X):
+        raise InvalidParameterError(f"k must lie in [1, {len(train_X)}], got {k}")
+    if train_X.shape[1] != test_X.shape[1]:
+        raise ContractViolationError("train and test feature widths differ")
+    if joined is not None:
+        train_J, test_J = joined
+        width = train_X.shape[1]
+        if not (
+            train_J.shape[1] == test_J.shape[1]
+            and np.array_equal(train_J[:, :width], train_X)
+            and np.array_equal(test_J[:, :width], test_X)
+        ):
+            raise ContractViolationError("joined matrices must start with the main-only ones")
+    predictions = [
+        _predict(idx, dist, train_y, task)
+        for idx, dist in _select_neighbors(train_X, test_X, k, joined)
+    ]
+    if single:
+        predictions = [p[0] for p in predictions]
+    return tuple(predictions) if joined is not None else predictions[0]
 
 
 def hard_labels(scores: np.ndarray, classes: np.ndarray) -> np.ndarray:
@@ -399,16 +472,11 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
     key = dataset.schema.merged.node(dataset.schema.coupling_index).name
     agg = fit_agg_norms(train, build_key_aggregates(dataset.add_table, key), key)
     main_train, main_test = featurize_main_only(train, stats), featurize_main_only(test, stats)
-    agg_train = map_aggregates(train.column(key).values, agg)
-    agg_test = map_aggregates(test.column(key).values, agg)
+    agg_train, fallback_train = map_aggregates(train.column(key).values, agg)
+    agg_test, fallback_test = map_aggregates(test.column(key).values, agg)
     weight = fit_agg_weight(main_train, agg_train, cfg.agg_share)
-    features = {
-        "main_only": (main_train, main_test),
-        "joined": (
-            featurize_joined(main_train, agg_train, agg, weight),
-            featurize_joined(main_test, agg_test, agg, weight),
-        ),
-    }
+    joined_train = featurize_joined(main_train, agg_train, agg, weight)
+    joined_test = featurize_joined(main_test, agg_test, agg, weight)
     affected = latently_affected_targets(dataset.schema)
     name_to_affected = {
         dataset.schema.merged.node(i).name: flag for i, flag in affected.items()
@@ -421,22 +489,28 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
     ]
     tasks = [task for _, task in targets]
     y_train = [train.column(name).values for name, _ in targets]
-    values = {}
-    for condition, (ftrain, ftest) in features.items():
-        preds = knn_predict(ftrain.values, y_train, ftest.values, k=cfg.k, task=tasks)
-        values[condition] = [
-            score(p, test.column(name).values, task) for p, (name, task) in zip(preds, targets)
-        ]
+    main_preds, joined_preds = knn_predict(
+        main_train.values,
+        y_train,
+        main_test.values,
+        k=cfg.k,
+        task=tasks,
+        joined=(joined_train.values, joined_test.values),
+    )
+    main_scores, joined_scores = (
+        [score(p, test.column(name).values, task) for p, (name, task) in zip(preds, targets)]
+        for preds in (main_preds, joined_preds)
+    )
     results = [
         TargetResult(
             column=name,
             task=task,
             metric="AUC" if task == "classification" else "RMSE",
-            main_only=values["main_only"][i],
-            joined=values["joined"][i],
+            main_only=main_score,
+            joined=joined_score,
             latently_affected=bool(name_to_affected.get(name, False)),
         )
-        for i, (name, task) in enumerate(targets)
+        for (name, task), main_score, joined_score in zip(targets, main_scores, joined_scores)
     ]
     return EvalReport(
         targets=results,
@@ -446,5 +520,9 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
         rows_add=dataset.add_table.row_count,
         generation_seed=dataset.seed,
         schema_fingerprint=dataset.schema_fingerprint,
-        feature_widths={name: f[0].values.shape[1] for name, f in features.items()},
+        feature_widths={
+            "main_only": main_train.values.shape[1],
+            "joined": joined_train.values.shape[1],
+        },
+        fallback_share={"train": float(fallback_train.mean()), "test": float(fallback_test.mean())},
     )

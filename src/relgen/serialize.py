@@ -51,8 +51,14 @@ def _node_to_dict(node: NodeSpec) -> dict:
     }
 
 
-def _node_from_dict(data: dict) -> NodeSpec:
+_NODE_KEYS = ("index", "name", "role", "root_dist", "activation", "weights", "pooling", "category_count")
+
+
+def _node_from_dict(data: dict, what: str) -> NodeSpec:
+    _require_keys(data, _NODE_KEYS, what)
     dist = data["root_dist"]
+    if dist is not None:
+        _require_keys(dist, ("kind", "params"), f"{what}.root_dist")
     return NodeSpec(
         index=data["index"],
         name=data["name"],
@@ -73,9 +79,10 @@ def dag_to_dict(dag: DagSpec) -> dict:
     }
 
 
-def dag_from_dict(data: dict) -> DagSpec:
+def dag_from_dict(data: dict, what: str = "graph") -> DagSpec:
+    """Rebuild a graph; ``what`` names it when a node lacks a part."""
     return DagSpec(
-        nodes=[_node_from_dict(n) for n in data["nodes"]],
+        nodes=[_node_from_dict(n, f"{what}.nodes[{i}]") for i, n in enumerate(data["nodes"])],
         edges={tuple(e) for e in data["edges"]},
         hidden_dim=data["hidden_dim"],
     )
@@ -148,11 +155,11 @@ def _require_keys(data, keys: tuple[str, ...], what: str) -> None:
 
 
 def schema_from_dict(data: dict, source: str = "schema") -> tuple[RelationalSchema, PrerunStats | None]:
-    """Rebuild a schema; ``source`` names it when the root or its graph lacks a part."""
+    """Rebuild a schema; ``source`` names it when the root, its graph or a node lacks a part."""
     _require_keys(data, ("merged", "main_indices", "add_indices", "coupling_index", "latent_edges"), source)
     _require_keys(data["merged"], ("nodes", "edges", "hidden_dim"), f"{source}: merged")
     schema = RelationalSchema(
-        merged=dag_from_dict(data["merged"]),
+        merged=dag_from_dict(data["merged"], f"{source}: merged"),
         main_indices=list(data["main_indices"]),
         add_indices=list(data["add_indices"]),
         coupling_index=data["coupling_index"],
@@ -293,6 +300,7 @@ def report_to_dict(report) -> dict:
         "generation_seed": report.generation_seed,
         "schema_fingerprint": report.schema_fingerprint,
         "feature_widths": dict(report.feature_widths),
+        "fallback_share": dict(report.fallback_share),
         "targets": [
             {
                 "column": t.column,

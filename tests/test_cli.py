@@ -354,3 +354,28 @@ def test_export_dot_of_non_schema_exits_2(tmp_path, capsys, content, part):
     err = capsys.readouterr().err
     assert str(path) in err and part in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "node, part",
+    [
+        ({}, "merged.nodes[0] lacks"),
+        (
+            {
+                "index": 0, "name": "C", "role": "coupling", "root_dist": {}, "activation": "identity",
+                "weights": None, "pooling": "categorical", "category_count": 3,
+            },
+            "merged.nodes[0].root_dist lacks",
+        ),
+    ],
+    ids=["empty-node", "empty-root-dist"],
+)
+def test_export_dot_of_malformed_node_exits_2(tmp_path, capsys, node, part):
+    merged = {"nodes": [node], "edges": [], "hidden_dim": 4}
+    schema = {"merged": merged, "main_indices": [0], "add_indices": [], "coupling_index": 0, "latent_edges": []}
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(schema))
+    assert main(["export-dot", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: {part}" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1

@@ -4,6 +4,7 @@ import pytest
 from relgen.config import config_from_dict
 from relgen.errors import InvalidParameterError, UndefinedMetricError
 from relgen.evaluate import (
+    EvalConfig,
     auc_binary,
     build_key_aggregates,
     featurize_joined,
@@ -115,7 +116,9 @@ def make_add_table(keys, a_num, a_cat):
 def test_single_match_aggregate_equals_row_encoding():
     add = make_add_table(keys=[5, 6], a_num=[2.5, 7.0], a_cat=[1, 0])
     agg = build_key_aggregates(add, "C")
-    vec = map_aggregates(np.array([5]), agg)[0]
+    mapped, fallback = map_aggregates(np.array([5]), agg)
+    vec = mapped[0]
+    assert fallback.tolist() == [False]
     # columns: A0 mean, then A1 one-hot frequencies over observed {0, 1}
     assert vec[0] == 2.5
     assert np.array_equal(vec[1:], [0.0, 1.0])
@@ -124,7 +127,7 @@ def test_single_match_aggregate_equals_row_encoding():
 def test_two_matches_average():
     add = make_add_table(keys=[5, 5], a_num=[1.0, 3.0], a_cat=[0, 1])
     agg = build_key_aggregates(add, "C")
-    vec = map_aggregates(np.array([5]), agg)[0]
+    vec = map_aggregates(np.array([5]), agg)[0][0]
     assert vec[0] == 2.0
     assert np.array_equal(vec[1:], [0.5, 0.5])
 
@@ -132,7 +135,8 @@ def test_two_matches_average():
 def test_missing_key_falls_back_to_global():
     add = make_add_table(keys=[1, 2], a_num=[0.0, 4.0], a_cat=[0, 0])
     agg = build_key_aggregates(add, "C")
-    mapped = map_aggregates(np.array([99]), agg)
+    mapped, fallback = map_aggregates(np.array([99, 2]), agg)
+    assert fallback.tolist() == [True, False]
     assert mapped[0][0] == 2.0  # global mean
     assert np.isfinite(mapped).all()
 
@@ -144,7 +148,7 @@ def test_joined_concatenates_main_and_aggregates():
     stats = fit_feature_stats(main)
     agg = fit_agg_norms(main, build_key_aggregates(add, "C"), "C")
     base = featurize_main_only(main, stats)
-    fm = featurize_joined(base, map_aggregates(main.column("C").values, agg), agg)
+    fm = featurize_joined(base, map_aggregates(main.column("C").values, agg)[0], agg)
     assert fm.values.shape[1] == base.values.shape[1] + len(agg.descriptors)
     assert fm.descriptors[: len(base.descriptors)] == base.descriptors
 
@@ -334,6 +338,19 @@ def test_empty_add_table_gives_identical_metrics():
         assert t.main_only == pytest.approx(t.joined, abs=1e-12)
 
 
+def test_report_states_fallback_share():
+    ds = small_dataset(rows_add=3)
+    report = run_comparison(ds)
+    train, test = split(ds.main_table, EvalConfig().test_fraction)
+    present = set(ds.add_table.column("C").values.tolist())
+    for side, rows in (("train", train), ("test", test)):
+        expected = np.mean([key not in present for key in rows.column("C").values.tolist()])
+        assert report.fallback_share[side] == expected
+    assert 0.0 < report.fallback_share["train"] < 1.0
+    assert report_to_dict(report)["fallback_share"] == report.fallback_share
+    assert run_comparison(small_dataset(rows_add=0)).fallback_share == {"train": 1.0, "test": 1.0}
+
+
 @pytest.mark.parametrize("kwargs", [{}, {"latent_count": 0, "seed": 7}])
 def test_one_neighbor_search_per_condition(monkeypatch, kwargs):
     from relgen import evaluate
@@ -348,7 +365,11 @@ def test_one_neighbor_search_per_condition(monkeypatch, kwargs):
     monkeypatch.setattr(evaluate, "_select_neighbors", counted)
     report = run_comparison(small_dataset(**kwargs))
     assert len(report.targets) > 1
-    assert len(calls) == len(report.feature_widths) == 2
+    # One search serves both conditions: the main-only and the joined rows.
+    assert len(calls) == 1 and len(report.feature_widths) == 2
+    train_X, test_X, _, (train_J, test_J) = calls[0]
+    assert train_X.shape[1] == test_X.shape[1] == report.feature_widths["main_only"]
+    assert train_J.shape[1] == test_J.shape[1] == report.feature_widths["joined"]
 
 
 def test_report_metrics_pinned():
@@ -452,14 +473,14 @@ def test_joined_values_match_per_row_reference(monkeypatch, seed, rows_add):
     search = evaluate.knn_predict
 
     def captured(train_X, train_y, test_X, **kwargs):
-        searched.append((train_X, test_X))
+        searched.append((train_X, test_X, kwargs["joined"]))
         return search(train_X, train_y, test_X, **kwargs)
 
     monkeypatch.setattr(evaluate, "knn_predict", captured)
     ds = small_dataset(seed=seed, rows_add=rows_add)
     cfg = evaluate.EvalConfig()
     run_comparison(ds, cfg)
-    (main_train, main_test), (joined_train, joined_test) = searched
+    ((main_train, main_test, (joined_train, joined_test)),) = searched
     width = main_train.shape[1]
     assert np.array_equal(joined_train[:, :width], main_train)
     assert np.array_equal(joined_test[:, :width], main_test)

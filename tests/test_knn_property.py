@@ -3,7 +3,12 @@
 The inputs are the hard cases for an expanded-square search: duplicate
 training rows, exact distance ties (small-integer lattices), a large common
 offset on every feature, exact matches, and k equal to the training size.
+The joined form is checked on main rows plus a per-key block, the shape of
+the joined features: equal aggregate rows under distinct keys, the fallback
+row and an all-zero block.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from relgen.errors import ContractViolationError  # noqa: E402
 from relgen.evaluate import knn_predict  # noqa: E402
 
 from test_evaluate import brute_force_knn  # noqa: E402
@@ -77,3 +83,115 @@ def test_multi_target_equals_single_target_calls(case):
     assert np.array_equal(multi[2], multi[0])
     scores, classes = knn_predict(train_X, y_cls, test_X, k=k, task="classification")
     assert np.array_equal(multi[1][0], scores) and np.array_equal(multi[1][1], classes)
+
+
+@st.composite
+def joined_cases(draw):
+    """Main rows plus a per-key block: the joined matrices ``featurize_joined`` builds.
+
+    Hypothesis draws the structure; the values come from a drawn seed, since
+    value-by-value draws are mostly zeros and would seldom let the block
+    reorder the neighbours. Training rows repeat, lattice values tie, and
+    training keys index a small aggregate table whose last row is the
+    fallback. Table rows come from a small pool, so distinct keys can share
+    an aggregate row, and the whole table may be zero, as for an empty
+    additional table.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.integers(1, 4))
+    lattice = draw(st.booleans())
+
+    def rows(count):
+        if lattice:
+            return rng.integers(-3, 4, size=(count, width)).astype(float)
+        return rng.uniform(-10.0, 10.0, size=(count, width))
+
+    distinct = rows(draw(st.integers(1, 12)))
+    n = draw(st.integers(1, 40))
+    train_X = distinct[rng.integers(0, len(distinct), size=n)]
+    copies = train_X[rng.integers(0, n, size=draw(st.integers(0, 3)))]
+    test_X = np.concatenate([rows(draw(st.integers(1, 6))), copies])
+    k = n if draw(st.integers(0, 4)) == 0 else draw(st.integers(1, n))
+
+    n_keys = draw(st.integers(1, 4))
+    pool = rng.integers(-8, 9, size=(draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+    table = draw(st.sampled_from([1.0, 0.3, 0.05])) * pool[rng.integers(0, len(pool), size=n_keys + 1)]
+    if draw(st.integers(0, 4)) == 0:
+        table = np.zeros_like(table)
+    offset = draw(st.sampled_from(OFFSETS))
+    train_J = np.concatenate([train_X, table[rng.integers(0, n_keys + 1, size=n)]], axis=1) + offset
+    test_J = np.concatenate([test_X, table[rng.integers(0, n_keys + 1, size=len(test_X))]], axis=1) + offset
+    # Distinct targets, so a wrong neighbour set shows in the predictions.
+    y_reg, y_cls = rng.normal(size=n), rng.integers(0, 4, size=n)
+    return train_J[:, :width], test_J[:, :width], train_J, test_J, k, y_reg, y_cls
+
+
+@settings(max_examples=300, deadline=None)
+@given(joined_cases())
+def test_joined_search_matches_brute_force_oracle(case):
+    train_X, test_X, train_J, test_J, k, y_reg, y_cls = case
+    joined = (train_J, test_J)
+    main, got = knn_predict(train_X, y_reg, test_X, k=k, task="regression", joined=joined)
+    assert np.array_equal(main, knn_predict(train_X, y_reg, test_X, k=k, task="regression"))
+    assert np.allclose(got, brute_force_knn(train_J, y_reg, test_J, k, "regression"), atol=1e-9, rtol=0)
+
+    (main_scores, main_classes), (scores, classes) = knn_predict(
+        train_X, y_cls, test_X, k=k, task="classification", joined=joined
+    )
+    single_scores, single_classes = knn_predict(train_X, y_cls, test_X, k=k, task="classification")
+    assert np.array_equal(main_scores, single_scores) and np.array_equal(main_classes, single_classes)
+    ref_scores, ref_classes = brute_force_knn(train_J, y_cls, test_J, k, "classification")
+    assert np.array_equal(classes, ref_classes)
+    assert np.allclose(scores, ref_scores, atol=1e-9, rtol=0)
+
+
+def test_identical_training_rows_stay_within_one_training_matrix():
+    # Every training row and key is the same, so every (test, training)
+    # pair is a candidate of both conditions; the pair distances must still
+    # be gathered in bounded chunks.
+    n, main_width, block_width, k = 3000, 8, 56, 10
+    rng = np.random.default_rng(0)
+    row = rng.normal(size=main_width)
+    block = rng.normal(size=block_width)
+    train_X = np.tile(row, (n, 1))
+    train_J = np.tile(np.concatenate([row, block]), (n, 1))
+    test_X = np.stack([row, row + 0.5, rng.normal(size=main_width)])
+    test_J = np.concatenate([test_X, np.stack([block, 0 * block, block])], axis=1)
+    y = rng.normal(size=n)
+    tracemalloc.start()
+    main, joined = knn_predict(train_X, y, test_X, k=k, task="regression", joined=(train_J, test_J))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 2 * n * train_J.shape[1] * 8
+    assert np.allclose(main, brute_force_knn(train_X, y, test_X, k, "regression"), atol=1e-9, rtol=0)
+    assert np.allclose(joined, brute_force_knn(train_J, y, test_J, k, "regression"), atol=1e-9, rtol=0)
+
+
+def test_joined_matrix_must_extend_the_main_one():
+    rng = np.random.default_rng(1)
+    train_X, test_X = rng.normal(size=(20, 3)), rng.normal(size=(4, 3))
+    y = rng.normal(size=20)
+    train_J = np.concatenate([train_X, rng.normal(size=(20, 2))], axis=1)
+    test_J = np.concatenate([test_X, rng.normal(size=(4, 2))], axis=1)
+    knn_predict(train_X, y, test_X, k=3, joined=(train_J, test_J))
+    bad_train = train_J.copy()
+    bad_train[5, 1] += 1e-9
+    bad_test = test_J.copy()
+    bad_test[0, 0] = 7.0
+    for joined in [(bad_train, test_J), (train_J, bad_test), (train_J[:, 1:], test_J[:, 1:]), (train_J, test_J[:, :4])]:
+        with pytest.raises(ContractViolationError):
+            knn_predict(train_X, y, test_X, k=3, joined=joined)
+
+
+def test_joined_tie_at_the_upper_bound_stays_a_candidate():
+    # Test row at the origin, k = 1. Row 1 is the main-nearest (main d^2 1,
+    # block d^2 9), so the joined bound is 10. Row 0 ties it in the joined
+    # metric with main d^2 10 and an equal block, and wins on index; the far
+    # rows move the centre so its expanded square rounds above 10.
+    X = np.array([[1.0, 3.0], [1.0, 0.0], [999.0, 1003.0], [1003.0, 999.0], [997.0, 1001.0]])
+    E = np.array([[0.0], [3.0], [0.0], [0.0], [0.0]])
+    test_X = np.zeros((1, 2))
+    train_J, test_J = np.hstack([X, E]), np.zeros((1, 3))
+    y = np.arange(5.0)
+    main, joined = knn_predict(X, y, test_X, k=1, task="regression", joined=(train_J, test_J))
+    assert main.tolist() == [1.0] and joined.tolist() == [0.0]
