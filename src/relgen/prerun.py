@@ -76,14 +76,21 @@ def nearest_centroid(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndar
     """Index of, and squared distance to, the nearest centroid of every point.
 
     Ties resolve to the lowest centroid index. Squared distances are sums of
-    explicit squared differences, computed over blocks of ``CHUNK_ROWS``
-    points so the (block, K, n) temporary stays bounded.
+    explicit squared differences, accumulated one column at a time in column
+    order over blocks of ``CHUNK_ROWS`` points, so the only temporaries are
+    (block, K) arrays. Below 8 columns this adds in the same order as
+    ``((p - c) ** 2).sum(axis=2)`` and gives the same bits.
     """
     labels = np.empty(len(points), dtype=np.int64)
     nearest_d2 = np.empty(len(points))
     for start in range(0, len(points), CHUNK_ROWS):
         block = points[start : start + CHUNK_ROWS]
-        d2 = ((block[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = np.zeros((len(block), len(centroids)))
+        diff = np.empty_like(d2)
+        for j in range(centroids.shape[1]):
+            np.subtract(block[:, j, None], centroids[:, j], out=diff)
+            diff *= diff
+            d2 += diff
         block_labels = np.argmin(d2, axis=1)
         labels[start : start + CHUNK_ROWS] = block_labels
         nearest_d2[start : start + CHUNK_ROWS] = d2[np.arange(len(block)), block_labels]
@@ -134,11 +141,17 @@ def fit_codebook(
         if objective_trace is not None:
             objective_trace.append(objective)
         prev_objective = objective
-        new_centroids = centroids.copy()  # empty clusters keep their centroid
-        for j in range(k_eff):
-            members = samples[labels == j]
-            if len(members):
-                new_centroids[j] = members.mean(axis=0)
+        # Sorting once puts each cluster's members in one contiguous slice, in
+        # sample order, so add.reduce over it divided by the count is the
+        # per-cluster ``mean`` bit for bit. Empty clusters keep their centroid.
+        by_cluster = samples[np.argsort(labels, kind="stable")]
+        ends = np.cumsum(np.bincount(labels, minlength=k_eff))
+        new_centroids = centroids.copy()
+        start = 0
+        for j, end in enumerate(ends):
+            if end > start:
+                new_centroids[j] = np.add.reduce(by_cluster[start:end], axis=0) / (end - start)
+            start = end
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
         if shift < KMEANS_TOL:
@@ -147,13 +160,9 @@ def fit_codebook(
     # Re-number clusters by first appearance over the sample order; clusters
     # that never win a point keep their relative order at the end.
     labels, _ = nearest_centroid(samples, centroids)
-    order: list[int] = []
-    seen = set()
-    for lab in labels:
-        if lab not in seen:
-            seen.add(int(lab))
-            order.append(int(lab))
-    order.extend(j for j in range(k_eff) if j not in seen)
+    won, first = np.unique(labels, return_index=True)
+    unwon = np.setdiff1d(np.arange(k_eff), won)
+    order = np.concatenate([won[np.argsort(first)], unwon])
     return Codebook(centroids=centroids[order], fitted_on=len(samples), requested_k=k)
 
 

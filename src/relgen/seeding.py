@@ -11,9 +11,10 @@ The resulting 128-bit integer seeds ``numpy.random.default_rng`` (PCG64).
 For the table runs ("prerun", "main", "add") the index is the block index
 ``row // CHUNK_ROWS``: one stream serves a whole block of rows.
 
-``STREAM_VERSION`` names this stream layout. It is written into every
-manifest, and a dataset is only regenerated by code of the same version,
-because another layout gives other output bytes from the same seed.
+``STREAM_VERSION`` names this stream layout and the arithmetic that turns
+its draws into categories. It is written into every manifest, and a dataset
+is only regenerated by code of the same version, because another version
+may give other output bytes from the same seed.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ def substream(master_seed: int, run_tag: str, index: int = 0) -> np.random.Gener
 
 
 # Version 1 seeded one stream per row; version 2 seeds one per block of
-# CHUNK_ROWS = 8192 rows.
-STREAM_VERSION = 2
+# CHUNK_ROWS = 8192 rows. Version 3 sums nearest-centroid d^2 column by column.
+STREAM_VERSION = 3
 
 SEED_DERIVATION_NOTE = (
     "subseed = int.from_bytes(sha256(f'{master_seed}|{run_tag}|{index}')"

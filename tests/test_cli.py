@@ -4,6 +4,7 @@ import pytest
 
 from relgen.cli import main
 from relgen.errors import InvalidConfigError
+from relgen.seeding import STREAM_VERSION
 from relgen.serialize import (
     file_sha256,
     load_dataset,
@@ -135,22 +136,39 @@ def test_regenerate_reads_the_dataset_it_verifies(tmp_path, small_config, capsys
     assert dir_bytes(out) == before
 
 
-def test_regenerate_rejects_other_stream_version(tmp_path, small_config, capsys):
-    out = generate(tmp_path, small_config, seed=6)
-    manifest = load_manifest(out / "manifest.json")
-    assert manifest["stream_version"] == 2
-    del manifest["stream_version"]  # a version-1 manifest has no field
-    (out / "manifest.json").write_text(json.dumps(manifest))
+def refuses_to_regenerate(tmp_path, out):
+    """``regenerate`` with and without --out exits 2 and writes nothing."""
     before = dir_bytes(tmp_path)
     assert main(["regenerate", str(out / "manifest.json")]) == 2
     assert main(["regenerate", str(out / "manifest.json"), "--out", str(tmp_path / "again")]) == 2
-    assert "stream version 1" in capsys.readouterr().err
     assert dir_bytes(tmp_path) == before
     assert not (tmp_path / "again").exists()
 
 
-# SHA-256 of the SMALL profile at seed 4, random-stream version 2. A change to
-# the stream layout, the CSV format or the schema encoding changes these.
+def test_regenerate_rejects_other_stream_version(tmp_path, small_config, capsys):
+    out = generate(tmp_path, small_config, seed=6)
+    manifest = load_manifest(out / "manifest.json")
+    assert manifest["stream_version"] == STREAM_VERSION
+    del manifest["stream_version"]  # a version-1 manifest has no field
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    refuses_to_regenerate(tmp_path, out)
+    assert "stream version 1" in capsys.readouterr().err
+
+
+def test_regenerate_rejects_stream_version_2(tmp_path, small_config, capsys):
+    # Version 2 wrote the same bytes at hidden_dim 2 but may round a
+    # nearest-centroid distance differently from 8 dimensions on.
+    out = generate(tmp_path, small_config, seed=6)
+    manifest = load_manifest(out / "manifest.json")
+    manifest["stream_version"] = 2
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    refuses_to_regenerate(tmp_path, out)
+    assert "stream version 2" in capsys.readouterr().err
+
+
+# SHA-256 of the SMALL profile at seed 4, random-stream version 2, unchanged
+# by version 3. A change to the stream layout, the CSV format or the schema
+# encoding changes these.
 GOLDEN = {
     "main.csv": "ba2f09167a298b3e0ba3d76ae18a22000c7462854b4dbf973c5f223f63ae74fd",
     "additional.csv": "e045bc10c5d6831b7a48fd6259ee1d2d6f6049af4a85e41499b1cfe201d122e5",

@@ -150,6 +150,82 @@ def test_kmeans_objective_monotone():
     assert after <= before * (1 + 1e-9)
 
 
+def mask_mean_lloyd(samples, k, generator, trace, empty):
+    """Oracle: k-means as ``fit_codebook`` did it with one boolean mask per cluster.
+
+    Same k-means++ seeding, then Lloyd steps whose centroids are
+    ``samples[labels == j].mean(axis=0)``, then a renumbering by first
+    appearance in a Python loop. Appends each iteration's objective to
+    ``trace`` and each cluster found empty to ``empty``.
+    """
+
+    def d2_to(points, centroids):
+        return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+    distinct = np.unique(samples, axis=0)
+    k_eff = min(k, len(distinct))
+    centroids = np.empty((k_eff, samples.shape[1]))
+    centroids[0] = samples[int(generator.integers(len(samples)))]
+    d2 = ((samples - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k_eff):
+        total = d2.sum()
+        if total <= 0.0:
+            centroids[j] = distinct[d2_to(distinct, centroids[:j]).min(axis=1) > 0][0]
+        else:
+            centroids[j] = samples[int(generator.choice(len(samples), p=d2 / total))]
+        d2 = np.minimum(d2, ((samples - centroids[j]) ** 2).sum(axis=1))
+    for _ in range(100):
+        d2 = d2_to(samples, centroids)
+        labels = np.argmin(d2, axis=1)
+        trace.append(float(d2[np.arange(len(samples)), labels].sum()))
+        updated = centroids.copy()
+        for j in range(k_eff):
+            members = samples[labels == j]
+            if len(members):
+                updated[j] = members.mean(axis=0)
+            else:
+                empty.append(j)
+        shift = float(np.sqrt(((updated - centroids) ** 2).sum(axis=1)).max())
+        centroids = updated
+        if shift < 1e-8:
+            break
+    labels = np.argmin(d2_to(samples, centroids), axis=1)
+    order = []
+    for lab in labels.tolist():
+        if lab not in order:
+            order.append(lab)
+    order.extend(j for j in range(k_eff) if j not in order)
+    return centroids[order]
+
+
+# Seven points on which Lloyd empties cluster 2 twice from generator seed 284.
+EMPTIES_A_CLUSTER = np.array([[8.4, 0.0], [6.4, 0.8], [1.1, 8.6], [4.2, 9.0], [8.5, 9.0], [7.8, 1.0], [7.8, 7.3]])
+
+
+@pytest.mark.parametrize(
+    "samples, k, seed, k_fit, empties",
+    [
+        (rng(20).normal(size=(300, 2)), 7, 21, 7, False),
+        (rng(22).normal(size=(1000, 2)), 47, 23, 47, False),
+        (rng(24).standard_cauchy(size=(500, 2)), 12, 25, 12, False),
+        (rng(26).normal(size=(400, 3)), 9, 27, 9, False),
+        # one column: the mean then sums pairwise, not in sequence
+        (rng(30).normal(size=(600, 1)), 8, 31, 8, False),
+        (rng(28).integers(0, 3, size=(60, 2)).astype(float), 12, 29, 9, False),
+        (EMPTIES_A_CLUSTER, 3, 284, 3, True),
+    ],
+    ids=["normal", "k47", "cauchy", "width3", "width1", "k-reduced", "empty-cluster"],
+)
+def test_fit_codebook_matches_mask_mean_lloyd(samples, k, seed, k_fit, empties):
+    """Sort-once centroid update and renumbering: bit-equal centroids and objectives."""
+    trace, want_trace, empty = [], [], []
+    got = fit_codebook(samples, k, rng(seed), objective_trace=trace)
+    want = mask_mean_lloyd(samples, k, rng(seed), want_trace, empty)
+    assert got.centroids.tobytes() == want.tobytes()
+    assert trace == want_trace
+    assert got.k == k_fit and bool(empty) == empties
+
+
 # --- stats assembly --------------------------------------------------------------
 
 def test_degenerate_categorical_demoted_to_mean():

@@ -5,7 +5,7 @@ from relgen.config import config_from_dict
 from relgen.engine import CHUNK_ROWS, NoiseConfig
 from relgen.errors import ContractViolationError
 from relgen.graphs import sample_dag
-from relgen.prerun import Codebook, build_prerun_stats, prerun
+from relgen.prerun import Codebook, build_prerun_stats, nearest_centroid, prerun
 from relgen.tables import generate_table, pool, pool_batch
 
 
@@ -55,24 +55,49 @@ def test_batch_matches_single():
     assert np.array_equal(batch, single)
 
 
-def test_categorical_batch_matches_brute_force_across_blocks():
-    """Nearest centroid over two row blocks, exact ties included, against a scan."""
-    rng = np.random.default_rng(11)
-    mid = np.array([0.5, -1.0, 2.0])
-    delta = np.array([1.0, 0.25, -0.5])
-    # centroids 1 and 3 mirror each other around ``mid``, as do 0 and 4 around
-    # the origin; all coordinates are dyadic, so the mirrored distances are
-    # exactly equal
-    centroids = np.array([[2.0, 1.0, 0.0], mid - delta, [-3.0, 3.0, 3.0], mid + delta, [-2.0, -1.0, 0.0]])
-    cb = codebook(centroids)
-    rows = rng.normal(scale=2.0, size=(10_000, 3))
-    tied = np.concatenate([[0, CHUNK_ROWS - 1, CHUNK_ROWS, 9_999], rng.choice(10_000, 400, replace=False)])
+def scan_nearest(points, centroids):
+    """Brute-force oracle: per point the least (d^2, index), d^2 summed column by column."""
+
+    def d2(row, centroid):
+        total = 0.0
+        for a, b in zip(row, centroid):
+            total += (a - b) * (a - b)
+        return total
+
+    best = [min((d2(row, c), j) for j, c in enumerate(centroids.tolist())) for row in points.tolist()]
+    return np.array([j for _, j in best]), np.array([d for d, _ in best])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 16])
+def test_categorical_batch_matches_brute_force_across_blocks(n):
+    """Nearest centroid over two row blocks, exact ties included, against a scan.
+
+    Centroids 1 and 3 mirror each other around ``mid``, as do 0 and 4 around
+    the origin, so rows on ``mid`` or the origin sit on exact ties and must
+    take the lower index. Below 8 columns d^2 must also equal the old
+    ``((p - c) ** 2).sum(axis=2)`` bit for bit.
+    """
+    rng = np.random.default_rng(100 + n)
+
+    def signed(magnitudes):
+        return rng.choice([-1.0, 1.0], size=n) * rng.choice(magnitudes, size=n)
+
+    mid, delta, around_origin = signed([1.5, 2.0]), signed([0.25, 0.5]), signed([0.5])
+    centroids = np.array([around_origin, mid - delta, np.full(n, 5.0), mid + delta, -around_origin])
+    rows = rng.normal(scale=2.0, size=(CHUNK_ROWS + 800, n))
+    tied = np.concatenate([[0, CHUNK_ROWS - 1, CHUNK_ROWS, len(rows) - 1], rng.choice(len(rows), 300, replace=False)])
     rows[tied[::2]] = mid
     rows[tied[1::2]] = 0.0
-    got = pool_batch(rows, "categorical", cb)
-    want = [min(range(len(centroids)), key=lambda j: (float(((row - centroids[j]) ** 2).sum()), j)) for row in rows]
-    assert np.array_equal(got, want)
-    assert set(got[tied[::2]]) == {1} and set(got[tied[1::2]]) == {0}
+    labels, d2 = nearest_centroid(rows, centroids)
+    want_labels, want_d2 = scan_nearest(rows, centroids)
+    assert np.array_equal(labels, want_labels)
+    assert d2.tobytes() == want_d2.tobytes()
+    assert set(labels[tied[::2]]) == {1} and set(labels[tied[1::2]]) == {0}
+    assert np.array_equal(pool_batch(rows, "categorical", codebook(centroids)), labels)
+    if n <= 7:
+        old = ((rows[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assert d2.tobytes() == old[np.arange(len(rows)), labels].tobytes()
+        assert np.array_equal(labels, np.argmin(old, axis=1))
 
 
 # --- table generation ----------------------------------------------------------
