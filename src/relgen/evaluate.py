@@ -223,6 +223,11 @@ def featurize_joined(
 
 
 _TEST_BLOCK = 128
+# The main bound is the k-th smallest screen value over every fourth
+# training row. It is read from a basic strided view: a fancy-indexed
+# gather of those columns comes out column-major and partitions about five
+# times slower.
+_SCREEN_STRIDE = 4
 
 
 def _pair_sq(train_X, test_X, rows, cand, widths):
@@ -246,90 +251,147 @@ def _pair_sq(train_X, test_X, rows, cand, widths):
 
 
 def _rank_pairs(rows, cand, dist, n_rows, k):
-    """The k pairs of each row nearest by ``dist``, ties by training index.
+    """Positions of the k pairs of each row nearest by ``dist``, ties by training index.
 
-    ``rows`` is ascending and each of the ``n_rows`` rows has at least k
-    pairs; the result is the (idx, dist) of a brute-force search.
+    Each of the ``n_rows`` rows has at least k pairs, in any order; the
+    pairs at the returned (n_rows, k) positions are the (idx, dist) of a
+    brute-force search.
     """
     order = np.lexsort((cand, dist, rows))
-    pick = order[np.searchsorted(rows, np.arange(n_rows))[:, None] + np.arange(k)]
-    return cand[pick], dist[pick]
+    first = np.searchsorted(rows[order], np.arange(n_rows))
+    return order[first[:, None] + np.arange(k)]
 
 
-def _select_neighbors(train_X, test_X, k, joined=None):
+def _key_codes(block):
+    """Column of each row's one in a one-hot ``block`` (its width for an
+    all-zero row), and the row's count of ones, 0 or 1."""
+    code = np.full(len(block), block.shape[1])
+    rows, cols = np.nonzero(block)
+    code[rows] = cols
+    return code, block.sum(axis=1)
+
+
+def _select_neighbors(train_X, test_X, k, joined=None, key_span=(0, 0)):
     """Indices and exact distances of the k nearest training rows per test row.
 
     Returns a list holding one (idx, dist) pair for ``train_X``/``test_X``
     and, given ``joined=(train_J, test_J)`` whose leading columns are
     exactly those matrices, a second pair for the joined rows, both from
-    one pass.
+    one pass. ``key_span`` is the (start, stop) column span of a one-hot
+    block in ``train_X``; it changes the cost of the screen, not its result.
 
-    Candidates are screened by the expanded square of the main rows centred
-    on the training mean (centring keeps a large common offset from
-    cancelling), blocked over test rows into one preallocated buffer. The
-    main candidates are the training rows whose expanded square lies within
-    the rounding bound of the k-th smallest. A joined d^2 is the main d^2
+    Candidates are screened by the expanded square of the main rows, blocked
+    over test rows in key order into one preallocated buffer. Over a one-hot
+    block d^2 is exactly ``seen_test + seen_train - 2 * [same key]``, so the
+    training rows are sorted by key code once, the block's columns stay out
+    of the matmul, and 2 is subtracted on each test row's own key range. The
+    other columns are centred on the training mean (centring keeps a large
+    common offset from cancelling), and the training norms and key counts
+    form one more column of the matmul. The main candidates are the training
+    rows whose screen value lies within the rounding bound of the k-th
+    smallest over every ``_SCREEN_STRIDE``-th training row, which is never
+    below the k-th smallest over all of them. A joined d^2 is the main d^2
     plus that of the appended block, so main d^2 is a lower bound of it
-    (multi-step kNN, Seidl & Kriegel, SIGMOD 1998): the largest joined d^2
-    U over the k main-nearest rows bounds the joined k-th d^2 from above,
-    and only rows whose expanded square lies within the rounding bound of U
-    can be joined neighbours. Each condition ranks its candidates by exact
-    distance, ties by training index, which is the order of a brute-force
-    search.
+    (multi-step kNN, Seidl & Kriegel, SIGMOD 1998): the largest joined d^2 U
+    over the k main neighbours bounds the joined k-th d^2 from above. The
+    joined candidates are the main candidates within U, plus, on the rows
+    whose joined bound exceeds the main one, the rows screened again up to
+    it. Each condition ranks its candidates by exact distance, ties by
+    training index, which is the order of a brute-force search.
     """
     n, width = train_X.shape
     train_J, test_J = joined if joined is not None else (train_X, test_X)
     widths = [width] if joined is None else [width, train_J.shape[1]]
-    center = train_X.mean(axis=0)
-    train_c = train_X - center
-    train_sq = (train_c * train_c).sum(axis=1)
-    # Three errors bound the screen. Centring and the expanded square err by
-    # under about (width + 6) * eps * (|test row|^2 + |train row|^2), the
-    # centred norms. Explicit squared distances err by about (width + 3) *
-    # eps relative, and the square root taken before ranking lets a d^2 up
-    # to 2 * eps larger tie. A main row that ties the k-th nearest has an
-    # expanded square within those errors of ``kth``. A joined neighbour has
-    # exact main d^2 <= exact joined d^2 (the joined rows lead with the main
-    # ones), its exact joined d^2 is at most U plus the relative errors at
-    # the joined width, and its expanded square lies within the first error
-    # of its exact main d^2. With ``scale`` at the width of the distances a
-    # bound comes from, ``bound + scale * (norms + |bound|)`` is twice what
-    # keeps every such row a candidate.
+    key_start, key_stop = key_span
+    rest = np.r_[0:key_start, key_stop:width]
+    train_code, train_seen = _key_codes(train_X[:, key_start:key_stop])
+    order = np.argsort(train_code, kind="stable")
+    # Sorted rows of key code c are order[key_ends[c] : key_ends[c + 1]].
+    key_ends = np.searchsorted(train_code[order], np.arange(key_stop - key_start + 1))
+    test_code, test_seen = _key_codes(test_X[:, key_start:key_stop])
+    # The test rows go through the blocks in key order, so the rows of one
+    # key in a block are adjacent and share one key range.
+    test_order = np.argsort(test_code, kind="stable")
+    # [train rest - centre, |train rest - centre|^2 + seen_train], sorted by key.
+    screen = np.empty((n, len(rest) + 1))
+    train_c = screen[:, :-1]
+    train_c[...] = train_X[np.ix_(order, rest)]
+    center = train_c.mean(axis=0)
+    train_c -= center
+    np.einsum("ij,ij->i", train_c, train_c, out=screen[:, -1])
+    screen[:, -1] += train_seen[order]
+    # Rounding bounds the screen. Centring and the expanded square of the
+    # non-key columns, whose matmul sums at most width + 1 terms with the
+    # folded norm column, err by under about (width + 7) * eps *
+    # (|test row|^2 + |train row|^2), the centred norms. The key term is an
+    # exact integer; adding the key counts to the norm column and to the row
+    # constant ``const``, subtracting 2, forming ``bound + const`` and
+    # comparing against ``limit - const`` round five values, each by at
+    # most eps / 2 of ``norms + |bound|``, ``norms`` being the row constant
+    # plus the largest norm column. Explicit squared distances err by about
+    # (width + 3) * eps relative, and the square root taken before ranking
+    # lets a d^2 up to 2 * eps larger tie. A main row that ties the k-th
+    # nearest has a screen value within those errors of the k-th smallest,
+    # and so of the strided bound, which is at least that large and adds no
+    # error of its own. A joined neighbour has exact main d^2 <= exact joined
+    # d^2 (the joined rows lead with the main ones), its exact joined d^2 is
+    # at most U plus the relative errors at the joined width, and its screen
+    # value lies within the first errors of its exact main d^2. With
+    # ``scale`` at the width of the distances a bound comes from,
+    # ``bound + scale * (norms + |bound|)`` is twice what keeps every such
+    # row a candidate.
     scales = [4.0 * (w + 8) * np.finfo(float).eps for w in widths]
-    max_train_sq = train_sq.max(initial=0.0)
+    max_norm = screen[:, -1].max(initial=0.0)
     m = len(test_X)
     out = [(np.empty((m, k), dtype=np.intp), np.empty((m, k))) for _ in widths]
     buf = np.empty((min(_TEST_BLOCK, m), n))
     for start in range(0, m, _TEST_BLOCK):
-        stop = start + _TEST_BLOCK
-        block_c = test_X[start:stop] - center
-        block_sq = (block_c * block_c).sum(axis=1)
-        sq = buf[: len(block_c)]
+        rows = test_order[start : start + _TEST_BLOCK]
+        test_block = test_J[rows]
+        # [-2 * (test rest - centre), 1], and the row constant it leaves out.
+        block = np.ones((len(rows), len(rest) + 1))
+        block[:, :-1] = test_block[:, rest] - center
+        const = np.einsum("ij,ij->i", block[:, :-1], block[:, :-1]) + test_seen[rows]
         # Scaling by -2 is exact, so scaling the block is scaling the product.
-        np.matmul(-2.0 * block_c, train_c.T, out=sq)
-        sq += block_sq[:, None]
-        sq += train_sq
-        if k < n:
-            part = np.argpartition(sq, k - 1, axis=1)[:, :k]
-            kth = np.take_along_axis(sq, part[:, k - 1 :], axis=1)[:, 0]
-            limits = [kth + scales[0] * (block_sq + max_train_sq + np.abs(kth))]
-            if joined is not None:
-                rows = np.arange(len(block_c)).repeat(k)
-                (part_sq,) = _pair_sq(train_J, test_J[start:stop], rows, part.ravel(), widths[1:])
-                upper = part_sq.reshape(-1, k).max(axis=1)
-                limit = upper + scales[1] * (block_sq + max_train_sq + upper)
-                limits.append(np.maximum(limits[0], limit))
-        else:
-            limits = [np.full(len(block_c), np.inf)] * len(widths)
-        flat = np.flatnonzero(sq <= limits[-1][:, None])
-        pair_rows, cand = np.divmod(flat, n)
-        pair_sq = _pair_sq(train_J, test_J[start:stop], pair_rows, cand, widths)
-        # The main condition's pairs are those within its own bound.
-        keep = [sq.ravel()[flat] <= limits[0][pair_rows], slice(None)]
-        for (idx, dist), d2, sel in zip(out, pair_sq, keep):
-            idx[start:stop], dist[start:stop] = _rank_pairs(
-                pair_rows[sel], cand[sel], np.sqrt(d2[sel]), len(block_c), k
-            )
+        block[:, :-1] *= -2.0
+        sq = buf[: len(rows)]
+        np.matmul(block, screen.T, out=sq)
+        # Each run of equal codes shares one key range; a row without a key
+        # (code ``key_stop - key_start``) has none.
+        codes = test_code[rows]
+        first = np.flatnonzero(np.diff(codes, prepend=-1))
+        for lo, hi, code in zip(first, [*first[1:], len(rows)], codes[first]):
+            if code < key_stop - key_start:
+                sq[lo:hi, key_ends[code] : key_ends[code + 1]] -= 2.0
+        strided = sq[:, ::_SCREEN_STRIDE] if n // _SCREEN_STRIDE >= k else sq
+        kth = np.partition(strided, k - 1, axis=1)[:, k - 1] + const
+        norms = const + max_norm
+        main_limit = kth + scales[0] * (norms + np.abs(kth)) - const
+        pair_rows, pos = np.divmod(np.flatnonzero(sq <= main_limit[:, None]), n)
+        cand = order[pos]
+        pair_sq = _pair_sq(train_J, test_block, pair_rows, cand, widths)
+        dist = np.sqrt(pair_sq[0])
+        pick = _rank_pairs(pair_rows, cand, dist, len(rows), k)
+        out[0][0][rows], out[0][1][rows] = cand[pick], dist[pick]
+        if joined is None:
+            continue
+        # The k main neighbours lie within joined distance sqrt(U), so every
+        # joined neighbour does too; the main candidates beyond it can go.
+        upper = pair_sq[1][pick].max(axis=1)
+        joined_limit = upper + scales[1] * (norms + upper) - const
+        wider = np.flatnonzero(joined_limit > main_limit)
+        sub = sq[wider]
+        more = (sub > main_limit[wider, None]) & (sub <= joined_limit[wider, None])
+        more_rows, more_pos = np.divmod(np.flatnonzero(more), n)
+        more_rows, more_cand = wider[more_rows], order[more_pos]
+        (more_sq,) = _pair_sq(train_J, test_block, more_rows, more_cand, widths[1:])
+        pair_rows = np.concatenate([pair_rows, more_rows])
+        cand = np.concatenate([cand, more_cand])
+        dist = np.sqrt(np.concatenate([pair_sq[1], more_sq]))
+        keep = dist <= np.sqrt(upper)[pair_rows]
+        pair_rows, cand, dist = pair_rows[keep], cand[keep], dist[keep]
+        pick = _rank_pairs(pair_rows, cand, dist, len(rows), k)
+        out[1][0][rows], out[1][1][rows] = cand[pick], dist[pick]
     return out
 
 
@@ -363,6 +425,7 @@ def knn_predict(
     k: int = 10,
     task: str | list[str] = "regression",
     joined: tuple[np.ndarray, np.ndarray] | None = None,
+    key_span: tuple[int, int] = (0, 0),
 ):
     """Inverse-distance weighted k-nearest-neighbor prediction.
 
@@ -382,6 +445,11 @@ def knn_predict(
     from one neighbour search. Main d^2 is a lower bound of joined d^2, so
     the joined neighbours lie among the rows whose main d^2 is within a
     rounding margin of an upper bound (see ``_select_neighbors``).
+
+    ``key_span=(start, stop)`` names columns of ``train_X`` and ``test_X``
+    that form a one-hot block: each row holds zeros and at most one 1. The
+    search then screens the block by key code; the predictions do not
+    change.
     """
     single = isinstance(task, str)
     if single:
@@ -404,18 +472,20 @@ def knn_predict(
             and np.array_equal(test_J[:, :width], test_X)
         ):
             raise ContractViolationError("joined matrices must start with the main-only ones")
+    start, stop = key_span
+    if not 0 <= start <= stop <= train_X.shape[1]:
+        raise ContractViolationError(f"key span {key_span} lies outside {train_X.shape[1]} columns")
+    for X in (train_X, test_X):
+        block = X[:, start:stop]
+        if not (((block == 0.0) | (block == 1.0)).all() and (block.sum(axis=1) <= 1.0).all()):
+            raise ContractViolationError(f"columns {start}:{stop} are not a one-hot block")
     predictions = [
         _predict(idx, dist, train_y, task)
-        for idx, dist in _select_neighbors(train_X, test_X, k, joined)
+        for idx, dist in _select_neighbors(train_X, test_X, k, joined, key_span)
     ]
     if single:
         predictions = [p[0] for p in predictions]
     return tuple(predictions) if joined is not None else predictions[0]
-
-
-def hard_labels(scores: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """Argmax of the class scores; ties resolve to the lowest class id."""
-    return classes[np.argmax(scores, axis=1)]
 
 
 def rmse(predictions: np.ndarray, truth: np.ndarray) -> float:
@@ -489,6 +559,9 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
     ]
     tasks = [task for _, task in targets]
     y_train = [train.column(name).values for name, _ in targets]
+    key_columns = [
+        i for i, d in enumerate(main_train.descriptors) if d.startswith(f"main:{key}:onehot:")
+    ]
     main_preds, joined_preds = knn_predict(
         main_train.values,
         y_train,
@@ -496,6 +569,7 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
         k=cfg.k,
         task=tasks,
         joined=(joined_train.values, joined_test.values),
+        key_span=(key_columns[0], key_columns[-1] + 1) if key_columns else (0, 0),
     )
     main_scores, joined_scores = (
         [score(p, test.column(name).values, task) for p, (name, task) in zip(preds, targets)]

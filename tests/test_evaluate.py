@@ -363,13 +363,18 @@ def test_one_neighbor_search_per_condition(monkeypatch, kwargs):
         return search(*args)
 
     monkeypatch.setattr(evaluate, "_select_neighbors", counted)
-    report = run_comparison(small_dataset(**kwargs))
+    ds = small_dataset(**kwargs)
+    report = run_comparison(ds)
     assert len(report.targets) > 1
     # One search serves both conditions: the main-only and the joined rows.
     assert len(calls) == 1 and len(report.feature_widths) == 2
-    train_X, test_X, _, (train_J, test_J) = calls[0]
+    train_X, test_X, _, (train_J, test_J), (start, stop) = calls[0]
     assert train_X.shape[1] == test_X.shape[1] == report.feature_widths["main_only"]
     assert train_J.shape[1] == test_J.shape[1] == report.feature_widths["joined"]
+    # The search is given the coupling key's one-hot columns.
+    keys = split(ds.main_table, EvalConfig().test_fraction)[0].column("C").values
+    assert stop - start == len(np.unique(keys)) > 1
+    assert np.array_equal(train_X[:, start:stop], keys[:, None] == np.unique(keys))
 
 
 def test_report_metrics_pinned():
@@ -407,14 +412,6 @@ def test_metric_kinds_match_column_kinds():
             assert 0.0 <= t.main_only <= 1.0 and 0.0 <= t.joined <= 1.0
         else:
             assert t.main_only >= 0.0 and t.joined >= 0.0
-
-
-def test_hard_labels_tie_to_lowest_class():
-    from relgen.evaluate import hard_labels
-
-    scores = np.array([[0.4, 0.4, 0.2], [0.1, 0.5, 0.4]])
-    classes = np.array([3, 5, 9])
-    assert np.array_equal(hard_labels(scores, classes), [3, 5])
 
 
 def test_feature_width_mismatch_rejected():

@@ -5,7 +5,8 @@ training rows, exact distance ties (small-integer lattices), a large common
 offset on every feature, exact matches, and k equal to the training size.
 The joined form is checked on main rows plus a per-key block, the shape of
 the joined features: equal aggregate rows under distinct keys, the fallback
-row and an all-zero block.
+row and an all-zero block. The screen by key code is checked on main rows
+holding a one-hot key block, against the same search without the key span.
 """
 
 import tracemalloc
@@ -18,7 +19,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from relgen.errors import ContractViolationError  # noqa: E402
-from relgen.evaluate import knn_predict  # noqa: E402
+from relgen import evaluate  # noqa: E402
+from relgen.evaluate import _select_neighbors, knn_predict  # noqa: E402
 
 from test_evaluate import brute_force_knn  # noqa: E402
 
@@ -147,23 +149,36 @@ def test_joined_search_matches_brute_force_oracle(case):
 def test_identical_training_rows_stay_within_one_training_matrix():
     # Every training row and key is the same, so every (test, training)
     # pair is a candidate of both conditions; the pair distances must still
-    # be gathered in bounded chunks.
-    n, main_width, block_width, k = 3000, 8, 56, 10
+    # be gathered in bounded chunks. In the second case the main rows end in
+    # a 100-wide one-hot key block, as at K_C = 100, shared by every
+    # training row; the test rows hold that key, another one and none.
+    n, rest_width, block_width, k = 3000, 8, 56, 10
     rng = np.random.default_rng(0)
-    row = rng.normal(size=main_width)
-    block = rng.normal(size=block_width)
-    train_X = np.tile(row, (n, 1))
-    train_J = np.tile(np.concatenate([row, block]), (n, 1))
-    test_X = np.stack([row, row + 0.5, rng.normal(size=main_width)])
-    test_J = np.concatenate([test_X, np.stack([block, 0 * block, block])], axis=1)
-    y = rng.normal(size=n)
-    tracemalloc.start()
-    main, joined = knn_predict(train_X, y, test_X, k=k, task="regression", joined=(train_J, test_J))
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak <= 2 * n * train_J.shape[1] * 8
-    assert np.allclose(main, brute_force_knn(train_X, y, test_X, k, "regression"), atol=1e-9, rtol=0)
-    assert np.allclose(joined, brute_force_knn(train_J, y, test_J, k, "regression"), atol=1e-9, rtol=0)
+    for key_width in (0, 100):
+        keys = np.eye(key_width)[[3, 3, 7]] if key_width else np.zeros((3, 0))
+        keys[2] = 0.0
+        row = np.concatenate([rng.normal(size=rest_width), keys[0]])
+        block = rng.normal(size=block_width)
+        train_X = np.tile(row, (n, 1))
+        train_J = np.tile(np.concatenate([row, block]), (n, 1))
+        rest = np.stack([row[:rest_width], row[:rest_width] + 0.5, rng.normal(size=rest_width)])
+        test_X = np.concatenate([rest, keys], axis=1)
+        test_J = np.concatenate([test_X, np.stack([block, 0 * block, block])], axis=1)
+        y = rng.normal(size=n)
+        span = (rest_width, rest_width + key_width)
+        tracemalloc.start()
+        main, joined = knn_predict(
+            train_X, y, test_X, k=k, task="regression", joined=(train_J, test_J), key_span=span
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 2 * n * train_J.shape[1] * 8
+        if key_width:
+            # The screen holds the non-key columns only: no full-width,
+            # key-sorted copy of the training rows sits beside the pairs.
+            assert peak <= n * (train_J.shape[1] + train_X.shape[1]) * 8
+        assert np.allclose(main, brute_force_knn(train_X, y, test_X, k, "regression"), atol=1e-9, rtol=0)
+        assert np.allclose(joined, brute_force_knn(train_J, y, test_J, k, "regression"), atol=1e-9, rtol=0)
 
 
 def test_joined_matrix_must_extend_the_main_one():
@@ -194,3 +209,130 @@ def test_joined_tie_at_the_upper_bound_stays_a_candidate():
     y = np.arange(5.0)
     main, joined = knn_predict(X, y, test_X, k=1, task="regression", joined=(train_J, test_J))
     assert main.tolist() == [1.0] and joined.tolist() == [0.0]
+
+
+
+def test_key_span_must_be_one_hot():
+    rng = np.random.default_rng(2)
+    train_X = np.concatenate([rng.normal(size=(20, 2)), np.eye(3)[rng.integers(0, 3, size=20)]], axis=1)
+    test_X = train_X[:4].copy()
+    test_X[3, 2:] = 0.0
+    y = rng.normal(size=20)
+    knn_predict(train_X, y, test_X, k=3, key_span=(2, 5))
+    half = test_X.copy()
+    half[1, 2:] = [0.5, 0.0, 0.0]
+    two_ones = train_X.copy()
+    two_ones[6, 2:] = [1.0, 1.0, 0.0]
+    for train, test, span in [(train_X, half, (2, 5)), (two_ones, test_X, (2, 5)), (train_X, test_X, (2, 6))]:
+        with pytest.raises(ContractViolationError):
+            knn_predict(train, y, test, k=3, key_span=span)
+
+
+@st.composite
+def keyed_cases(draw):
+    """Joined rows whose main part holds a one-hot key block, and its span.
+
+    The shape ``run_comparison`` searches: the appended block is the key's
+    aggregate row, and a row without a key (an all-zero block) gets the
+    fallback row. The values come from a drawn seed, as in
+    :func:`joined_cases`. The training rows share one key, or are sorted by
+    key and value, or come in runs of one key around one value: there every
+    fourth row of the key-sorted training rows misses most of the nearest
+    ones. Lattice values and a small pool of rows make exact ties across key
+    boundaries (two keys differ by exactly 2 in d^2), training sets of up to
+    60 rows often put k above n // 4, and ``OFFSETS`` move every column but
+    the key block.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.integers(1, 3))
+    n_keys = draw(st.integers(1, 5))
+    lattice = draw(st.booleans())
+    layout = draw(st.sampled_from(["random", "shared", "sorted", "runs"]))
+
+    def rows(count):
+        if lattice:
+            return rng.integers(-2, 3, size=(count, width)).astype(float)
+        return rng.uniform(-3.0, 3.0, size=(count, width))
+
+    n = int(rng.integers(1, 61))
+    pool = rows(int(rng.integers(1, 13)))
+    train_rest = pool[rng.integers(0, len(pool), size=n)]
+    # Key -1 is a row without a key: an all-zero block.
+    train_keys = rng.integers(-1, n_keys, size=n)
+    if layout == "shared":
+        train_keys[:] = rng.integers(0, n_keys)
+    elif layout == "sorted":
+        by = np.lexsort((train_rest[:, 0], train_keys))
+        train_rest, train_keys = train_rest[by], train_keys[by]
+    elif layout == "runs":
+        run = np.arange(n) // int(rng.integers(1, 9))
+        train_keys = rng.integers(0, n_keys, size=run[-1] + 1)[run]
+        train_rest = rows(run[-1] + 1)[run]
+        if not lattice:
+            train_rest += rng.uniform(-0.1, 0.1, size=train_rest.shape)
+    copies = rng.integers(0, n, size=draw(st.integers(0, 3)))
+    fresh = draw(st.integers(1, 6))
+    test_rest = np.concatenate([rows(fresh), train_rest[copies]])
+    test_keys = np.concatenate([rng.integers(-1, n_keys, size=fresh), train_keys[copies]])
+    k = [n, int(rng.integers(1, n + 1)), int(rng.integers(1, n // 4 + 2))][draw(st.integers(0, 2))]
+
+    at = draw(st.integers(0, width))
+    offset = draw(st.sampled_from(OFFSETS))
+    agg_pool = rng.integers(-8, 9, size=(draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+    table = draw(st.sampled_from([1.0, 0.3, 0.05])) * agg_pool[rng.integers(0, len(agg_pool), size=n_keys + 1)]
+
+    def joined(rest, keys):
+        onehot = (keys[:, None] == np.arange(n_keys)).astype(float)
+        return np.concatenate([rest[:, :at] + offset, onehot, rest[:, at:] + offset, table[keys] + offset], axis=1)
+
+    train_J, test_J = joined(train_rest, train_keys), joined(test_rest, test_keys)
+    main = width + n_keys
+    y_reg, y_cls = rng.normal(size=n), rng.integers(0, 4, size=n)
+    return train_J[:, :main], test_J[:, :main], train_J, test_J, k, (at, at + n_keys), y_reg, y_cls
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed_cases())
+def test_key_screen_matches_the_plain_search_and_the_oracle(case):
+    train_X, test_X, train_J, test_J, k, span, y_reg, y_cls = case
+    joined = (train_J, test_J)
+    plain = _select_neighbors(train_X, test_X, k, joined)
+    for (idx, dist), (ref_idx, ref_dist) in zip(_select_neighbors(train_X, test_X, k, joined, span), plain):
+        assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
+
+    main, got = knn_predict(train_X, y_reg, test_X, k=k, task="regression", joined=joined, key_span=span)
+    assert np.allclose(main, brute_force_knn(train_X, y_reg, test_X, k, "regression"), atol=1e-9, rtol=0)
+    assert np.allclose(got, brute_force_knn(train_J, y_reg, test_J, k, "regression"), atol=1e-9, rtol=0)
+    for (scores, classes), (X, T) in zip(
+        knn_predict(train_X, y_cls, test_X, k=k, task="classification", joined=joined, key_span=span),
+        [(train_X, test_X), joined],
+    ):
+        ref_scores, ref_classes = brute_force_knn(X, y_cls, T, k, "classification")
+        assert np.array_equal(classes, ref_classes)
+        assert np.allclose(scores, ref_scores, atol=1e-9, rtol=0)
+
+
+def test_key_screen_measures_no_row_beyond_the_bound(monkeypatch):
+    # The test row has key 0 and value 0, and forty training rows equal it,
+    # so with k = 5 both conditions' bound is 0. The same key at value 1, no
+    # key at value 0 (d^2 1 each) and key 1 at value 0 (d^2 2) lie beyond
+    # it, and the search measures only the forty pairs within it.
+    train_X = np.concatenate(
+        [np.repeat([0.0, 1.0, 0.0, 0.0], 40)[:, None], np.repeat([[1, 0], [1, 0], [0, 0], [0, 1]], 40, axis=0)],
+        axis=1,
+    )
+    test_X = np.array([[0.0, 1.0, 0.0]])
+    joined = (np.concatenate([train_X, np.zeros((160, 1))], axis=1), np.zeros((1, 4)))
+    joined[1][0, :3] = test_X[0]
+    measured = []
+    pair_sq = evaluate._pair_sq
+
+    def counted(train, test, rows, cand, widths):
+        measured.extend(cand.tolist())
+        return pair_sq(train, test, rows, cand, widths)
+
+    monkeypatch.setattr(evaluate, "_pair_sq", counted)
+    (idx, dist), (joined_idx, joined_dist) = _select_neighbors(train_X, test_X, 5, joined, (1, 3))
+    assert idx.tolist() == joined_idx.tolist() == [[0, 1, 2, 3, 4]]
+    assert dist.tolist() == joined_dist.tolist() == [[0.0] * 5]
+    assert sorted(measured) == list(range(40))
