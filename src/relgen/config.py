@@ -107,6 +107,9 @@ class GenerationConfig:
             raise InvalidConfigError(f"numeric_poolings: unknown kinds {sorted(bad)}")
         if not 0.0 <= self.categorical_probability <= 1.0:
             raise InvalidConfigError("categorical_probability must lie in [0,1]")
+        for key in ("category_count", "coupling_categories"):
+            if not getattr(self, key)[1] >= 0.0:
+                raise InvalidConfigError(f"{key}[1], the std, must be >= 0")
         for key in ("num_presamples", "rows_main", "rows_add", "latent_count"):
             if getattr(self, key) < 0:
                 raise InvalidConfigError(f"{key} must be >= 0")

@@ -23,6 +23,10 @@ from .tables import KIND_CATEGORICAL, KIND_NUMERIC, Table
 
 STD_FLOOR = 1e-12
 DISTANCE_EPS = 1e-12
+# Share of the main block's total feature variance granted to the aggregate
+# block. Keeps the joined metric a bounded perturbation of the main-only
+# metric regardless of how many aggregate columns exist.
+AGG_SHARE = 0.02
 
 
 @dataclass
@@ -35,10 +39,6 @@ class FeatureMatrix:
 class EvalConfig:
     test_fraction: float = 0.1
     k: int = 10
-    # Share of the main block's total feature variance granted to the
-    # aggregate block. Keeps the joined metric a bounded perturbation of the
-    # main-only metric regardless of how many aggregate columns exist.
-    agg_share: float = 0.02
 
 
 @dataclass
@@ -194,10 +194,10 @@ def fit_agg_norms(train_rows: Table, agg: KeyAggregates, key_column: str) -> Key
     return replace(agg, table=table)
 
 
-def fit_agg_weight(train_main: FeatureMatrix, train_agg: np.ndarray, agg_share: float) -> float:
+def fit_agg_weight(train_main: FeatureMatrix, train_agg: np.ndarray) -> float:
     """Block weight granting the aggregates a fixed share of the metric.
 
-    The weight w solves w^2 * var(agg block) = agg_share * var(main block),
+    The weight w solves w^2 * var(agg block) = AGG_SHARE * var(main block),
     with per-column variances measured over the training rows; it is capped
     at 1 so sparse aggregate blocks are never inflated.
     """
@@ -205,7 +205,7 @@ def fit_agg_weight(train_main: FeatureMatrix, train_agg: np.ndarray, agg_share: 
     v_agg = float(train_agg.var(axis=0).sum())
     if v_agg <= 0.0 or v_main <= 0.0:
         return 1.0
-    return min(1.0, float(np.sqrt(agg_share * v_main / v_agg)))
+    return min(1.0, float(np.sqrt(AGG_SHARE * v_main / v_agg)))
 
 
 def featurize_joined(
@@ -271,14 +271,15 @@ def _key_codes(block):
     return code, block.sum(axis=1)
 
 
-def _select_neighbors(train_X, test_X, k, joined=None, key_span=(0, 0)):
+def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0)):
     """Indices and exact distances of the k nearest training rows per test row.
 
     Returns a list holding one (idx, dist) pair for ``train_X``/``test_X``
-    and, given ``joined=(train_J, test_J)`` whose leading columns are
-    exactly those matrices, a second pair for the joined rows, both from
-    one pass. ``key_span`` is the (start, stop) column span of a one-hot
-    block in ``train_X``; it changes the cost of the screen, not its result.
+    or, given ``main_width``, one pair for the main rows, their leading
+    ``main_width`` columns, and a second for the joined rows, all of them,
+    both from one pass. ``key_span`` is the (start, stop) column span of a
+    one-hot block among the main columns; it changes the cost of the
+    screen, not its result.
 
     Candidates are screened by the expanded square of the main rows, blocked
     over test rows in key order into one preallocated buffer. Over a one-hot
@@ -300,10 +301,9 @@ def _select_neighbors(train_X, test_X, k, joined=None, key_span=(0, 0)):
     training index, which is the order of a brute-force search.
     """
     n, width = train_X.shape
-    train_J, test_J = joined if joined is not None else (train_X, test_X)
-    widths = [width] if joined is None else [width, train_J.shape[1]]
+    widths = [width] if main_width is None else [main_width, width]
     key_start, key_stop = key_span
-    rest = np.r_[0:key_start, key_stop:width]
+    rest = np.r_[0:key_start, key_stop : widths[0]]
     train_code, train_seen = _key_codes(train_X[:, key_start:key_stop])
     order = np.argsort(train_code, kind="stable")
     # Sorted rows of key code c are order[key_ends[c] : key_ends[c + 1]].
@@ -347,7 +347,7 @@ def _select_neighbors(train_X, test_X, k, joined=None, key_span=(0, 0)):
     buf = np.empty((min(_TEST_BLOCK, m), n))
     for start in range(0, m, _TEST_BLOCK):
         rows = test_order[start : start + _TEST_BLOCK]
-        test_block = test_J[rows]
+        test_block = test_X[rows]
         # [-2 * (test rest - centre), 1], and the row constant it leaves out.
         block = np.ones((len(rows), len(rest) + 1))
         block[:, :-1] = test_block[:, rest] - center
@@ -369,11 +369,11 @@ def _select_neighbors(train_X, test_X, k, joined=None, key_span=(0, 0)):
         main_limit = kth + scales[0] * (norms + np.abs(kth)) - const
         pair_rows, pos = np.divmod(np.flatnonzero(sq <= main_limit[:, None]), n)
         cand = order[pos]
-        pair_sq = _pair_sq(train_J, test_block, pair_rows, cand, widths)
+        pair_sq = _pair_sq(train_X, test_block, pair_rows, cand, widths)
         dist = np.sqrt(pair_sq[0])
         pick = _rank_pairs(pair_rows, cand, dist, len(rows), k)
         out[0][0][rows], out[0][1][rows] = cand[pick], dist[pick]
-        if joined is None:
+        if main_width is None:
             continue
         # The k main neighbours lie within joined distance sqrt(U), so every
         # joined neighbour does too; the main candidates beyond it can go.
@@ -384,7 +384,7 @@ def _select_neighbors(train_X, test_X, k, joined=None, key_span=(0, 0)):
         more = (sub > main_limit[wider, None]) & (sub <= joined_limit[wider, None])
         more_rows, more_pos = np.divmod(np.flatnonzero(more), n)
         more_rows, more_cand = wider[more_rows], order[more_pos]
-        (more_sq,) = _pair_sq(train_J, test_block, more_rows, more_cand, widths[1:])
+        (more_sq,) = _pair_sq(train_X, test_block, more_rows, more_cand, widths[1:])
         pair_rows = np.concatenate([pair_rows, more_rows])
         cand = np.concatenate([cand, more_cand])
         dist = np.sqrt(np.concatenate([pair_sq[1], more_sq]))
@@ -424,7 +424,7 @@ def knn_predict(
     test_X: np.ndarray,
     k: int = 10,
     task: str | list[str] = "regression",
-    joined: tuple[np.ndarray, np.ndarray] | None = None,
+    main_width: int | None = None,
     key_span: tuple[int, int] = (0, 0),
 ):
     """Inverse-distance weighted k-nearest-neighbor prediction.
@@ -440,16 +440,16 @@ def knn_predict(
     the result is a list holding, in order, what the single-target call
     would return for each.
 
-    Joined form: ``joined=(train_J, test_J)``, the same rows with columns
-    appended, makes the call return (main predictions, joined predictions)
+    Joined form: ``main_width=w`` reads the main rows as the leading w
+    columns of ``train_X`` and ``test_X`` and the joined rows as all of
+    them, and makes the call return (main predictions, joined predictions)
     from one neighbour search. Main d^2 is a lower bound of joined d^2, so
     the joined neighbours lie among the rows whose main d^2 is within a
     rounding margin of an upper bound (see ``_select_neighbors``).
 
-    ``key_span=(start, stop)`` names columns of ``train_X`` and ``test_X``
-    that form a one-hot block: each row holds zeros and at most one 1. The
-    search then screens the block by key code; the predictions do not
-    change.
+    ``key_span=(start, stop)`` names main columns that form a one-hot
+    block: each row holds zeros and at most one 1. The search then screens
+    the block by key code; the predictions do not change.
     """
     single = isinstance(task, str)
     if single:
@@ -463,29 +463,24 @@ def knn_predict(
         raise InvalidParameterError(f"k must lie in [1, {len(train_X)}], got {k}")
     if train_X.shape[1] != test_X.shape[1]:
         raise ContractViolationError("train and test feature widths differ")
-    if joined is not None:
-        train_J, test_J = joined
-        width = train_X.shape[1]
-        if not (
-            train_J.shape[1] == test_J.shape[1]
-            and np.array_equal(train_J[:, :width], train_X)
-            and np.array_equal(test_J[:, :width], test_X)
-        ):
-            raise ContractViolationError("joined matrices must start with the main-only ones")
+    width = train_X.shape[1]
+    if main_width is not None and not 0 < main_width <= width:
+        raise ContractViolationError(f"main width {main_width} lies outside (0, {width}]")
+    main = width if main_width is None else main_width
     start, stop = key_span
-    if not 0 <= start <= stop <= train_X.shape[1]:
-        raise ContractViolationError(f"key span {key_span} lies outside {train_X.shape[1]} columns")
+    if not 0 <= start <= stop <= main:
+        raise ContractViolationError(f"key span {key_span} lies outside {main} main columns")
     for X in (train_X, test_X):
         block = X[:, start:stop]
         if not (((block == 0.0) | (block == 1.0)).all() and (block.sum(axis=1) <= 1.0).all()):
             raise ContractViolationError(f"columns {start}:{stop} are not a one-hot block")
     predictions = [
         _predict(idx, dist, train_y, task)
-        for idx, dist in _select_neighbors(train_X, test_X, k, joined, key_span)
+        for idx, dist in _select_neighbors(train_X, test_X, k, main_width, key_span)
     ]
     if single:
         predictions = [p[0] for p in predictions]
-    return tuple(predictions) if joined is not None else predictions[0]
+    return tuple(predictions) if main_width is not None else predictions[0]
 
 
 def rmse(predictions: np.ndarray, truth: np.ndarray) -> float:
@@ -541,12 +536,16 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
     stats = fit_feature_stats(train)
     key = dataset.schema.merged.node(dataset.schema.coupling_index).name
     agg = fit_agg_norms(train, build_key_aggregates(dataset.add_table, key), key)
-    main_train, main_test = featurize_main_only(train, stats), featurize_main_only(test, stats)
+    main_train = featurize_main_only(train, stats)
     agg_train, fallback_train = map_aggregates(train.column(key).values, agg)
     agg_test, fallback_test = map_aggregates(test.column(key).values, agg)
-    weight = fit_agg_weight(main_train, agg_train, cfg.agg_share)
+    weight = fit_agg_weight(main_train, agg_train)
     joined_train = featurize_joined(main_train, agg_train, agg, weight)
-    joined_test = featurize_joined(main_test, agg_test, agg, weight)
+    joined_test = featurize_joined(featurize_main_only(test, stats), agg_test, agg, weight)
+    main_width = main_train.values.shape[1]
+    # Both conditions read the joined rows, the main one their leading
+    # columns, so no main-only copy is kept through the search.
+    del main_train, agg_train, agg_test
     affected = latently_affected_targets(dataset.schema)
     name_to_affected = {
         dataset.schema.merged.node(i).name: flag for i, flag in affected.items()
@@ -560,15 +559,15 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
     tasks = [task for _, task in targets]
     y_train = [train.column(name).values for name, _ in targets]
     key_columns = [
-        i for i, d in enumerate(main_train.descriptors) if d.startswith(f"main:{key}:onehot:")
+        i for i, d in enumerate(joined_train.descriptors) if d.startswith(f"main:{key}:onehot:")
     ]
     main_preds, joined_preds = knn_predict(
-        main_train.values,
+        joined_train.values,
         y_train,
-        main_test.values,
+        joined_test.values,
         k=cfg.k,
         task=tasks,
-        joined=(joined_train.values, joined_test.values),
+        main_width=main_width,
         key_span=(key_columns[0], key_columns[-1] + 1) if key_columns else (0, 0),
     )
     main_scores, joined_scores = (
@@ -594,9 +593,6 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
         rows_add=dataset.add_table.row_count,
         generation_seed=dataset.seed,
         schema_fingerprint=dataset.schema_fingerprint,
-        feature_widths={
-            "main_only": main_train.values.shape[1],
-            "joined": joined_train.values.shape[1],
-        },
+        feature_widths={"main_only": main_width, "joined": joined_train.values.shape[1]},
         fallback_share={"train": float(fallback_train.mean()), "test": float(fallback_test.mean())},
     )

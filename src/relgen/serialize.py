@@ -18,8 +18,8 @@ import numpy as np
 
 from .config import GenerationConfig, config_to_dict
 from .engine import QuantilePair, RootDistribution
-from .errors import InvalidConfigError
-from .graphs import DagSpec, NodeSpec
+from .errors import DegenerateGraphError, InvalidConfigError
+from .graphs import DagSpec, NodeSpec, validate_dag
 from .prerun import Codebook, PrerunStats
 from .relational import RelationalDataset, RelationalSchema
 from .seeding import SEED_DERIVATION_NOTE, STREAM_VERSION
@@ -155,17 +155,30 @@ def _require_keys(data, keys: tuple[str, ...], what: str) -> None:
 
 
 def schema_from_dict(data: dict, source: str = "schema") -> tuple[RelationalSchema, PrerunStats | None]:
-    """Rebuild a schema; ``source`` names it when the root, its graph or a node lacks a part."""
+    """Rebuild a schema and check its merged graph's structure.
+
+    Every failure is an InvalidConfigError whose one line names ``source``:
+    a part the root, its graph or a node lacks, a value that does not build
+    (an edge that is not a pair, weights that are not numbers, distribution
+    parameters a kind lacks), or a graph that breaks an invariant of
+    :func:`validate_dag`.
+    """
     _require_keys(data, ("merged", "main_indices", "add_indices", "coupling_index", "latent_edges"), source)
     _require_keys(data["merged"], ("nodes", "edges", "hidden_dim"), f"{source}: merged")
-    schema = RelationalSchema(
-        merged=dag_from_dict(data["merged"], f"{source}: merged"),
-        main_indices=list(data["main_indices"]),
-        add_indices=list(data["add_indices"]),
-        coupling_index=data["coupling_index"],
-        latent_edges={tuple(e) for e in data["latent_edges"]},
-    )
-    stats = stats_from_dict(data["prerun_stats"]) if "prerun_stats" in data else None
+    try:
+        schema = RelationalSchema(
+            merged=dag_from_dict(data["merged"], f"{source}: merged"),
+            main_indices=list(data["main_indices"]),
+            add_indices=list(data["add_indices"]),
+            coupling_index=data["coupling_index"],
+            latent_edges={tuple(e) for e in data["latent_edges"]},
+        )
+        validate_dag(schema.merged)
+        stats = stats_from_dict(data["prerun_stats"]) if "prerun_stats" in data else None
+    except InvalidConfigError:  # a missing part, already named
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, DegenerateGraphError) as exc:
+        raise InvalidConfigError(f"{source}: malformed schema ({type(exc).__name__}: {exc})") from exc
     return schema, stats
 
 

@@ -397,3 +397,41 @@ def test_export_dot_of_malformed_node_exits_2(tmp_path, capsys, node, part):
     err = capsys.readouterr().err
     assert f"{path}: {part}" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def _first(nodes, part):
+    return next(node for node in nodes if node[part] is not None)
+
+
+@pytest.mark.parametrize(
+    "malform, part",
+    [
+        (lambda s: s["merged"]["edges"].append([0, 999]), "DegenerateGraphError: edge (0,999)"),
+        (lambda s: _first(s["merged"]["nodes"], "weights").update(weights="abc"), "ValueError"),
+        (lambda s: s["merged"].update(edges=[1, 2]), "TypeError"),
+        (lambda s: s["merged"].update(nodes=5), "TypeError"),
+        (lambda s: s.update(latent_edges=5), "TypeError"),
+        (
+            lambda s: _first(s["merged"]["nodes"], "root_dist").update(
+                root_dist={"kind": "gamma", "params": {"scale": 1.0}}
+            ),
+            "KeyError: 'shape'",
+        ),
+        (
+            lambda s: _first(s["merged"]["nodes"], "root_dist").update(root_dist={"kind": "normal", "params": 5}),
+            "AttributeError",
+        ),
+    ],
+    ids=["edge-past-the-nodes", "weights-not-numbers", "edges-not-pairs", "nodes-not-a-list",
+         "latent-edges-not-a-list", "gamma-without-shape", "params-not-an-object"],
+)
+def test_export_dot_of_malformed_schema_exits_2(tmp_path, small_config, capsys, malform, part):
+    path = generate(tmp_path, small_config, seed=9) / "schema.json"
+    schema = json.loads(path.read_text())
+    malform(schema)
+    path.write_text(json.dumps(schema))
+    capsys.readouterr()
+    assert main(["export-dot", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: malformed schema ({part}" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1

@@ -130,3 +130,17 @@ def test_invalid_json_diagnostic(tmp_path):
     path.write_text("{not json")
     with pytest.raises(InvalidConfigError, match="not valid JSON"):
         load_config(path)
+
+
+@pytest.mark.parametrize("key", ["category_count", "coupling_categories"])
+def test_negative_std_rejected_with_key_name(tmp_path, capsys, key):
+    with pytest.raises(InvalidConfigError, match=rf"{key}\[1\]"):
+        config_from_dict({key: [4, -1]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: [100, -5]}))
+    from relgen.cli import main
+
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "ds")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and len(err.strip().splitlines()) == 1
+    assert getattr(config_from_dict({key: [4, 0]}), key) == (4.0, 0.0)

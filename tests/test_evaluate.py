@@ -1,9 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from relgen.config import config_from_dict
 from relgen.errors import InvalidParameterError, UndefinedMetricError
 from relgen.evaluate import (
+    AGG_SHARE,
     EvalConfig,
     auc_binary,
     build_key_aggregates,
@@ -366,11 +369,11 @@ def test_one_neighbor_search_per_condition(monkeypatch, kwargs):
     ds = small_dataset(**kwargs)
     report = run_comparison(ds)
     assert len(report.targets) > 1
-    # One search serves both conditions: the main-only and the joined rows.
+    # One search serves both conditions: the joined rows and their main width.
     assert len(calls) == 1 and len(report.feature_widths) == 2
-    train_X, test_X, _, (train_J, test_J), (start, stop) = calls[0]
-    assert train_X.shape[1] == test_X.shape[1] == report.feature_widths["main_only"]
-    assert train_J.shape[1] == test_J.shape[1] == report.feature_widths["joined"]
+    train_X, test_X, _, main_width, (start, stop) = calls[0]
+    assert train_X.shape[1] == test_X.shape[1] == report.feature_widths["joined"]
+    assert main_width == report.feature_widths["main_only"]
     # The search is given the coupling key's one-hot columns.
     keys = split(ds.main_table, EvalConfig().test_fraction)[0].column("C").values
     assert stop - start == len(np.unique(keys)) > 1
@@ -421,12 +424,12 @@ def test_feature_width_mismatch_rejected():
         knn_predict(np.zeros((5, 3)), np.zeros(5), np.zeros((2, 4)), k=2)
 
 
-def reference_aggregate_block(ds, train_keys, test_keys, main_train, cfg):
+def reference_aggregate_block(ds, train_keys, test_keys, main_train):
     """Independent per-row reference of the weighted, standardized join block.
 
     Each row averages the additional rows with its key (all rows if none),
     numeric columns are standardized by the training rows' mapped mean and
-    std, and the block is weighted by min(1, sqrt(agg_share * v_main / v_agg)).
+    std, and the block is weighted by min(1, sqrt(AGG_SHARE * v_main / v_agg)).
     """
     add = ds.add_table
     key = ds.schema.merged.node(ds.schema.coupling_index).name
@@ -457,7 +460,7 @@ def reference_aggregate_block(ds, train_keys, test_keys, main_train, cfg):
             raw[:, j] = (raw[:, j] - mean[j]) / max(std[j], 1e-12)
     v_main = main_train.var(axis=0).sum()
     v_agg = raw_train.var(axis=0).sum()
-    weight = min(1.0, np.sqrt(cfg.agg_share * v_main / v_agg)) if v_main > 0 and v_agg > 0 else 1.0
+    weight = min(1.0, np.sqrt(AGG_SHARE * v_main / v_agg)) if v_main > 0 and v_agg > 0 else 1.0
     return weight * raw_train, weight * raw_test
 
 
@@ -470,20 +473,21 @@ def test_joined_values_match_per_row_reference(monkeypatch, seed, rows_add):
     search = evaluate.knn_predict
 
     def captured(train_X, train_y, test_X, **kwargs):
-        searched.append((train_X, test_X, kwargs["joined"]))
+        searched.append((train_X, test_X, kwargs["main_width"]))
         return search(train_X, train_y, test_X, **kwargs)
 
     monkeypatch.setattr(evaluate, "knn_predict", captured)
     ds = small_dataset(seed=seed, rows_add=rows_add)
     cfg = evaluate.EvalConfig()
     run_comparison(ds, cfg)
-    ((main_train, main_test, (joined_train, joined_test)),) = searched
-    width = main_train.shape[1]
-    assert np.array_equal(joined_train[:, :width], main_train)
-    assert np.array_equal(joined_test[:, :width], main_test)
+    ((joined_train, joined_test, width),) = searched
     train, test = split(ds.main_table, cfg.test_fraction)
+    stats = fit_feature_stats(train)
+    main_train = featurize_main_only(train, stats).values
+    assert np.array_equal(joined_train[:, :width], main_train)
+    assert np.array_equal(joined_test[:, :width], featurize_main_only(test, stats).values)
     ref_train, ref_test = reference_aggregate_block(
-        ds, train.column("C").values, test.column("C").values, main_train, cfg
+        ds, train.column("C").values, test.column("C").values, main_train
     )
     assert np.allclose(joined_train[:, width:], ref_train, rtol=1e-12, atol=1e-12)
     assert np.allclose(joined_test[:, width:], ref_test, rtol=1e-12, atol=1e-12)
@@ -502,3 +506,25 @@ def test_each_split_is_featurized_once(monkeypatch):
     monkeypatch.setattr(evaluate, "featurize_main_only", counted)
     run_comparison(small_dataset())
     assert len(calls) == 2
+
+
+def test_no_main_only_matrix_outlives_featurization(monkeypatch):
+    # The search reads the main condition from the joined rows' leading
+    # columns, so the main-only matrices are freed before it starts.
+    from relgen import evaluate
+
+    made = []
+    featurize, search = evaluate.featurize_main_only, evaluate.knn_predict
+
+    def tracked(*args):
+        features = featurize(*args)
+        made.append(weakref.ref(features.values))
+        return features
+
+    def checked(*args, **kwargs):
+        assert len(made) == 2 and all(ref() is None for ref in made)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "featurize_main_only", tracked)
+    monkeypatch.setattr(evaluate, "knn_predict", checked)
+    run_comparison(small_dataset())

@@ -5,7 +5,8 @@ training rows, exact distance ties (small-integer lattices), a large common
 offset on every feature, exact matches, and k equal to the training size.
 The joined form is checked on main rows plus a per-key block, the shape of
 the joined features: equal aggregate rows under distinct keys, the fallback
-row and an all-zero block. The screen by key code is checked on main rows
+row and an all-zero block. Its main condition must equal the plain call on
+the leading columns. The screen by key code is checked on main rows
 holding a one-hot key block, against the same search without the key span.
 """
 
@@ -88,7 +89,8 @@ def test_multi_target_equals_single_target_calls(case):
 
 @st.composite
 def joined_cases(draw):
-    """Main rows plus a per-key block: the joined matrices ``featurize_joined`` builds.
+    """Main rows plus a per-key block: the joined matrices ``featurize_joined`` builds,
+    and the main width.
 
     Hypothesis draws the structure; the values come from a drawn seed, since
     value-by-value draws are mostly zeros and would seldom let the block
@@ -124,20 +126,20 @@ def joined_cases(draw):
     test_J = np.concatenate([test_X, table[rng.integers(0, n_keys + 1, size=len(test_X))]], axis=1) + offset
     # Distinct targets, so a wrong neighbour set shows in the predictions.
     y_reg, y_cls = rng.normal(size=n), rng.integers(0, 4, size=n)
-    return train_J[:, :width], test_J[:, :width], train_J, test_J, k, y_reg, y_cls
+    return train_J, test_J, width, k, y_reg, y_cls
 
 
 @settings(max_examples=300, deadline=None)
 @given(joined_cases())
 def test_joined_search_matches_brute_force_oracle(case):
-    train_X, test_X, train_J, test_J, k, y_reg, y_cls = case
-    joined = (train_J, test_J)
-    main, got = knn_predict(train_X, y_reg, test_X, k=k, task="regression", joined=joined)
+    train_J, test_J, width, k, y_reg, y_cls = case
+    train_X, test_X = train_J[:, :width], test_J[:, :width]
+    main, got = knn_predict(train_J, y_reg, test_J, k=k, task="regression", main_width=width)
     assert np.array_equal(main, knn_predict(train_X, y_reg, test_X, k=k, task="regression"))
     assert np.allclose(got, brute_force_knn(train_J, y_reg, test_J, k, "regression"), atol=1e-9, rtol=0)
 
     (main_scores, main_classes), (scores, classes) = knn_predict(
-        train_X, y_cls, test_X, k=k, task="classification", joined=joined
+        train_J, y_cls, test_J, k=k, task="classification", main_width=width
     )
     single_scores, single_classes = knn_predict(train_X, y_cls, test_X, k=k, task="classification")
     assert np.array_equal(main_scores, single_scores) and np.array_equal(main_classes, single_classes)
@@ -168,7 +170,7 @@ def test_identical_training_rows_stay_within_one_training_matrix():
         span = (rest_width, rest_width + key_width)
         tracemalloc.start()
         main, joined = knn_predict(
-            train_X, y, test_X, k=k, task="regression", joined=(train_J, test_J), key_span=span
+            train_J, y, test_J, k=k, task="regression", main_width=train_X.shape[1], key_span=span
         )
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
@@ -181,20 +183,26 @@ def test_identical_training_rows_stay_within_one_training_matrix():
         assert np.allclose(joined, brute_force_knn(train_J, y, test_J, k, "regression"), atol=1e-9, rtol=0)
 
 
-def test_joined_matrix_must_extend_the_main_one():
+def test_main_width_and_key_span_must_lie_in_the_main_columns():
+    # Three main columns, the last two a one-hot key, then two joined
+    # columns that repeat the key block.
     rng = np.random.default_rng(1)
-    train_X, test_X = rng.normal(size=(20, 3)), rng.normal(size=(4, 3))
+    keys = np.eye(2)[rng.integers(0, 2, size=24)]
+    train_J = np.concatenate([rng.normal(size=(24, 1)), keys, keys], axis=1)
+    train_J, test_J = train_J[:20], train_J[20:]
     y = rng.normal(size=20)
-    train_J = np.concatenate([train_X, rng.normal(size=(20, 2))], axis=1)
-    test_J = np.concatenate([test_X, rng.normal(size=(4, 2))], axis=1)
-    knn_predict(train_X, y, test_X, k=3, joined=(train_J, test_J))
-    bad_train = train_J.copy()
-    bad_train[5, 1] += 1e-9
-    bad_test = test_J.copy()
-    bad_test[0, 0] = 7.0
-    for joined in [(bad_train, test_J), (train_J, bad_test), (train_J[:, 1:], test_J[:, 1:]), (train_J, test_J[:, :4])]:
-        with pytest.raises(ContractViolationError):
-            knn_predict(train_X, y, test_X, k=3, joined=joined)
+    for width in (1, 3, 5):
+        knn_predict(train_J, y, test_J, k=3, main_width=width)
+    knn_predict(train_J, y, test_J, k=3, main_width=3, key_span=(1, 3))
+    for width in (0, -1, 6):
+        with pytest.raises(ContractViolationError, match="main width"):
+            knn_predict(train_J, y, test_J, k=3, main_width=width)
+    # A span past the main width is refused even where the plain call over
+    # all five columns accepts it as one-hot.
+    knn_predict(train_J, y, test_J, k=3, key_span=(3, 5))
+    for span in [(3, 5), (1, 4), (2, 4)]:
+        with pytest.raises(ContractViolationError, match="key span"):
+            knn_predict(train_J, y, test_J, k=3, main_width=3, key_span=span)
 
 
 def test_joined_tie_at_the_upper_bound_stays_a_candidate():
@@ -204,10 +212,9 @@ def test_joined_tie_at_the_upper_bound_stays_a_candidate():
     # rows move the centre so its expanded square rounds above 10.
     X = np.array([[1.0, 3.0], [1.0, 0.0], [999.0, 1003.0], [1003.0, 999.0], [997.0, 1001.0]])
     E = np.array([[0.0], [3.0], [0.0], [0.0], [0.0]])
-    test_X = np.zeros((1, 2))
     train_J, test_J = np.hstack([X, E]), np.zeros((1, 3))
     y = np.arange(5.0)
-    main, joined = knn_predict(X, y, test_X, k=1, task="regression", joined=(train_J, test_J))
+    main, joined = knn_predict(train_J, y, test_J, k=1, task="regression", main_width=2)
     assert main.tolist() == [1.0] and joined.tolist() == [0.0]
 
 
@@ -230,7 +237,7 @@ def test_key_span_must_be_one_hot():
 
 @st.composite
 def keyed_cases(draw):
-    """Joined rows whose main part holds a one-hot key block, and its span.
+    """Joined rows whose main part holds a one-hot key block, the main width and the span.
 
     The shape ``run_comparison`` searches: the appended block is the key's
     aggregate row, and a row without a key (an all-zero block) gets the
@@ -286,26 +293,25 @@ def keyed_cases(draw):
         return np.concatenate([rest[:, :at] + offset, onehot, rest[:, at:] + offset, table[keys] + offset], axis=1)
 
     train_J, test_J = joined(train_rest, train_keys), joined(test_rest, test_keys)
-    main = width + n_keys
     y_reg, y_cls = rng.normal(size=n), rng.integers(0, 4, size=n)
-    return train_J[:, :main], test_J[:, :main], train_J, test_J, k, (at, at + n_keys), y_reg, y_cls
+    return train_J, test_J, width + n_keys, k, (at, at + n_keys), y_reg, y_cls
 
 
 @settings(max_examples=300, deadline=None)
 @given(keyed_cases())
 def test_key_screen_matches_the_plain_search_and_the_oracle(case):
-    train_X, test_X, train_J, test_J, k, span, y_reg, y_cls = case
-    joined = (train_J, test_J)
-    plain = _select_neighbors(train_X, test_X, k, joined)
-    for (idx, dist), (ref_idx, ref_dist) in zip(_select_neighbors(train_X, test_X, k, joined, span), plain):
+    train_J, test_J, width, k, span, y_reg, y_cls = case
+    train_X, test_X = train_J[:, :width], test_J[:, :width]
+    plain = _select_neighbors(train_J, test_J, k, width)
+    for (idx, dist), (ref_idx, ref_dist) in zip(_select_neighbors(train_J, test_J, k, width, span), plain):
         assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
 
-    main, got = knn_predict(train_X, y_reg, test_X, k=k, task="regression", joined=joined, key_span=span)
+    main, got = knn_predict(train_J, y_reg, test_J, k=k, task="regression", main_width=width, key_span=span)
     assert np.allclose(main, brute_force_knn(train_X, y_reg, test_X, k, "regression"), atol=1e-9, rtol=0)
     assert np.allclose(got, brute_force_knn(train_J, y_reg, test_J, k, "regression"), atol=1e-9, rtol=0)
     for (scores, classes), (X, T) in zip(
-        knn_predict(train_X, y_cls, test_X, k=k, task="classification", joined=joined, key_span=span),
-        [(train_X, test_X), joined],
+        knn_predict(train_J, y_cls, test_J, k=k, task="classification", main_width=width, key_span=span),
+        [(train_X, test_X), (train_J, test_J)],
     ):
         ref_scores, ref_classes = brute_force_knn(X, y_cls, T, k, "classification")
         assert np.array_equal(classes, ref_classes)
@@ -317,13 +323,15 @@ def test_key_screen_measures_no_row_beyond_the_bound(monkeypatch):
     # so with k = 5 both conditions' bound is 0. The same key at value 1, no
     # key at value 0 (d^2 1 each) and key 1 at value 0 (d^2 2) lie beyond
     # it, and the search measures only the forty pairs within it.
-    train_X = np.concatenate(
-        [np.repeat([0.0, 1.0, 0.0, 0.0], 40)[:, None], np.repeat([[1, 0], [1, 0], [0, 0], [0, 1]], 40, axis=0)],
+    train_J = np.concatenate(
+        [
+            np.repeat([0.0, 1.0, 0.0, 0.0], 40)[:, None],
+            np.repeat([[1, 0], [1, 0], [0, 0], [0, 1]], 40, axis=0),
+            np.zeros((160, 1)),
+        ],
         axis=1,
     )
-    test_X = np.array([[0.0, 1.0, 0.0]])
-    joined = (np.concatenate([train_X, np.zeros((160, 1))], axis=1), np.zeros((1, 4)))
-    joined[1][0, :3] = test_X[0]
+    test_J = np.array([[0.0, 1.0, 0.0, 0.0]])
     measured = []
     pair_sq = evaluate._pair_sq
 
@@ -332,7 +340,7 @@ def test_key_screen_measures_no_row_beyond_the_bound(monkeypatch):
         return pair_sq(train, test, rows, cand, widths)
 
     monkeypatch.setattr(evaluate, "_pair_sq", counted)
-    (idx, dist), (joined_idx, joined_dist) = _select_neighbors(train_X, test_X, 5, joined, (1, 3))
+    (idx, dist), (joined_idx, joined_dist) = _select_neighbors(train_J, test_J, 5, 3, (1, 3))
     assert idx.tolist() == joined_idx.tolist() == [[0, 1, 2, 3, 4]]
     assert dist.tolist() == joined_dist.tolist() == [[0.0] * 5]
     assert sorted(measured) == list(range(40))
