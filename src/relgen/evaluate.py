@@ -223,7 +223,7 @@ def featurize_joined(
 
 
 _TEST_BLOCK = 128
-# The main bound is the k-th smallest screen value over every fourth
+# The strided bound is the k-th smallest screen value over every fourth
 # training row. It is read from a basic strided view: a fancy-indexed
 # gather of those columns comes out column-major and partitions about five
 # times slower.
@@ -265,10 +265,12 @@ def _rank_pairs(rows, cand, dist, n_rows, k):
 def _key_codes(block):
     """Column of each row's one in a one-hot ``block`` (its width for an
     all-zero row), and the row's count of ones, 0 or 1."""
-    code = np.full(len(block), block.shape[1])
-    rows, cols = np.nonzero(block)
-    code[rows] = cols
-    return code, block.sum(axis=1)
+    seen = block.sum(axis=1)
+    if not block.shape[1]:
+        return np.zeros(len(block), dtype=np.intp), seen
+    code = block.argmax(axis=1)
+    code[seen == 0] = block.shape[1]
+    return code, seen
 
 
 def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0)):
@@ -288,17 +290,22 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0)):
     of the matmul, and 2 is subtracted on each test row's own key range. The
     other columns are centred on the training mean (centring keeps a large
     common offset from cancelling), and the training norms and key counts
-    form one more column of the matmul. The main candidates are the training
-    rows whose screen value lies within the rounding bound of the k-th
-    smallest over every ``_SCREEN_STRIDE``-th training row, which is never
-    below the k-th smallest over all of them. A joined d^2 is the main d^2
-    plus that of the appended block, so main d^2 is a lower bound of it
-    (multi-step kNN, Seidl & Kriegel, SIGMOD 1998): the largest joined d^2 U
-    over the k main neighbours bounds the joined k-th d^2 from above. The
-    joined candidates are the main candidates within U, plus, on the rows
-    whose joined bound exceeds the main one, the rows screened again up to
-    it. Each condition ranks its candidates by exact distance, ties by
-    training index, which is the order of a brute-force search.
+    form one more column of the matmul. Two screen values bound the main
+    k-th from above: the k-th smallest over every ``_SCREEN_STRIDE``-th
+    training row, and the k-th smallest over the test row's own key range
+    where that key has k training rows. The main candidates are the training
+    rows whose screen value lies within the rounding bound of the smaller. A
+    joined d^2 is the main d^2 plus that of the appended block, so main d^2
+    is a lower bound of it (multi-step kNN, Seidl & Kriegel, SIGMOD 1998),
+    and the k-th smallest joined d^2 U over the main candidates, already
+    measured at full width, bounds the joined k-th d^2 from above. The
+    joined candidates are the main candidates within U and the rows whose
+    screen value lies beyond the main limit and within the rounding bound of
+    U. One comparison of the block, at the strided limit, keeps the pairs
+    both conditions read; only a row whose joined limit exceeds its strided
+    one is screened again. Each condition ranks its candidates by exact
+    distance, ties by training index, which is the order of a brute-force
+    search.
     """
     n, width = train_X.shape
     widths = [width] if main_width is None else [main_width, width]
@@ -332,14 +339,16 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0)):
     # (width + 3) * eps relative, and the square root taken before ranking
     # lets a d^2 up to 2 * eps larger tie. A main row that ties the k-th
     # nearest has a screen value within those errors of the k-th smallest,
-    # and so of the strided bound, which is at least that large and adds no
-    # error of its own. A joined neighbour has exact main d^2 <= exact joined
-    # d^2 (the joined rows lead with the main ones), its exact joined d^2 is
-    # at most U plus the relative errors at the joined width, and its screen
-    # value lies within the first errors of its exact main d^2. With
-    # ``scale`` at the width of the distances a bound comes from,
-    # ``bound + scale * (norms + |bound|)`` is twice what keeps every such
-    # row a candidate.
+    # and so of the strided and the own bound: each is the k-th smallest
+    # screen value over k or more training rows, so at least that large, and
+    # adds no error of its own. A joined neighbour has exact main d^2 <=
+    # exact joined d^2 (the joined rows lead with the main ones); U is the
+    # k-th smallest explicit joined d^2 over k or more rows, so the
+    # neighbour's exact joined d^2 is at most U plus the relative errors at
+    # the joined width, and its screen value lies within the first errors
+    # of its exact main d^2. With ``scale`` at the width of the distances a
+    # bound comes from, ``bound + scale * (norms + |bound|)`` is twice what
+    # keeps every such row a candidate.
     scales = [4.0 * (w + 8) * np.finfo(float).eps for w in widths]
     max_norm = screen[:, -1].max(initial=0.0)
     m = len(test_X)
@@ -360,30 +369,50 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0)):
         # (code ``key_stop - key_start``) has none.
         codes = test_code[rows]
         first = np.flatnonzero(np.diff(codes, prepend=-1))
+        # The k-th smallest screen value over each row's own key range, where
+        # that key has k training rows.
+        own = np.full(len(rows), np.inf)
         for lo, hi, code in zip(first, [*first[1:], len(rows)], codes[first]):
             if code < key_stop - key_start:
-                sq[lo:hi, key_ends[code] : key_ends[code + 1]] -= 2.0
+                same = sq[lo:hi, key_ends[code] : key_ends[code + 1]]
+                same -= 2.0
+                if same.shape[1] >= k:
+                    own[lo:hi] = np.partition(same, k - 1, axis=1)[:, k - 1]
         strided = sq[:, ::_SCREEN_STRIDE] if n // _SCREEN_STRIDE >= k else sq
-        kth = np.partition(strided, k - 1, axis=1)[:, k - 1] + const
+        strided_kth = np.partition(strided, k - 1, axis=1)[:, k - 1] + const
         norms = const + max_norm
-        main_limit = kth + scales[0] * (norms + np.abs(kth)) - const
-        pair_rows, pos = np.divmod(np.flatnonzero(sq <= main_limit[:, None]), n)
-        cand = order[pos]
+        # The main limit comes from the smaller bound; the block is screened
+        # at the strided one, which most rows' joined limit does not exceed.
+        main_limit, strided_limit = (
+            kth + scales[0] * (norms + np.abs(kth)) - const
+            for kth in (np.minimum(strided_kth, own + const), strided_kth)
+        )
+        flat = np.flatnonzero(sq <= strided_limit[:, None])
+        screened = sq.ravel()[flat]
+        screen_rows, screen_pos = np.divmod(flat, n)
+        main = screened <= main_limit[screen_rows]
+        pair_rows, cand = screen_rows[main], order[screen_pos[main]]
         pair_sq = _pair_sq(train_X, test_block, pair_rows, cand, widths)
         dist = np.sqrt(pair_sq[0])
         pick = _rank_pairs(pair_rows, cand, dist, len(rows), k)
         out[0][0][rows], out[0][1][rows] = cand[pick], dist[pick]
         if main_width is None:
             continue
-        # The k main neighbours lie within joined distance sqrt(U), so every
-        # joined neighbour does too; the main candidates beyond it can go.
-        upper = pair_sq[1][pick].max(axis=1)
+        # The k main candidates nearest in the joined metric lie within joined
+        # distance sqrt(U), so every joined neighbour does too; the main
+        # candidates beyond it can go.
+        upper = pair_sq[1][_rank_pairs(pair_rows, cand, pair_sq[1], len(rows), k)[:, -1]]
         joined_limit = upper + scales[1] * (norms + upper) - const
-        wider = np.flatnonzero(joined_limit > main_limit)
-        sub = sq[wider]
-        more = (sub > main_limit[wider, None]) & (sub <= joined_limit[wider, None])
-        more_rows, more_pos = np.divmod(np.flatnonzero(more), n)
-        more_rows, more_cand = wider[more_rows], order[more_pos]
+        # The joined candidates beyond the main limit: the screened pairs
+        # within the joined limit and, on the rows where that exceeds the
+        # strided limit, the rest of the row screened again up to it.
+        more = ~main & (screened <= joined_limit[screen_rows])
+        more_rows, more_pos = [screen_rows[more]], [screen_pos[more]]
+        for r in np.flatnonzero(joined_limit > strided_limit):
+            pos = np.flatnonzero((sq[r] > strided_limit[r]) & (sq[r] <= joined_limit[r]))
+            more_rows.append(np.full(len(pos), r))
+            more_pos.append(pos)
+        more_rows, more_cand = np.concatenate(more_rows), order[np.concatenate(more_pos)]
         (more_sq,) = _pair_sq(train_X, test_block, more_rows, more_cand, widths[1:])
         pair_rows = np.concatenate([pair_rows, more_rows])
         cand = np.concatenate([cand, more_cand])

@@ -160,8 +160,9 @@ def schema_from_dict(data: dict, source: str = "schema") -> tuple[RelationalSche
     Every failure is an InvalidConfigError whose one line names ``source``:
     a part the root, its graph or a node lacks, a value that does not build
     (an edge that is not a pair, weights that are not numbers, distribution
-    parameters a kind lacks), or a graph that breaks an invariant of
-    :func:`validate_dag`.
+    parameters a kind lacks), a graph that breaks an invariant of
+    :func:`validate_dag`, or node indices that break the merged graph's
+    ``[A..., C, M...]`` layout.
     """
     _require_keys(data, ("merged", "main_indices", "add_indices", "coupling_index", "latent_edges"), source)
     _require_keys(data["merged"], ("nodes", "edges", "hidden_dim"), f"{source}: merged")
@@ -179,7 +180,21 @@ def schema_from_dict(data: dict, source: str = "schema") -> tuple[RelationalSche
         raise
     except (AttributeError, KeyError, TypeError, ValueError, DegenerateGraphError) as exc:
         raise InvalidConfigError(f"{source}: malformed schema ({type(exc).__name__}: {exc})") from exc
+    _check_layout(schema, source)
     return schema, stats
+
+
+def _check_layout(schema: RelationalSchema, source: str) -> None:
+    """The additional nodes are 0..c-1, C is c and the main nodes follow it."""
+    count, c = len(schema.merged.nodes), schema.coupling_index
+    if type(c) is not int or not 0 <= c < count:
+        raise InvalidConfigError(f"{source}: coupling_index {c!r} is not a node index below {count}")
+    if schema.add_indices != list(range(c)):
+        raise InvalidConfigError(f"{source}: add_indices must list the {c} nodes before coupling_index {c}, in order")
+    if schema.main_indices != list(range(c + 1, count)):
+        raise InvalidConfigError(
+            f"{source}: main_indices must list the {count - c - 1} nodes after coupling_index {c}, in order"
+        )
 
 
 def canonical_json(data) -> str:
@@ -357,7 +372,7 @@ def load_dataset(dataset_dir: str | Path) -> RelationalDataset:
         raise InvalidConfigError(f"{root / bad[0]}: SHA-256 is not the one {MANIFEST_JSON} lists")
 
     schema_dict = json.loads((root / SCHEMA_JSON).read_text(encoding="utf-8"))
-    schema, stats = schema_from_dict(schema_dict)
+    schema, stats = schema_from_dict(schema_dict, str(root / SCHEMA_JSON))
     if stats is None:
         raise InvalidConfigError(f"{root / SCHEMA_JSON} lacks prerun_stats")
 

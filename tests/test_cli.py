@@ -435,3 +435,42 @@ def test_export_dot_of_malformed_schema_exits_2(tmp_path, small_config, capsys, 
     err = capsys.readouterr().err
     assert f"{path}: malformed schema ({part}" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def _edit_schema(out, malform):
+    """Edit the dataset's schema.json and list its new hash in the manifest,
+    so only the schema's own checks can refuse it."""
+    path = out / "schema.json"
+    schema = json.loads(path.read_text())
+    malform(schema)
+    path.write_text(json.dumps(schema))
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["files"]["schema.json"] = file_sha256(path)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    return path
+
+
+@pytest.mark.parametrize(
+    "malform, key",
+    [
+        (lambda s: s.update(coupling_index=999), "coupling_index 999"),
+        (lambda s: s.update(coupling_index=-1), "coupling_index -1"),
+        (lambda s: s.update(coupling_index=float(s["coupling_index"])), "coupling_index"),
+        (lambda s: s.update(coupling_index=s["coupling_index"] + 1), "add_indices"),
+        (lambda s: s["add_indices"].pop(), "add_indices"),
+        (lambda s: s["main_indices"].reverse(), "main_indices"),
+        (lambda s: s["main_indices"].append(len(s["merged"]["nodes"])), "main_indices"),
+    ],
+    ids=["coupling-past-the-nodes", "coupling-negative", "coupling-not-an-int", "coupling-moved",
+         "add-node-missing", "main-nodes-reversed", "main-node-past-the-nodes"],
+)
+@pytest.mark.parametrize("command", ["eval", "export-dot"])
+def test_schema_that_breaks_the_node_layout_exits_2(tmp_path, small_config, capsys, malform, key, command):
+    out = generate(tmp_path, small_config, seed=9)
+    path = _edit_schema(out, malform)
+    capsys.readouterr()
+    assert main([command, str(out if command == "eval" else path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: {key}" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "eval_report.json").exists()

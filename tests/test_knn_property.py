@@ -344,3 +344,99 @@ def test_key_screen_measures_no_row_beyond_the_bound(monkeypatch):
     assert idx.tolist() == joined_idx.tolist() == [[0, 1, 2, 3, 4]]
     assert dist.tolist() == joined_dist.tolist() == [[0.0] * 5]
     assert sorted(measured) == list(range(40))
+
+
+def test_key_codes_match_the_nonzero_form():
+    # A strided view of a one-hot block, as the search reads it: rows
+    # without a key, keys in the first and the last column, a block of no
+    # key at all and one of no columns.
+    keys = np.array([-1, 4, 0, -1, 2, 4, 4, -1])
+    X = np.zeros((len(keys), 7))
+    X[keys >= 0, 1 + keys[keys >= 0]] = 1.0
+    for block in (X[:, 1:6], X[[0, 3, 7], 1:6], X[:, 1:1]):
+        code = np.full(len(block), block.shape[1])
+        rows, cols = np.nonzero(block)
+        code[rows] = cols
+        got_code, got_seen = evaluate._key_codes(block)
+        assert got_code.tolist() == code.tolist() and got_code.dtype == code.dtype
+        assert got_seen.tolist() == block.sum(axis=1).tolist()
+
+
+def measured_pairs(monkeypatch):
+    """The training rows of every pair ``_pair_sq`` measures, one list per call."""
+    calls = []
+    pair_sq = evaluate._pair_sq
+
+    def counted(train, test, rows, cand, widths):
+        calls.append(sorted(cand.tolist()))
+        return pair_sq(train, test, rows, cand, widths)
+
+    monkeypatch.setattr(evaluate, "_pair_sq", counted)
+    return calls
+
+
+def test_own_key_bound_measures_only_the_keys_nearest_rows(monkeypatch):
+    # Forty training rows at value 0, sorted by key: key 0 once, key 1 three
+    # times, key 2 the rest. Every fourth of them holds key 0 or 2, d^2 2
+    # from the test row of key 1, so the strided bound is 2 and would admit
+    # all forty; the own key's third smallest is 0, and only its three rows
+    # are measured. The appended block repeats per key, as the join's does.
+    keys = np.repeat([0, 1, 2], [1, 3, 36])
+    train_J = np.concatenate([np.zeros((40, 1)), np.eye(3)[keys], 0.5 * keys[:, None]], axis=1)
+    test_J = np.array([[0.0, 0.0, 1.0, 0.0, 0.5]])
+    calls = measured_pairs(monkeypatch)
+    (idx, dist), (joined_idx, joined_dist) = _select_neighbors(train_J, test_J, 3, 4, (1, 4))
+    assert idx.tolist() == joined_idx.tolist() == [[1, 2, 3]]
+    assert dist.tolist() == joined_dist.tolist() == [[0.0] * 3]
+    assert calls == [[1, 2, 3], []]
+
+
+def test_joined_neighbour_between_the_own_and_the_strided_limit(monkeypatch):
+    # Keys as above, k = 2. The own key's rows are at main d^2 0 and joined
+    # d^2 4, so the joined limit is 4; the key-0 row, main d^2 2 and joined
+    # d^2 2, lies beyond the main limit but within the strided one, 6 from
+    # the key-2 rows, and is the joined nearest. It is measured from the
+    # screened values, without screening its row again.
+    keys = np.repeat([0, 1, 2], [1, 3, 36])
+    rest = np.where(keys == 2, 2.0, 0.0)
+    block = np.where(keys == 1, 2.0, 0.0)
+    train_J = np.concatenate([rest[:, None], np.eye(3)[keys], block[:, None]], axis=1)
+    test_J = np.array([[0.0, 0.0, 1.0, 0.0, 0.0]])
+    calls = measured_pairs(monkeypatch)
+    (idx, _), (joined_idx, joined_dist) = _select_neighbors(train_J, test_J, 2, 4, (1, 4))
+    assert idx.tolist() == [[1, 2]] and joined_idx.tolist() == [[0, 1]]
+    assert joined_dist.tolist() == [[np.sqrt(2.0), 2.0]]
+    assert calls == [[1, 2, 3], [0]]
+
+def test_joined_bound_from_the_main_candidates_rescreens_nothing(monkeypatch):
+    # Test row at the origin, k = 2. Row 0 is the main-nearest but far in
+    # the appended block (joined d^2 100); rows 1 and 2 are main candidates
+    # at d^2 1 with an equal block, so the second smallest joined d^2 among
+    # the candidates is 1. The largest over the main neighbours, rows 0 and
+    # 1, is 100 and would screen rows 3 to 5 (main d^2 4, 9, 16) again.
+    main = np.array([0.0, 1.0, -1.0, 2.0, 3.0, 4.0])
+    train_J = np.stack([main, [10.0, 0, 0, 0, 0, 0]], axis=1)
+    calls = measured_pairs(monkeypatch)
+    (idx, dist), (joined_idx, joined_dist) = _select_neighbors(train_J, np.zeros((1, 2)), 2, 1)
+    assert idx.tolist() == [[0, 1]] and joined_idx.tolist() == [[1, 2]]
+    assert joined_dist.tolist() == [[1.0, 1.0]]
+    assert calls == [[0, 1, 2], []]
+
+
+def test_rows_beyond_the_main_limit_are_screened_without_a_block_copy():
+    # Training rows 0, 1, ..., n - 1 on a line and 128 test rows, one full
+    # test block, between them; the appended block adds 32^2 to every
+    # joined d^2, so each row's joined limit exceeds its main limit and the
+    # strided one. Copying the block's screen values for those rows would
+    # add n * 128 * 8 bytes to the buffer of as many.
+    n, k = 4096, 10
+    train_J = np.stack([np.arange(n, dtype=float), np.zeros(n)], axis=1)
+    test_J = np.stack([100.5 + 30.0 * np.arange(128), np.full(128, 32.0)], axis=1)
+    y = np.arange(n, dtype=float)
+    tracemalloc.start()
+    main, joined = knn_predict(train_J, y, test_J, k=k, task="regression", main_width=1)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 1.5 * 128 * n * 8
+    assert np.allclose(main, brute_force_knn(train_J[:, :1], y, test_J[:, :1], k, "regression"), atol=1e-9, rtol=0)
+    assert np.allclose(joined, brute_force_knn(train_J, y, test_J, k, "regression"), atol=1e-9, rtol=0)
