@@ -9,7 +9,7 @@ categorical targets score (macro one-vs-rest) AUC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ AGG_SHARE = 0.02
 @dataclass
 class FeatureMatrix:
     values: np.ndarray  # (rows, d)
-    descriptors: list[str]  # one per feature column, e.g. "main:M1:num"
+    spans: dict[str, tuple[int, int]]  # feature name -> (start, stop) of its columns
 
 
 @dataclass(frozen=True)
@@ -53,17 +53,19 @@ class TargetResult:
 
 @dataclass
 class EvalReport:
-    targets: list[TargetResult]
+    """Fields in the order eval_report.json lists them."""
+
     k: int
     test_fraction: float
     rows_main: int
     rows_add: int
     generation_seed: int
-    schema_fingerprint: str | None = None
-    feature_widths: dict = field(default_factory=dict)
+    schema_fingerprint: str | None
+    feature_widths: dict
     # Share of the train and of the test rows whose key the additional
     # table lacks, so their join block is the fallback row.
-    fallback_share: dict = field(default_factory=dict)
+    fallback_share: dict
+    targets: list[TargetResult]
 
 
 def split(table: Table, test_fraction: float) -> tuple[Table, Table]:
@@ -106,25 +108,26 @@ def fit_feature_stats(train: Table) -> FeatureStats:
 def featurize_main_only(rows: Table, stats: FeatureStats) -> FeatureMatrix:
     """Standardized numerics plus one-hot categoricals; targets excluded.
 
-    Categories unseen during training encode as an all-zero block, keeping
-    test matrices finite without touching the training geometry.
+    ``spans`` gives each feature's (start, stop) columns: one for a numeric,
+    one per training category for a categorical. Categories unseen during
+    training encode as an all-zero block, keeping test rows finite without
+    touching the training geometry.
     """
     blocks: list[np.ndarray] = []
-    descriptors: list[str] = []
-    m = rows.row_count
+    spans: dict[str, tuple[int, int]] = {}
+    m, start = rows.row_count, 0
     for name in stats.feature_names:
         col = rows.column(name)
         if col.kind == KIND_NUMERIC:
             mean, std = stats.numeric[name]
             blocks.append(((col.values - mean) / max(std, STD_FLOOR)).reshape(m, 1))
-            descriptors.append(f"main:{name}:num")
         else:
             cats = stats.categories[name]
-            onehot = (col.values[:, None] == cats[None, :]).astype(float)
-            blocks.append(onehot)
-            descriptors.extend(f"main:{name}:onehot:{c}" for c in cats)
+            blocks.append((col.values[:, None] == cats[None, :]).astype(float))
+        spans[name] = (start, start + blocks[-1].shape[1])
+        start = spans[name][1]
     values = np.concatenate(blocks, axis=1) if blocks else np.zeros((m, 0))
-    return FeatureMatrix(values=values, descriptors=descriptors)
+    return FeatureMatrix(values=values, spans=spans)
 
 
 @dataclass
@@ -139,7 +142,6 @@ class KeyAggregates:
 
     keys: np.ndarray  # sorted int64
     table: np.ndarray  # (len(keys) + 1, width)
-    descriptors: list[str]
     numeric_mask: np.ndarray  # True where the aggregate column is a mean
 
 
@@ -148,18 +150,15 @@ def build_key_aggregates(add_table: Table, key_column: str) -> KeyAggregates:
     if key.kind != KIND_CATEGORICAL:
         raise ContractViolationError(f"key column {key_column!r} must be categorical")
     agg_cols = [c for c in add_table.columns if c.name != key_column]
-    descriptors: list[str] = []
     numeric_flags: list[bool] = []
     encoded: list[np.ndarray] = []
     for col in agg_cols:
         if col.kind == KIND_NUMERIC:
             encoded.append(col.values.reshape(-1, 1).astype(float))
-            descriptors.append(f"add:{col.name}:aggmean")
             numeric_flags.append(True)
         else:
             cats = np.unique(col.values)
             encoded.append((col.values[:, None] == cats[None, :]).astype(float))
-            descriptors.extend(f"add:{col.name}:aggfreq:{c}" for c in cats)
             numeric_flags.extend([False] * len(cats))
     rows = np.concatenate(encoded, axis=1) if encoded else np.zeros((add_table.row_count, 0))
     keys = np.unique(key.values).astype(np.int64)
@@ -168,7 +167,7 @@ def build_key_aggregates(add_table: Table, key_column: str) -> KeyAggregates:
         table[i] = rows[key.values == value].mean(axis=0)
     if len(rows):
         table[-1] = rows.mean(axis=0)
-    return KeyAggregates(keys, table, descriptors, np.array(numeric_flags, dtype=bool))
+    return KeyAggregates(keys, table, np.array(numeric_flags, dtype=bool))
 
 
 def map_aggregates(keys: np.ndarray, agg: KeyAggregates) -> tuple[np.ndarray, np.ndarray]:
@@ -181,45 +180,40 @@ def map_aggregates(keys: np.ndarray, agg: KeyAggregates) -> tuple[np.ndarray, np
     return agg.table[row], fallback
 
 
-def fit_agg_norms(train_rows: Table, agg: KeyAggregates, key_column: str) -> KeyAggregates:
-    """``agg`` with its mean-aggregated columns standardized.
+def fit_agg_norms(mapped: np.ndarray, n_train: int, numeric_mask: np.ndarray) -> None:
+    """Standardize the mean-aggregated columns of ``mapped`` in place.
 
-    Mean and std are those of the aggregate rows mapped to the training
-    rows; frequency columns stay raw like every other one-hot block.
+    ``mapped`` holds the aggregate rows of every main row, the training
+    rows first; mean and std are those of its first ``n_train`` rows.
+    Frequency columns stay raw like every other one-hot block.
     """
-    mapped, _ = map_aggregates(train_rows.column(key_column).values, agg)
-    mean, std, mask = mapped.mean(axis=0), mapped.std(axis=0), agg.numeric_mask
-    table = agg.table.copy()
-    table[:, mask] = (table[:, mask] - mean[mask]) / np.maximum(std[mask], STD_FLOOR)
-    return replace(agg, table=table)
+    train = mapped[:n_train]
+    mean, std = train.mean(axis=0)[numeric_mask], train.std(axis=0)[numeric_mask]
+    mapped[:, numeric_mask] = (mapped[:, numeric_mask] - mean) / np.maximum(std, STD_FLOOR)
 
 
-def fit_agg_weight(train_main: FeatureMatrix, train_agg: np.ndarray) -> float:
+def fit_agg_weight(train_main: np.ndarray, train_agg: np.ndarray) -> float:
     """Block weight granting the aggregates a fixed share of the metric.
 
     The weight w solves w^2 * var(agg block) = AGG_SHARE * var(main block),
     with per-column variances measured over the training rows; it is capped
     at 1 so sparse aggregate blocks are never inflated.
     """
-    v_main = float(train_main.values.var(axis=0).sum())
+    v_main = float(train_main.var(axis=0).sum())
     v_agg = float(train_agg.var(axis=0).sum())
     if v_agg <= 0.0 or v_main <= 0.0:
         return 1.0
     return min(1.0, float(np.sqrt(AGG_SHARE * v_main / v_agg)))
 
 
-def featurize_joined(
-    main: FeatureMatrix, agg_rows: np.ndarray, agg: KeyAggregates, agg_weight: float = 1.0
-) -> FeatureMatrix:
+def featurize_joined(main: FeatureMatrix, agg_rows: np.ndarray, agg_weight: float = 1.0) -> FeatureMatrix:
     """Main-table features with the key-matched aggregate rows appended.
 
     ``agg_rows`` are the standardized aggregates mapped to the same rows;
-    ``agg_weight`` multiplies the whole aggregate block.
+    ``agg_weight`` multiplies the whole aggregate block. The spans are the
+    main features', which lead the joined columns.
     """
-    return FeatureMatrix(
-        values=np.concatenate([main.values, agg_weight * agg_rows], axis=1),
-        descriptors=main.descriptors + agg.descriptors,
-    )
+    return FeatureMatrix(np.concatenate([main.values, agg_weight * agg_rows], axis=1), main.spans)
 
 
 _TEST_BLOCK = 128
@@ -264,8 +258,14 @@ def _rank_pairs(rows, cand, dist, n_rows, k):
 
 def _key_codes(block):
     """Column of each row's one in a one-hot ``block`` (its width for an
-    all-zero row), and the row's count of ones, 0 or 1."""
+    all-zero row), and the row's count of ones, 0 or 1.
+
+    Raises ContractViolationError unless every cell is 0 or 1 and no row
+    holds two ones.
+    """
     seen = block.sum(axis=1)
+    if not (((block == 0.0) | (block == 1.0)).all() and (seen <= 1.0).all()):
+        raise ContractViolationError("the key span is not a one-hot block")
     if not block.shape[1]:
         return np.zeros(len(block), dtype=np.intp), seen
     code = block.argmax(axis=1)
@@ -479,6 +479,9 @@ def knn_predict(
     ``key_span=(start, stop)`` names main columns that form a one-hot
     block: each row holds zeros and at most one 1. The search then screens
     the block by key code; the predictions do not change.
+
+    Every feature value must be finite: a NaN or infinite distance ranks no
+    neighbour.
     """
     single = isinstance(task, str)
     if single:
@@ -499,10 +502,8 @@ def knn_predict(
     start, stop = key_span
     if not 0 <= start <= stop <= main:
         raise ContractViolationError(f"key span {key_span} lies outside {main} main columns")
-    for X in (train_X, test_X):
-        block = X[:, start:stop]
-        if not (((block == 0.0) | (block == 1.0)).all() and (block.sum(axis=1) <= 1.0).all()):
-            raise ContractViolationError(f"columns {start}:{stop} are not a one-hot block")
+    if not (np.isfinite(train_X).all() and np.isfinite(test_X).all()):
+        raise ContractViolationError("feature matrices hold a non-finite value")
     predictions = [
         _predict(idx, dist, train_y, task)
         for idx, dist in _select_neighbors(train_X, test_X, k, main_width, key_span)
@@ -560,21 +561,26 @@ def score(predictions, truth: np.ndarray, task: str) -> float:
 
 
 def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -> EvalReport:
-    """Score every main-table target under the main-only and joined conditions."""
+    """Score every main-table target under the main-only and joined conditions.
+
+    The main table is featurized once, with statistics fitted on the
+    training rows; the training and test rows are the head and tail of that
+    one joined matrix, split where ``split`` splits the table.
+    """
     train, test = split(dataset.main_table, cfg.test_fraction)
-    stats = fit_feature_stats(train)
+    n_train = train.row_count
     key = dataset.schema.merged.node(dataset.schema.coupling_index).name
-    agg = fit_agg_norms(train, build_key_aggregates(dataset.add_table, key), key)
-    main_train = featurize_main_only(train, stats)
-    agg_train, fallback_train = map_aggregates(train.column(key).values, agg)
-    agg_test, fallback_test = map_aggregates(test.column(key).values, agg)
-    weight = fit_agg_weight(main_train, agg_train)
-    joined_train = featurize_joined(main_train, agg_train, agg, weight)
-    joined_test = featurize_joined(featurize_main_only(test, stats), agg_test, agg, weight)
-    main_width = main_train.values.shape[1]
+    main = featurize_main_only(dataset.main_table, fit_feature_stats(train))
+    agg = build_key_aggregates(dataset.add_table, key)
+    agg_rows, fallback = map_aggregates(dataset.main_table.column(key).values, agg)
+    fit_agg_norms(agg_rows, n_train, agg.numeric_mask)
+    weight = fit_agg_weight(main.values[:n_train], agg_rows[:n_train])
+    joined = featurize_joined(main, agg_rows, weight).values
     # Both conditions read the joined rows, the main one their leading
-    # columns, so no main-only copy is kept through the search.
-    del main_train, agg_train, agg_test
+    # columns, so no main-only copy is kept through the search. A key that
+    # is not a feature has no span.
+    main_width, key_span = main.values.shape[1], main.spans.get(key, (0, 0))
+    del main, agg_rows
     affected = latently_affected_targets(dataset.schema)
     name_to_affected = {
         dataset.schema.merged.node(i).name: flag for i, flag in affected.items()
@@ -587,17 +593,8 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
     ]
     tasks = [task for _, task in targets]
     y_train = [train.column(name).values for name, _ in targets]
-    key_columns = [
-        i for i, d in enumerate(joined_train.descriptors) if d.startswith(f"main:{key}:onehot:")
-    ]
     main_preds, joined_preds = knn_predict(
-        joined_train.values,
-        y_train,
-        joined_test.values,
-        k=cfg.k,
-        task=tasks,
-        main_width=main_width,
-        key_span=(key_columns[0], key_columns[-1] + 1) if key_columns else (0, 0),
+        joined[:n_train], y_train, joined[n_train:], k=cfg.k, task=tasks, main_width=main_width, key_span=key_span
     )
     main_scores, joined_scores = (
         [score(p, test.column(name).values, task) for p, (name, task) in zip(preds, targets)]
@@ -615,13 +612,13 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
         for (name, task), main_score, joined_score in zip(targets, main_scores, joined_scores)
     ]
     return EvalReport(
-        targets=results,
         k=cfg.k,
         test_fraction=cfg.test_fraction,
         rows_main=dataset.main_table.row_count,
         rows_add=dataset.add_table.row_count,
         generation_seed=dataset.seed,
         schema_fingerprint=dataset.schema_fingerprint,
-        feature_widths={"main_only": main_width, "joined": joined_train.values.shape[1]},
-        fallback_share={"train": float(fallback_train.mean()), "test": float(fallback_test.mean())},
+        feature_widths={"main_only": main_width, "joined": joined.shape[1]},
+        fallback_share={"train": float(fallback[:n_train].mean()), "test": float(fallback[n_train:].mean())},
+        targets=results,
     )

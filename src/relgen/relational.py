@@ -36,17 +36,27 @@ from .tables import Table, generate_table
 
 @dataclass
 class RelationalSchema:
-    """Merged graph plus the bookkeeping of which table each node feeds.
+    """Merged graph, laid out as ``[A0 ... A(c-1), C, M0 ...]`` with C at
+    the coupling index c.
 
-    :func:`compose` lays the merged graph out as ``[A0 ... A(c-1), C, M0 ...]``
-    with C at the coupling index c, so the additional nodes and C are its prefix.
+    The layout says which table each node feeds: the additional nodes and C
+    are the graph's prefix and the main nodes follow C, so both index lists
+    derive from c and the node count.
     """
 
     merged: DagSpec
-    main_indices: list[int]  # merged indices of main-graph nodes
-    add_indices: list[int]  # merged indices of additional-graph nodes
     coupling_index: int
     latent_edges: set  # of (add feature, main target) merged-index pairs
+
+    @property
+    def add_indices(self) -> list[int]:
+        """Merged indices of the additional-graph nodes: those before C."""
+        return list(range(self.coupling_index))
+
+    @property
+    def main_indices(self) -> list[int]:
+        """Merged indices of the main-graph nodes: those after C."""
+        return list(range(self.coupling_index + 1, len(self.merged.nodes)))
 
     def main_targets(self) -> list[int]:
         return [i for i in self.main_indices if self.merged.node(i).role == ROLE_TARGET]
@@ -144,13 +154,7 @@ def compose(
 
     classify_nodes(merged)
     validate_dag(merged)
-    return RelationalSchema(
-        merged=merged,
-        main_indices=list(range(offset_main, offset_main + len(g_main.nodes))),
-        add_indices=list(range(len(g_add.nodes))),
-        coupling_index=offset_c,
-        latent_edges=latent,
-    )
+    return RelationalSchema(merged=merged, coupling_index=offset_c, latent_edges=latent)
 
 
 def latently_affected_targets(schema: RelationalSchema) -> dict[int, bool]:
@@ -158,7 +162,7 @@ def latently_affected_targets(schema: RelationalSchema) -> dict[int, bool]:
     children = schema.merged.child_map()
     blocked = schema.coupling_index
     seen = set()
-    frontier = [i for i in schema.add_indices]
+    frontier = schema.add_indices
     while frontier:
         i = frontier.pop()
         if i in seen or i == blocked:
@@ -184,8 +188,6 @@ def generate_relational(
     columns; the additional run covers the prefix of additional nodes and C.
     """
     c = schema.coupling_index
-    if schema.add_indices != list(range(c)):
-        raise ContractViolationError("additional-graph nodes must take the merged indices before C")
     # Only the merged graph is edited (pre-run demotions), so only it is copied.
     working = replace(schema, merged=copy_dag(schema.merged))
     merged = working.merged

@@ -9,6 +9,7 @@ CSV cells use the shortest round-trip representation of the 64-bit value.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import warnings
@@ -134,8 +135,8 @@ def stats_from_dict(data: dict) -> PrerunStats:
 def schema_to_dict(schema: RelationalSchema, stats: PrerunStats | None = None, seeds: dict | None = None) -> dict:
     out = {
         "merged": dag_to_dict(schema.merged),
-        "main_indices": list(schema.main_indices),
-        "add_indices": list(schema.add_indices),
+        "main_indices": schema.main_indices,
+        "add_indices": schema.add_indices,
         "coupling_index": schema.coupling_index,
         "latent_edges": sorted(list(e) for e in schema.latent_edges),
     }
@@ -169,8 +170,6 @@ def schema_from_dict(data: dict, source: str = "schema") -> tuple[RelationalSche
     try:
         schema = RelationalSchema(
             merged=dag_from_dict(data["merged"], f"{source}: merged"),
-            main_indices=list(data["main_indices"]),
-            add_indices=list(data["add_indices"]),
             coupling_index=data["coupling_index"],
             latent_edges={tuple(e) for e in data["latent_edges"]},
         )
@@ -180,18 +179,19 @@ def schema_from_dict(data: dict, source: str = "schema") -> tuple[RelationalSche
         raise
     except (AttributeError, KeyError, TypeError, ValueError, DegenerateGraphError) as exc:
         raise InvalidConfigError(f"{source}: malformed schema ({type(exc).__name__}: {exc})") from exc
-    _check_layout(schema, source)
+    _check_layout(data, len(schema.merged.nodes), source)
     return schema, stats
 
 
-def _check_layout(schema: RelationalSchema, source: str) -> None:
-    """The additional nodes are 0..c-1, C is c and the main nodes follow it."""
-    count, c = len(schema.merged.nodes), schema.coupling_index
+def _check_layout(data: dict, count: int, source: str) -> None:
+    """The JSON's additional nodes are 0..c-1, C is c and the main nodes
+    follow it, the layout the schema's index lists are derived from."""
+    c = data["coupling_index"]
     if type(c) is not int or not 0 <= c < count:
         raise InvalidConfigError(f"{source}: coupling_index {c!r} is not a node index below {count}")
-    if schema.add_indices != list(range(c)):
+    if data["add_indices"] != list(range(c)):
         raise InvalidConfigError(f"{source}: add_indices must list the {c} nodes before coupling_index {c}, in order")
-    if schema.main_indices != list(range(c + 1, count)):
+    if data["main_indices"] != list(range(c + 1, count)):
         raise InvalidConfigError(
             f"{source}: main_indices must list the {count - c - 1} nodes after coupling_index {c}, in order"
         )
@@ -230,6 +230,8 @@ def read_csv_table(path: Path, column_info: list[tuple[str, str, str]]) -> Table
     columns = []
     for j, (name, kind, role) in enumerate(column_info):
         values = data[:, j].copy()
+        if not np.isfinite(values).all():
+            raise InvalidConfigError(f"{path}: column {name} holds a non-finite cell")
         if kind == KIND_CATEGORICAL:
             values = values.astype(np.int64)
             if not np.array_equal(values, data[:, j]):
@@ -320,27 +322,8 @@ def load_manifest(path: str | Path) -> dict:
 
 
 def report_to_dict(report) -> dict:
-    return {
-        "k": report.k,
-        "test_fraction": report.test_fraction,
-        "rows_main": report.rows_main,
-        "rows_add": report.rows_add,
-        "generation_seed": report.generation_seed,
-        "schema_fingerprint": report.schema_fingerprint,
-        "feature_widths": dict(report.feature_widths),
-        "fallback_share": dict(report.fallback_share),
-        "targets": [
-            {
-                "column": t.column,
-                "task": t.task,
-                "metric": t.metric,
-                "main_only": t.main_only,
-                "joined": t.joined,
-                "latently_affected": t.latently_affected,
-            }
-            for t in report.targets
-        ],
-    }
+    """eval_report.json's content: the report's fields, in their order."""
+    return dataclasses.asdict(report)
 
 
 def write_eval_report(report, out_dir: str | Path) -> None:
@@ -376,12 +359,22 @@ def load_dataset(dataset_dir: str | Path) -> RelationalDataset:
     if stats is None:
         raise InvalidConfigError(f"{root / SCHEMA_JSON} lacks prerun_stats")
 
+    seeds = schema_dict.get("seeds", {})
+    if not isinstance(seeds, dict):
+        raise InvalidConfigError(f"{root / SCHEMA_JSON}: seeds must be a JSON object")
+    seed = seeds.get("master_seed", 0)
+    if type(seed) is not int:
+        raise InvalidConfigError(f"{root / SCHEMA_JSON}: seeds.master_seed must be an integer, got {seed!r}")
+    fingerprint = schema_dict.get("fingerprint")
+    if "fingerprint" in schema_dict and not isinstance(fingerprint, str):
+        raise InvalidConfigError(f"{root / SCHEMA_JSON}: fingerprint must be a string, got {fingerprint!r}")
+
     node = schema.merged.node
     return RelationalDataset(
         main_table=read_csv_table(root / MAIN_CSV, [column_info(node(i)) for i in schema.main_columns()]),
         add_table=read_csv_table(root / ADD_CSV, [column_info(node(i)) for i in schema.add_columns()]),
         schema=schema,
         stats=stats,
-        seed=schema_dict.get("seeds", {}).get("master_seed", 0),
-        schema_fingerprint=schema_dict.get("fingerprint"),
+        seed=seed,
+        schema_fingerprint=fingerprint,
     )

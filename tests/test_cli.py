@@ -474,3 +474,49 @@ def test_schema_that_breaks_the_node_layout_exits_2(tmp_path, small_config, caps
     assert f"{path}: {key}" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert not (out / "eval_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "malform, key",
+    [
+        (lambda s: s.update(seeds=5), "seeds must be a JSON object"),
+        (lambda s: s["seeds"].update(master_seed="7"), "seeds.master_seed must be an integer"),
+        (lambda s: s["seeds"].update(master_seed=7.0), "seeds.master_seed must be an integer"),
+        (lambda s: s["seeds"].update(master_seed=True), "seeds.master_seed must be an integer"),
+        (lambda s: s.update(fingerprint=5), "fingerprint must be a string"),
+        (lambda s: s.update(fingerprint=None), "fingerprint must be a string"),
+    ],
+    ids=["seeds-not-an-object", "seed-a-string", "seed-a-float", "seed-a-bool", "fingerprint-a-number",
+         "fingerprint-null"],
+)
+def test_schema_with_malformed_seeds_exits_2(tmp_path, small_config, capsys, malform, key):
+    out = generate(tmp_path, small_config, seed=9)
+    path = _edit_schema(out, malform)
+    capsys.readouterr()
+    assert main(["eval", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: {key}" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "eval_report.json").exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_eval_of_non_finite_feature_cell_exits_2(tmp_path, small_config, capsys, cell):
+    out = generate(tmp_path, small_config, seed=9)
+    columns = load_dataset(out).main_table.columns
+    j = next(j for j, c in enumerate(columns) if c.kind == "numeric" and c.role != "target")
+    path = out / "main.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    row = lines[5].rstrip("\n").split(",")
+    row[j] = cell
+    lines[5] = ",".join(row) + "\n"
+    path.write_text("".join(lines))
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["files"]["main.csv"] = file_sha256(path)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["eval", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: column {columns[j].name} holds a non-finite cell" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "eval_report.json").exists()

@@ -74,14 +74,16 @@ def test_constant_column_standardizes_to_zero():
     table = make_main_table()
     stats = fit_feature_stats(table)
     fm = featurize_main_only(table, stats)
-    f1_cols = [i for i, d in enumerate(fm.descriptors) if d.startswith("main:f1")]
-    assert np.array_equal(fm.values[:, f1_cols], np.zeros((4, 1)))
+    start, stop = fm.spans["f1"]
+    assert np.array_equal(fm.values[:, start:stop], np.zeros((4, 1)))
 
 
 def test_categorical_one_hot_width():
     table = make_main_table()
     fm = featurize_main_only(table, fit_feature_stats(table))
-    assert sum(d.startswith("main:f2:onehot") for d in fm.descriptors) == 3
+    start, stop = fm.spans["f2"]
+    assert stop - start == 3
+    assert np.array_equal(fm.values[:, start:stop], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
 
 def test_unseen_category_encodes_as_zero_block():
@@ -95,15 +97,18 @@ def test_unseen_category_encodes_as_zero_block():
         ]
     )
     fm = featurize_main_only(test, stats)
-    onehot = [i for i, d in enumerate(fm.descriptors) if "onehot" in d]
-    assert np.array_equal(fm.values[:, onehot], np.zeros((1, 3)))
+    start, stop = fm.spans["f2"]
+    assert np.array_equal(fm.values[:, start:stop], np.zeros((1, 3)))
     assert np.isfinite(fm.values).all()
 
 
-def test_no_target_leaks_into_descriptors():
+def test_no_target_leaks_into_spans():
     table = make_main_table()
     fm = featurize_main_only(table, fit_feature_stats(table))
-    assert not any(":y" in d for d in fm.descriptors)
+    # The spans name the two features and tile every column, so the
+    # target has none.
+    assert fm.spans == {"f1": (0, 1), "f2": (1, 4)}
+    assert fm.values.shape[1] == 4
 
 
 def make_add_table(keys, a_num, a_cat):
@@ -144,16 +149,28 @@ def test_missing_key_falls_back_to_global():
     assert np.isfinite(mapped).all()
 
 
+def test_agg_norms_standardize_numeric_columns_on_the_training_head():
+    mapped = np.array([[1.0, 0.5], [3.0, 0.25], [9.0, 1.0]])
+    fit_agg_norms(mapped, 2, np.array([True, False]))
+    # Mean 2 and std 1 of the first two rows; the frequency column stays raw.
+    assert np.array_equal(mapped, [[-1.0, 0.5], [1.0, 0.25], [7.0, 1.0]])
+
+
 def test_joined_concatenates_main_and_aggregates():
     main = make_main_table()
     main.columns.append(Column("C", "categorical", "feature", np.array([1, 2, 1, 2])))
     add = make_add_table(keys=[1, 2], a_num=[0.0, 4.0], a_cat=[0, 1])
     stats = fit_feature_stats(main)
-    agg = fit_agg_norms(main, build_key_aggregates(add, "C"), "C")
+    agg = build_key_aggregates(add, "C")
+    mapped = map_aggregates(main.column("C").values, agg)[0]
+    fit_agg_norms(mapped, main.row_count, agg.numeric_mask)
     base = featurize_main_only(main, stats)
-    fm = featurize_joined(base, map_aggregates(main.column("C").values, agg)[0], agg)
-    assert fm.values.shape[1] == base.values.shape[1] + len(agg.descriptors)
-    assert fm.descriptors[: len(base.descriptors)] == base.descriptors
+    fm = featurize_joined(base, mapped)
+    width = base.values.shape[1]
+    assert fm.values.shape[1] == width + agg.table.shape[1]
+    assert fm.spans == base.spans
+    assert np.array_equal(fm.values[:, :width], base.values)
+    assert np.array_equal(fm.values[:, width:], mapped)
 
 
 # --- kNN ---------------------------------------------------------------------
@@ -424,6 +441,17 @@ def test_feature_width_mismatch_rejected():
         knn_predict(np.zeros((5, 3)), np.zeros(5), np.zeros((2, 4)), k=2)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["train", "test"])
+def test_non_finite_features_rejected(value, side):
+    from relgen.errors import ContractViolationError
+
+    X = {"train": rng(4).normal(size=(30, 3)), "test": rng(5).normal(size=(4, 3))}
+    X[side][1, 2] = value
+    with pytest.raises(ContractViolationError, match="non-finite"):
+        knn_predict(X["train"], np.zeros(30), X["test"], k=10)
+
+
 def reference_aggregate_block(ds, train_keys, test_keys, main_train):
     """Independent per-row reference of the weighted, standardized join block.
 
@@ -493,24 +521,36 @@ def test_joined_values_match_per_row_reference(monkeypatch, seed, rows_add):
     assert np.allclose(joined_test[:, width:], ref_test, rtol=1e-12, atol=1e-12)
 
 
-def test_each_split_is_featurized_once(monkeypatch):
+def test_main_table_is_featurized_once_per_eval(monkeypatch):
+    # Every evaluate function the benchmark traces still runs in an eval,
+    # and the main table is featurized, mapped and joined once for both
+    # splits.
+    from test_bench_names import LAYERS, patched_names
+
     from relgen import evaluate
 
-    calls = []
-    featurize = evaluate.featurize_main_only
+    names = [attr for module, attr in patched_names(LAYERS.read_text(encoding="utf-8")) if module == "evaluate"]
+    calls = {name: 0 for name in names}
 
-    def counted(*args):
-        calls.append(args)
-        return featurize(*args)
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
 
-    monkeypatch.setattr(evaluate, "featurize_main_only", counted)
-    run_comparison(small_dataset())
-    assert len(calls) == 2
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(evaluate, name, counted(name, getattr(evaluate, name)))
+    evaluate.run_comparison(small_dataset())
+    assert [name for name, count in calls.items() if count == 0] == []
+    for name in ("run_comparison", "fit_feature_stats", "featurize_main_only", "build_key_aggregates",
+                 "map_aggregates", "fit_agg_norms", "fit_agg_weight", "featurize_joined", "knn_predict"):
+        assert calls[name] == 1, name
 
 
 def test_no_main_only_matrix_outlives_featurization(monkeypatch):
     # The search reads the main condition from the joined rows' leading
-    # columns, so the main-only matrices are freed before it starts.
+    # columns, so the main-only matrix is freed before it starts.
     from relgen import evaluate
 
     made = []
@@ -522,7 +562,7 @@ def test_no_main_only_matrix_outlives_featurization(monkeypatch):
         return features
 
     def checked(*args, **kwargs):
-        assert len(made) == 2 and all(ref() is None for ref in made)
+        assert len(made) == 1 and made[0]() is None
         return search(*args, **kwargs)
 
     monkeypatch.setattr(evaluate, "featurize_main_only", tracked)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -148,9 +146,3 @@ def test_each_column_is_pooled_once(monkeypatch):
     assert ds.main_table.names == [schema.merged.node(i).name for i in schema.main_columns()]
     assert ds.add_table.names == [schema.merged.node(i).name for i in schema.add_columns()]
 
-
-def test_additional_nodes_must_precede_coupling_node():
-    cfg, schema = schema_for(13)
-    shifted = replace(schema, add_indices=schema.add_indices[1:])
-    with pytest.raises(ContractViolationError, match="before C"):
-        generate_relational(shifted, 50, 20, cfg.noise, 200, seed=1)

@@ -94,6 +94,15 @@ def test_csv_non_integer_category_rejected(tmp_path):
         read_csv_table(path, [("x", "numeric", "feature"), ("k", "categorical", "feature")])
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", ["numeric", "categorical"])
+def test_csv_non_finite_cell_rejected(tmp_path, cell, kind):
+    path = tmp_path / "t.csv"
+    path.write_text(f"x,k\n0.5,1\n{cell},1\n", encoding="utf-8")
+    with pytest.raises(InvalidConfigError, match=f"{path}: column x holds a non-finite cell"):
+        read_csv_table(path, [("x", kind, "feature"), ("k", "categorical", "feature")])
+
+
 def test_csv_header_mismatch_rejected(tmp_path):
     table = Table(columns=[Column("x", "numeric", "feature", np.zeros(2))])
     path = tmp_path / "t.csv"
