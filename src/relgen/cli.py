@@ -20,7 +20,7 @@ from .serialize import (
     load_dataset,
     load_manifest,
     mismatched_files,
-    schema_from_dict,
+    read_schema,
     schema_to_dot,
     write_dataset,
     write_eval_report,
@@ -115,8 +115,7 @@ def _regenerate_into(manifest: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    schema_dict = json.loads(Path(args.schema).read_text(encoding="utf-8"))
-    schema, _ = schema_from_dict(schema_dict, str(args.schema))
+    schema, _ = read_schema(args.schema)
     out = Path(args.out) if args.out else Path(args.schema).with_suffix(".dot")
     out.write_text(schema_to_dot(schema), encoding="utf-8")
     print(f"wrote {out}")

@@ -5,12 +5,15 @@ a 1,000-sample pre-run, 10% noise of standard deviation 0.1, category counts
 drawn from Normal(4, 2), a coupling-key cardinality drawn from Normal(100, 50),
 and 100,000 main rows against 500 additional rows.
 
-Each key's JSON type is declared once, by its dataclass annotation: ``_read``
-walks the annotations of ``GenerationConfig`` and its sections, so a section
-reads from an object (unknown keys rejected), a tuple from a list, an ``int``
-from an integer only, a ``float`` from any number (stored as ``float``) and a
-``str`` from a string; no number reads from a boolean. The one shorthand is
-an integer k for a ``tuple[int, int]`` range, read as (k, k). Errors name the
+Each key's JSON type is declared once, by its dataclass annotation. ``_read``
+walks the annotations of ``GenerationConfig`` and, for ``serialize.read_schema``,
+of ``schema.json``'s dataclasses. A dataclass reads from an object (unknown
+keys rejected, a field without a default required), a tuple, list or set from
+a list, ``X | None`` from null or an X, an ``int`` from an integer only, a
+``float`` from any number (stored as ``float``), a ``str`` from a string, a
+``dict[int, X]`` from an object with decimal keys and an ``np.ndarray`` from
+nested lists of numbers; no number reads from a boolean. The one shorthand is
+an integer k for ``GraphConfig.num_nodes``, read as (k, k). Errors name the
 key path, e.g. ``main_graph.num_nodes[0]``. A ``GenerationConfig`` checks its
 ranges when it is constructed, so every config that exists is valid.
 """
@@ -18,9 +21,13 @@ ranges when it is constructed, so every config that exists is valid.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
+from types import UnionType
 from typing import get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from .engine import ACTIVATIONS, NoiseConfig, ROOT_FAMILIES
 from .errors import InvalidConfigError
@@ -122,32 +129,56 @@ class GenerationConfig:
 _JSON_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _read(tp, value, path: str):
-    """Read the JSON ``value`` as the annotated type ``tp``; ``path`` names it in errors."""
-    where = path or "config"
+_hints = cache(get_type_hints)  # read once per dataclass, not once per JSON object
+
+
+def _numbers(value) -> bool:
+    """Whether ``value`` is a number, not a boolean, or a nested list of them."""
+    if isinstance(value, list):
+        return all(_numbers(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _read(tp, value, path: str, root: str = "config"):
+    """Read the JSON ``value`` as the annotated type ``tp``; ``path`` names it
+    in errors, and ``root`` names the top-level value."""
+    where = path or root
     if is_dataclass(tp):
         if not isinstance(value, dict):
             raise InvalidConfigError(f"{where} must be a JSON object, got {value!r}")
-        unknown = set(value) - {f.name for f in fields(tp)}
+        hints = _hints(tp)
+        unknown = set(value) - set(hints)
         if unknown:
             raise InvalidConfigError(f"{where}: unknown keys {sorted(unknown)}")
-        hints = get_type_hints(tp)
+        missing = [f.name for f in fields(tp) if f.name not in value and f.default is f.default_factory is MISSING]
+        if missing:
+            raise InvalidConfigError(f"{where} lacks {missing}")
+        pinned = value.get("num_nodes") if tp is GraphConfig else None
+        if type(pinned) is int:  # "num_nodes": k pins the range to (k, k)
+            value = {**value, "num_nodes": [pinned, pinned]}
         return tp(**{k: _read(hints[k], v, f"{path}.{k}" if path else k) for k, v in value.items()})
     origin, args = get_origin(tp), get_args(tp)
-    if origin is tuple:
-        if args == (int, int) and isinstance(value, int) and not isinstance(value, bool):
-            value = [value, value]  # "num_nodes": k pins the range to (k, k)
+    if origin is UnionType:  # X | None
+        return None if value is None else _read(args[0], value, path, root)
+    if origin in (list, set, tuple):
         if not isinstance(value, (list, tuple)):
             raise InvalidConfigError(f"{where} must be a list, got {value!r}")
-        if args[-1] is Ellipsis:
+        if origin is not tuple or args[-1] is Ellipsis:
             args = args[:1] * len(value)
         elif len(value) != len(args):
             raise InvalidConfigError(f"{where} must be a {len(args)}-element list, got {value!r}")
-        return tuple(_read(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
+        return origin(_read(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
     if origin is dict:
         if not isinstance(value, dict):
             raise InvalidConfigError(f"{where} must be a JSON object, got {value!r}")
-        return {k: _read(args[1], v, f"{path}.{k}") for k, v in value.items()}
+        bad = [k for k in value if args[0] is int and not (k.isascii() and k.isdigit())]
+        if bad:
+            raise InvalidConfigError(f"{where}: keys {bad} are not non-negative integers")
+        return {args[0](k): _read(args[1], v, f"{path}.{k}") for k, v in value.items()}
+    if tp is np.ndarray:
+        if not (isinstance(value, list) and _numbers(value)):
+            raise InvalidConfigError(f"{where} must be a list of numbers, got {value!r}")
+        return np.array(value, dtype=float)
     if tp not in _JSON_NAMES:
         raise TypeError(f"{where}: no JSON reader for type {tp!r}")
     accepted = (int, float) if tp is float else tp

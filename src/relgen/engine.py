@@ -62,7 +62,7 @@ class RootDistribution:
     """
 
     kind: str
-    params: dict
+    params: dict[str, float]
 
     def __post_init__(self) -> None:
         p = self.params

@@ -20,6 +20,7 @@ from .seeding import substream
 ROLE_ROOT = "root"
 ROLE_FEATURE = "feature"
 ROLE_TARGET = "target"
+ROLES = (ROLE_ROOT, ROLE_FEATURE, ROLE_TARGET)
 
 POOLING_KINDS = ("norm", "mean", "median", "variance", "categorical")
 
@@ -49,7 +50,7 @@ class DagSpec:
     """A sampled graph with every edge pointing from lower to higher index."""
 
     nodes: list[NodeSpec]
-    edges: set  # of (parent, child) with parent < child
+    edges: set[tuple[int, int]]  # (parent, child) with parent < child
     hidden_dim: int = 0
 
     def parent_map(self) -> dict[int, list[int]]:

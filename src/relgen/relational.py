@@ -46,7 +46,7 @@ class RelationalSchema:
 
     merged: DagSpec
     coupling_index: int
-    latent_edges: set  # of (add feature, main target) merged-index pairs
+    latent_edges: set[tuple[int, int]]  # (add feature, main target) merged-index pairs
 
     @property
     def add_indices(self) -> list[int]:

@@ -17,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import GenerationConfig, config_to_dict
-from .engine import QuantilePair, RootDistribution
+from .config import GenerationConfig, _read, config_to_dict
+from .engine import ACTIVATIONS
 from .errors import DegenerateGraphError, InvalidConfigError
-from .graphs import DagSpec, NodeSpec, validate_dag
-from .prerun import Codebook, PrerunStats
+from .graphs import POOLING_KINDS, ROLE_FEATURE, ROLES, DagSpec, NodeSpec, validate_dag
+from .prerun import PrerunStats
 from .relational import RelationalDataset, RelationalSchema
 from .seeding import SEED_DERIVATION_NOTE, STREAM_VERSION
 from .tables import KIND_CATEGORICAL, Column, Table, column_info
@@ -36,6 +36,15 @@ MANIFEST_JSON = "manifest.json"
 
 
 # --- graph / stats <-> dict ------------------------------------------------
+
+# How the pre-run's numbers were computed; schema.json records it, and a
+# schema that records other conventions is refused.
+CONVENTIONS = {
+    "quantile": "linear interpolation at p*(m-1)",
+    "variance_pooling": "population (divide by n)",
+    "median_pooling": "even lengths average the middle pair",
+}
+
 
 def _node_to_dict(node: NodeSpec) -> dict:
     return {
@@ -52,41 +61,12 @@ def _node_to_dict(node: NodeSpec) -> dict:
     }
 
 
-_NODE_KEYS = ("index", "name", "role", "root_dist", "activation", "weights", "pooling", "category_count")
-
-
-def _node_from_dict(data: dict, what: str) -> NodeSpec:
-    _require_keys(data, _NODE_KEYS, what)
-    dist = data["root_dist"]
-    if dist is not None:
-        _require_keys(dist, ("kind", "params"), f"{what}.root_dist")
-    return NodeSpec(
-        index=data["index"],
-        name=data["name"],
-        role=data["role"],
-        root_dist=None if dist is None else RootDistribution(dist["kind"], dist["params"]),
-        activation=data["activation"],
-        weights=None if data["weights"] is None else np.array(data["weights"], dtype=float),
-        pooling=data["pooling"],
-        category_count=data["category_count"],
-    )
-
-
 def dag_to_dict(dag: DagSpec) -> dict:
     return {
         "hidden_dim": dag.hidden_dim,
         "nodes": [_node_to_dict(n) for n in dag.nodes],
         "edges": sorted(list(e) for e in dag.edges),
     }
-
-
-def dag_from_dict(data: dict, what: str = "graph") -> DagSpec:
-    """Rebuild a graph; ``what`` names it when a node lacks a part."""
-    return DagSpec(
-        nodes=[_node_from_dict(n, f"{what}.nodes[{i}]") for i, n in enumerate(data["nodes"])],
-        edges={tuple(e) for e in data["edges"]},
-        hidden_dim=data["hidden_dim"],
-    )
 
 
 def stats_to_dict(stats: PrerunStats) -> dict:
@@ -105,31 +85,8 @@ def stats_to_dict(stats: PrerunStats) -> dict:
             for i, c in sorted(stats.codebooks.items())
         },
         "warnings": list(stats.warnings),
-        "conventions": {
-            "quantile": "linear interpolation at p*(m-1)",
-            "variance_pooling": "population (divide by n)",
-            "median_pooling": "even lengths average the middle pair",
-        },
+        "conventions": dict(CONVENTIONS),
     }
-
-
-def stats_from_dict(data: dict) -> PrerunStats:
-    return PrerunStats(
-        quantiles={
-            int(i): QuantilePair(np.array(q["q10"]), np.array(q["q90"]))
-            for i, q in data["quantiles"].items()
-        },
-        codebooks={
-            int(i): Codebook(
-                centroids=np.array(c["centroids"], dtype=float),
-                fitted_on=c["fitted_on"],
-                requested_k=c["requested_k"],
-            )
-            for i, c in data["codebooks"].items()
-        },
-        num_presamples=data["num_presamples"],
-        warnings=list(data.get("warnings", [])),
-    )
 
 
 def schema_to_dict(schema: RelationalSchema, stats: PrerunStats | None = None, seeds: dict | None = None) -> dict:
@@ -147,54 +104,77 @@ def schema_to_dict(schema: RelationalSchema, stats: PrerunStats | None = None, s
     return out
 
 
-def _require_keys(data, keys: tuple[str, ...], what: str) -> None:
-    if not isinstance(data, dict):
-        raise InvalidConfigError(f"{what} must be a JSON object, got {type(data).__name__}")
-    missing = [k for k in keys if k not in data]
-    if missing:
-        raise InvalidConfigError(f"{what} lacks {missing}")
+@dataclasses.dataclass(frozen=True)
+class Seeds:
+    """schema.json's ``seeds``: the master seed and how the streams derive from it."""
+
+    master_seed: int = 0
+    run_tags: tuple[str, ...] = ()
+    derivation: str = ""
 
 
-def schema_from_dict(data: dict, source: str = "schema") -> tuple[RelationalSchema, PrerunStats | None]:
-    """Rebuild a schema and check its merged graph's structure.
+@dataclasses.dataclass(frozen=True)
+class SchemaFile:
+    """schema.json, one field per key, as :func:`schema_to_dict` writes it."""
 
-    Every failure is an InvalidConfigError whose one line names ``source``:
-    a part the root, its graph or a node lacks, a value that does not build
-    (an edge that is not a pair, weights that are not numbers, distribution
-    parameters a kind lacks), a graph that breaks an invariant of
-    :func:`validate_dag`, or node indices that break the merged graph's
-    ``[A..., C, M...]`` layout.
+    merged: DagSpec
+    main_indices: list[int]
+    add_indices: list[int]
+    coupling_index: int
+    latent_edges: set[tuple[int, int]]
+    prerun_stats: PrerunStats | None = None
+    seeds: Seeds = Seeds()
+    fingerprint: str = None  # absent when not yet computed; a null value is refused
+
+
+def read_schema(path: str | Path) -> tuple[RelationalSchema, SchemaFile]:
+    """Read a schema.json with the config's typed reader, then check it with
+    :func:`_check_schema`. Every failure is one InvalidConfigError line that
+    starts with ``path`` and names the key path, or says ``malformed schema``
+    for a value its own constructor refuses (a gamma root without ``shape``).
     """
-    _require_keys(data, ("merged", "main_indices", "add_indices", "coupling_index", "latent_edges"), source)
-    _require_keys(data["merged"], ("nodes", "edges", "hidden_dim"), f"{source}: merged")
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
-        schema = RelationalSchema(
-            merged=dag_from_dict(data["merged"], f"{source}: merged"),
-            coupling_index=data["coupling_index"],
-            latent_edges={tuple(e) for e in data["latent_edges"]},
-        )
-        validate_dag(schema.merged)
-        stats = stats_from_dict(data["prerun_stats"]) if "prerun_stats" in data else None
-    except InvalidConfigError:  # a missing part, already named
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError, DegenerateGraphError) as exc:
-        raise InvalidConfigError(f"{source}: malformed schema ({type(exc).__name__}: {exc})") from exc
-    _check_layout(data, len(schema.merged.nodes), source)
-    return schema, stats
+        stats = data.get("prerun_stats") if isinstance(data, dict) else None
+        if isinstance(stats, dict) and stats.pop("conventions", None) != CONVENTIONS:
+            raise InvalidConfigError(f"prerun_stats.conventions differ from {CONVENTIONS}")
+        file = _read(SchemaFile, data, "", root="schema")
+        _check_schema(file)
+    except InvalidConfigError as exc:
+        raise InvalidConfigError(f"{path}: {exc}") from exc
+    except (KeyError, ValueError, DegenerateGraphError) as exc:  # ValueError covers InvalidParameterError
+        raise InvalidConfigError(f"{path}: malformed schema ({type(exc).__name__}: {exc})") from exc
+    return RelationalSchema(file.merged, file.coupling_index, file.latent_edges), file
 
 
-def _check_layout(data: dict, count: int, source: str) -> None:
-    """The JSON's additional nodes are 0..c-1, C is c and the main nodes
-    follow it, the layout the schema's index lists are derived from."""
-    c = data["coupling_index"]
-    if type(c) is not int or not 0 <= c < count:
-        raise InvalidConfigError(f"{source}: coupling_index {c!r} is not a node index below {count}")
-    if data["add_indices"] != list(range(c)):
-        raise InvalidConfigError(f"{source}: add_indices must list the {c} nodes before coupling_index {c}, in order")
-    if data["main_indices"] != list(range(c + 1, count)):
-        raise InvalidConfigError(
-            f"{source}: main_indices must list the {count - c - 1} nodes after coupling_index {c}, in order"
-        )
+def _check_schema(file: SchemaFile) -> None:
+    """The merged graph passes :func:`validate_dag` and is laid out as
+    ``[A..., C, M...]``: the additional nodes are 0..c-1, C is c, and the
+    main nodes follow it. C is a categorical feature that feeds the main
+    graph. Every node has a known role, pooling and activation, and a
+    ``category_count`` exactly when its pooling is categorical."""
+    dag, c = file.merged, file.coupling_index
+    validate_dag(dag)
+    count = len(dag.nodes)
+    if not 0 <= c < count:
+        raise InvalidConfigError(f"coupling_index {c} is not a node index below {count}")
+    if file.add_indices != list(range(c)):
+        raise InvalidConfigError(f"add_indices must list the {c} nodes before coupling_index {c}, in order")
+    if file.main_indices != list(range(c + 1, count)):
+        raise InvalidConfigError(f"main_indices must list the {count - c - 1} nodes after coupling_index {c}, in order")
+    coupling = dag.node(c)
+    if coupling.role != ROLE_FEATURE or coupling.pooling != "categorical" or not dag.child_map()[c]:
+        raise InvalidConfigError(f"coupling_index {c}: {coupling.name!r} is not a categorical feature with a child")
+    for node in dag.nodes:
+        where = f"merged.nodes[{node.index}]"
+        if node.role not in ROLES:
+            raise InvalidConfigError(f"{where}.role {node.role!r} is not one of {list(ROLES)}")
+        if node.pooling not in POOLING_KINDS:
+            raise InvalidConfigError(f"{where}.pooling {node.pooling!r} is not one of {list(POOLING_KINDS)}")
+        if node.activation is not None and node.activation not in ACTIVATIONS:
+            raise InvalidConfigError(f"{where}.activation {node.activation!r} is not one of {sorted(ACTIVATIONS)}")
+        if (node.pooling == "categorical") != (node.category_count is not None):
+            raise InvalidConfigError(f"{where}.category_count must be an integer exactly when pooling is categorical")
 
 
 def canonical_json(data) -> str:
@@ -354,27 +334,16 @@ def load_dataset(dataset_dir: str | Path) -> RelationalDataset:
     if bad:
         raise InvalidConfigError(f"{root / bad[0]}: SHA-256 is not the one {MANIFEST_JSON} lists")
 
-    schema_dict = json.loads((root / SCHEMA_JSON).read_text(encoding="utf-8"))
-    schema, stats = schema_from_dict(schema_dict, str(root / SCHEMA_JSON))
-    if stats is None:
+    schema, file = read_schema(root / SCHEMA_JSON)
+    if file.prerun_stats is None:
         raise InvalidConfigError(f"{root / SCHEMA_JSON} lacks prerun_stats")
-
-    seeds = schema_dict.get("seeds", {})
-    if not isinstance(seeds, dict):
-        raise InvalidConfigError(f"{root / SCHEMA_JSON}: seeds must be a JSON object")
-    seed = seeds.get("master_seed", 0)
-    if type(seed) is not int:
-        raise InvalidConfigError(f"{root / SCHEMA_JSON}: seeds.master_seed must be an integer, got {seed!r}")
-    fingerprint = schema_dict.get("fingerprint")
-    if "fingerprint" in schema_dict and not isinstance(fingerprint, str):
-        raise InvalidConfigError(f"{root / SCHEMA_JSON}: fingerprint must be a string, got {fingerprint!r}")
 
     node = schema.merged.node
     return RelationalDataset(
         main_table=read_csv_table(root / MAIN_CSV, [column_info(node(i)) for i in schema.main_columns()]),
         add_table=read_csv_table(root / ADD_CSV, [column_info(node(i)) for i in schema.add_columns()]),
         schema=schema,
-        stats=stats,
-        seed=seed,
-        schema_fingerprint=fingerprint,
+        stats=file.prerun_stats,
+        seed=file.seeds.master_seed,
+        schema_fingerprint=file.fingerprint,
     )

@@ -9,7 +9,7 @@ from relgen.serialize import (
     file_sha256,
     load_dataset,
     load_manifest,
-    schema_from_dict,
+    read_schema,
 )
 
 SMALL = {
@@ -252,7 +252,7 @@ def test_export_dot(tmp_path, small_config):
 
 def test_dot_styles_targets_and_labels_edges(tmp_path, small_config):
     out = generate(tmp_path, small_config, seed=11)
-    schema, _ = schema_from_dict(json.loads((out / "schema.json").read_text()))
+    schema, _ = read_schema(out / "schema.json")
     text = (out / "schema.dot").read_text()
     target_names = [schema.merged.node(i).name for i in schema.main_targets()]
     for name in target_names:
@@ -406,20 +406,20 @@ def _first(nodes, part):
 @pytest.mark.parametrize(
     "malform, part",
     [
-        (lambda s: s["merged"]["edges"].append([0, 999]), "DegenerateGraphError: edge (0,999)"),
-        (lambda s: _first(s["merged"]["nodes"], "weights").update(weights="abc"), "ValueError"),
-        (lambda s: s["merged"].update(edges=[1, 2]), "TypeError"),
-        (lambda s: s["merged"].update(nodes=5), "TypeError"),
-        (lambda s: s.update(latent_edges=5), "TypeError"),
+        (lambda s: s["merged"]["edges"].append([0, 999]), "malformed schema (DegenerateGraphError: edge (0,999)"),
+        (lambda s: s["merged"]["nodes"][-1].update(weights="abc"), "merged.nodes[{last}].weights"),
+        (lambda s: s["merged"].update(edges=[1, 2]), "merged.edges[0] must be a list"),
+        (lambda s: s["merged"].update(nodes=5), "merged.nodes must be a list"),
+        (lambda s: s.update(latent_edges=5), "latent_edges must be a list"),
         (
             lambda s: _first(s["merged"]["nodes"], "root_dist").update(
                 root_dist={"kind": "gamma", "params": {"scale": 1.0}}
             ),
-            "KeyError: 'shape'",
+            "malformed schema (KeyError: 'shape'",
         ),
         (
             lambda s: _first(s["merged"]["nodes"], "root_dist").update(root_dist={"kind": "normal", "params": 5}),
-            "AttributeError",
+            "merged.nodes[0].root_dist.params must be a JSON object",  # node 0 has no parents: a root
         ),
     ],
     ids=["edge-past-the-nodes", "weights-not-numbers", "edges-not-pairs", "nodes-not-a-list",
@@ -428,12 +428,13 @@ def _first(nodes, part):
 def test_export_dot_of_malformed_schema_exits_2(tmp_path, small_config, capsys, malform, part):
     path = generate(tmp_path, small_config, seed=9) / "schema.json"
     schema = json.loads(path.read_text())
+    last = len(schema["merged"]["nodes"]) - 1
     malform(schema)
     path.write_text(json.dumps(schema))
     capsys.readouterr()
     assert main(["export-dot", str(path)]) == 2
     err = capsys.readouterr().err
-    assert f"{path}: malformed schema ({part}" in err and "Traceback" not in err
+    assert f"{path}: {part.format(last=last)}" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -450,6 +451,14 @@ def _edit_schema(out, malform):
     return path
 
 
+def _coupling_as_target(schema):
+    """C without its edges into the main graph, relabelled a target: every
+    other invariant still holds at seed 9."""
+    c = schema["coupling_index"]
+    schema["merged"]["edges"] = [e for e in schema["merged"]["edges"] if e[0] != c]
+    schema["merged"]["nodes"][c]["role"] = "target"
+
+
 @pytest.mark.parametrize(
     "malform, key",
     [
@@ -460,13 +469,24 @@ def _edit_schema(out, malform):
         (lambda s: s["add_indices"].pop(), "add_indices"),
         (lambda s: s["main_indices"].reverse(), "main_indices"),
         (lambda s: s["main_indices"].append(len(s["merged"]["nodes"])), "main_indices"),
+        (_coupling_as_target, "coupling_index"),
+        (lambda s: s["merged"]["nodes"][-1].update(pooling="mode"), "merged.nodes[{last}].pooling 'mode'"),
+        (lambda s: s["merged"]["nodes"][-1].update(activation="gelu"), "merged.nodes[{last}].activation 'gelu'"),
+        (
+            lambda s: s["merged"]["nodes"][s["coupling_index"]].update(category_count=None),
+            "merged.nodes[{c}].category_count",
+        ),
+        (lambda s: s["prerun_stats"]["conventions"].update(quantile="nearest rank"), "prerun_stats.conventions"),
     ],
     ids=["coupling-past-the-nodes", "coupling-negative", "coupling-not-an-int", "coupling-moved",
-         "add-node-missing", "main-nodes-reversed", "main-node-past-the-nodes"],
+         "add-node-missing", "main-nodes-reversed", "main-node-past-the-nodes", "coupling-as-target",
+         "unknown-pooling", "unknown-activation", "categorical-without-count", "other-conventions"],
 )
 @pytest.mark.parametrize("command", ["eval", "export-dot"])
 def test_schema_that_breaks_the_node_layout_exits_2(tmp_path, small_config, capsys, malform, key, command):
     out = generate(tmp_path, small_config, seed=9)
+    schema = json.loads((out / "schema.json").read_text())
+    key = key.format(last=len(schema["merged"]["nodes"]) - 1, c=schema["coupling_index"])
     path = _edit_schema(out, malform)
     capsys.readouterr()
     assert main([command, str(out if command == "eval" else path)]) == 2

@@ -6,12 +6,14 @@ import pytest
 
 from relgen.config import (
     GenerationConfig,
+    _read,
     config_from_dict,
     config_to_dict,
     load_config,
     with_overrides,
 )
 from relgen.errors import InvalidConfigError
+from relgen.graphs import DagSpec
 
 
 def test_empty_file_yields_default_profile(tmp_path):
@@ -106,6 +108,14 @@ def test_every_field_round_trips_through_json():
 def test_pinned_node_count_accepted():
     cfg = config_from_dict({"main_graph": {"num_nodes": 8}})
     assert cfg.main_graph.num_nodes == (8, 8)
+
+
+def test_pinned_count_shorthand_is_for_num_nodes_only():
+    """An integer reads as a (k, k) pair for GraphConfig.num_nodes alone, so
+    a schema's edge list of integers is refused, not read as self-loops."""
+    with pytest.raises(InvalidConfigError, match=r"^merged\.edges\[0\] must be a list, got 1$"):
+        _read(DagSpec, {"nodes": [], "edges": [1, 2]}, "merged")
+    assert _read(DagSpec, {"nodes": [], "edges": [[1, 2]]}, "merged").edges == {(1, 2)}
 
 
 def test_bad_probability_rejected():

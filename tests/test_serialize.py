@@ -1,24 +1,27 @@
 import json
+from dataclasses import fields, is_dataclass
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
 
-from relgen.config import config_from_dict
+from relgen.config import _read, config_from_dict
 from relgen.errors import InvalidConfigError
-from relgen.graphs import sample_dag
-from relgen.prerun import build_prerun_stats, prerun
-from relgen.relational import build_schema, generate_relational
+from relgen.graphs import DagSpec, sample_dag
+from relgen.prerun import PrerunStats, build_prerun_stats, prerun
+from relgen.relational import build_schema, generate_relational, run_generation
 from relgen.serialize import (
-    dag_from_dict,
+    SchemaFile,
     dag_to_dict,
     dag_to_dot,
     read_csv_table,
+    read_schema,
     schema_fingerprint,
-    schema_from_dict,
     schema_to_dict,
-    stats_from_dict,
     stats_to_dict,
     write_csv,
+    write_dataset,
 )
 from relgen.tables import Column, Table
 
@@ -27,10 +30,9 @@ def test_dag_round_trip_is_exact():
     cfg = config_from_dict({})
     dag = sample_dag(cfg, "main", 17, "structure-main", name_prefix="M")
     once = dag_to_dict(dag)
-    again = dag_to_dict(dag_from_dict(json.loads(json.dumps(once))))
-    assert once == again
+    rebuilt = _read(DagSpec, json.loads(json.dumps(once)), "merged")
+    assert dag_to_dict(rebuilt) == once
     # weights survive the JSON float round trip bit-for-bit
-    rebuilt = dag_from_dict(json.loads(json.dumps(once)))
     for a, b in zip(dag.nodes, rebuilt.nodes):
         if a.weights is not None:
             assert a.weights.tobytes() == b.weights.tobytes()
@@ -41,7 +43,8 @@ def test_stats_round_trip_is_exact():
     dag = sample_dag(cfg, "main", 18, "structure-main")
     stats = build_prerun_stats(dag, prerun(dag, 250, 18), 18)
     data = json.loads(json.dumps(stats_to_dict(stats)))
-    rebuilt = stats_from_dict(data)
+    del data["conventions"]  # read_schema checks and removes them
+    rebuilt = _read(PrerunStats, data, "prerun_stats")
     for i, q in stats.quantiles.items():
         assert q.q10.tobytes() == rebuilt.quantiles[i].q10.tobytes()
         assert q.q90.tobytes() == rebuilt.quantiles[i].q90.tobytes()
@@ -49,15 +52,75 @@ def test_stats_round_trip_is_exact():
         assert cb.centroids.tobytes() == rebuilt.codebooks[i].centroids.tobytes()
 
 
-def test_schema_round_trip_preserves_fingerprint():
+def test_schema_round_trip_preserves_fingerprint(tmp_path):
     cfg = config_from_dict({"master_seed": 19})
     schema = build_schema(cfg)
     ds = generate_relational(schema, 50, 20, cfg.noise, 100, seed=1)
     data = schema_to_dict(ds.schema, ds.stats, {"master_seed": 19})
     fp = schema_fingerprint(data)
-    rebuilt, stats = schema_from_dict(json.loads(json.dumps(data)))
-    assert stats is not None
-    assert schema_fingerprint(schema_to_dict(rebuilt, stats, {"master_seed": 19})) == fp
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(data))
+    rebuilt, file = read_schema(path)
+    assert file.prerun_stats is not None and file.seeds.master_seed == 19
+    assert schema_fingerprint(schema_to_dict(rebuilt, file.prerun_stats, {"master_seed": 19})) == fp
+
+
+def annotated_fields(tp, out):
+    """Add ``Class.field`` to ``out`` for every field of every dataclass the
+    annotations of ``tp`` reach."""
+    if is_dataclass(tp):
+        for name, hint in get_type_hints(tp).items():
+            if f"{tp.__name__}.{name}" not in out:
+                out.add(f"{tp.__name__}.{name}")
+                annotated_fields(hint, out)
+    for arg in get_args(tp):
+        annotated_fields(arg, out)
+    return out
+
+
+def check_read(tp, read, written, path, seen):
+    """Assert that ``read`` is the JSON value ``written`` read as the annotated
+    type ``tp``, and add to ``seen`` each field met with a non-null value."""
+    origin, args = get_origin(tp), get_args(tp)
+    if is_dataclass(tp):
+        assert type(read) is tp, path
+        hints = get_type_hints(tp)
+        for f in fields(tp):
+            if written.get(f.name) is not None:
+                seen.add(f"{tp.__name__}.{f.name}")
+                check_read(hints[f.name], getattr(read, f.name), written[f.name], f"{path}.{f.name}", seen)
+    elif origin is UnionType:  # X | None
+        check_read(args[0], read, written, path, seen)
+    elif origin in (list, set, tuple):
+        assert type(read) is origin and len(read) == len(written), path
+        types = args if origin is tuple and args[-1] is not Ellipsis else args[:1] * len(written)
+        pairs = zip(sorted(read), sorted(written)) if origin is set else zip(read, written)
+        for i, (t, (r, w)) in enumerate(zip(types, pairs)):
+            check_read(t, r, w, f"{path}[{i}]", seen)
+    elif origin is dict:
+        assert list(read) == [args[0](k) for k in written], path
+        for key, value in written.items():
+            check_read(args[1], read[args[0](key)], value, f"{path}.{key}", seen)
+    elif tp is np.ndarray:
+        assert read.dtype == np.float64 and json.dumps(read.tolist()) == json.dumps(written), path
+    else:
+        assert type(read) is tp and read == written, path
+
+
+def test_every_schema_field_is_read_from_the_written_file(tmp_path):
+    """Walks the annotations of SchemaFile as the config test walks the
+    config's: every field of every dataclass schema.json holds is written
+    with a non-null value and read back as its annotated type, bit for bit.
+
+    A new field whose type the reader cannot read, or that the writer leaves
+    out, fails here.
+    """
+    cfg = config_from_dict({"master_seed": 19, "rows_main": 50, "rows_add": 20, "num_presamples": 100})
+    write_dataset(run_generation(cfg), cfg, tmp_path)
+    _, file = read_schema(tmp_path / "schema.json")
+    seen = set()
+    check_read(SchemaFile, file, json.loads((tmp_path / "schema.json").read_text()), "schema", seen)
+    assert annotated_fields(SchemaFile, set()) - seen == set()
 
 
 def test_csv_round_trip_exotic_floats(tmp_path):
