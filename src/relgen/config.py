@@ -16,12 +16,17 @@ nested lists of numbers; no number reads from a boolean. The one shorthand is
 an integer k for ``GraphConfig.num_nodes``, read as (k, k). Errors name the
 key path, e.g. ``main_graph.num_nodes[0]``. A ``GenerationConfig`` checks its
 ranges when it is constructed, so every config that exists is valid.
+
+``_write`` is ``_read``'s mirror and writes every JSON file relgen makes: a
+dataclass as an object of its fields in declaration order, so the field order
+is the file's key order, an ``np.ndarray`` as nested lists, a set as a sorted
+list, a tuple or list as a list and a dict with ``str`` keys in insertion order.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from pathlib import Path
 from types import UnionType
@@ -83,7 +88,7 @@ class GenerationConfig:
     main_graph: GraphConfig = field(default_factory=GraphConfig)
     add_graph: GraphConfig = field(default_factory=lambda: GraphConfig(num_nodes=(4, 8)))
     root_distributions: RootDistConfig = field(default_factory=RootDistConfig)
-    activations: tuple[str, ...] = ("identity", "relu", "tanh", "logabs", "sin")
+    activations: tuple[str, ...] = tuple(ACTIVATIONS)
     numeric_poolings: tuple[str, ...] = NUMERIC_POOLINGS
     categorical_probability: float = 0.4
     category_count: tuple[float, float] = (4.0, 2.0)  # (mean, std), rounded, clamped >= 2
@@ -187,6 +192,21 @@ def _read(tp, value, path: str, root: str = "config"):
     return tp(value)
 
 
+def _write(value):
+    """The JSON value that :func:`_read` reads back as ``value``'s type."""
+    if is_dataclass(value):
+        return {f.name: _write(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, set):
+        value = sorted(value)
+    if isinstance(value, (list, tuple)):
+        return [_write(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _write(v) for k, v in value.items()}
+    return value
+
+
 def config_from_dict(data: dict) -> GenerationConfig:
     """Read a (possibly partial) dict into a GenerationConfig; defaults fill missing keys."""
     return _read(GenerationConfig, data, "")
@@ -194,7 +214,7 @@ def config_from_dict(data: dict) -> GenerationConfig:
 
 def config_to_dict(cfg: GenerationConfig) -> dict:
     """Plain-JSON dict (tuples become lists) that round-trips through config_from_dict."""
-    return json.loads(json.dumps(asdict(cfg)))
+    return _write(cfg)
 
 
 def load_config(path: str | Path) -> GenerationConfig:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import GenerationConfig
+from .config import NUMERIC_POOLINGS, GenerationConfig
 from .engine import RootDistribution, init_propagation_fn
 from .errors import DegenerateGraphError, InvalidParameterError
 from .seeding import substream
@@ -22,7 +22,7 @@ ROLE_FEATURE = "feature"
 ROLE_TARGET = "target"
 ROLES = (ROLE_ROOT, ROLE_FEATURE, ROLE_TARGET)
 
-POOLING_KINDS = ("norm", "mean", "median", "variance", "categorical")
+POOLING_KINDS = (*NUMERIC_POOLINGS, "categorical")
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,16 @@ class NodeSpec:
     category_count: int | None = None
 
 
-@dataclass
+@dataclass(kw_only=True)
 class DagSpec:
-    """A sampled graph with every edge pointing from lower to higher index."""
+    """A sampled graph with every edge pointing from lower to higher index.
 
+    The field order is the key order of ``merged`` in schema.json.
+    """
+
+    hidden_dim: int = 0
     nodes: list[NodeSpec]
     edges: set[tuple[int, int]]  # (parent, child) with parent < child
-    hidden_dim: int = 0
 
     def parent_map(self) -> dict[int, list[int]]:
         parents: dict[int, list[int]] = {node.index: [] for node in self.nodes}

@@ -38,13 +38,16 @@ class Codebook:
         return int(self.centroids.shape[0])
 
 
-@dataclass
+@dataclass(kw_only=True)
 class PrerunStats:
-    """Per-node quantiles and codebooks estimated from one pre-run."""
+    """Per-node quantiles and codebooks estimated from one pre-run.
 
+    The field order is the key order of ``prerun_stats`` in schema.json.
+    """
+
+    num_presamples: int
     quantiles: dict[int, QuantilePair]
     codebooks: dict[int, Codebook]
-    num_presamples: int
     warnings: list[str] = field(default_factory=list)
 
     def covers(self, dag: DagSpec) -> bool:

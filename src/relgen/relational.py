@@ -199,7 +199,9 @@ def generate_relational(
     main_table = generate_table(
         merged, stats, rows_main, noise, seed, run_tag="main", threads=threads, indices=working.main_columns()
     )
-    prefix = DagSpec(merged.nodes[: c + 1], {(a, b) for a, b in merged.edges if b <= c}, merged.hidden_dim)
+    prefix = DagSpec(
+        hidden_dim=merged.hidden_dim, nodes=merged.nodes[: c + 1], edges={(a, b) for a, b in merged.edges if b <= c}
+    )
     add_table = generate_table(
         prefix, stats, rows_add, noise, seed, run_tag="add", threads=threads, indices=working.add_columns()
     )

@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import GenerationConfig, _read, config_to_dict
+from .config import GenerationConfig, _read, _write, config_to_dict
 from .engine import ACTIVATIONS
 from .errors import DegenerateGraphError, InvalidConfigError
-from .graphs import POOLING_KINDS, ROLE_FEATURE, ROLES, DagSpec, NodeSpec, validate_dag
+from .graphs import POOLING_KINDS, ROLE_FEATURE, ROLES, DagSpec, validate_dag
 from .prerun import PrerunStats
 from .relational import RelationalDataset, RelationalSchema
 from .seeding import SEED_DERIVATION_NOTE, STREAM_VERSION
@@ -35,7 +35,7 @@ SCHEMA_DOT = "schema.dot"
 MANIFEST_JSON = "manifest.json"
 
 
-# --- graph / stats <-> dict ------------------------------------------------
+# --- schema.json -------------------------------------------------------------
 
 # How the pre-run's numbers were computed; schema.json records it, and a
 # schema that records other conventions is refused.
@@ -45,63 +45,8 @@ CONVENTIONS = {
     "median_pooling": "even lengths average the middle pair",
 }
 
-
-def _node_to_dict(node: NodeSpec) -> dict:
-    return {
-        "index": node.index,
-        "name": node.name,
-        "role": node.role,
-        "root_dist": None
-        if node.root_dist is None
-        else {"kind": node.root_dist.kind, "params": dict(node.root_dist.params)},
-        "activation": node.activation,
-        "weights": None if node.weights is None else node.weights.tolist(),
-        "pooling": node.pooling,
-        "category_count": node.category_count,
-    }
-
-
-def dag_to_dict(dag: DagSpec) -> dict:
-    return {
-        "hidden_dim": dag.hidden_dim,
-        "nodes": [_node_to_dict(n) for n in dag.nodes],
-        "edges": sorted(list(e) for e in dag.edges),
-    }
-
-
-def stats_to_dict(stats: PrerunStats) -> dict:
-    return {
-        "num_presamples": stats.num_presamples,
-        "quantiles": {
-            str(i): {"q10": q.q10.tolist(), "q90": q.q90.tolist()}
-            for i, q in sorted(stats.quantiles.items())
-        },
-        "codebooks": {
-            str(i): {
-                "centroids": c.centroids.tolist(),
-                "fitted_on": c.fitted_on,
-                "requested_k": c.requested_k,
-            }
-            for i, c in sorted(stats.codebooks.items())
-        },
-        "warnings": list(stats.warnings),
-        "conventions": dict(CONVENTIONS),
-    }
-
-
-def schema_to_dict(schema: RelationalSchema, stats: PrerunStats | None = None, seeds: dict | None = None) -> dict:
-    out = {
-        "merged": dag_to_dict(schema.merged),
-        "main_indices": schema.main_indices,
-        "add_indices": schema.add_indices,
-        "coupling_index": schema.coupling_index,
-        "latent_edges": sorted(list(e) for e in schema.latent_edges),
-    }
-    if stats is not None:
-        out["prerun_stats"] = stats_to_dict(stats)
-    if seeds is not None:
-        out["seeds"] = seeds
-    return out
+# The run tags of every stream a dataset draws from, in the order they run.
+RUN_TAGS = ("structure-main", "structure-add", "compose", "prerun", "kmeans", "main", "add")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,7 +60,7 @@ class Seeds:
 
 @dataclasses.dataclass(frozen=True)
 class SchemaFile:
-    """schema.json, one field per key, as :func:`schema_to_dict` writes it."""
+    """schema.json, one field per key in the file's order."""
 
     merged: DagSpec
     main_indices: list[int]
@@ -124,7 +69,17 @@ class SchemaFile:
     latent_edges: set[tuple[int, int]]
     prerun_stats: PrerunStats | None = None
     seeds: Seeds = Seeds()
-    fingerprint: str = None  # absent when not yet computed; a null value is refused
+    fingerprint: str = None  # None until schema_to_dict computes it; a null in the file is refused
+
+
+def schema_to_dict(schema: RelationalSchema, stats: PrerunStats, seeds: Seeds) -> dict:
+    """schema.json's content: the schema, the pre-run's numbers and their
+    conventions, the seeds, and last the fingerprint of all of them."""
+    data = _write(SchemaFile(schema.merged, schema.main_indices, schema.add_indices,
+                             schema.coupling_index, schema.latent_edges, stats, seeds))
+    data["prerun_stats"]["conventions"] = dict(CONVENTIONS)
+    data["fingerprint"] = schema_fingerprint(data)
+    return data
 
 
 def read_schema(path: str | Path) -> tuple[RelationalSchema, SchemaFile]:
@@ -152,8 +107,12 @@ def _check_schema(file: SchemaFile) -> None:
     ``[A..., C, M...]``: the additional nodes are 0..c-1, C is c, and the
     main nodes follow it. C is a categorical feature that feeds the main
     graph. Every node has a known role, pooling and activation, and a
-    ``category_count`` exactly when its pooling is categorical."""
+    ``category_count`` exactly when its pooling is categorical. A node without
+    parents has a ``root_dist``; every other node has an activation and
+    ``weights`` of shape ``(hidden_dim, parents * hidden_dim)``."""
     dag, c = file.merged, file.coupling_index
+    if dag.hidden_dim < 1:
+        raise InvalidConfigError(f"merged.hidden_dim {dag.hidden_dim} is not >= 1")
     validate_dag(dag)
     count = len(dag.nodes)
     if not 0 <= c < count:
@@ -165,6 +124,7 @@ def _check_schema(file: SchemaFile) -> None:
     coupling = dag.node(c)
     if coupling.role != ROLE_FEATURE or coupling.pooling != "categorical" or not dag.child_map()[c]:
         raise InvalidConfigError(f"coupling_index {c}: {coupling.name!r} is not a categorical feature with a child")
+    parents = dag.parent_map()
     for node in dag.nodes:
         where = f"merged.nodes[{node.index}]"
         if node.role not in ROLES:
@@ -175,15 +135,20 @@ def _check_schema(file: SchemaFile) -> None:
             raise InvalidConfigError(f"{where}.activation {node.activation!r} is not one of {sorted(ACTIVATIONS)}")
         if (node.pooling == "categorical") != (node.category_count is not None):
             raise InvalidConfigError(f"{where}.category_count must be an integer exactly when pooling is categorical")
-
-
-def canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+        fan_in = len(parents[node.index])
+        if (node.root_dist is None) != bool(fan_in):
+            raise InvalidConfigError(f"{where}.root_dist must be set exactly when the node has no parents")
+        if fan_in and node.activation is None:
+            raise InvalidConfigError(f"{where}.activation must be set on a node with parents")
+        shape = (dag.hidden_dim, fan_in * dag.hidden_dim)
+        if fan_in and (node.weights is None or node.weights.shape != shape):
+            raise InvalidConfigError(f"{where}.weights must have shape {shape} for {fan_in} parents")
 
 
 def schema_fingerprint(schema_dict: dict) -> str:
+    """SHA-256 of the canonical JSON (sorted keys, no spaces) of every key but ``fingerprint``."""
     payload = {k: v for k, v in schema_dict.items() if k != "fingerprint"}
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    return hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest()
 
 
 # --- CSV -------------------------------------------------------------------
@@ -264,13 +229,8 @@ def write_dataset(dataset: RelationalDataset, cfg: GenerationConfig, out_dir: st
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    seeds = {
-        "master_seed": cfg.master_seed,
-        "run_tags": ["structure-main", "structure-add", "compose", "prerun", "kmeans", "main", "add"],
-        "derivation": SEED_DERIVATION_NOTE,
-    }
+    seeds = Seeds(cfg.master_seed, RUN_TAGS, SEED_DERIVATION_NOTE)
     schema_dict = schema_to_dict(dataset.schema, dataset.stats, seeds)
-    schema_dict["fingerprint"] = schema_fingerprint(schema_dict)
     (out / SCHEMA_JSON).write_text(json.dumps(schema_dict, indent=1), encoding="utf-8")
     (out / SCHEMA_DOT).write_text(schema_to_dot(dataset.schema), encoding="utf-8")
     write_csv(dataset.main_table, out / MAIN_CSV)
@@ -303,7 +263,7 @@ def load_manifest(path: str | Path) -> dict:
 
 def report_to_dict(report) -> dict:
     """eval_report.json's content: the report's fields, in their order."""
-    return dataclasses.asdict(report)
+    return _write(report)
 
 
 def write_eval_report(report, out_dir: str | Path) -> None:

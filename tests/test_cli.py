@@ -168,17 +168,32 @@ def test_regenerate_rejects_stream_version_2(tmp_path, small_config, capsys):
 
 # SHA-256 of the SMALL profile at seed 4, random-stream version 2, unchanged
 # by version 3. A change to the stream layout, the CSV format or the schema
-# encoding changes these.
+# encoding changes these; the manifest's also changes with the config's
+# encoding, the tool version or the stream version.
 GOLDEN = {
     "main.csv": "ba2f09167a298b3e0ba3d76ae18a22000c7462854b4dbf973c5f223f63ae74fd",
     "additional.csv": "e045bc10c5d6831b7a48fd6259ee1d2d6f6049af4a85e41499b1cfe201d122e5",
     "schema.json": "4eac18586b7e90b032cc601b3b3f3493f74ead2b1560ac699b624b27d369cf5e",
+    "manifest.json": "9bd8c960a0808739167bad4128458d986315c2c4d83247cc8622c989b3ff3216",
+}
+
+# SHA-256 of what ``relgen eval`` writes for that dataset: a change to the
+# neighbours, the scores or the report's encoding changes these.
+GOLDEN_EVAL = {
+    "eval_report.json": "80dab7fb85240b1c2e514052240a92e64b1b8a5a8a225ea3cb134a044fde64d5",
+    "metrics.csv": "e3c6889950839c13ab690b3e2fbbbb68cf678ab5e98775e5b6fc38c5b0e33df4",
 }
 
 
 def test_golden_hashes(tmp_path, small_config):
     out = generate(tmp_path, small_config, seed=4)
     assert {name: file_sha256(out / name) for name in GOLDEN} == GOLDEN
+
+
+def test_golden_eval_hashes(tmp_path, small_config):
+    out = generate(tmp_path, small_config, seed=4)
+    assert main(["eval", str(out)]) == 0
+    assert {name: file_sha256(out / name) for name in GOLDEN_EVAL} == GOLDEN_EVAL
 
 
 def test_eval_writes_reports(tmp_path, small_config):
@@ -477,10 +492,25 @@ def _coupling_as_target(schema):
             "merged.nodes[{c}].category_count",
         ),
         (lambda s: s["prerun_stats"]["conventions"].update(quantile="nearest rank"), "prerun_stats.conventions"),
+        (lambda s: s["merged"].update(hidden_dim=0), "merged.hidden_dim 0"),
+        (lambda s: s["merged"]["nodes"][0].update(root_dist=None), "merged.nodes[0].root_dist"),
+        (
+            lambda s: s["merged"]["nodes"][-1].update(root_dist=s["merged"]["nodes"][0]["root_dist"]),
+            "merged.nodes[{last}].root_dist",
+        ),
+        (lambda s: s["merged"]["nodes"][-1].update(activation=None), "merged.nodes[{last}].activation"),
+        (lambda s: s["merged"]["nodes"][-1].update(weights=None), "merged.nodes[{last}].weights"),
+        (lambda s: s["merged"]["nodes"][-1]["weights"].pop(), "merged.nodes[{last}].weights"),
+        (
+            lambda s: [row.pop() for row in s["merged"]["nodes"][-1]["weights"]],
+            "merged.nodes[{last}].weights",
+        ),
     ],
     ids=["coupling-past-the-nodes", "coupling-negative", "coupling-not-an-int", "coupling-moved",
          "add-node-missing", "main-nodes-reversed", "main-node-past-the-nodes", "coupling-as-target",
-         "unknown-pooling", "unknown-activation", "categorical-without-count", "other-conventions"],
+         "unknown-pooling", "unknown-activation", "categorical-without-count", "other-conventions",
+         "hidden-dim-zero", "root-without-root-dist", "non-root-with-root-dist", "non-root-without-activation",
+         "non-root-without-weights", "weights-missing-a-row", "weights-missing-a-column"],
 )
 @pytest.mark.parametrize("command", ["eval", "export-dot"])
 def test_schema_that_breaks_the_node_layout_exits_2(tmp_path, small_config, capsys, malform, key, command):

@@ -6,20 +6,19 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 import pytest
 
-from relgen.config import _read, config_from_dict
+from relgen.config import _read, _write, config_from_dict
 from relgen.errors import InvalidConfigError
 from relgen.graphs import DagSpec, sample_dag
 from relgen.prerun import PrerunStats, build_prerun_stats, prerun
 from relgen.relational import build_schema, generate_relational, run_generation
 from relgen.serialize import (
     SchemaFile,
-    dag_to_dict,
+    Seeds,
     dag_to_dot,
     read_csv_table,
     read_schema,
     schema_fingerprint,
     schema_to_dict,
-    stats_to_dict,
     write_csv,
     write_dataset,
 )
@@ -29,9 +28,9 @@ from relgen.tables import Column, Table
 def test_dag_round_trip_is_exact():
     cfg = config_from_dict({})
     dag = sample_dag(cfg, "main", 17, "structure-main", name_prefix="M")
-    once = dag_to_dict(dag)
+    once = _write(dag)
     rebuilt = _read(DagSpec, json.loads(json.dumps(once)), "merged")
-    assert dag_to_dict(rebuilt) == once
+    assert _write(rebuilt) == once
     # weights survive the JSON float round trip bit-for-bit
     for a, b in zip(dag.nodes, rebuilt.nodes):
         if a.weights is not None:
@@ -42,8 +41,7 @@ def test_stats_round_trip_is_exact():
     cfg = config_from_dict({})
     dag = sample_dag(cfg, "main", 18, "structure-main")
     stats = build_prerun_stats(dag, prerun(dag, 250, 18), 18)
-    data = json.loads(json.dumps(stats_to_dict(stats)))
-    del data["conventions"]  # read_schema checks and removes them
+    data = json.loads(json.dumps(_write(stats)))
     rebuilt = _read(PrerunStats, data, "prerun_stats")
     for i, q in stats.quantiles.items():
         assert q.q10.tobytes() == rebuilt.quantiles[i].q10.tobytes()
@@ -56,13 +54,13 @@ def test_schema_round_trip_preserves_fingerprint(tmp_path):
     cfg = config_from_dict({"master_seed": 19})
     schema = build_schema(cfg)
     ds = generate_relational(schema, 50, 20, cfg.noise, 100, seed=1)
-    data = schema_to_dict(ds.schema, ds.stats, {"master_seed": 19})
+    data = schema_to_dict(ds.schema, ds.stats, Seeds(master_seed=19))
     fp = schema_fingerprint(data)
     path = tmp_path / "schema.json"
     path.write_text(json.dumps(data))
     rebuilt, file = read_schema(path)
     assert file.prerun_stats is not None and file.seeds.master_seed == 19
-    assert schema_fingerprint(schema_to_dict(rebuilt, file.prerun_stats, {"master_seed": 19})) == fp
+    assert schema_fingerprint(schema_to_dict(rebuilt, file.prerun_stats, Seeds(master_seed=19))) == fp
 
 
 def annotated_fields(tp, out):
