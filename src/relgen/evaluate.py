@@ -10,6 +10,7 @@ categorical targets score (macro one-vs-rest) AUC.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -222,6 +223,9 @@ _TEST_BLOCK = 128
 # gather of those columns comes out column-major and partitions about five
 # times slower.
 _SCREEN_STRIDE = 4
+# Most pairs ``_pair_sq`` gathers at a time: 2,048 rows of the joined width
+# are a few MB, and as fast as larger gathers.
+_PAIR_CHUNK = 2048
 
 
 def _pair_sq(train_X, test_X, rows, cand, widths):
@@ -229,12 +233,12 @@ def _pair_sq(train_X, test_X, rows, cand, widths):
 
     One array per entry of ``widths``, measuring the pairs over that many
     leading columns. Distances come from explicit differences, so exact
-    matches are exact zeros. Pairs are gathered half a training matrix at a
-    time: the two gathered copies never hold more rows than ``train_X``,
-    however many pairs there are.
+    matches are exact zeros. Pairs are gathered ``_PAIR_CHUNK``, or half a
+    training matrix, at a time, whichever is less: the gathered copies never
+    hold more rows than ``train_X`` or grow with the number of pairs.
     """
     out = [np.empty(len(rows)) for _ in widths]
-    step = max(1, len(train_X) // 2)
+    step = max(1, min(_PAIR_CHUNK, len(train_X) // 2))
     for s in range(0, len(rows), step):
         diff = train_X[cand[s : s + step]]
         diff -= test_X[rows[s : s + step]]
@@ -273,6 +277,151 @@ def _key_codes(block):
     return code, seen
 
 
+class _Screen(NamedTuple):
+    """The main training rows as the screen reads them (see ``_select_neighbors``)."""
+
+    values: np.ndarray  # [rest - centre, |rest - centre|^2 + key count] per row, sorted by key code
+    order: np.ndarray  # training index of each sorted row
+    key_ends: np.ndarray  # the sorted rows of key code c are key_ends[c] : key_ends[c + 1]
+    rest: np.ndarray  # the main columns outside the key span
+    center: np.ndarray  # their training mean
+    max_norm: float  # the largest entry of the norm column
+
+    def factor(self, test_X, rows, seen):
+        """[-2 * (test rest - centre), 1] for ``rows``, whose key counts are
+        ``seen[rows]``, and the row constant that product leaves out."""
+        block = np.ones((len(rows), len(self.rest) + 1))
+        block[:, :-1] = test_X[np.ix_(rows, self.rest)] - self.center
+        const = np.einsum("ij,ij->i", block[:, :-1], block[:, :-1]) + seen[rows]
+        # Scaling by -2 is exact, so scaling the block is scaling the product.
+        block[:, :-1] *= -2.0
+        return block, const
+
+    def key_term(self, sq, codes):
+        """Subtract 2 on each row's own key range of the screen values ``sq``,
+        whose rows have the key ``codes``, in key order. A row without a key
+        (code ``len(key_ends) - 1``) has no range."""
+        first = np.flatnonzero(np.diff(codes, prepend=-1))
+        for lo, hi, code in zip(first, [*first[1:], len(codes)], codes[first]):
+            if code < len(self.key_ends) - 1:
+                sq[lo:hi, self.key_ends[code] : self.key_ends[code + 1]] -= 2.0
+
+
+def _rank_main(train_X, test_X, rows, pair_rows, cand, k, widths, out):
+    """Measure the main candidates ``(rows[pair_rows], cand)`` at every width
+    and write the main neighbours of ``rows`` to ``out``. Returns the pairs'
+    joined d^2 and each row's k-th smallest of it, U, or None without a
+    joined width."""
+    pair_sq = _pair_sq(train_X, test_X, rows[pair_rows], cand, widths)
+    dist = np.sqrt(pair_sq[0])
+    pick = _rank_pairs(pair_rows, cand, dist, len(rows), k)
+    out[0][0][rows], out[0][1][rows] = cand[pick], dist[pick]
+    if len(widths) == 1:
+        return None
+    return pair_sq[1], pair_sq[1][_rank_pairs(pair_rows, cand, pair_sq[1], len(rows), k)[:, -1]]
+
+
+def _rank_joined(train_X, test_X, rows, main_pairs, more_pairs, upper, k, out):
+    """Write the joined neighbours of ``rows`` to ``out``. The candidates are
+    ``main_pairs``, the measured main ones as (row, training row, joined
+    d^2), and ``more_pairs``, the (row, training row) pairs beyond them,
+    measured here."""
+    more_rows, more_cand = more_pairs
+    (more_sq,) = _pair_sq(train_X, test_X, rows[more_rows], more_cand, [train_X.shape[1]])
+    pair_rows, cand, pair_sq = (np.concatenate(parts) for parts in zip(main_pairs, (*more_pairs, more_sq)))
+    dist = np.sqrt(pair_sq)
+    # The k candidates nearest in the joined metric lie within joined
+    # distance sqrt(U), so every joined neighbour does too.
+    keep = dist <= np.sqrt(upper)[pair_rows]
+    pair_rows, cand, dist = pair_rows[keep], cand[keep], dist[keep]
+    pick = _rank_pairs(pair_rows, cand, dist, len(rows), k)
+    out[1][0][rows], out[1][1][rows] = cand[pick], dist[pick]
+
+
+def _settle_in_key(train_X, test_X, k, widths, screen, test_code, test_seen, test_order, out):
+    """Rank the test rows whose neighbours all share their key, key by key.
+
+    Returns the k-th smallest screen value over each test row's own key
+    range (inf for a row without a key or whose key has fewer than k
+    training rows) and the mask of the rows whose main condition settled;
+    ``out`` holds both conditions' neighbours of those rows. See
+    ``_select_neighbors``.
+    """
+    n, m = len(train_X), len(test_X)
+    ends = screen.key_ends
+    # Every training row of another key is at main d^2 >= 2, one without a
+    # key at main d^2 >= 1, and a joined d^2 is at least the main one.
+    threshold = 2.0 if ends[-1] == n else 1.0
+    scales = _margin_scales(widths)
+    own, upper, limit = np.full(m, np.inf), np.empty(m), np.empty(m)
+    settled = np.zeros(m, dtype=bool)
+    starts = np.searchsorted(test_code[test_order], np.arange(len(ends)))
+    # A key's test rows go _TEST_BLOCK at a time, so no product outgrows a
+    # block of the full screen.
+    chunks = [
+        (c, test_order[lo : min(lo + _TEST_BLOCK, starts[c + 1])])
+        for c in np.flatnonzero((np.diff(starts) > 0) & (np.diff(ends) >= k))
+        for lo in range(starts[c], starts[c + 1], _TEST_BLOCK)
+    ]
+    main_pairs, more_pairs, again = [], [], []
+    for c, rows in chunks:
+        block, const = screen.factor(test_X, rows, test_seen)
+        sq = block @ screen.values[ends[c] : ends[c + 1]].T
+        sq -= 2.0
+        own[rows] = kth = np.partition(sq, k - 1, axis=1)[:, k - 1]
+        bound = kth + const
+        bound += scales[0] * (const + screen.max_norm + np.abs(bound))
+        ok = bound < threshold
+        if not ok.any():
+            continue
+        rows, sq, const, bound = rows[ok], sq[ok], const[ok], bound[ok]
+        settled[rows] = True
+        main = sq <= (bound - const)[:, None]
+        pair_rows, pos = np.nonzero(main)
+        cand = screen.order[pos + ends[c]]
+        joined = _rank_main(train_X, test_X, rows, pair_rows, cand, k, widths, out)
+        if joined is None:
+            continue
+        joined_sq, upper[rows] = joined
+        bound = upper[rows] + scales[1] * (const + screen.max_norm + upper[rows])
+        limit[rows] = bound - const
+        # A row whose joined condition settles too takes its joined
+        # candidates beyond the main ones from its own-key values; any other
+        # row is screened whole again below.
+        in_key = bound < threshold
+        more_rows, pos = np.nonzero(~main & in_key[:, None] & (sq <= limit[rows, None]))
+        main_pairs.append((rows[pair_rows], cand, joined_sq))
+        more_pairs.append((rows[more_rows], screen.order[pos + ends[c]]))
+        again.append(rows[~in_key])
+    if not main_pairs:
+        return own, settled
+    # The whole-row screen leaves out the pairs measured. Its rows are in key
+    # order, as ``key_term`` reads them.
+    measured = np.concatenate([rows * n + cand for rows, cand, _ in main_pairs])
+    again = np.concatenate(again)
+    for s in range(0, len(again), _TEST_BLOCK):
+        rows = again[s : s + _TEST_BLOCK]
+        block, _ = screen.factor(test_X, rows, test_seen)
+        sq = block @ screen.values.T
+        screen.key_term(sq, test_code[rows])
+        more_rows, pos = np.nonzero(sq <= limit[rows, None])
+        new = ~np.isin(rows[more_rows] * n + screen.order[pos], measured)
+        more_pairs.append((rows[more_rows[new]], screen.order[pos[new]]))
+    rows = np.flatnonzero(settled)
+    local = np.cumsum(settled) - 1  # index of each settled row in ``rows``
+    main_rows, cand, joined_sq = (np.concatenate(parts) for parts in zip(*main_pairs))
+    more_rows, more_cand = (np.concatenate(parts) for parts in zip(*more_pairs))
+    _rank_joined(train_X, test_X, rows, (local[main_rows], cand, joined_sq), (local[more_rows], more_cand),
+                 upper[rows], k, out)
+    return own, settled
+
+
+def _margin_scales(widths):
+    """Relative rounding margin of a bound from distances at each width (see
+    the rounding note in ``_select_neighbors``)."""
+    return [4.0 * (w + 8) * np.finfo(float).eps for w in widths]
+
+
 def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0)):
     """Indices and exact distances of the k nearest training rows per test row.
 
@@ -281,31 +430,45 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0)):
     ``main_width`` columns, and a second for the joined rows, all of them,
     both from one pass. ``key_span`` is the (start, stop) column span of a
     one-hot block among the main columns; it changes the cost of the
-    screen, not its result.
+    search, not its result.
 
-    Candidates are screened by the expanded square of the main rows, blocked
-    over test rows in key order into one preallocated buffer. Over a one-hot
-    block d^2 is exactly ``seen_test + seen_train - 2 * [same key]``, so the
-    training rows are sorted by key code once, the block's columns stay out
-    of the matmul, and 2 is subtracted on each test row's own key range. The
-    other columns are centred on the training mean (centring keeps a large
-    common offset from cancelling), and the training norms and key counts
-    form one more column of the matmul. Two screen values bound the main
+    Candidates are screened by the expanded square of the main rows. Over a
+    one-hot block d^2 is exactly ``seen_test + seen_train - 2 * [same key]``,
+    so the training rows are sorted by key code once, the block's columns
+    stay out of the matmul, and 2 is subtracted on each test row's own key
+    range. The other columns are centred on the training mean (centring
+    keeps a large common offset from cancelling), and the training norms
+    and key counts form one more column of the matmul.
+
+    The test rows are first settled inside their own key, with small
+    matmuls over each key's training rows alone (an inverted-file search,
+    Jegou, Douze & Schmid, TPAMI 2011): every training row of another key
+    is at main d^2 >= 2, and at >= 1 if some training row has no key,
+    which sets the threshold. A row whose key
+    has k training rows gets the k-th smallest screen value over them, the
+    own bound. If that bound plus its rounding margin lies below the
+    threshold, all of the row's main neighbours share its key: the main
+    candidates are the own-key rows within that limit. A joined d^2 is the
+    main d^2 plus that of the appended block, so main d^2 is a lower bound
+    of it (multi-step kNN, Seidl & Kriegel, SIGMOD 1998), and the k-th
+    smallest joined d^2 U over the main candidates, measured at full width,
+    bounds the joined k-th d^2 from above. If U plus its margin lies below
+    the threshold too, the joined candidates beyond the main ones are the
+    own-key rows within it; otherwise the row is screened whole again up to
+    it. A row whose main condition does not settle can never settle its
+    joined one.
+
+    The other rows go through the full screen, blocked over test rows in key
+    order into one preallocated buffer. Two screen values bound the main
     k-th from above: the k-th smallest over every ``_SCREEN_STRIDE``-th
-    training row, and the k-th smallest over the test row's own key range
-    where that key has k training rows. The main candidates are the training
-    rows whose screen value lies within the rounding bound of the smaller. A
-    joined d^2 is the main d^2 plus that of the appended block, so main d^2
-    is a lower bound of it (multi-step kNN, Seidl & Kriegel, SIGMOD 1998),
-    and the k-th smallest joined d^2 U over the main candidates, already
-    measured at full width, bounds the joined k-th d^2 from above. The
-    joined candidates are the main candidates within U and the rows whose
-    screen value lies beyond the main limit and within the rounding bound of
-    U. One comparison of the block, at the strided limit, keeps the pairs
-    both conditions read; only a row whose joined limit exceeds its strided
-    one is screened again. Each condition ranks its candidates by exact
-    distance, ties by training index, which is the order of a brute-force
-    search.
+    training row, and the own bound. The main candidates are the rows whose
+    screen value lies within the rounding bound of the smaller; the joined
+    ones beyond them are the rows whose screen value lies beyond the main
+    limit and within the rounding bound of U. One comparison of the block,
+    at the strided limit, keeps the pairs both conditions read; only a row
+    whose joined limit exceeds its strided one is screened again. No pair is
+    measured twice. Each condition ranks its candidates by exact distance,
+    ties by training index, which is the order of a brute-force search.
     """
     n, width = train_X.shape
     widths = [width] if main_width is None else [main_width, width]
@@ -313,20 +476,19 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0)):
     rest = np.r_[0:key_start, key_stop : widths[0]]
     train_code, train_seen = _key_codes(train_X[:, key_start:key_stop])
     order = np.argsort(train_code, kind="stable")
-    # Sorted rows of key code c are order[key_ends[c] : key_ends[c + 1]].
-    key_ends = np.searchsorted(train_code[order], np.arange(key_stop - key_start + 1))
     test_code, test_seen = _key_codes(test_X[:, key_start:key_stop])
     # The test rows go through the blocks in key order, so the rows of one
     # key in a block are adjacent and share one key range.
     test_order = np.argsort(test_code, kind="stable")
-    # [train rest - centre, |train rest - centre|^2 + seen_train], sorted by key.
-    screen = np.empty((n, len(rest) + 1))
-    train_c = screen[:, :-1]
+    values = np.empty((n, len(rest) + 1))
+    train_c = values[:, :-1]
     train_c[...] = train_X[np.ix_(order, rest)]
     center = train_c.mean(axis=0)
     train_c -= center
-    np.einsum("ij,ij->i", train_c, train_c, out=screen[:, -1])
-    screen[:, -1] += train_seen[order]
+    np.einsum("ij,ij->i", train_c, train_c, out=values[:, -1])
+    values[:, -1] += train_seen[order]
+    key_ends = np.searchsorted(train_code[order], np.arange(key_stop - key_start + 1))
+    screen = _Screen(values, order, key_ends, rest, center, values[:, -1].max(initial=0.0))
     # Rounding bounds the screen. Centring and the expanded square of the
     # non-key columns, whose matmul sums at most width + 1 terms with the
     # folded norm column, err by under about (width + 7) * eps *
@@ -341,67 +503,46 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0)):
     # nearest has a screen value within those errors of the k-th smallest,
     # and so of the strided and the own bound: each is the k-th smallest
     # screen value over k or more training rows, so at least that large, and
-    # adds no error of its own. A joined neighbour has exact main d^2 <=
-    # exact joined d^2 (the joined rows lead with the main ones); U is the
-    # k-th smallest explicit joined d^2 over k or more rows, so the
-    # neighbour's exact joined d^2 is at most U plus the relative errors at
-    # the joined width, and its screen value lies within the first errors
-    # of its exact main d^2. With ``scale`` at the width of the distances a
-    # bound comes from, ``bound + scale * (norms + |bound|)`` is twice what
-    # keeps every such row a candidate.
-    scales = [4.0 * (w + 8) * np.finfo(float).eps for w in widths]
-    max_norm = screen[:, -1].max(initial=0.0)
+    # adds no error of its own, whichever product it was read from. A joined
+    # neighbour has exact main d^2 <= exact joined d^2 (the joined rows lead
+    # with the main ones); U is the k-th smallest explicit joined d^2 over k
+    # or more rows, so the neighbour's exact joined d^2 is at most U plus the
+    # relative errors at the joined width, and its screen value lies within
+    # the first errors of its exact main d^2. With ``scale`` at the width of
+    # the distances a bound comes from, ``bound + scale * (norms + |bound|)``
+    # is twice what keeps every such row a candidate, so it also exceeds the
+    # exact d^2 of every neighbour: below the settle threshold, no row of
+    # another key is one.
+    scales = _margin_scales(widths)
     m = len(test_X)
     out = [(np.empty((m, k), dtype=np.intp), np.empty((m, k))) for _ in widths]
-    buf = np.empty((min(_TEST_BLOCK, m), n))
-    for start in range(0, m, _TEST_BLOCK):
-        rows = test_order[start : start + _TEST_BLOCK]
-        test_block = test_X[rows]
-        # [-2 * (test rest - centre), 1], and the row constant it leaves out.
-        block = np.ones((len(rows), len(rest) + 1))
-        block[:, :-1] = test_block[:, rest] - center
-        const = np.einsum("ij,ij->i", block[:, :-1], block[:, :-1]) + test_seen[rows]
-        # Scaling by -2 is exact, so scaling the block is scaling the product.
-        block[:, :-1] *= -2.0
+    own, settled = _settle_in_key(train_X, test_X, k, widths, screen, test_code, test_seen, test_order, out)
+    hard = test_order[~settled[test_order]]
+    buf = np.empty((min(_TEST_BLOCK, len(hard)), n))
+    for start in range(0, len(hard), _TEST_BLOCK):
+        rows = hard[start : start + _TEST_BLOCK]
+        block, const = screen.factor(test_X, rows, test_seen)
         sq = buf[: len(rows)]
-        np.matmul(block, screen.T, out=sq)
-        # Each run of equal codes shares one key range; a row without a key
-        # (code ``key_stop - key_start``) has none.
-        codes = test_code[rows]
-        first = np.flatnonzero(np.diff(codes, prepend=-1))
-        # The k-th smallest screen value over each row's own key range, where
-        # that key has k training rows.
-        own = np.full(len(rows), np.inf)
-        for lo, hi, code in zip(first, [*first[1:], len(rows)], codes[first]):
-            if code < key_stop - key_start:
-                same = sq[lo:hi, key_ends[code] : key_ends[code + 1]]
-                same -= 2.0
-                if same.shape[1] >= k:
-                    own[lo:hi] = np.partition(same, k - 1, axis=1)[:, k - 1]
+        np.matmul(block, values.T, out=sq)
+        screen.key_term(sq, test_code[rows])
         strided = sq[:, ::_SCREEN_STRIDE] if n // _SCREEN_STRIDE >= k else sq
         strided_kth = np.partition(strided, k - 1, axis=1)[:, k - 1] + const
-        norms = const + max_norm
+        norms = const + screen.max_norm
         # The main limit comes from the smaller bound; the block is screened
         # at the strided one, which most rows' joined limit does not exceed.
         main_limit, strided_limit = (
             kth + scales[0] * (norms + np.abs(kth)) - const
-            for kth in (np.minimum(strided_kth, own + const), strided_kth)
+            for kth in (np.minimum(strided_kth, own[rows] + const), strided_kth)
         )
         flat = np.flatnonzero(sq <= strided_limit[:, None])
         screened = sq.ravel()[flat]
         screen_rows, screen_pos = np.divmod(flat, n)
         main = screened <= main_limit[screen_rows]
-        pair_rows, cand = screen_rows[main], order[screen_pos[main]]
-        pair_sq = _pair_sq(train_X, test_block, pair_rows, cand, widths)
-        dist = np.sqrt(pair_sq[0])
-        pick = _rank_pairs(pair_rows, cand, dist, len(rows), k)
-        out[0][0][rows], out[0][1][rows] = cand[pick], dist[pick]
-        if main_width is None:
+        main_pairs = screen_rows[main], order[screen_pos[main]]
+        joined = _rank_main(train_X, test_X, rows, *main_pairs, k, widths, out)
+        if joined is None:
             continue
-        # The k main candidates nearest in the joined metric lie within joined
-        # distance sqrt(U), so every joined neighbour does too; the main
-        # candidates beyond it can go.
-        upper = pair_sq[1][_rank_pairs(pair_rows, cand, pair_sq[1], len(rows), k)[:, -1]]
+        joined_sq, upper = joined
         joined_limit = upper + scales[1] * (norms + upper) - const
         # The joined candidates beyond the main limit: the screened pairs
         # within the joined limit and, on the rows where that exceeds the
@@ -412,15 +553,8 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0)):
             pos = np.flatnonzero((sq[r] > strided_limit[r]) & (sq[r] <= joined_limit[r]))
             more_rows.append(np.full(len(pos), r))
             more_pos.append(pos)
-        more_rows, more_cand = np.concatenate(more_rows), order[np.concatenate(more_pos)]
-        (more_sq,) = _pair_sq(train_X, test_block, more_rows, more_cand, widths[1:])
-        pair_rows = np.concatenate([pair_rows, more_rows])
-        cand = np.concatenate([cand, more_cand])
-        dist = np.sqrt(np.concatenate([pair_sq[1], more_sq]))
-        keep = dist <= np.sqrt(upper)[pair_rows]
-        pair_rows, cand, dist = pair_rows[keep], cand[keep], dist[keep]
-        pick = _rank_pairs(pair_rows, cand, dist, len(rows), k)
-        out[1][0][rows], out[1][1][rows] = cand[pick], dist[pick]
+        more_pairs = np.concatenate(more_rows), order[np.concatenate(more_pos)]
+        _rank_joined(train_X, test_X, rows, (*main_pairs, joined_sq), more_pairs, upper, k, out)
     return out
 
 
@@ -478,7 +612,8 @@ def knn_predict(
 
     ``key_span=(start, stop)`` names main columns that form a one-hot
     block: each row holds zeros and at most one 1. The search then screens
-    the block by key code; the predictions do not change.
+    the block by key code and settles what test rows it can inside their
+    own key; the predictions do not change.
 
     Every feature value must be finite: a NaN or infinite distance ranks no
     neighbour.

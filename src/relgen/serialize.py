@@ -53,7 +53,7 @@ RUN_TAGS = ("structure-main", "structure-add", "compose", "prerun", "kmeans", "m
 class Seeds:
     """schema.json's ``seeds``: the master seed and how the streams derive from it."""
 
-    master_seed: int = 0
+    master_seed: int
     run_tags: tuple[str, ...] = ()
     derivation: str = ""
 
@@ -68,7 +68,7 @@ class SchemaFile:
     coupling_index: int
     latent_edges: set[tuple[int, int]]
     prerun_stats: PrerunStats | None = None
-    seeds: Seeds = Seeds()
+    seeds: Seeds | None = None
     fingerprint: str = None  # None until schema_to_dict computes it; a null in the file is refused
 
 
@@ -295,8 +295,10 @@ def load_dataset(dataset_dir: str | Path) -> RelationalDataset:
         raise InvalidConfigError(f"{root / bad[0]}: SHA-256 is not the one {MANIFEST_JSON} lists")
 
     schema, file = read_schema(root / SCHEMA_JSON)
-    if file.prerun_stats is None:
-        raise InvalidConfigError(f"{root / SCHEMA_JSON} lacks prerun_stats")
+    # export-dot reads a schema without these; the data's reader needs both.
+    missing = [key for key in ("prerun_stats", "seeds") if getattr(file, key) is None]
+    if missing:
+        raise InvalidConfigError(f"{root / SCHEMA_JSON}: schema lacks {missing}")
 
     node = schema.merged.node
     return RelationalDataset(

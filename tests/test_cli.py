@@ -529,6 +529,9 @@ def test_schema_that_breaks_the_node_layout_exits_2(tmp_path, small_config, caps
 @pytest.mark.parametrize(
     "malform, key",
     [
+        (lambda s: s.pop("seeds"), "schema lacks ['seeds']"),
+        (lambda s: s["seeds"].pop("master_seed"), "seeds lacks ['master_seed']"),
+        (lambda s: s.pop("prerun_stats"), "schema lacks ['prerun_stats']"),
         (lambda s: s.update(seeds=5), "seeds must be a JSON object"),
         (lambda s: s["seeds"].update(master_seed="7"), "seeds.master_seed must be an integer"),
         (lambda s: s["seeds"].update(master_seed=7.0), "seeds.master_seed must be an integer"),
@@ -536,7 +539,7 @@ def test_schema_that_breaks_the_node_layout_exits_2(tmp_path, small_config, caps
         (lambda s: s.update(fingerprint=5), "fingerprint must be a string"),
         (lambda s: s.update(fingerprint=None), "fingerprint must be a string"),
     ],
-    ids=["seeds-not-an-object", "seed-a-string", "seed-a-float", "seed-a-bool", "fingerprint-a-number",
+    ids=["seeds-missing", "master-seed-missing", "prerun-stats-missing", "seeds-not-an-object", "seed-a-string", "seed-a-float", "seed-a-bool", "fingerprint-a-number",
          "fingerprint-null"],
 )
 def test_schema_with_malformed_seeds_exits_2(tmp_path, small_config, capsys, malform, key):

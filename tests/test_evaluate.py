@@ -568,3 +568,34 @@ def test_no_main_only_matrix_outlives_featurization(monkeypatch):
     monkeypatch.setattr(evaluate, "featurize_main_only", tracked)
     monkeypatch.setattr(evaluate, "knn_predict", checked)
     run_comparison(small_dataset())
+
+
+def test_search_with_the_key_settle_equals_the_search_without(monkeypatch):
+    # Eight keys over 900 training rows: most test rows settle inside their
+    # own key and the rest take the full screen. Both conditions must equal
+    # the search without a key span, which settles none.
+    from relgen import evaluate
+
+    searches, settled = [], []
+    search, settle = evaluate._select_neighbors, evaluate._settle_in_key
+
+    def kept(*args):
+        searches.append((args, search(*args)))
+        return searches[-1][1]
+
+    def counted(*args):
+        own, mask = settle(*args)
+        settled.append(mask.mean())
+        return own, mask
+
+    monkeypatch.setattr(evaluate, "_select_neighbors", kept)
+    monkeypatch.setattr(evaluate, "_settle_in_key", counted)
+    cfg = config_from_dict(
+        {"master_seed": 5, "main_graph": {"num_nodes": 8}, "add_graph": {"num_nodes": 5}, "coupling_categories": [8, 0]}
+    )
+    run_comparison(generate_relational(build_schema(cfg), 1000, 60, cfg.noise, 200, 1))
+    (args, got), = searches
+    train_X, test_X, k, main_width, span = args
+    assert span[1] - span[0] == 8 and 0.3 <= settled[0] < 1.0
+    for (idx, dist), (ref_idx, ref_dist) in zip(got, search(train_X, test_X, k, main_width, (0, 0))):
+        assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)

@@ -7,7 +7,9 @@ The joined form is checked on main rows plus a per-key block, the shape of
 the joined features: equal aggregate rows under distinct keys, the fallback
 row and an all-zero block. Its main condition must equal the plain call on
 the leading columns. The screen by key code is checked on main rows
-holding a one-hot key block, against the same search without the key span.
+holding a one-hot key block, against the same search without the key span,
+with own-key k-th values at and just below the threshold below which a
+test row settles inside its key.
 """
 
 import tracemalloc
@@ -248,13 +250,18 @@ def keyed_cases(draw):
     ones. Lattice values and a small pool of rows make exact ties across key
     boundaries (two keys differ by exactly 2 in d^2), training sets of up to
     60 rows often put k above n // 4, and ``OFFSETS`` move every column but
-    the key block.
+    the key block. In the "edge" layout the fresh test rows hold key 0 at one
+    point, every other training row lies at that point, and key 0's rows lie
+    at main d^2 exactly the settle threshold from it, or just below: 2, or 1
+    where some training row has no key. A jittered appended block differs
+    row by row, so a row's joined k-th can lie beyond the threshold where
+    its main k-th does not.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    width = draw(st.integers(1, 3))
+    layout = draw(st.sampled_from(["random", "shared", "sorted", "runs", "edge"]))
+    width = draw(st.integers(2 if layout == "edge" else 1, 3))
     n_keys = draw(st.integers(1, 5))
-    lattice = draw(st.booleans())
-    layout = draw(st.sampled_from(["random", "shared", "sorted", "runs"]))
+    lattice = layout == "edge" or draw(st.booleans())
 
     def rows(count):
         if lattice:
@@ -282,15 +289,28 @@ def keyed_cases(draw):
     test_rest = np.concatenate([rows(fresh), train_rest[copies]])
     test_keys = np.concatenate([rng.integers(-1, n_keys, size=fresh), train_keys[copies]])
     k = [n, int(rng.integers(1, n + 1)), int(rng.integers(1, n // 4 + 2))][draw(st.integers(0, 2))]
+    if layout == "edge":
+        # Over the key block, main d^2 is 0 within key 0, 2 to another key
+        # and 1 to a row without one; key 0's rows add the rest of the
+        # threshold along (1, 1) or (1, 0), or just less.
+        train_keys = rng.integers(-draw(st.integers(0, 1)), n_keys, size=n)
+        step = np.zeros(width)
+        step[: 1 if (train_keys == -1).any() else 2] = draw(st.sampled_from([1.0, 1.0 - 2.0**-20]))
+        test_rest[:fresh], test_keys[:fresh] = rows(1), 0
+        train_rest = test_rest[0] + (train_keys == 0)[:, None] * step
+        test_rest[fresh:], test_keys[fresh:] = train_rest[copies], train_keys[copies]
+        k = int(rng.integers(1, max(1, (train_keys == 0).sum()) + 1))
 
     at = draw(st.integers(0, width))
     offset = draw(st.sampled_from(OFFSETS))
     agg_pool = rng.integers(-8, 9, size=(draw(st.integers(1, 3)), draw(st.integers(1, 3))))
     table = draw(st.sampled_from([1.0, 0.3, 0.05])) * agg_pool[rng.integers(0, len(agg_pool), size=n_keys + 1)]
+    jitter = draw(st.sampled_from([0.0, 0.0, 1.0]))
 
     def joined(rest, keys):
         onehot = (keys[:, None] == np.arange(n_keys)).astype(float)
-        return np.concatenate([rest[:, :at] + offset, onehot, rest[:, at:] + offset, table[keys] + offset], axis=1)
+        block = table[keys] + jitter * rng.integers(-1, 2, size=(len(keys), table.shape[1]))
+        return np.concatenate([rest[:, :at] + offset, onehot, rest[:, at:] + offset, block + offset], axis=1)
 
     train_J, test_J = joined(train_rest, train_keys), joined(test_rest, test_keys)
     y_reg, y_cls = rng.normal(size=n), rng.integers(0, 4, size=n)
@@ -440,3 +460,55 @@ def test_rows_beyond_the_main_limit_are_screened_without_a_block_copy():
     assert peak <= 1.5 * 128 * n * 8
     assert np.allclose(main, brute_force_knn(train_J[:, :1], y, test_J[:, :1], k, "regression"), atol=1e-9, rtol=0)
     assert np.allclose(joined, brute_force_knn(train_J, y, test_J, k, "regression"), atol=1e-9, rtol=0)
+
+
+def test_settled_rows_measure_no_pair_outside_their_key(monkeypatch):
+    # Five keys of forty training rows within main d^2 of about 0.1 of
+    # each other, whatever the key, and an appended block equal within a
+    # key: every test row of those keys settles in both conditions, and
+    # must measure only rows of its key. Key 5 has two training rows, fewer
+    # than k, and one test row has no key; both take the full screen.
+    rng = np.random.default_rng(5)
+    train_keys = np.repeat([0, 1, 2, 3, 4, 5], [40, 40, 40, 40, 40, 2])
+    test_keys = np.array([0, 1, 2, 3, 4, 0, 3, -1, 5])
+    table = rng.normal(size=(7, 2))
+
+    def joined(keys):
+        rest = rng.normal(scale=0.1, size=(len(keys), 2))
+        return np.concatenate([rest, keys[:, None] == np.arange(6), table[keys]], axis=1)
+
+    train_J, test_J = joined(train_keys), joined(test_keys)
+    pairs = []
+    pair_sq = evaluate._pair_sq
+
+    def recorded(train, test, rows, cand, widths):
+        block = test[rows, 2:8]
+        pairs.extend(zip(np.where(block.any(axis=1), block.argmax(axis=1), -1), train_keys[cand]))
+        return pair_sq(train, test, rows, cand, widths)
+
+    monkeypatch.setattr(evaluate, "_pair_sq", recorded)
+    got = _select_neighbors(train_J, test_J, 5, 8, (2, 8))
+    settled = [(test, train) for test, train in pairs if 0 <= test < 5]
+    assert len(settled) >= 7 * 5 and all(test == train for test, train in settled)
+    assert any(test != train for test, train in pairs if test in (-1, 5))
+    for (idx, dist), (ref_idx, ref_dist) in zip(got, _select_neighbors(train_J, test_J, 5, 8)):
+        assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
+
+
+@pytest.mark.parametrize("n", [3_000, 60_000])
+def test_pair_gather_is_bounded_by_the_chunk(n):
+    # 30,000 pairs over a 64-wide matrix: the gathered rows are measured
+    # 2,048 at a time, so the peak is the outputs plus a few chunks,
+    # whether the training matrix is small or large.
+    width, count = 64, 30_000
+    rng = np.random.default_rng(6)
+    train_X, test_X = rng.normal(size=(n, width)), rng.normal(size=(5, width))
+    rows, cand = rng.integers(0, 5, size=count), rng.integers(0, n, size=count)
+    tracemalloc.start()
+    main, joined = evaluate._pair_sq(train_X, test_X, rows, cand, [8, width])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 2 * count * 8 + 3 * evaluate._PAIR_CHUNK * width * 8
+    diff = train_X[cand] - test_X[rows]
+    assert np.allclose(main, (diff[:, :8] ** 2).sum(axis=1), rtol=1e-12, atol=0)
+    assert np.allclose(joined, (diff**2).sum(axis=1), rtol=1e-12, atol=0)
