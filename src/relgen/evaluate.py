@@ -10,6 +10,7 @@ categorical targets score (macro one-vs-rest) AUC.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -226,6 +227,7 @@ _SCREEN_STRIDE = 4
 # Most pairs ``_pair_sq`` gathers at a time: 2,048 rows of the joined width
 # are a few MB, and as fast as larger gathers.
 _PAIR_CHUNK = 2048
+_EPS = np.finfo(float).eps
 
 
 def _pair_sq(train_X, test_X, rows, cand, widths):
@@ -287,12 +289,12 @@ class _Screen(NamedTuple):
     center: np.ndarray  # their training mean
     max_norm: float  # the largest entry of the norm column
 
-    def factor(self, test_X, rows, seen):
-        """[-2 * (test rest - centre), 1] for ``rows``, whose key counts are
-        ``seen[rows]``, and the row constant that product leaves out."""
-        block = np.ones((len(rows), len(self.rest) + 1))
-        block[:, :-1] = test_X[np.ix_(rows, self.rest)] - self.center
-        const = np.einsum("ij,ij->i", block[:, :-1], block[:, :-1]) + seen[rows]
+    def factor(self, test_X, seen):
+        """[-2 * (test rest - centre), 1] for every test row, whose key
+        counts are ``seen``, and the row constant that product leaves out."""
+        block = np.ones((len(test_X), len(self.rest) + 1))
+        block[:, :-1] = test_X[:, self.rest] - self.center
+        const = np.einsum("ij,ij->i", block[:, :-1], block[:, :-1]) + seen
         # Scaling by -2 is exact, so scaling the block is scaling the product.
         block[:, :-1] *= -2.0
         return block, const
@@ -307,29 +309,85 @@ class _Screen(NamedTuple):
                 sq[lo:hi, self.key_ends[code] : self.key_ends[code + 1]] -= 2.0
 
 
-def _rank_main(train_X, test_X, rows, pair_rows, cand, k, widths, out):
-    """Measure the main candidates ``(rows[pair_rows], cand)`` at every width
-    and write the main neighbours of ``rows`` to ``out``. Returns the pairs'
-    joined d^2 and each row's k-th smallest of it, U, or None without a
-    joined width."""
-    pair_sq = _pair_sq(train_X, test_X, rows[pair_rows], cand, widths)
+def _bound(kth, norms, width):
+    """``kth``, a k-th smallest squared distance read at ``width`` columns,
+    plus its rounding margin; ``norms`` is the row constant plus the
+    largest entry of the norm column.
+
+    Centring and the expanded square of the non-key columns, whose matmul
+    sums at most width + 1 terms with the folded norm column, err by under
+    about (width + 7) * eps * (|test row|^2 + |train row|^2), the centred
+    norms. The key term is an exact integer; adding the key counts to the
+    norm column and to the row constant ``const``, subtracting 2, forming
+    ``kth + const`` and comparing against ``limit - const`` round five
+    values, each by at most eps / 2 of ``norms + |kth|``. Explicit squared
+    distances err by about (width + 3) * eps relative, and the square root
+    taken before ranking lets a d^2 up to 2 * eps larger tie. A main row
+    that ties the k-th nearest has a screen value within those errors of
+    the k-th smallest, and so of the strided and the own k-th: each is the
+    k-th smallest screen value over k or more training rows, so at least
+    that large, and adds no error of its own, whichever product it was read
+    from. A joined neighbour has exact main d^2 <= exact joined d^2 (the
+    joined rows lead with the main ones); U is the k-th smallest explicit
+    joined d^2 over k or more rows, so the neighbour's exact joined d^2 is
+    at most U plus the relative errors at the joined width, and its screen
+    value lies within the first errors of its exact main d^2. The margin
+    ``4 * (width + 8) * eps * (norms + |kth|)`` is twice what keeps every
+    such row a candidate, so the bound also exceeds the exact d^2 of every
+    neighbour: below the settle threshold, no row of another key is one.
+    """
+    return kth + 4.0 * (width + 8) * _EPS * (norms + np.abs(kth))
+
+
+def _rank(train_X, test_X, k, widths, screen, factors, out, rows, sq, lo, main_limit, cover, const):
+    """Write both conditions' neighbours of the test ``rows`` to ``out``.
+
+    ``sq`` holds the rows' screen values, less their row constants
+    ``const``, over the key-sorted training rows from ``lo`` on: every
+    training row, or the rows of their own key. ``main_limit`` and ``cover``
+    are limits on those values, the second at least the first. The pairs
+    within ``cover`` are read in one pass; the main candidates are those
+    within ``main_limit``, and the joined ones beyond them those within the
+    joined limit, the bound of U. A row whose joined limit passes ``cover``
+    also reads the rest of its values and, if ``sq`` holds its own key
+    only, the other keys' rows from one whole-row product, whose left
+    factor ``factors`` holds for every test row (see ``_Screen.factor``).
+    See ``_select_neighbors``.
+    """
+    width = sq.shape[1]
+    order = screen.order[lo : lo + width]
+    flat = np.flatnonzero(sq <= cover[:, None])
+    screened = sq.ravel()[flat]
+    pair_rows, pos = np.divmod(flat, width)
+    main = screened <= main_limit[pair_rows]
+    main_rows, cand = pair_rows[main], order[pos[main]]
+    pair_sq = _pair_sq(train_X, test_X, rows[main_rows], cand, widths)
     dist = np.sqrt(pair_sq[0])
-    pick = _rank_pairs(pair_rows, cand, dist, len(rows), k)
+    pick = _rank_pairs(main_rows, cand, dist, len(rows), k)
     out[0][0][rows], out[0][1][rows] = cand[pick], dist[pick]
     if len(widths) == 1:
-        return None
-    return pair_sq[1], pair_sq[1][_rank_pairs(pair_rows, cand, pair_sq[1], len(rows), k)[:, -1]]
-
-
-def _rank_joined(train_X, test_X, rows, main_pairs, more_pairs, upper, k, out):
-    """Write the joined neighbours of ``rows`` to ``out``. The candidates are
-    ``main_pairs``, the measured main ones as (row, training row, joined
-    d^2), and ``more_pairs``, the (row, training row) pairs beyond them,
-    measured here."""
-    more_rows, more_cand = more_pairs
-    (more_sq,) = _pair_sq(train_X, test_X, rows[more_rows], more_cand, [train_X.shape[1]])
-    pair_rows, cand, pair_sq = (np.concatenate(parts) for parts in zip(main_pairs, (*more_pairs, more_sq)))
-    dist = np.sqrt(pair_sq)
+        return
+    upper = pair_sq[1][_rank_pairs(main_rows, cand, pair_sq[1], len(rows), k)[:, -1]]
+    joined_limit = _bound(upper, const + screen.max_norm, widths[1]) - const
+    more = ~main & (screened <= joined_limit[pair_rows])
+    more_rows, more_cand = [pair_rows[more]], [order[pos[more]]]
+    far = np.flatnonzero(joined_limit > cover)
+    for r in far:
+        pos = np.flatnonzero((sq[r] > cover[r]) & (sq[r] <= joined_limit[r]))
+        more_rows.append(np.full(len(pos), r))
+        more_cand.append(order[pos])
+    if len(far) and width < len(train_X):
+        # ``sq``, read above, holds only the own key: leaving its range out
+        # of the whole-row product measures no pair twice.
+        whole = factors[rows[far]] @ screen.values.T
+        whole[:, lo : lo + width] = np.inf
+        far_rows, pos = np.nonzero(whole <= joined_limit[far, None])
+        more_rows.append(far[far_rows])
+        more_cand.append(screen.order[pos])
+    more_rows, more_cand = np.concatenate(more_rows), np.concatenate(more_cand)
+    (more_sq,) = _pair_sq(train_X, test_X, rows[more_rows], more_cand, widths[1:])
+    pair_rows, cand = np.concatenate([main_rows, more_rows]), np.concatenate([cand, more_cand])
+    dist = np.sqrt(np.concatenate([pair_sq[1], more_sq]))
     # The k candidates nearest in the joined metric lie within joined
     # distance sqrt(U), so every joined neighbour does too.
     keep = dist <= np.sqrt(upper)[pair_rows]
@@ -338,88 +396,39 @@ def _rank_joined(train_X, test_X, rows, main_pairs, more_pairs, upper, k, out):
     out[1][0][rows], out[1][1][rows] = cand[pick], dist[pick]
 
 
-def _settle_in_key(train_X, test_X, k, widths, screen, test_code, test_seen, test_order, out):
+def _settle_in_key(rank, screen, factors, consts, test_code, test_order, k, main_width, buf):
     """Rank the test rows whose neighbours all share their key, key by key.
 
     Returns the k-th smallest screen value over each test row's own key
     range (inf for a row without a key or whose key has fewer than k
-    training rows) and the mask of the rows whose main condition settled;
-    ``out`` holds both conditions' neighbours of those rows. See
-    ``_select_neighbors``.
+    training rows) and the mask of the rows settled; ``rank`` writes both
+    conditions' neighbours of those. Each product is written into ``buf``.
+    See ``_select_neighbors``.
     """
-    n, m = len(train_X), len(test_X)
+    n, m = len(screen.order), len(test_code)
     ends = screen.key_ends
     # Every training row of another key is at main d^2 >= 2, one without a
     # key at main d^2 >= 1, and a joined d^2 is at least the main one.
     threshold = 2.0 if ends[-1] == n else 1.0
-    scales = _margin_scales(widths)
-    own, upper, limit = np.full(m, np.inf), np.empty(m), np.empty(m)
-    settled = np.zeros(m, dtype=bool)
+    own, settled = np.full(m, np.inf), np.zeros(m, dtype=bool)
     starts = np.searchsorted(test_code[test_order], np.arange(len(ends)))
-    # A key's test rows go _TEST_BLOCK at a time, so no product outgrows a
-    # block of the full screen.
-    chunks = [
-        (c, test_order[lo : min(lo + _TEST_BLOCK, starts[c + 1])])
-        for c in np.flatnonzero((np.diff(starts) > 0) & (np.diff(ends) >= k))
-        for lo in range(starts[c], starts[c + 1], _TEST_BLOCK)
-    ]
-    main_pairs, more_pairs, again = [], [], []
-    for c, rows in chunks:
-        block, const = screen.factor(test_X, rows, test_seen)
-        sq = block @ screen.values[ends[c] : ends[c + 1]].T
-        sq -= 2.0
-        own[rows] = kth = np.partition(sq, k - 1, axis=1)[:, k - 1]
-        bound = kth + const
-        bound += scales[0] * (const + screen.max_norm + np.abs(bound))
-        ok = bound < threshold
-        if not ok.any():
-            continue
-        rows, sq, const, bound = rows[ok], sq[ok], const[ok], bound[ok]
-        settled[rows] = True
-        main = sq <= (bound - const)[:, None]
-        pair_rows, pos = np.nonzero(main)
-        cand = screen.order[pos + ends[c]]
-        joined = _rank_main(train_X, test_X, rows, pair_rows, cand, k, widths, out)
-        if joined is None:
-            continue
-        joined_sq, upper[rows] = joined
-        bound = upper[rows] + scales[1] * (const + screen.max_norm + upper[rows])
-        limit[rows] = bound - const
-        # A row whose joined condition settles too takes its joined
-        # candidates beyond the main ones from its own-key values; any other
-        # row is screened whole again below.
-        in_key = bound < threshold
-        more_rows, pos = np.nonzero(~main & in_key[:, None] & (sq <= limit[rows, None]))
-        main_pairs.append((rows[pair_rows], cand, joined_sq))
-        more_pairs.append((rows[more_rows], screen.order[pos + ends[c]]))
-        again.append(rows[~in_key])
-    if not main_pairs:
-        return own, settled
-    # The whole-row screen leaves out the pairs measured. Its rows are in key
-    # order, as ``key_term`` reads them.
-    measured = np.concatenate([rows * n + cand for rows, cand, _ in main_pairs])
-    again = np.concatenate(again)
-    for s in range(0, len(again), _TEST_BLOCK):
-        rows = again[s : s + _TEST_BLOCK]
-        block, _ = screen.factor(test_X, rows, test_seen)
-        sq = block @ screen.values.T
-        screen.key_term(sq, test_code[rows])
-        more_rows, pos = np.nonzero(sq <= limit[rows, None])
-        new = ~np.isin(rows[more_rows] * n + screen.order[pos], measured)
-        more_pairs.append((rows[more_rows[new]], screen.order[pos[new]]))
-    rows = np.flatnonzero(settled)
-    local = np.cumsum(settled) - 1  # index of each settled row in ``rows``
-    main_rows, cand, joined_sq = (np.concatenate(parts) for parts in zip(*main_pairs))
-    more_rows, more_cand = (np.concatenate(parts) for parts in zip(*more_pairs))
-    _rank_joined(train_X, test_X, rows, (local[main_rows], cand, joined_sq), (local[more_rows], more_cand),
-                 upper[rows], k, out)
+    for c in np.flatnonzero((np.diff(starts) > 0) & (np.diff(ends) >= k)):
+        lo, hi = ends[c], ends[c + 1]
+        # A key's test rows go _TEST_BLOCK at a time, so no product outgrows
+        # the buffer.
+        for s in range(starts[c], starts[c + 1], _TEST_BLOCK):
+            rows = test_order[s : min(s + _TEST_BLOCK, starts[c + 1])]
+            const = consts[rows]
+            sq = buf.reshape(-1)[: len(rows) * (hi - lo)].reshape(len(rows), hi - lo)
+            np.matmul(factors[rows], screen.values[lo:hi].T, out=sq)
+            sq -= 2.0
+            own[rows] = kth = np.partition(sq, k - 1, axis=1)[:, k - 1]
+            bound = _bound(kth + const, const + screen.max_norm, main_width)
+            ok = bound < threshold
+            if ok.any():
+                settled[rows[ok]] = True
+                rank(rows[ok], sq[ok], lo, (bound - const)[ok], (threshold - const)[ok], const[ok])
     return own, settled
-
-
-def _margin_scales(widths):
-    """Relative rounding margin of a bound from distances at each width (see
-    the rounding note in ``_select_neighbors``)."""
-    return [4.0 * (w + 8) * np.finfo(float).eps for w in widths]
 
 
 def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0)):
@@ -440,35 +449,34 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0)):
     keeps a large common offset from cancelling), and the training norms
     and key counts form one more column of the matmul.
 
-    The test rows are first settled inside their own key, with small
-    matmuls over each key's training rows alone (an inverted-file search,
-    Jegou, Douze & Schmid, TPAMI 2011): every training row of another key
-    is at main d^2 >= 2, and at >= 1 if some training row has no key,
-    which sets the threshold. A row whose key
-    has k training rows gets the k-th smallest screen value over them, the
-    own bound. If that bound plus its rounding margin lies below the
-    threshold, all of the row's main neighbours share its key: the main
-    candidates are the own-key rows within that limit. A joined d^2 is the
-    main d^2 plus that of the appended block, so main d^2 is a lower bound
-    of it (multi-step kNN, Seidl & Kriegel, SIGMOD 1998), and the k-th
-    smallest joined d^2 U over the main candidates, measured at full width,
-    bounds the joined k-th d^2 from above. If U plus its margin lies below
-    the threshold too, the joined candidates beyond the main ones are the
-    own-key rows within it; otherwise the row is screened whole again up to
-    it. A row whose main condition does not settle can never settle its
-    joined one.
+    Two screens feed one ranking routine, ``_rank``, and every bound comes
+    with its rounding margin from ``_bound``. The first screen settles test
+    rows inside their own key, with small matmuls over each key's training
+    rows alone (an inverted-file search, Jegou, Douze & Schmid, TPAMI
+    2011). Every training row of another key is at main d^2 >= 2, and at
+    >= 1 if some training row has no key, which sets the threshold. A row
+    whose key has k training rows gets the k-th smallest screen value over
+    them, the own k-th; if its bound lies below the threshold, all of the
+    row's main neighbours share its key and the row is settled there. The
+    second screen takes the other rows against every training row, blocked
+    over test rows in key order into one preallocated buffer, which the
+    first screen's products share. Its main bound is the smaller of the
+    own k-th and the k-th smallest screen value over every
+    ``_SCREEN_STRIDE``-th training row, the strided k-th.
 
-    The other rows go through the full screen, blocked over test rows in key
-    order into one preallocated buffer. Two screen values bound the main
-    k-th from above: the k-th smallest over every ``_SCREEN_STRIDE``-th
-    training row, and the own bound. The main candidates are the rows whose
-    screen value lies within the rounding bound of the smaller; the joined
-    ones beyond them are the rows whose screen value lies beyond the main
-    limit and within the rounding bound of U. One comparison of the block,
-    at the strided limit, keeps the pairs both conditions read; only a row
-    whose joined limit exceeds its strided one is screened again. No pair is
-    measured twice. Each condition ranks its candidates by exact distance,
-    ties by training index, which is the order of a brute-force search.
+    The ranking routine reads each row's screen values in one pass up to a
+    cover limit: the threshold on its own key, the strided bound on a whole
+    row. The main candidates are the pairs read within the main bound. A
+    joined d^2 is the main d^2 plus that of the appended block, so main d^2
+    is a lower bound of it (multi-step kNN, Seidl & Kriegel, SIGMOD 1998),
+    and the k-th smallest joined d^2 U over the main candidates, measured
+    at full width, bounds the joined k-th d^2 from above. The joined
+    candidates beyond the main ones are the pairs read within the bound of
+    U; a row whose joined limit passes its cover reads the rest of its
+    values up to it and, on its own key's screen, the other keys' rows from
+    one whole-row product that leaves its own key out. No pair is measured
+    twice. Each condition ranks its candidates by exact distance, ties by
+    training index, which is the order of a brute-force search.
     """
     n, width = train_X.shape
     widths = [width] if main_width is None else [main_width, width]
@@ -489,72 +497,28 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0)):
     values[:, -1] += train_seen[order]
     key_ends = np.searchsorted(train_code[order], np.arange(key_stop - key_start + 1))
     screen = _Screen(values, order, key_ends, rest, center, values[:, -1].max(initial=0.0))
-    # Rounding bounds the screen. Centring and the expanded square of the
-    # non-key columns, whose matmul sums at most width + 1 terms with the
-    # folded norm column, err by under about (width + 7) * eps *
-    # (|test row|^2 + |train row|^2), the centred norms. The key term is an
-    # exact integer; adding the key counts to the norm column and to the row
-    # constant ``const``, subtracting 2, forming ``bound + const`` and
-    # comparing against ``limit - const`` round five values, each by at
-    # most eps / 2 of ``norms + |bound|``, ``norms`` being the row constant
-    # plus the largest norm column. Explicit squared distances err by about
-    # (width + 3) * eps relative, and the square root taken before ranking
-    # lets a d^2 up to 2 * eps larger tie. A main row that ties the k-th
-    # nearest has a screen value within those errors of the k-th smallest,
-    # and so of the strided and the own bound: each is the k-th smallest
-    # screen value over k or more training rows, so at least that large, and
-    # adds no error of its own, whichever product it was read from. A joined
-    # neighbour has exact main d^2 <= exact joined d^2 (the joined rows lead
-    # with the main ones); U is the k-th smallest explicit joined d^2 over k
-    # or more rows, so the neighbour's exact joined d^2 is at most U plus the
-    # relative errors at the joined width, and its screen value lies within
-    # the first errors of its exact main d^2. With ``scale`` at the width of
-    # the distances a bound comes from, ``bound + scale * (norms + |bound|)``
-    # is twice what keeps every such row a candidate, so it also exceeds the
-    # exact d^2 of every neighbour: below the settle threshold, no row of
-    # another key is one.
-    scales = _margin_scales(widths)
     m = len(test_X)
     out = [(np.empty((m, k), dtype=np.intp), np.empty((m, k))) for _ in widths]
-    own, settled = _settle_in_key(train_X, test_X, k, widths, screen, test_code, test_seen, test_order, out)
+    buf = np.empty((min(_TEST_BLOCK, m), n))
+    factors, consts = screen.factor(test_X, test_seen)
+    rank = partial(_rank, train_X, test_X, k, widths, screen, factors, out)
+    own, settled = _settle_in_key(rank, screen, factors, consts, test_code, test_order, k, widths[0], buf)
     hard = test_order[~settled[test_order]]
-    buf = np.empty((min(_TEST_BLOCK, len(hard)), n))
     for start in range(0, len(hard), _TEST_BLOCK):
         rows = hard[start : start + _TEST_BLOCK]
-        block, const = screen.factor(test_X, rows, test_seen)
+        const = consts[rows]
         sq = buf[: len(rows)]
-        np.matmul(block, values.T, out=sq)
+        np.matmul(factors[rows], values.T, out=sq)
         screen.key_term(sq, test_code[rows])
         strided = sq[:, ::_SCREEN_STRIDE] if n // _SCREEN_STRIDE >= k else sq
         strided_kth = np.partition(strided, k - 1, axis=1)[:, k - 1] + const
-        norms = const + screen.max_norm
-        # The main limit comes from the smaller bound; the block is screened
-        # at the strided one, which most rows' joined limit does not exceed.
-        main_limit, strided_limit = (
-            kth + scales[0] * (norms + np.abs(kth)) - const
+        # The main bound is the smaller one; the block is read up to the
+        # strided one, which most rows' joined limit does not pass.
+        main_limit, cover = (
+            _bound(kth, const + screen.max_norm, widths[0]) - const
             for kth in (np.minimum(strided_kth, own[rows] + const), strided_kth)
         )
-        flat = np.flatnonzero(sq <= strided_limit[:, None])
-        screened = sq.ravel()[flat]
-        screen_rows, screen_pos = np.divmod(flat, n)
-        main = screened <= main_limit[screen_rows]
-        main_pairs = screen_rows[main], order[screen_pos[main]]
-        joined = _rank_main(train_X, test_X, rows, *main_pairs, k, widths, out)
-        if joined is None:
-            continue
-        joined_sq, upper = joined
-        joined_limit = upper + scales[1] * (norms + upper) - const
-        # The joined candidates beyond the main limit: the screened pairs
-        # within the joined limit and, on the rows where that exceeds the
-        # strided limit, the rest of the row screened again up to it.
-        more = ~main & (screened <= joined_limit[screen_rows])
-        more_rows, more_pos = [screen_rows[more]], [screen_pos[more]]
-        for r in np.flatnonzero(joined_limit > strided_limit):
-            pos = np.flatnonzero((sq[r] > strided_limit[r]) & (sq[r] <= joined_limit[r]))
-            more_rows.append(np.full(len(pos), r))
-            more_pos.append(pos)
-        more_pairs = np.concatenate(more_rows), order[np.concatenate(more_pos)]
-        _rank_joined(train_X, test_X, rows, (*main_pairs, joined_sq), more_pairs, upper, k, out)
+        rank(rows, sq, 0, main_limit, cover, const)
     return out
 
 

@@ -169,7 +169,10 @@ def test_regenerate_rejects_stream_version_2(tmp_path, small_config, capsys):
 # SHA-256 of the SMALL profile at seed 4, random-stream version 2, unchanged
 # by version 3. A change to the stream layout, the CSV format or the schema
 # encoding changes these; the manifest's also changes with the config's
-# encoding, the tool version or the stream version.
+# encoding, the tool version or the stream version. These and GOLDEN_EVAL
+# are pinned to one toolchain, the one .github/workflows/tests.yml runs:
+# x86-64 Linux, CPython 3.11.7, numpy 2.4.6, pytest 9.0.3, hypothesis
+# 6.155.2. Another numpy or platform may round differently.
 GOLDEN = {
     "main.csv": "ba2f09167a298b3e0ba3d76ae18a22000c7462854b4dbf973c5f223f63ae74fd",
     "additional.csv": "e045bc10c5d6831b7a48fd6259ee1d2d6f6049af4a85e41499b1cfe201d122e5",

@@ -322,8 +322,24 @@ def keyed_cases(draw):
 def test_key_screen_matches_the_plain_search_and_the_oracle(case):
     train_J, test_J, width, k, span, y_reg, y_cls = case
     train_X, test_X = train_J[:, :width], test_J[:, :width]
-    plain = _select_neighbors(train_J, test_J, k, width)
-    for (idx, dist), (ref_idx, ref_dist) in zip(_select_neighbors(train_J, test_J, k, width, span), plain):
+    # Every (test row, training row) pair each search measures. Hypothesis
+    # refuses the function-scoped ``monkeypatch``, so the spy is set here.
+    searches = []
+    pair_sq = evaluate._pair_sq
+
+    def recorded(train, test, rows, cand, widths):
+        searches[-1].extend(zip(rows.tolist(), cand.tolist()))
+        return pair_sq(train, test, rows, cand, widths)
+
+    def search(key_span):
+        searches.append([])
+        return _select_neighbors(train_J, test_J, k, width, key_span)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluate, "_pair_sq", recorded)
+        plain, keyed = search((0, 0)), search(span)
+    assert all(len(set(pairs)) == len(pairs) for pairs in searches)
+    for (idx, dist), (ref_idx, ref_dist) in zip(keyed, plain):
         assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
 
     main, got = knn_predict(train_J, y_reg, test_J, k=k, task="regression", main_width=width, key_span=span)
@@ -411,22 +427,37 @@ def test_own_key_bound_measures_only_the_keys_nearest_rows(monkeypatch):
     assert calls == [[1, 2, 3], []]
 
 
-def test_joined_neighbour_between_the_own_and_the_strided_limit(monkeypatch):
+@pytest.mark.parametrize(
+    "far, joined, joined_dist, measured",
+    [
+        (False, [[0, 1]], [[np.sqrt(2.0), 2.0]], [[1, 2, 3], [0]]),
+        (True, [[0, 4]], [[np.sqrt(2.0), 1.5]], [[1, 2, 3], [0, 4]]),
+    ],
+    ids=["other-key", "own-key-past-threshold"],
+)
+def test_joined_neighbour_between_the_own_and_the_strided_limit(monkeypatch, far, joined, joined_dist, measured):
     # Keys as above, k = 2. The own key's rows are at main d^2 0 and joined
-    # d^2 4, so the joined limit is 4; the key-0 row, main d^2 2 and joined
-    # d^2 2, lies beyond the main limit but within the strided one, 6 from
-    # the key-2 rows, and is the joined nearest. It is measured from the
-    # screened values, without screening its row again.
-    keys = np.repeat([0, 1, 2], [1, 3, 36])
+    # d^2 4, so the test row settles inside its key with joined limit 4,
+    # past the settle threshold 2. The key-0 row, main d^2 2 and joined d^2
+    # 2, lies beyond the main limit, 6 from the key-2 rows, and is the
+    # joined nearest; it is read from the other keys' product. With
+    # ``far``, a fourth key-1 row (training index 4) has rest 1.5 and an
+    # appended block of 0: main d^2 2.25, beyond the threshold, and joined
+    # d^2 2.25. It is read from the rest of its own key's values, and each
+    # pair is measured once.
+    keys = np.repeat([0, 1, 2], [1, 4, 35] if far else [1, 3, 36])
     rest = np.where(keys == 2, 2.0, 0.0)
     block = np.where(keys == 1, 2.0, 0.0)
+    if far:
+        rest[4], block[4] = 1.5, 0.0
     train_J = np.concatenate([rest[:, None], np.eye(3)[keys], block[:, None]], axis=1)
     test_J = np.array([[0.0, 0.0, 1.0, 0.0, 0.0]])
     calls = measured_pairs(monkeypatch)
-    (idx, _), (joined_idx, joined_dist) = _select_neighbors(train_J, test_J, 2, 4, (1, 4))
-    assert idx.tolist() == [[1, 2]] and joined_idx.tolist() == [[0, 1]]
-    assert joined_dist.tolist() == [[np.sqrt(2.0), 2.0]]
-    assert calls == [[1, 2, 3], [0]]
+    (idx, _), (joined_idx, got_dist) = _select_neighbors(train_J, test_J, 2, 4, (1, 4))
+    assert idx.tolist() == [[1, 2]] and joined_idx.tolist() == joined
+    assert got_dist.tolist() == joined_dist
+    assert calls == measured
+
 
 def test_joined_bound_from_the_main_candidates_rescreens_nothing(monkeypatch):
     # Test row at the origin, k = 2. Row 0 is the main-nearest but far in
