@@ -9,9 +9,9 @@ activation, and adds noise scaled component-wise by the spread (90%- minus
 
     x_i = activation(W_i @ concat(parents)) + (q90_i - q10_i) * eps_i
 
-One kernel, :func:`apply_layer`, computes activation(W_i @ x) for a block of
-rows; :func:`propagate` is that kernel on a block of one row. The batch
-runner :func:`propagate_rows` calls it for many rows at once, in fixed blocks
+One kernel, :func:`propagate`, computes activation(W_i @ x) for one row or a
+block of rows, and :func:`structural_assign` adds the noise term. The batch
+runner :func:`propagate_rows` writes every row through them, in fixed blocks
 of ``CHUNK_ROWS`` rows. Block b draws all of its randomness from one
 generator, ``substream(seed, run_tag, b)``: one vectorised draw per node for
 a full block, sliced to the rows that exist. Row r therefore depends only on
@@ -171,26 +171,24 @@ def init_propagation_fn(
     return PropagationFn(weights=weights, activation=activation)
 
 
-def apply_layer(stacked: np.ndarray, weights: np.ndarray, activation: str) -> np.ndarray:
-    """The node kernel: act(W @ x) for every row x of a (rows, parent_count * n) block."""
-    if stacked.shape[1] != weights.shape[1]:
+def propagate(parents: list[np.ndarray], f: PropagationFn) -> np.ndarray:
+    """The node kernel act(W @ concat(parents)), for one row's parent vectors
+    (n each) or for a block of rows ((rows, n) each)."""
+    stacked = np.concatenate(parents, axis=-1)
+    if stacked.shape[-1] != f.weights.shape[1]:
         raise ContractViolationError(
-            f"concatenated parent size {stacked.shape[1]} does not match weight shape {weights.shape}"
+            f"concatenated parent size {stacked.shape[-1]} does not match weight shape {f.weights.shape}"
         )
     # einsum keeps a fixed summation order, independent of BLAS threading, so
-    # reruns are bit-identical.
-    return ACTIVATIONS[activation](np.einsum("rk,jk->rj", stacked, weights))
-
-
-def propagate(parents: list[np.ndarray], f: PropagationFn) -> np.ndarray:
-    """Apply the one-layer map to a single row's parent vectors: a block of one row."""
-    return apply_layer(np.concatenate(parents)[None], f.weights, f.activation)[0]
+    # reruns are bit-identical. One row runs as a block of one row.
+    out = ACTIVATIONS[f.activation](np.einsum("rk,jk->rj", np.atleast_2d(stacked), f.weights))
+    return out if stacked.ndim == 2 else out[0]
 
 
 def structural_assign(
     parents: list[np.ndarray], f: PropagationFn, q: QuantilePair, eps: np.ndarray
 ) -> np.ndarray:
-    """One-layer propagation plus quantile-scaled noise."""
+    """One-layer propagation plus quantile-scaled noise, for a row or a block."""
     return propagate(parents, f) + q.scale * eps
 
 
@@ -243,11 +241,7 @@ def propagate_rows(
         raise ContractViolationError("graph is not annotated (hidden_dim unset)")
     nodes = dag.nodes
     parent_map = dag.parent_map()
-    scales: dict[int, np.ndarray] = {}
-    if noise is not None:
-        for node in nodes:
-            if parent_map[node.index]:
-                scales[node.index] = quantiles[node.index].scale
+    fns = {node.index: PropagationFn(node.weights, node.activation) for node in nodes if parent_map[node.index]}
 
     out = {node.index: np.empty((num_rows, n)) for node in nodes}
     block_shape = (CHUNK_ROWS, n)
@@ -265,19 +259,21 @@ def propagate_rows(
         values: dict[int, np.ndarray] = {}
         for node in nodes:
             idx = node.index
-            parents = parent_map[idx]
+            parents = [values[p] for p in parent_map[idx]]
             if not parents:
                 x = sample_root(node.root_dist, block_shape, rng)[:m]
+            elif noise is None:
+                x = propagate(parents, fns[idx])
             else:
-                stacked = np.concatenate([values[p] for p in parents], axis=1)
-                x = apply_layer(stacked, node.weights, node.activation)
-                if noise is not None:
-                    x += scales[idx] * sample_noise(noise, block_shape, rng, row_hit)[:m]
+                eps = sample_noise(noise, block_shape, rng, row_hit)[:m]
+                x = structural_assign(parents, fns[idx], quantiles[idx], eps)
             _ensure_finite(x, node.name, node.activation)
             values[idx] = x
             out[idx][start:stop] = x
 
     blocks = range(-(-num_rows // CHUNK_ROWS))
+    # No pool for a lone worker: once a second thread has run, the whole
+    # process computes more slowly (a latent_sweep run took about 20% longer).
     if threads <= 1 or len(blocks) <= 1:
         for block in blocks:
             run_block(block)

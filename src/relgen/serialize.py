@@ -106,10 +106,13 @@ def _check_schema(file: SchemaFile) -> None:
     """The merged graph passes :func:`validate_dag` and is laid out as
     ``[A..., C, M...]``: the additional nodes are 0..c-1, C is c, and the
     main nodes follow it. C is a categorical feature that feeds the main
-    graph. Every node has a known role, pooling and activation, and a
-    ``category_count`` exactly when its pooling is categorical. A node without
-    parents has a ``root_dist``; every other node has an activation and
-    ``weights`` of shape ``(hidden_dim, parents * hidden_dim)``."""
+    graph. Every node has its own name, a known role, pooling and activation,
+    and a ``category_count`` exactly when its pooling is categorical. A node
+    without parents has a ``root_dist``; every other node has an activation
+    and ``weights`` of shape ``(hidden_dim, parents * hidden_dim)``. Present
+    ``prerun_stats`` hold a quantile pair of ``hidden_dim`` components per
+    node, and a codebook of ``(category_count, hidden_dim)`` centroids for
+    exactly the categorical nodes."""
     dag, c = file.merged, file.coupling_index
     if dag.hidden_dim < 1:
         raise InvalidConfigError(f"merged.hidden_dim {dag.hidden_dim} is not >= 1")
@@ -124,9 +127,14 @@ def _check_schema(file: SchemaFile) -> None:
     coupling = dag.node(c)
     if coupling.role != ROLE_FEATURE or coupling.pooling != "categorical" or not dag.child_map()[c]:
         raise InvalidConfigError(f"coupling_index {c}: {coupling.name!r} is not a categorical feature with a child")
-    parents = dag.parent_map()
+    parents, n, stats = dag.parent_map(), dag.hidden_dim, file.prerun_stats
+    if stats is not None and not set(stats.quantiles) | set(stats.codebooks) <= set(range(count)):
+        raise InvalidConfigError(f"prerun_stats names a node index past {count - 1}")
+    named: dict[str, int] = {}
     for node in dag.nodes:
-        where = f"merged.nodes[{node.index}]"
+        i, where = node.index, f"merged.nodes[{node.index}]"
+        if named.setdefault(node.name, i) != i:
+            raise InvalidConfigError(f"{where}.name {node.name!r} repeats the name of merged.nodes[{named[node.name]}]")
         if node.role not in ROLES:
             raise InvalidConfigError(f"{where}.role {node.role!r} is not one of {list(ROLES)}")
         if node.pooling not in POOLING_KINDS:
@@ -135,14 +143,23 @@ def _check_schema(file: SchemaFile) -> None:
             raise InvalidConfigError(f"{where}.activation {node.activation!r} is not one of {sorted(ACTIVATIONS)}")
         if (node.pooling == "categorical") != (node.category_count is not None):
             raise InvalidConfigError(f"{where}.category_count must be an integer exactly when pooling is categorical")
-        fan_in = len(parents[node.index])
+        fan_in = len(parents[i])
         if (node.root_dist is None) != bool(fan_in):
             raise InvalidConfigError(f"{where}.root_dist must be set exactly when the node has no parents")
         if fan_in and node.activation is None:
             raise InvalidConfigError(f"{where}.activation must be set on a node with parents")
-        shape = (dag.hidden_dim, fan_in * dag.hidden_dim)
+        shape = (n, fan_in * n)
         if fan_in and (node.weights is None or node.weights.shape != shape):
             raise InvalidConfigError(f"{where}.weights must have shape {shape} for {fan_in} parents")
+        if stats is None:
+            continue
+        pair, codebook = stats.quantiles.get(i), stats.codebooks.get(i)
+        if pair is None or pair.q10.shape != (n,):
+            raise InvalidConfigError(f"prerun_stats.quantiles.{i} must be a pair of {n}-component vectors")
+        if (codebook is not None) != (node.pooling == "categorical"):
+            raise InvalidConfigError(f"prerun_stats.codebooks.{i} must exist exactly when {where}.pooling is categorical")
+        if codebook is not None and codebook.centroids.shape != (node.category_count, n):
+            raise InvalidConfigError(f"prerun_stats.codebooks.{i}.centroids must have shape {(node.category_count, n)}")
 
 
 def schema_fingerprint(schema_dict: dict) -> str:

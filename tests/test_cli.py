@@ -188,6 +188,31 @@ GOLDEN_EVAL = {
 }
 
 
+# The SMALL profile at seed 4 at two more widths, generated and evaluated.
+# hidden_dim 2 leaves relgen's reductions order-free; at 1 one-column slices
+# are summed pairwise, and from 8 on sums run in eight lanes, so these pin
+# the bytes where a reordered reduction would show. At 1 the coupling node's
+# categories are reduced (the pre-run has too few distinct vectors).
+GOLDEN_BY_HIDDEN_DIM = {
+    1: {
+        "main.csv": "aac53248c427f562bec7a166bd743028a118c4b38e763ddb10f3705e045cb33b",
+        "additional.csv": "dff1b733157b7fab9c85d510cdf15b7234d29b90a6c281c87f87ee87f1ee7c18",
+        "schema.json": "76004f3baace5bd868e552fe839444cc47d97703a8635debbb49a9f94b81f1b8",
+        "manifest.json": "160e3cc530a37110cc685152683434dd4506e7b1d74e8b961a0133f47559f040",
+        "eval_report.json": "31416e11704eb7bc7cafb8bdf63131742f506bb879dc26423436313c3c5cf031",
+        "metrics.csv": "919940b9b20e1331b4823f6f6ab502a518018a73e729f2e267267b5f788b8d78",
+    },
+    8: {
+        "main.csv": "4fa5931cf63315ec1c78b881fb731e94f681871fd122bfbada47edd53b1da04d",
+        "additional.csv": "07342cae1e316263c752d0de25f3fd111fc56988ef632ed5a57384110cef915f",
+        "schema.json": "7fb7eea30008418d1ed19c691a770445bbfc7771a2d4b2d438b374cf8054d789",
+        "manifest.json": "85487e3054c2047470a5529fe09f8825286f1523299c0fac7490c8411652d21f",
+        "eval_report.json": "e031ac485d3f539975c7606ee33637e83f86902b58c48c59cf23836b459ccd03",
+        "metrics.csv": "77cbd1d6a7ab92c518576e13a57eccd563ef8912fa5b4797458fb792045531b6",
+    },
+}
+
+
 def test_golden_hashes(tmp_path, small_config):
     out = generate(tmp_path, small_config, seed=4)
     assert {name: file_sha256(out / name) for name in GOLDEN} == GOLDEN
@@ -197,6 +222,17 @@ def test_golden_eval_hashes(tmp_path, small_config):
     out = generate(tmp_path, small_config, seed=4)
     assert main(["eval", str(out)]) == 0
     assert {name: file_sha256(out / name) for name in GOLDEN_EVAL} == GOLDEN_EVAL
+
+
+@pytest.mark.parametrize("hidden_dim", sorted(GOLDEN_BY_HIDDEN_DIM))
+def test_golden_hashes_at_other_widths(tmp_path, capsys, hidden_dim):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**SMALL, "hidden_dim": hidden_dim}))
+    out = generate(tmp_path, cfg_path, seed=4)
+    assert main(["eval", str(out)]) == 0
+    golden = GOLDEN_BY_HIDDEN_DIM[hidden_dim]
+    assert {name: file_sha256(out / name) for name in golden} == golden
+    assert ("reduced categories" in capsys.readouterr().out) == (hidden_dim == 1)
 
 
 def test_eval_writes_reports(tmp_path, small_config):
@@ -508,12 +544,35 @@ def _coupling_as_target(schema):
             lambda s: [row.pop() for row in s["merged"]["nodes"][-1]["weights"]],
             "merged.nodes[{last}].weights",
         ),
+        (lambda s: s["prerun_stats"]["quantiles"].pop("0"), "prerun_stats.quantiles.0 must be a pair of 2-component"),
+        (
+            lambda s: s["prerun_stats"]["quantiles"].update({"0": {"q10": [0.0], "q90": [1.0]}}),
+            "prerun_stats.quantiles.0 must be a pair of 2-component",
+        ),
+        (
+            lambda s: s["prerun_stats"]["quantiles"].update({"99": s["prerun_stats"]["quantiles"]["0"]}),
+            "prerun_stats names a node index past {last}",
+        ),
+        (
+            lambda s: s["prerun_stats"]["codebooks"].pop(str(s["coupling_index"])),
+            "prerun_stats.codebooks.{c} must exist exactly when merged.nodes[{c}].pooling is categorical",
+        ),
+        (  # node 1 pools by variance at seed 9
+            lambda s: s["prerun_stats"]["codebooks"].update({"1": s["prerun_stats"]["codebooks"]["0"]}),
+            "prerun_stats.codebooks.1 must exist exactly when merged.nodes[1].pooling is categorical",
+        ),
+        (
+            lambda s: s["prerun_stats"]["codebooks"]["0"].update(centroids=[[0.0, 1.0, 2.0]]),
+            "prerun_stats.codebooks.0.centroids must have shape",
+        ),
     ],
     ids=["coupling-past-the-nodes", "coupling-negative", "coupling-not-an-int", "coupling-moved",
          "add-node-missing", "main-nodes-reversed", "main-node-past-the-nodes", "coupling-as-target",
          "unknown-pooling", "unknown-activation", "categorical-without-count", "other-conventions",
          "hidden-dim-zero", "root-without-root-dist", "non-root-with-root-dist", "non-root-without-activation",
-         "non-root-without-weights", "weights-missing-a-row", "weights-missing-a-column"],
+         "non-root-without-weights", "weights-missing-a-row", "weights-missing-a-column",
+         "quantiles-missing-a-node", "quantiles-of-other-width", "quantiles-past-the-nodes", "codebook-missing",
+         "codebook-on-numeric-node", "codebook-of-other-shape"],
 )
 @pytest.mark.parametrize("command", ["eval", "export-dot"])
 def test_schema_that_breaks_the_node_layout_exits_2(tmp_path, small_config, capsys, malform, key, command):
@@ -526,6 +585,29 @@ def test_schema_that_breaks_the_node_layout_exits_2(tmp_path, small_config, caps
     err = capsys.readouterr().err
     assert f"{path}: {key}" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+    assert not (out / "eval_report.json").exists()
+
+
+def test_schema_with_a_repeated_node_name_exits_2(tmp_path, small_config, capsys):
+    """The numeric M1 renamed to M0, the name of a categorical node, in the
+    schema and the CSV header alike, with both new hashes in the manifest.
+    Read by name, the columns would give M0's values twice and M1's never."""
+    out = generate(tmp_path, small_config, seed=4)
+    schema = json.loads((out / "schema.json").read_text())
+    nodes = {node["name"]: node for node in schema["merged"]["nodes"]}
+    assert nodes["M0"]["pooling"] == "categorical" and nodes["M1"]["pooling"] != "categorical"
+    path = _edit_schema(out, lambda s: s["merged"]["nodes"][nodes["M1"]["index"]].update(name="M0"))
+    csv_path = out / "main.csv"
+    header, rest = csv_path.read_text().split("\n", 1)
+    csv_path.write_text(header.replace("M1,", "M0,") + "\n" + rest)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["files"]["main.csv"] = file_sha256(csv_path)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["eval", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: merged.nodes[{nodes['M1']['index']}].name 'M0' repeats the name of" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not (out / "eval_report.json").exists()
 
 

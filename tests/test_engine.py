@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from relgen import engine
 from relgen.config import config_from_dict
 from relgen.engine import (
     ACTIVATIONS,
@@ -292,3 +293,37 @@ def test_propagate_rows_equals_single_row_propagate(structure_seed):
             assert single.tobytes() == mats[node.index][r].tobytes(), (node.name, r)
             checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("granularity", ["node", "row", "component"])
+def test_propagate_rows_equals_row_by_row_structural_assign(monkeypatch, granularity):
+    """Every row of a noisy run is ``structural_assign`` on that row's parents
+    and the noise its block drew for the node, bit for bit.
+
+    A spy on ``sample_noise`` keeps each draw. With one thread the blocks run
+    in order, and each draws once per non-root node, in node order. The run
+    spans a full block and the start of the next.
+    """
+    drawn = []
+
+    def spy(*args):
+        eps = sample_noise(*args)
+        drawn.append(eps)
+        return eps
+
+    monkeypatch.setattr(engine, "sample_noise", spy)
+    dag, quantiles = chain_dag()
+    noise = NoiseConfig(affected_fraction=0.3, noise_std=0.5, granularity=granularity)
+    num_rows = CHUNK_ROWS + 100
+    mats = propagate_rows(dag, num_rows, seed=2, run_tag="main", noise=noise, quantiles=quantiles)
+    parent_map = dag.parent_map()
+    inner = [node for node in dag.nodes if parent_map[node.index]]
+    assert len(drawn) == 2 * len(inner)
+    for eps, node, block in zip(drawn, inner * 2, [0] * len(inner) + [1] * len(inner)):
+        start = block * CHUNK_ROWS
+        f = PropagationFn(weights=node.weights, activation=node.activation)
+        for r in range(start, min(start + CHUNK_ROWS, num_rows)):
+            parents = [mats[p][r] for p in parent_map[node.index]]
+            want = structural_assign(parents, f, quantiles[node.index], eps[r - start])
+            assert want.tobytes() == mats[node.index][r].tobytes(), (node.name, r)
+    assert any(np.any(eps) for eps in drawn)
