@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -227,6 +227,9 @@ _SCREEN_STRIDE = 4
 # Most pairs ``_pair_sq`` gathers at a time: 2,048 rows of the joined width
 # are a few MB, and as fast as larger gathers.
 _PAIR_CHUNK = 2048
+# Rows of whole-row screen values a settled row's far path computes at a
+# time: one product reads the screen for all of them.
+_FAR_BLOCK = 16
 _EPS = np.finfo(float).eps
 
 
@@ -250,33 +253,84 @@ def _pair_sq(train_X, test_X, rows, cand, widths):
     return out
 
 
+def _tail_sq(train_X, test_X, rows, cand, start):
+    """Squared distances of (test row, training row) pairs over the columns
+    from ``start`` on, gathered ``_PAIR_CHUNK`` pairs at a time."""
+    out = np.empty(len(rows))
+    for s in range(0, len(rows), _PAIR_CHUNK):
+        diff = train_X[cand[s : s + _PAIR_CHUNK], start:]
+        diff -= test_X[rows[s : s + _PAIR_CHUNK], start:]
+        out[s : s + _PAIR_CHUNK] = np.einsum("ij,ij->i", diff, diff)
+    return out
+
+
 def _rank_pairs(rows, cand, dist, n_rows, k):
     """Positions of the k pairs of each row nearest by ``dist``, ties by training index.
 
     Each of the ``n_rows`` rows has at least k pairs, in any order; the
     pairs at the returned (n_rows, k) positions are the (idx, dist) of a
-    brute-force search.
+    brute-force search. The pairs are sorted by ``dist``, then stably by
+    row (a radix sort for fewer than 2^16 rows); only if a row holds two
+    equal distances are they sorted by training index as well.
     """
-    order = np.lexsort((cand, dist, rows))
+    order = np.argsort(dist)
+    order = order[np.argsort(rows[order].astype(np.uint16 if n_rows <= 2**16 else np.intp), kind="stable")]
+    by_row, by_dist = rows[order], dist[order]
+    if ((by_row[1:] == by_row[:-1]) & (by_dist[1:] == by_dist[:-1])).any():
+        order = np.lexsort((cand, dist, rows))
     first = np.searchsorted(rows[order], np.arange(n_rows))
     return order[first[:, None] + np.arange(k)]
 
 
-def _key_codes(block):
-    """Column of each row's one in a one-hot ``block`` (its width for an
-    all-zero row), and the row's count of ones, 0 or 1.
+def _kth_per_row(rows, values, n_rows, k):
+    """The k-th smallest of ``values`` in each of the ``n_rows`` rows; every
+    row holds at least k."""
+    counts = np.bincount(rows, minlength=n_rows)
+    order = np.argsort(rows.astype(np.uint16 if n_rows <= 2**16 else np.intp), kind="stable")
+    padded = np.full((n_rows, counts.max()), np.inf)
+    padded[rows[order], np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)] = values[order]
+    return np.partition(padded, k - 1, axis=1)[:, k - 1]
 
-    Raises ContractViolationError unless every cell is 0 or 1 and no row
-    holds two ones.
+
+def _span_codes(X, spans):
+    """Each row's code in each one-hot span of ``X``, the column of its one
+    within the span (the span's width for an all-zero row), and the row's
+    count of ones there, 0 or 1: two (rows, len(spans)) arrays.
+
+    One product over the columns the spans cover yields both. The nonzero
+    cells of the spans must then number the ones counted, which holds only
+    if every cell is 0 or 1 and no row holds two ones in a span; raises
+    ContractViolationError otherwise.
     """
-    seen = block.sum(axis=1)
-    if not (((block == 0.0) | (block == 1.0)).all() and (seen <= 1.0).all()):
-        raise ContractViolationError("the key span is not a one-hot block")
-    if not block.shape[1]:
-        return np.zeros(len(block), dtype=np.intp), seen
-    code = block.argmax(axis=1)
-    code[seen == 0] = block.shape[1]
-    return code, seen
+    lo, hi = min(start for start, _ in spans), max(stop for _, stop in spans)
+    weights = np.zeros((hi - lo, 2 * len(spans)))
+    inside = np.zeros(hi - lo, dtype=bool)
+    for j, (start, stop) in enumerate(spans):
+        weights[start - lo : stop - lo, j] = 1.0
+        weights[start - lo : stop - lo, len(spans) + j] = np.arange(stop - start)
+        inside[start - lo : stop - lo] = True
+    block = X[:, lo:hi]
+    sums = block @ weights
+    seen, code = sums[:, : len(spans)], sums[:, len(spans) :]
+    nonzero = block != 0.0
+    nonzero[:, ~inside] = False
+    if not (((seen == 0.0) | (seen == 1.0)).all() and np.count_nonzero(nonzero) == seen.sum()):
+        raise ContractViolationError(f"the spans {spans} are not all one-hot blocks")
+    widths = np.array([stop - start for start, stop in spans])
+    return code.astype(np.intp) + (seen == 0.0) * widths, seen
+
+
+def _lex_code(columns, dims):
+    """One int64 per row of the code ``columns``, column j in [0, dims[j]),
+    ordered as the rows are lexicographically: ``c * dims[-1] +
+    columns[-1]``, where c orders the rows by the other columns."""
+    code = np.zeros(len(columns[0]), dtype=np.int64)
+    for column, dim in zip(columns, dims):
+        if code.max(initial=0) >= np.iinfo(np.int64).max // dim:
+            # Ranking the codes keeps their order and bounds them by the row count.
+            code = np.unique(code, return_inverse=True)[1]
+        code = code * dim + column
+    return code
 
 
 class _Screen(NamedTuple):
@@ -299,6 +353,16 @@ class _Screen(NamedTuple):
         block[:, :-1] *= -2.0
         return block, const
 
+    def whole(self, factors, codes):
+        """Screen values, less the row constants, over every key-sorted
+        training row of the test rows whose factors are ``factors`` and key
+        codes ``codes``: yields one row of them at a time, computed
+        ``_FAR_BLOCK`` rows at a time."""
+        for s in range(0, len(factors), _FAR_BLOCK):
+            values = factors[s : s + _FAR_BLOCK] @ self.values.T
+            self.key_term(values, codes[s : s + _FAR_BLOCK])
+            yield from values
+
     def key_term(self, sq, codes):
         """Subtract 2 on each row's own key range of the screen values ``sq``,
         whose rows have the key ``codes``, in key order. A row without a key
@@ -307,6 +371,64 @@ class _Screen(NamedTuple):
         for lo, hi, code in zip(first, [*first[1:], len(codes)], codes[first]):
             if code < len(self.key_ends) - 1:
                 sq[lo:hi, self.key_ends[code] : self.key_ends[code + 1]] -= 2.0
+
+
+class _Cells(NamedTuple):
+    """The key-sorted training rows in a second order, by their codes in the
+    other one-hot spans and then by key, and each test row's ranges in it.
+
+    A training row of another key that shares every other code with a test
+    row differs from it in the key and in the plain columns, those outside
+    every span, alone; its screen value is read from those columns.
+    """
+
+    pos: np.ndarray  # the key-sorted position of each row
+    values: np.ndarray  # [plain - centre, |plain - centre|^2 + key count, 1] per row
+    factors: np.ndarray  # [-2 * (plain - centre), 1, |plain - centre|^2 + 1 - const] per test row
+    start: np.ndarray  # per test row: the rows sharing its every other code are start : stop,
+    stop: np.ndarray
+    own_start: np.ndarray  # and those of its own key own_start : own_stop
+    own_stop: np.ndarray
+    eligible: np.ndarray  # the test rows with a one in every other span
+    cost: float  # the least main d^2 a differing other code adds: 2, or 1 if some training row lacks one
+
+
+def _cells(screen, factors, consts, plain, spans, train_codes, train_seen, test_codes, test_seen):
+    """The second training order of the screen's rows (see ``_Cells``).
+
+    ``factors`` and ``consts`` are the test rows' (see ``_Screen.factor``),
+    ``plain`` the screen columns outside every span, and the codes and
+    counts ``_span_codes``' of the key span, then the others.
+    """
+    n = len(screen.order)
+    # The key is the last digit, so a row's code less its key code is the
+    # first code of its other-code range.
+    dims = [stop - start + 1 for start, stop in [*spans[1:], spans[0]]]
+    digits = np.concatenate([train_codes, test_codes])
+    code = _lex_code([*digits[:, 1:].T, digits[:, 0]], dims)
+    train_code, test_code = code[:n][screen.order], code[n:]
+    pos = np.argsort(train_code, kind="stable")
+    ordered, first = train_code[pos], test_code - test_codes[:, 0]
+    values = np.ones((n, len(plain) + 2))
+    values[:, :-2] = screen.values[:, plain][pos]
+    np.einsum("ij,ij->i", values[:, :-2], values[:, :-2], out=values[:, -2])
+    values[:, -2] += train_seen[screen.order[pos], 0]
+    test = np.ones((len(test_codes), len(plain) + 2))
+    test[:, :-2] = factors[:, plain]
+    # Halving undoes the factor's exact scaling by -2.
+    np.einsum("ij,ij->i", test[:, :-2], test[:, :-2], out=test[:, -1])
+    test[:, -1] = test[:, -1] / 4.0 + 1.0 - consts
+    return _Cells(
+        pos,
+        values,
+        test,
+        np.searchsorted(ordered, first),
+        np.searchsorted(ordered, first + dims[-1]),
+        np.searchsorted(ordered, test_code),
+        np.searchsorted(ordered, test_code, side="right"),
+        (test_seen[:, 1:] == 1.0).all(axis=1),
+        2.0 if (train_seen[:, 1:] == 1.0).all() else 1.0,
+    )
 
 
 def _bound(kth, norms, width):
@@ -324,67 +446,74 @@ def _bound(kth, norms, width):
     distances err by about (width + 3) * eps relative, and the square root
     taken before ranking lets a d^2 up to 2 * eps larger tie. A main row
     that ties the k-th nearest has a screen value within those errors of
-    the k-th smallest, and so of the strided and the own k-th: each is the
+    the k-th smallest, and so of every k-th the search reads: each is the
     k-th smallest screen value over k or more training rows, so at least
     that large, and adds no error of its own, whichever product it was read
-    from. A joined neighbour has exact main d^2 <= exact joined d^2 (the
-    joined rows lead with the main ones); U is the k-th smallest explicit
-    joined d^2 over k or more rows, so the neighbour's exact joined d^2 is
-    at most U plus the relative errors at the joined width, and its screen
-    value lies within the first errors of its exact main d^2. The margin
-    ``4 * (width + 8) * eps * (norms + |kth|)`` is twice what keeps every
-    such row a candidate, so the bound also exceeds the exact d^2 of every
-    neighbour: below the settle threshold, no row of another key is one.
+    from. Over an other-code range the product takes the plain columns
+    alone, with the key term folded into the norm column: in exact
+    arithmetic the same values, from fewer rounded terms. A joined
+    neighbour has exact main d^2 <= exact joined d^2 (the joined rows lead
+    with the main ones); U is the k-th smallest explicit joined d^2 over k
+    or more rows, so the neighbour's exact joined d^2 is at most U plus the
+    relative errors at the joined width, and its screen value lies within
+    the first errors of its exact main d^2, its screen value plus the
+    explicit d^2 of its appended block within those of its exact joined
+    d^2. The margin ``4 * (width + 8) * eps * (norms + |kth|)`` is twice what
+    keeps every such row a candidate, so the bound also exceeds the exact
+    d^2 of every neighbour: below a settle threshold, no row outside the
+    ranges read is one.
     """
     return kth + 4.0 * (width + 8) * _EPS * (norms + np.abs(kth))
 
 
-def _rank(train_X, test_X, k, widths, screen, factors, out, rows, sq, lo, main_limit, cover, const):
+def _read(sq, cover):
+    """The pairs whose values in ``sq`` lie within their row's ``cover``:
+    their rows, columns and values."""
+    rows, col = np.divmod(np.flatnonzero(sq <= cover[:, None]), sq.shape[1])
+    return rows, col, sq[rows, col]
+
+
+def _rank(train_X, test_X, k, widths, screen, out, rows, pairs, main_limit, cover, const, whole):
     """Write both conditions' neighbours of the test ``rows`` to ``out``.
 
-    ``sq`` holds the rows' screen values, less their row constants
-    ``const``, over the key-sorted training rows from ``lo`` on: every
-    training row, or the rows of their own key. ``main_limit`` and ``cover``
-    are limits on those values, the second at least the first. The pairs
-    within ``cover`` are read in one pass; the main candidates are those
-    within ``main_limit``, and the joined ones beyond them those within the
-    joined limit, the bound of U. A row whose joined limit passes ``cover``
-    also reads the rest of its values and, if ``sq`` holds its own key
-    only, the other keys' rows from one whole-row product, whose left
-    factor ``factors`` holds for every test row (see ``_Screen.factor``).
-    See ``_select_neighbors``.
+    ``pairs`` holds the (row, key-sorted position, screen value) of every
+    pair a screen read within ``cover``, with values less the row constants
+    ``const``; every training row a screen did not read lies beyond its
+    row's cover. ``main_limit`` is a limit at most ``cover``. The main
+    candidates are the pairs within ``main_limit``, and the joined ones
+    beyond them those within the joined limit, the bound of U. A row whose
+    joined limit passes ``cover`` also takes, of its values over every
+    key-sorted training row, those within the joined limit it has not
+    measured yet: ``whole(rows)`` yields (row, values) for such rows. See
+    ``_select_neighbors``.
     """
-    width = sq.shape[1]
-    order = screen.order[lo : lo + width]
-    flat = np.flatnonzero(sq <= cover[:, None])
-    screened = sq.ravel()[flat]
-    pair_rows, pos = np.divmod(flat, width)
+    pair_rows, at, screened = pairs
     main = screened <= main_limit[pair_rows]
-    main_rows, cand = pair_rows[main], order[pos[main]]
+    main_rows, cand = pair_rows[main], screen.order[at[main]]
     pair_sq = _pair_sq(train_X, test_X, rows[main_rows], cand, widths)
     dist = np.sqrt(pair_sq[0])
     pick = _rank_pairs(main_rows, cand, dist, len(rows), k)
     out[0][0][rows], out[0][1][rows] = cand[pick], dist[pick]
     if len(widths) == 1:
         return
-    upper = pair_sq[1][_rank_pairs(main_rows, cand, pair_sq[1], len(rows), k)[:, -1]]
+    upper = _kth_per_row(main_rows, pair_sq[1], len(rows), k)
     joined_limit = _bound(upper, const + screen.max_norm, widths[1]) - const
     more = ~main & (screened <= joined_limit[pair_rows])
-    more_rows, more_cand = [pair_rows[more]], [order[pos[more]]]
-    far = np.flatnonzero(joined_limit > cover)
-    for r in far:
-        pos = np.flatnonzero((sq[r] > cover[r]) & (sq[r] <= joined_limit[r]))
-        more_rows.append(np.full(len(pos), r))
-        more_cand.append(order[pos])
-    if len(far) and width < len(train_X):
-        # ``sq``, read above, holds only the own key: leaving its range out
-        # of the whole-row product measures no pair twice.
-        whole = factors[rows[far]] @ screen.values.T
-        whole[:, lo : lo + width] = np.inf
-        far_rows, pos = np.nonzero(whole <= joined_limit[far, None])
-        more_rows.append(far[far_rows])
-        more_cand.append(screen.order[pos])
-    more_rows, more_cand = np.concatenate(more_rows), np.concatenate(more_cand)
+    more_rows, more_at, more_screened = [pair_rows[more]], [at[more]], [screened[more]]
+    for r, values in whole(np.flatnonzero(joined_limit > cover)):
+        near = values <= joined_limit[r]
+        near[at[(pair_rows == r) & (main | more)]] = False
+        col = np.flatnonzero(near)
+        more_rows.append(np.full(len(col), r))
+        more_at.append(col)
+        more_screened.append(values[col])
+    more_rows, more_at, more_screened = (np.concatenate(part) for part in (more_rows, more_at, more_screened))
+    more_cand = screen.order[more_at]
+    # A joined d^2 is the main d^2 plus the appended columns' part, and the
+    # screen value plus that part must lie within the joined limit too;
+    # measuring the part alone first leaves most of these pairs out.
+    near = more_screened + _tail_sq(train_X, test_X, rows[more_rows], more_cand, widths[0]) <= joined_limit[more_rows]
+    more_rows, more_cand = more_rows[near], more_cand[near]
     (more_sq,) = _pair_sq(train_X, test_X, rows[more_rows], more_cand, widths[1:])
     pair_rows, cand = np.concatenate([main_rows, more_rows]), np.concatenate([cand, more_cand])
     dist = np.sqrt(np.concatenate([pair_sq[1], more_sq]))
@@ -396,114 +525,230 @@ def _rank(train_X, test_X, k, widths, screen, factors, out, rows, sq, lo, main_l
     out[1][0][rows], out[1][1][rows] = cand[pick], dist[pick]
 
 
-def _settle_in_key(rank, screen, factors, consts, test_code, test_order, k, main_width, buf):
-    """Rank the test rows whose neighbours all share their key, key by key.
+def _widen(cells, rows, smallest, cover, k):
+    """The k-th and the 2k-th smallest screen value of each test row of
+    ``rows`` over its own key and its other-code range, given its 2k
+    smallest over its own key, ``smallest``; and the row index, key-sorted
+    position and value of each pair of the other-code range, own key left
+    out, within the row's ``cover``. Values are less the row constants."""
+    starts, stops = cells.start[rows], cells.stop[rows]
+    width = (stops - starts).max()
+    values = np.full((len(rows), width + 2 * k), np.inf)
+    values[:, width:] = smallest
+    bounds = zip(starts.tolist(), stops.tolist(), cells.own_start[rows].tolist(), cells.own_stop[rows].tolist())
+    for value, factor, (a, b, own_a, own_b) in zip(values, cells.factors[rows], bounds):
+        np.dot(cells.values[a:b], factor, out=value[: b - a])
+        value[own_a - a : own_b - a] = np.inf
+    nearest = np.partition(values, 2 * k - 1, axis=1)
+    kth = np.partition(nearest[:, : 2 * k], k - 1, axis=1)[:, k - 1]
+    pair_rows, col, screened = _read(values[:, :width], cover)
+    return kth, nearest[:, 2 * k - 1].copy(), (pair_rows, cells.pos[starts[pair_rows] + col], screened)
 
-    Returns the k-th smallest screen value over each test row's own key
-    range (inf for a row without a key or whose key has fewer than k
+
+def _settle_in_key(rank, screen, factors, consts, test_code, test_order, k, main_width, cells):
+    """Rank the test rows whose neighbours all lie in their own key or, given
+    ``cells``, in their own key and its other-code range.
+
+    Returns the k-th smallest screen value over the training rows each test
+    row read (inf for a row without a key or whose key has fewer than k
     training rows) and the mask of the rows settled; ``rank`` writes both
-    conditions' neighbours of those. Each product is written into ``buf``.
-    See ``_select_neighbors``.
+    conditions' neighbours of those, _TEST_BLOCK rows or more at a time.
+    Every key's product is written into one buffer, of the largest one's
+    size. See ``_select_neighbors``.
     """
     n, m = len(screen.order), len(test_code)
     ends = screen.key_ends
     # Every training row of another key is at main d^2 >= 2, one without a
-    # key at main d^2 >= 1, and a joined d^2 is at least the main one.
+    # key at main d^2 >= 1, and a joined d^2 is at least the main one. A
+    # row outside the other-code range as well differs in one more code.
     threshold = 2.0 if ends[-1] == n else 1.0
+    wide_threshold = threshold + (cells.cost if cells is not None else np.inf)
+    eligible = cells.eligible if cells is not None else np.zeros(m, dtype=bool)
     own, settled = np.full(m, np.inf), np.zeros(m, dtype=bool)
+    limit, cover = np.empty(m), np.empty(m)
+    # Per key block: the rows settled and not yet ranked, with the pairs
+    # they read (test row, key-sorted position, screen value); and the rows
+    # left for their other-code range, with their 2k smallest own-key
+    # values and the pairs they read within the wide threshold.
+    pending, wide = [], []
+
+    def flush(least=_TEST_BLOCK):
+        if sum(len(part[0]) for part in pending) < least:
+            return
+        rows, pair_rows, at, screened = (np.concatenate(part) for part in zip(*pending))
+        local = np.empty(m, dtype=np.intp)
+        local[rows] = np.arange(len(rows))
+
+        def whole(far):
+            return zip(far, screen.whole(factors[rows[far]], test_code[rows[far]]))
+
+        rank(rows, (local[pair_rows], at, screened), limit[rows], cover[rows], consts[rows], whole)
+        pending.clear()
+
     starts = np.searchsorted(test_code[test_order], np.arange(len(ends)))
-    for c in np.flatnonzero((np.diff(starts) > 0) & (np.diff(ends) >= k)):
+    keys = np.flatnonzero((np.diff(starts) > 0) & (np.diff(ends) >= k))
+    # A key's test rows go _TEST_BLOCK at a time.
+    buf = np.empty((np.minimum(np.diff(starts), _TEST_BLOCK) * np.diff(ends))[keys].max(initial=0))
+    for c in keys:
         lo, hi = ends[c], ends[c + 1]
-        # A key's test rows go _TEST_BLOCK at a time, so no product outgrows
-        # the buffer.
         for s in range(starts[c], starts[c + 1], _TEST_BLOCK):
             rows = test_order[s : min(s + _TEST_BLOCK, starts[c + 1])]
             const = consts[rows]
-            sq = buf.reshape(-1)[: len(rows) * (hi - lo)].reshape(len(rows), hi - lo)
+            sq = buf[: len(rows) * (hi - lo)].reshape(len(rows), hi - lo)
             np.matmul(factors[rows], screen.values[lo:hi].T, out=sq)
             sq -= 2.0
             own[rows] = kth = np.partition(sq, k - 1, axis=1)[:, k - 1]
             bound = _bound(kth + const, const + screen.max_norm, main_width)
             ok = bound < threshold
-            if ok.any():
-                settled[rows[ok]] = True
-                rank(rows[ok], sq[ok], lo, (bound - const)[ok], (threshold - const)[ok], const[ok])
+            on = ~ok & eligible[rows]
+            limit[rows], cover[rows] = bound - const, np.where(on, wide_threshold, threshold) - const
+            pair_rows, col, screened = _read(sq, np.where(ok | on, cover[rows], -np.inf))
+            settled[rows[ok]] = True
+            mine = ok[pair_rows]
+            pending.append((rows[ok], rows[pair_rows[mine]], lo + col[mine], screened[mine]))
+            if on.any():
+                smallest = np.full((on.sum(), 2 * k), np.inf)
+                if hi - lo > 2 * k:
+                    smallest[...] = np.partition(sq[on], 2 * k - 1, axis=1)[:, : 2 * k]
+                else:
+                    smallest[:, : hi - lo] = sq[on]
+                wide.append((rows[on], smallest, rows[pair_rows[~mine]], lo + col[~mine], screened[~mine]))
+            flush()
+    if wide:
+        rows, smallest, pair_rows, at, screened = (np.concatenate(part) for part in zip(*wide))
+        # Rows of like range length share a padded block.
+        by = np.argsort(cells.stop[rows] - cells.start[rows], kind="stable")
+        rows, smallest = rows[by], smallest[by]
+        now = np.zeros(m, dtype=bool)
+        for s in range(0, len(rows), _TEST_BLOCK):
+            block = rows[s : s + _TEST_BLOCK]
+            const = consts[block]
+            own[block], second, (cell_rows, cell_at, cell_values) = _widen(
+                cells, block, smallest[s : s + _TEST_BLOCK], cover[block], k
+            )
+            norms = const + screen.max_norm
+            ok = _bound(own[block] + const, norms, main_width) < wide_threshold
+            # The main candidates go up to the 2k-th: a U over more of them
+            # is tighter and admits fewer joined ones.
+            limit[block] = np.minimum(_bound(second + const, norms, main_width), wide_threshold) - const
+            settled[block[ok]] = now[block[ok]] = True
+            # The rows settled take their own-key pairs along.
+            mine, cell = now[pair_rows], ok[cell_rows]
+            now[block] = False
+            pending.append(
+                (
+                    block[ok],
+                    np.concatenate([pair_rows[mine], block[cell_rows[cell]]]),
+                    np.concatenate([at[mine], cell_at[cell]]),
+                    np.concatenate([screened[mine], cell_values[cell]]),
+                )
+            )
+            flush()
+    flush(1)
     return own, settled
 
 
-def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0)):
+def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), other_spans=()):
     """Indices and exact distances of the k nearest training rows per test row.
 
     Returns a list holding one (idx, dist) pair for ``train_X``/``test_X``
     or, given ``main_width``, one pair for the main rows, their leading
     ``main_width`` columns, and a second for the joined rows, all of them,
     both from one pass. ``key_span`` is the (start, stop) column span of a
-    one-hot block among the main columns; it changes the cost of the
-    search, not its result.
+    one-hot block among the main columns, and ``other_spans`` those of
+    further one-hot blocks, disjoint from it and from each other; they
+    change the cost of the search, not its result.
 
     Candidates are screened by the expanded square of the main rows. Over a
-    one-hot block d^2 is exactly ``seen_test + seen_train - 2 * [same key]``,
-    so the training rows are sorted by key code once, the block's columns
+    one-hot block d^2 is exactly ``seen_test + seen_train - 2 * [same code]``,
+    so the training rows are sorted by key code once, the key's columns
     stay out of the matmul, and 2 is subtracted on each test row's own key
     range. The other columns are centred on the training mean (centring
     keeps a large common offset from cancelling), and the training norms
-    and key counts form one more column of the matmul.
+    and key counts form one more column of the matmul. One product reads
+    every span's codes (``_span_codes``).
 
     Two screens feed one ranking routine, ``_rank``, and every bound comes
     with its rounding margin from ``_bound``. The first screen settles test
-    rows inside their own key, with small matmuls over each key's training
-    rows alone (an inverted-file search, Jegou, Douze & Schmid, TPAMI
-    2011). Every training row of another key is at main d^2 >= 2, and at
-    >= 1 if some training row has no key, which sets the threshold. A row
-    whose key has k training rows gets the k-th smallest screen value over
-    them, the own k-th; if its bound lies below the threshold, all of the
-    row's main neighbours share its key and the row is settled there. The
-    second screen takes the other rows against every training row, blocked
-    over test rows in key order into one preallocated buffer, which the
-    first screen's products share. Its main bound is the smaller of the
-    own k-th and the k-th smallest screen value over every
-    ``_SCREEN_STRIDE``-th training row, the strided k-th.
+    rows near their own key (``_settle_in_key``), with small matmuls over
+    each key's training rows alone (an inverted-file search, Jegou, Douze &
+    Schmid, TPAMI 2011). Every training row of another key is at main d^2
+    >= 2, and at >= 1 if some training row has no key, which sets the
+    threshold. A row whose key has k training rows gets the k-th smallest
+    screen value over them, the own k-th; if its bound lies below the
+    threshold, all of the row's main neighbours share its key and the row
+    is settled there. Otherwise, given other spans and a row with a one in
+    each, the screen widens to Hamming radius 1 over the categorical codes
+    (multi-index hashing, Norouzi, Punjani & Fleet, CVPR 2012): the other
+    keys' rows that share every other code form one range of a second
+    training order, sorted by those codes and then by key (``_Cells``).
+    Every row outside both ranges differs in the key and in one more code,
+    so lies at main d^2 >= the wide threshold, the threshold plus 2, or
+    plus 1 if some training row lacks a code in some other span. If the
+    bound of the k-th smallest value over both ranges lies below it, the
+    row is settled on them, with main candidates up to the bound of the
+    2k-th, capped at the wide threshold. The second screen takes the other
+    rows against every training row, blocked over test rows in key order
+    into one preallocated buffer, which the first screen's products share.
+    Its main bound is the smaller of the k-th the first screen read and the
+    k-th smallest screen value over every ``_SCREEN_STRIDE``-th training
+    row, the strided k-th.
 
-    The ranking routine reads each row's screen values in one pass up to a
-    cover limit: the threshold on its own key, the strided bound on a whole
-    row. The main candidates are the pairs read within the main bound. A
-    joined d^2 is the main d^2 plus that of the appended block, so main d^2
-    is a lower bound of it (multi-step kNN, Seidl & Kriegel, SIGMOD 1998),
-    and the k-th smallest joined d^2 U over the main candidates, measured
-    at full width, bounds the joined k-th d^2 from above. The joined
-    candidates beyond the main ones are the pairs read within the bound of
-    U; a row whose joined limit passes its cover reads the rest of its
-    values up to it and, on its own key's screen, the other keys' rows from
-    one whole-row product that leaves its own key out. No pair is measured
-    twice. Each condition ranks its candidates by exact distance, ties by
-    training index, which is the order of a brute-force search.
+    The screens read each row's values in one pass up to a cover limit: a
+    settle threshold on the ranges read, the strided bound on a whole row.
+    The main candidates are the pairs read within the main bound. A joined
+    d^2 is the main d^2 plus that of the appended block, so main d^2 is a
+    lower bound of it (multi-step kNN, Seidl & Kriegel, SIGMOD 1998), and
+    the k-th smallest joined d^2 U over the main candidates, measured at
+    full width, bounds the joined k-th d^2 from above. The joined candidates
+    beyond the main ones are the pairs read within the bound of U whose
+    screen value plus the appended block's explicit d^2 lies within it too;
+    a row whose joined limit passes its cover also takes them from its
+    values over every training row. No pair is measured twice. Each
+    condition ranks its candidates by exact distance, ties by training
+    index, which is the order of a brute-force search.
     """
     n, width = train_X.shape
     widths = [width] if main_width is None else [main_width, width]
     key_start, key_stop = key_span
     rest = np.r_[0:key_start, key_stop : widths[0]]
-    train_code, train_seen = _key_codes(train_X[:, key_start:key_stop])
-    order = np.argsort(train_code, kind="stable")
-    test_code, test_seen = _key_codes(test_X[:, key_start:key_stop])
+    spans = [key_span, *other_spans]
+    train_codes, train_seen = _span_codes(train_X, spans)
+    test_codes, test_seen = _span_codes(test_X, spans)
+    order = np.argsort(train_codes[:, 0], kind="stable")
     # The test rows go through the blocks in key order, so the rows of one
     # key in a block are adjacent and share one key range.
-    test_order = np.argsort(test_code, kind="stable")
+    test_order = np.argsort(test_codes[:, 0], kind="stable")
     values = np.empty((n, len(rest) + 1))
     train_c = values[:, :-1]
-    train_c[...] = train_X[np.ix_(order, rest)]
+    # Two slices of gathered rows: an np.ix_ gather is about three times slower.
+    train_c[:, :key_start] = train_X[order, :key_start]
+    train_c[:, key_start:] = train_X[order, key_stop : widths[0]]
     center = train_c.mean(axis=0)
     train_c -= center
     np.einsum("ij,ij->i", train_c, train_c, out=values[:, -1])
-    values[:, -1] += train_seen[order]
-    key_ends = np.searchsorted(train_code[order], np.arange(key_stop - key_start + 1))
+    values[:, -1] += train_seen[order, 0]
+    key_ends = np.searchsorted(train_codes[order, 0], np.arange(key_stop - key_start + 1))
     screen = _Screen(values, order, key_ends, rest, center, values[:, -1].max(initial=0.0))
     m = len(test_X)
     out = [(np.empty((m, k), dtype=np.intp), np.empty((m, k))) for _ in widths]
-    buf = np.empty((min(_TEST_BLOCK, m), n))
-    factors, consts = screen.factor(test_X, test_seen)
-    rank = partial(_rank, train_X, test_X, k, widths, screen, factors, out)
-    own, settled = _settle_in_key(rank, screen, factors, consts, test_code, test_order, k, widths[0], buf)
+    factors, consts = screen.factor(test_X, test_seen[:, 0])
+    cells = None
+    if other_spans and key_stop > key_start:
+        plain = np.ones(widths[0], dtype=bool)
+        for start, stop in other_spans:
+            plain[start:stop] = False
+        plain = np.flatnonzero(plain[rest])
+        cells = _cells(screen, factors, consts, plain, spans, train_codes, train_seen, test_codes, test_seen)
+    # Past here only the test rows' key codes are read: freeing the rest
+    # lowers the search's peak memory.
+    test_code = test_codes[:, 0].copy()
+    del train_codes, train_seen, test_codes, test_seen
+    rank = partial(_rank, train_X, test_X, k, widths, screen, out)
+    own, settled = _settle_in_key(rank, screen, factors, consts, test_code, test_order, k, widths[0], cells)
     hard = test_order[~settled[test_order]]
+    # One buffer for the blocks, sized for the rows left.
+    buf = np.empty((min(_TEST_BLOCK, len(hard)), n))
     for start in range(0, len(hard), _TEST_BLOCK):
         rows = hard[start : start + _TEST_BLOCK]
         const = consts[rows]
@@ -518,7 +763,7 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0)):
             _bound(kth, const + screen.max_norm, widths[0]) - const
             for kth in (np.minimum(strided_kth, own[rows] + const), strided_kth)
         )
-        rank(rows, sq, 0, main_limit, cover, const)
+        rank(rows, _read(sq, cover), main_limit, cover, const, lambda far: ((r, sq[r]) for r in far))
     return out
 
 
@@ -553,6 +798,7 @@ def knn_predict(
     task: str | list[str] = "regression",
     main_width: int | None = None,
     key_span: tuple[int, int] = (0, 0),
+    other_spans: Sequence[tuple[int, int]] = (),
 ):
     """Inverse-distance weighted k-nearest-neighbor prediction.
 
@@ -577,7 +823,11 @@ def knn_predict(
     ``key_span=(start, stop)`` names main columns that form a one-hot
     block: each row holds zeros and at most one 1. The search then screens
     the block by key code and settles what test rows it can inside their
-    own key; the predictions do not change.
+    own key. ``other_spans`` names further one-hot blocks of main columns,
+    disjoint from the key's and from each other; a test row its key does
+    not settle may then settle on its key's training rows and the other
+    keys' rows that share its code in every other block. Neither changes
+    the predictions.
 
     Every feature value must be finite: a NaN or infinite distance ranks no
     neighbour.
@@ -601,11 +851,18 @@ def knn_predict(
     start, stop = key_span
     if not 0 <= start <= stop <= main:
         raise ContractViolationError(f"key span {key_span} lies outside {main} main columns")
+    other_spans = [tuple(span) for span in other_spans]
+    for span in other_spans:
+        if not 0 <= span[0] < span[1] <= main:
+            raise ContractViolationError(f"other span {span} is no non-empty range of {main} main columns")
+    spans = sorted(span for span in [key_span, *other_spans] if span[0] < span[1])
+    if any(a[1] > b[0] for a, b in zip(spans, spans[1:])):
+        raise ContractViolationError(f"the one-hot spans {spans} overlap")
     if not (np.isfinite(train_X).all() and np.isfinite(test_X).all()):
         raise ContractViolationError("feature matrices hold a non-finite value")
     predictions = [
         _predict(idx, dist, train_y, task)
-        for idx, dist in _select_neighbors(train_X, test_X, k, main_width, key_span)
+        for idx, dist in _select_neighbors(train_X, test_X, k, main_width, key_span, other_spans)
     ]
     if single:
         predictions = [p[0] for p in predictions]
@@ -669,7 +926,8 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
     train, test = split(dataset.main_table, cfg.test_fraction)
     n_train = train.row_count
     key = dataset.schema.merged.node(dataset.schema.coupling_index).name
-    main = featurize_main_only(dataset.main_table, fit_feature_stats(train))
+    stats = fit_feature_stats(train)
+    main = featurize_main_only(dataset.main_table, stats)
     agg = build_key_aggregates(dataset.add_table, key)
     agg_rows, fallback = map_aggregates(dataset.main_table.column(key).values, agg)
     fit_agg_norms(agg_rows, n_train, agg.numeric_mask)
@@ -679,6 +937,7 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
     # columns, so no main-only copy is kept through the search. A key that
     # is not a feature has no span.
     main_width, key_span = main.values.shape[1], main.spans.get(key, (0, 0))
+    other_spans = [span for name, span in main.spans.items() if name in stats.categories and name != key]
     del main, agg_rows
     affected = latently_affected_targets(dataset.schema)
     name_to_affected = {
@@ -693,7 +952,14 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
     tasks = [task for _, task in targets]
     y_train = [train.column(name).values for name, _ in targets]
     main_preds, joined_preds = knn_predict(
-        joined[:n_train], y_train, joined[n_train:], k=cfg.k, task=tasks, main_width=main_width, key_span=key_span
+        joined[:n_train],
+        y_train,
+        joined[n_train:],
+        k=cfg.k,
+        task=tasks,
+        main_width=main_width,
+        key_span=key_span,
+        other_spans=other_spans,
     )
     main_scores, joined_scores = (
         [score(p, test.column(name).values, task) for p, (name, task) in zip(preds, targets)]

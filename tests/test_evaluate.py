@@ -388,7 +388,7 @@ def test_one_neighbor_search_per_condition(monkeypatch, kwargs):
     assert len(report.targets) > 1
     # One search serves both conditions: the joined rows and their main width.
     assert len(calls) == 1 and len(report.feature_widths) == 2
-    train_X, test_X, _, main_width, (start, stop) = calls[0]
+    train_X, test_X, _, main_width, (start, stop), _ = calls[0]
     assert train_X.shape[1] == test_X.shape[1] == report.feature_widths["joined"]
     assert main_width == report.feature_widths["main_only"]
     # The search is given the coupling key's one-hot columns.
@@ -595,7 +595,7 @@ def test_search_with_the_key_settle_equals_the_search_without(monkeypatch):
     )
     run_comparison(generate_relational(build_schema(cfg), 1000, 60, cfg.noise, 200, 1))
     (args, got), = searches
-    train_X, test_X, k, main_width, span = args
+    train_X, test_X, k, main_width, span, _ = args
     assert span[1] - span[0] == 8 and 0.3 <= settled[0] < 1.0
     for (idx, dist), (ref_idx, ref_dist) in zip(got, search(train_X, test_X, k, main_width, (0, 0))):
         assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)

@@ -354,6 +354,200 @@ def test_key_screen_matches_the_plain_search_and_the_oracle(case):
         assert np.allclose(scores, ref_scores, atol=1e-9, rtol=0)
 
 
+@st.composite
+def spanned_cases(draw):
+    """Joined rows whose main part holds a one-hot key block, one to three
+    other one-hot blocks and up to two numeric columns, in a drawn order;
+    the main width, the key span and the other spans.
+
+    The shape ``run_comparison`` searches, with every categorical feature's
+    span. The values come from a drawn seed, as in :func:`joined_cases`.
+    Codes come from alphabets of one to three, so many training rows share
+    every code but the key and the other-code ranges are long. A code of -1
+    is an all-zero block: in a training row it lowers the least cost of a
+    differing code to 1, in a test row it is an unseen category. Keys have
+    as few as one training row, fewer than k. Lattice numerics put main d^2
+    on exact integers, so the k-th often ties at the thresholds 2 and 4.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_keys = draw(st.integers(1, 4))
+    widths = [draw(st.integers(1, 3)) for _ in range(draw(st.integers(1, 3)))]
+    n_num = draw(st.integers(0, 2))
+    lattice = draw(st.booleans())
+    unseen = draw(st.sampled_from([0.0, 0.0, 0.1]))
+    n = int(rng.integers(1, 81))
+
+    def codes(count, width):
+        code = rng.integers(0, width, size=count)
+        code[rng.random(count) < unseen] = -1
+        return code
+
+    def numeric(count):
+        if lattice:
+            return rng.integers(-1, 2, size=(count, n_num)).astype(float)
+        return rng.uniform(-1.5, 1.5, size=(count, n_num))
+
+    fresh, copies = draw(st.integers(1, 6)), rng.integers(0, n, size=draw(st.integers(0, 3)))
+    train = [codes(n, n_keys), *(codes(n, w) for w in widths)]
+    test = [np.concatenate([codes(fresh, w), c[copies]]) for w, c in zip([n_keys, *widths], train)]
+    train_num = numeric(n)
+    test_num = np.concatenate([numeric(fresh), train_num[copies]])
+    k = [n, int(rng.integers(1, n + 1)), int(rng.integers(1, min(n, 12) + 1))][draw(st.integers(0, 2))]
+
+    offset = draw(st.sampled_from(OFFSETS))
+    table = rng.integers(-2, 3, size=(n_keys + 1, draw(st.integers(1, 2)))) * draw(st.sampled_from([1.0, 0.3]))
+    jitter = draw(st.sampled_from([0.0, 0.0, 1.0]))
+    order = rng.permutation(1 + len(widths) + n_num)
+    spans, start = {}, 0
+    for block in order:
+        stop = start + ([n_keys, *widths][block] if block <= len(widths) else 1)
+        spans[block], start = (start, stop), stop
+
+    def joined(blocks, num):
+        keys = blocks[0]
+        main = np.empty((len(keys), start))
+        for block, (a, b) in spans.items():
+            if block <= len(widths):
+                main[:, a:b] = blocks[block][:, None] == np.arange(b - a)
+            else:
+                main[:, a] = num[:, block - len(widths) - 1] + offset
+        agg = table[keys] + jitter * rng.integers(-1, 2, size=(len(keys), table.shape[1]))
+        return np.concatenate([main, agg + offset], axis=1)
+
+    y_reg, y_cls = rng.normal(size=n), rng.integers(0, 4, size=n)
+    others = [spans[j] for j in range(1, len(widths) + 1)]
+    return joined(train, train_num), joined(test, test_num), start, k, spans[0], others, y_reg, y_cls
+
+
+@settings(max_examples=300, deadline=None)
+@given(spanned_cases())
+def test_other_spans_match_the_plain_search_and_the_oracle(case):
+    train_J, test_J, width, k, key_span, other_spans, y_reg, y_cls = case
+    train_X, test_X = train_J[:, :width], test_J[:, :width]
+    searches = []
+    pair_sq = evaluate._pair_sq
+
+    def recorded(train, test, rows, cand, widths):
+        searches[-1].extend(zip(rows.tolist(), cand.tolist()))
+        return pair_sq(train, test, rows, cand, widths)
+
+    def search(*spans):
+        searches.append([])
+        return _select_neighbors(train_J, test_J, k, width, *spans)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluate, "_pair_sq", recorded)
+        plain, keyed, spanned = search(), search(key_span), search(key_span, other_spans)
+    assert all(len(set(pairs)) == len(pairs) for pairs in searches)
+    for (idx, dist), (plain_idx, plain_dist), (key_idx, key_dist) in zip(spanned, plain, keyed):
+        assert np.array_equal(idx, plain_idx) and np.array_equal(dist, plain_dist)
+        assert np.array_equal(idx, key_idx) and np.array_equal(dist, key_dist)
+
+    spans = {"main_width": width, "key_span": key_span, "other_spans": other_spans}
+    main, got = knn_predict(train_J, y_reg, test_J, k=k, task="regression", **spans)
+    assert np.allclose(main, brute_force_knn(train_X, y_reg, test_X, k, "regression"), atol=1e-9, rtol=0)
+    assert np.allclose(got, brute_force_knn(train_J, y_reg, test_J, k, "regression"), atol=1e-9, rtol=0)
+    for (scores, classes), (X, T) in zip(
+        knn_predict(train_J, y_cls, test_J, k=k, task="classification", **spans),
+        [(train_X, test_X), (train_J, test_J)],
+    ):
+        ref_scores, ref_classes = brute_force_knn(X, y_cls, T, k, "classification")
+        assert np.array_equal(classes, ref_classes)
+        assert np.allclose(scores, ref_scores, atol=1e-9, rtol=0)
+
+
+def coded_rows(rows):
+    """Joined rows [num, num, key (2 columns), other code (2 columns), appended 0]
+    from (key, other code, num, num) tuples; a code of -1 is an all-zero block."""
+    out = np.zeros((len(rows), 7))
+    for i, (key, other, a, b) in enumerate(rows):
+        out[i, :2] = a, b
+        if key >= 0:
+            out[i, 2 + key] = 1.0
+        if other >= 0:
+            out[i, 4 + other] = 1.0
+    return out
+
+
+@pytest.mark.parametrize(
+    "test_row, train_rows, k, settles",
+    [
+        # Own-key rows at main d^2 2 (another code) and other-key rows
+        # sharing the code at 2: the row settles on both ranges, and the
+        # rows differing in both, at 4, are never measured.
+        ((0, 0, 0, 0), [(1, 1, 0, 0)] * 2 + [(0, 1, 0, 0)] * 4 + [(1, 0, 0, 0)] * 3, 4, True),
+        # The k-th over both ranges is exactly 4, the threshold: rows 0 and
+        # 1, which differ in both codes, tie with it and win on index.
+        ((0, 0, 0, 0), [(1, 1, 0, 0)] * 2 + [(0, 1, 1, 1)] * 4, 4, False),
+        # The same where the k-th reads one rounding step below 4: only the
+        # rounding margin keeps the row unsettled.
+        ((0, 0, 0, 2.5), [(1, 1, 0, 2.5)] + [(0, 1, 1, 3.5)] * 4, 4, False),
+        # Rows 0 and 1 lack the other code, so they are at 3, and the
+        # threshold is 3: a k-th at 3 does not settle.
+        ((0, 0, 0, 0), [(1, -1, 0, 0)] * 2 + [(0, 1, 1, 0)] * 2 + [(1, 0, 1, 0)], 2, False),
+        # The test row's other code is unseen, so a row differing in the key
+        # and the code is at 3, below the own key's k-th, 3.5; the row keeps
+        # the full screen.
+        ((0, -1, 0, 0), [(1, 1, 0, 0)] * 2 + [(0, 0, 1.5, 0.5)] * 2, 2, False),
+    ],
+    ids=["tie-at-2", "kth-at-4", "kth-rounded-below-4", "row-without-code", "unseen-code"],
+)
+def test_other_code_range_settles_below_its_threshold_only(monkeypatch, test_row, train_rows, k, settles):
+    train_J, test_J = coded_rows(train_rows), coded_rows([test_row])
+    masks, measured = [], []
+    settle, pair_sq = evaluate._settle_in_key, evaluate._pair_sq
+
+    def settled(*args):
+        own, mask = settle(*args)
+        masks.append(mask.tolist())
+        return own, mask
+
+    def counted(train, test, rows, cand, widths):
+        measured.extend(cand.tolist())
+        return pair_sq(train, test, rows, cand, widths)
+
+    monkeypatch.setattr(evaluate, "_settle_in_key", settled)
+    monkeypatch.setattr(evaluate, "_pair_sq", counted)
+    got = _select_neighbors(train_J, test_J, k, 6, (2, 4), [(4, 6)])
+    assert masks == [[settles]]
+    d2 = ((train_J - test_J) ** 2).sum(axis=1)
+    nearest = np.lexsort((np.arange(len(d2)), d2))[:k]
+    for idx, dist in got:
+        assert idx.tolist() == [nearest.tolist()] and dist.tolist() == [np.sqrt(d2[nearest]).tolist()]
+    if settles:
+        assert not {0, 1} & set(measured)
+
+
+@pytest.mark.parametrize(
+    "other_spans, match",
+    [
+        ([(3, 6)], "overlap"),
+        ([(4, 7), (6, 8)], "overlap"),
+        ([(6, 9)], "other span"),
+        ([(-1, 1)], "other span"),
+        ([(5, 5)], "other span"),
+        ([(0, 1)], "one-hot"),
+        ([(4, 8)], "one-hot"),
+    ],
+    ids=["over-the-key", "over-each-other", "past-the-main-columns", "negative", "empty", "numeric", "two-ones"],
+)
+def test_malformed_other_spans_are_refused(other_spans, match):
+    # Main columns: one numeric, a key of three, then two other one-hot
+    # blocks of two; one appended column. (4, 8) spans both blocks, whose
+    # rows hold a one in each.
+    rng = np.random.default_rng(3)
+    blocks = [np.eye(w)[rng.integers(0, w, size=24)] for w in (3, 2, 2)]
+    X = np.concatenate([rng.normal(size=(24, 1)), *blocks, rng.normal(size=(24, 1))], axis=1)
+    y = rng.normal(size=20)
+    knn_predict(X[:20], y, X[20:], k=3, main_width=8, key_span=(1, 4), other_spans=[(4, 6), (6, 8)])
+    with pytest.raises(ContractViolationError, match=match):
+        knn_predict(X[:20], y, X[20:], k=3, main_width=8, key_span=(1, 4), other_spans=other_spans)
+    half = X.copy()
+    half[5, 4:6] = 0.5
+    with pytest.raises(ContractViolationError, match="one-hot"):
+        knn_predict(half[:20], y, half[20:], k=3, main_width=8, key_span=(1, 4), other_spans=[(4, 6)])
+
+
 def test_key_screen_measures_no_row_beyond_the_bound(monkeypatch):
     # The test row has key 0 and value 0, and forty training rows equal it,
     # so with k = 5 both conditions' bound is 0. The same key at value 1, no
@@ -382,20 +576,48 @@ def test_key_screen_measures_no_row_beyond_the_bound(monkeypatch):
     assert sorted(measured) == list(range(40))
 
 
-def test_key_codes_match_the_nonzero_form():
-    # A strided view of a one-hot block, as the search reads it: rows
+def test_span_codes_match_the_nonzero_form():
+    # Strided views of one-hot blocks, as the search reads them: rows
     # without a key, keys in the first and the last column, a block of no
-    # key at all and one of no columns.
+    # key at all and one of no columns; then two spans with a numeric
+    # column between them and one after, read in one pass.
     keys = np.array([-1, 4, 0, -1, 2, 4, 4, -1])
     X = np.zeros((len(keys), 7))
     X[keys >= 0, 1 + keys[keys >= 0]] = 1.0
-    for block in (X[:, 1:6], X[[0, 3, 7], 1:6], X[:, 1:1]):
+    X[:, 0] = np.arange(len(keys)) - 3.5
+
+    def nonzero_form(block):
         code = np.full(len(block), block.shape[1])
         rows, cols = np.nonzero(block)
         code[rows] = cols
-        got_code, got_seen = evaluate._key_codes(block)
-        assert got_code.tolist() == code.tolist() and got_code.dtype == code.dtype
-        assert got_seen.tolist() == block.sum(axis=1).tolist()
+        return code
+
+    for rows, span in [(slice(None), (1, 6)), ([0, 3, 7], (1, 6)), (slice(None), (1, 1))]:
+        block = X[rows, span[0] : span[1]]
+        got_code, got_seen = evaluate._span_codes(X[rows], [span])
+        assert got_code[:, 0].tolist() == nonzero_form(block).tolist() and got_code.dtype == np.intp
+        assert got_seen[:, 0].tolist() == block.sum(axis=1).tolist()
+    Y = np.concatenate([X[:, 1:4], X[:, :1], X[:, 4:6], X[:, :1]], axis=1)
+    got_code, got_seen = evaluate._span_codes(Y, [(4, 6), (0, 3)])
+    for j, (start, stop) in enumerate([(4, 6), (0, 3)]):
+        assert got_code[:, j].tolist() == nonzero_form(Y[:, start:stop]).tolist()
+        assert got_seen[:, j].tolist() == Y[:, start:stop].sum(axis=1).tolist()
+
+
+def test_lex_code_orders_rows_past_the_int64_range():
+    # Eight digits below 1,000 span 10^24 codes, past int64: the codes are
+    # ranked before they overflow, and still order the rows as their digit
+    # tuples do, equal tuples alike, with the last digit last.
+    rng = np.random.default_rng(4)
+    columns = rng.integers(0, 1000, size=(8, 300))
+    columns[:, 150:] = columns[:, :150]
+    columns[7, 200:] = rng.integers(0, 1000, size=100)
+    code = evaluate._lex_code(list(columns), [1000] * 8)
+    order = np.lexsort(columns[::-1])
+    assert (np.diff(code[order]) >= 0).all()
+    same = (np.diff(columns[:, order], axis=1) == 0).all(axis=0)
+    assert np.array_equal(np.diff(code[order]) == 0, same)
+    assert np.array_equal(code % 1000, columns[7])
 
 
 def measured_pairs(monkeypatch):

@@ -133,6 +133,30 @@ def test_thread_count_does_not_change_output():
         assert ca.values.tobytes() == cb.values.tobytes()
 
 
+def test_two_blocks_on_two_threads_equal_one_thread(monkeypatch):
+    # CHUNK_ROWS + 100 rows are two blocks of the random stream: threads=2
+    # runs them in the block pool, threads=1 one after the other.
+    from relgen import engine
+
+    entered = []
+
+    class Pool(engine.ThreadPoolExecutor):
+        def __enter__(self):
+            entered.append(self._max_workers)
+            return super().__enter__()
+
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", Pool)
+    cfg = config_from_dict({})
+    dag = sample_dag(cfg, "main", 9, "structure-main")
+    stats = build_prerun_stats(dag, prerun(dag, 300, 9), 9)
+    one = generate_table(dag, stats, CHUNK_ROWS + 100, cfg.noise, 9, threads=1)
+    assert entered == []
+    two = generate_table(dag, stats, CHUNK_ROWS + 100, cfg.noise, 9, threads=2)
+    assert entered == [2] and one.row_count == two.row_count == 8_292
+    for ca, cb in zip(one.columns, two.columns):
+        assert ca.values.tobytes() == cb.values.tobytes()
+
+
 def test_category_values_in_range():
     dag, stats, table = build(seed=12, rows=2000)
     for node, col in zip(dag.nodes, table.columns):
