@@ -115,20 +115,19 @@ def featurize_main_only(rows: Table, stats: FeatureStats) -> FeatureMatrix:
     training encode as an all-zero block, keeping test rows finite without
     touching the training geometry.
     """
-    blocks: list[np.ndarray] = []
     spans: dict[str, tuple[int, int]] = {}
-    m, start = rows.row_count, 0
+    stop = 0
     for name in stats.feature_names:
-        col = rows.column(name)
-        if col.kind == KIND_NUMERIC:
+        start, stop = stop, stop + (1 if name in stats.numeric else len(stats.categories[name]))
+        spans[name] = (start, stop)
+    values = np.empty((rows.row_count, stop))
+    for name, (start, stop) in spans.items():
+        col = rows.column(name).values
+        if name in stats.numeric:
             mean, std = stats.numeric[name]
-            blocks.append(((col.values - mean) / max(std, STD_FLOOR)).reshape(m, 1))
+            values[:, start] = (col - mean) / max(std, STD_FLOOR)
         else:
-            cats = stats.categories[name]
-            blocks.append((col.values[:, None] == cats[None, :]).astype(float))
-        spans[name] = (start, start + blocks[-1].shape[1])
-        start = spans[name][1]
-    values = np.concatenate(blocks, axis=1) if blocks else np.zeros((m, 0))
+            np.equal(col[:, None], stats.categories[name], out=values[:, start:stop])
     return FeatureMatrix(values=values, spans=spans)
 
 
@@ -280,16 +279,6 @@ def _rank_pairs(rows, cand, dist, n_rows, k):
         order = np.lexsort((cand, dist, rows))
     first = np.searchsorted(rows[order], np.arange(n_rows))
     return order[first[:, None] + np.arange(k)]
-
-
-def _kth_per_row(rows, values, n_rows, k):
-    """The k-th smallest of ``values`` in each of the ``n_rows`` rows; every
-    row holds at least k."""
-    counts = np.bincount(rows, minlength=n_rows)
-    order = np.argsort(rows.astype(np.uint16 if n_rows <= 2**16 else np.intp), kind="stable")
-    padded = np.full((n_rows, counts.max()), np.inf)
-    padded[rows[order], np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)] = values[order]
-    return np.partition(padded, k - 1, axis=1)[:, k - 1]
 
 
 def _span_codes(X, spans):
@@ -496,7 +485,8 @@ def _rank(train_X, test_X, k, widths, screen, out, rows, pairs, main_limit, cove
     out[0][0][rows], out[0][1][rows] = cand[pick], dist[pick]
     if len(widths) == 1:
         return
-    upper = _kth_per_row(main_rows, pair_sq[1], len(rows), k)
+    # U: the joined d^2 of each row's k-th main candidate ranked by joined d^2.
+    upper = pair_sq[1][_rank_pairs(main_rows, cand, pair_sq[1], len(rows), k)[:, k - 1]]
     joined_limit = _bound(upper, const + screen.max_norm, widths[1]) - const
     more = ~main & (screened <= joined_limit[pair_rows])
     more_rows, more_at, more_screened = [pair_rows[more]], [at[more]], [screened[more]]
@@ -607,11 +597,12 @@ def _settle_in_key(rank, screen, factors, consts, test_code, test_order, k, main
             mine = ok[pair_rows]
             pending.append((rows[ok], rows[pair_rows[mine]], lo + col[mine], screened[mine]))
             if on.any():
-                smallest = np.full((on.sum(), 2 * k), np.inf)
-                if hi - lo > 2 * k:
-                    smallest[...] = np.partition(sq[on], 2 * k - 1, axis=1)[:, : 2 * k]
-                else:
-                    smallest[:, : hi - lo] = sq[on]
+                # 2k columns of inf give every key 2k values to partition; the
+                # copy keeps only those 2k.
+                smallest = np.full((on.sum(), hi - lo + 2 * k), np.inf)
+                smallest[:, : hi - lo] = sq[on]
+                smallest.partition(2 * k - 1, axis=1)
+                smallest = smallest[:, : 2 * k].copy()
                 wide.append((rows[on], smallest, rows[pair_rows[~mine]], lo + col[~mine], screened[~mine]))
             flush()
     if wide:

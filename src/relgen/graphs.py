@@ -23,6 +23,8 @@ ROLE_TARGET = "target"
 ROLES = (ROLE_ROOT, ROLE_FEATURE, ROLE_TARGET)
 
 POOLING_KINDS = (*NUMERIC_POOLINGS, "categorical")
+# Draws ``sample_dag`` makes before it gives up on a graph.
+MAX_DAG_ATTEMPTS = 16
 
 
 @dataclass(frozen=True)
@@ -216,7 +218,6 @@ def sample_dag(
     seed: int,
     run_tag: str,
     name_prefix: str = "N",
-    max_attempts: int = 16,
 ) -> DagSpec:
     """Sample, orient, classify, and annotate a graph; resample degenerate draws.
 
@@ -225,7 +226,7 @@ def sample_dag(
     """
     gcfg = getattr(cfg, f"{graph_key}_graph")
     lo, hi = gcfg.num_nodes
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_DAG_ATTEMPTS):
         rng = substream(seed, run_tag, attempt)
         num_nodes = int(rng.integers(lo, hi + 1))
         if gcfg.attach_m >= num_nodes:
@@ -242,7 +243,7 @@ def sample_dag(
         assign_node_configs(dag, cfg, rng)
         return dag
     raise DegenerateGraphError(
-        f"no usable graph for {graph_key!r} after {max_attempts} attempts (seed {seed})"
+        f"no usable graph for {graph_key!r} after {MAX_DAG_ATTEMPTS} attempts (seed {seed})"
     )
 
 

@@ -19,6 +19,8 @@ from .seeding import substream
 
 KMEANS_TOL = 1e-8
 KMEANS_MAX_ITER = 100
+# The probabilities of the quantile pair stored as q10 and q90.
+QUANTILE_PROBS = (0.1, 0.9)
 
 
 @dataclass(frozen=True)
@@ -61,17 +63,15 @@ def prerun(dag: DagSpec, num_presamples: int, seed: int, threads: int = 1) -> di
     return propagate_rows(dag, num_presamples, seed, "prerun", noise=None, threads=threads)
 
 
-def compute_quantiles(samples: np.ndarray, lo: float = 0.1, hi: float = 0.9) -> QuantilePair:
-    """Component-wise empirical quantiles with linear interpolation.
+def compute_quantiles(samples: np.ndarray) -> QuantilePair:
+    """Component-wise empirical 10% and 90% quantiles with linear interpolation.
 
     At probability p over m sorted values the index is h = p*(m-1) and the
     value interpolates between the two bracketing order statistics.
     """
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise InvalidParameterError("quantiles need a (rows >= 2, n) matrix")
-    if not lo < hi:
-        raise InvalidParameterError(f"need lo < hi, got lo={lo}, hi={hi}")
-    q = np.quantile(samples, [lo, hi], axis=0, method="linear")
+    q = np.quantile(samples, QUANTILE_PROBS, axis=0, method="linear")
     return QuantilePair(q10=q[0], q90=q[1])
 
 

@@ -111,6 +111,12 @@ def test_no_target_leaks_into_spans():
     assert fm.values.shape[1] == 4
 
 
+def test_target_only_table_featurizes_to_no_columns():
+    table = Table(columns=[Column("y", "numeric", "target", np.array([0.0, 1.0, 2.0]))])
+    fm = featurize_main_only(table, fit_feature_stats(table))
+    assert fm.values.shape == (3, 0) and fm.spans == {}
+
+
 def make_add_table(keys, a_num, a_cat):
     return Table(
         columns=[

@@ -43,11 +43,6 @@ def test_constant_column_has_zero_spread():
     assert np.array_equal(q.q10, q.q90)
 
 
-def test_lo_must_be_below_hi():
-    with pytest.raises(InvalidParameterError):
-        compute_quantiles(np.zeros((5, 1)), lo=0.5, hi=0.5)
-
-
 def test_too_few_samples_rejected():
     with pytest.raises(InvalidParameterError):
         compute_quantiles(np.zeros((1, 2)))
