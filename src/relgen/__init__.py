@@ -17,10 +17,8 @@ from .evaluate import EvalConfig, EvalReport, knn_predict, run_comparison, score
 from .graphs import (
     DagSpec,
     NodeSpec,
-    UndirectedGraph,
     assign_node_configs,
     classify_nodes,
-    orient_and_prune,
     sample_ba_graph,
     sample_dag,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "RelationalSchema",
     "RootDistribution",
     "Table",
-    "UndirectedGraph",
     "assign_node_configs",
     "build_schema",
     "classify_nodes",
@@ -69,7 +66,6 @@ __all__ = [
     "knn_predict",
     "latently_affected_targets",
     "load_config",
-    "orient_and_prune",
     "pool",
     "prerun",
     "propagate",

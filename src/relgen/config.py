@@ -49,10 +49,10 @@ class GraphConfig:
 
     def validate(self, prefix: str) -> None:
         lo, hi = self.num_nodes
-        if lo < 2 or hi < lo:
-            raise InvalidConfigError(f"{prefix}.num_nodes must be a range with 2 <= lo <= hi")
-        if self.attach_m < 1:
-            raise InvalidConfigError(f"{prefix}.attach_m must be >= 1")
+        if lo < 2 or hi < lo or hi < 3:
+            raise InvalidConfigError(f"{prefix}.num_nodes must be a range with 2 <= lo <= hi and hi >= 3")
+        if not 1 <= self.attach_m < hi:
+            raise InvalidConfigError(f"{prefix}.attach_m must satisfy 1 <= attach_m < num_nodes[1]")
 
 
 @dataclass(frozen=True)

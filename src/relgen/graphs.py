@@ -1,9 +1,10 @@
 """Random graph sampling and node configuration.
 
-Undirected graphs come from preferential attachment, are oriented from lower
-to higher node index (which makes the index order a topological order), and
-pruned of isolated nodes. Sinks become the dataset's targets; every other
-node, roots included, is a feature column.
+Graphs come from preferential attachment: every node after the seed pair
+{0, 1} links to earlier nodes, so a graph is connected by construction and
+each edge points from lower to higher node index, which makes the index order
+a topological order. Sinks become the dataset's targets; every other node,
+roots included, is a feature column.
 """
 
 from __future__ import annotations
@@ -25,12 +26,6 @@ ROLES = (ROLE_ROOT, ROLE_FEATURE, ROLE_TARGET)
 POOLING_KINDS = (*NUMERIC_POOLINGS, "categorical")
 # Draws ``sample_dag`` makes before it gives up on a graph.
 MAX_DAG_ATTEMPTS = 16
-
-
-@dataclass(frozen=True)
-class UndirectedGraph:
-    num_nodes: int
-    edges: frozenset  # of (lo, hi) index pairs
 
 
 @dataclass
@@ -74,10 +69,6 @@ class DagSpec:
             lst.sort()
         return children
 
-    def roots(self) -> list[int]:
-        parents = self.parent_map()
-        return [n.index for n in self.nodes if not parents[n.index]]
-
     def sinks(self) -> list[int]:
         children = self.child_map()
         return [n.index for n in self.nodes if not children[n.index]]
@@ -86,11 +77,12 @@ class DagSpec:
         return self.nodes[index]
 
 
-def sample_ba_graph(num_nodes: int, attach_m: int, rng: np.random.Generator) -> UndirectedGraph:
+def sample_ba_graph(num_nodes: int, attach_m: int, rng: np.random.Generator) -> set[tuple[int, int]]:
     """Preferential attachment starting from the connected seed pair {0, 1}.
 
     Every later node attaches to min(attach_m, existing) distinct earlier
-    nodes, picked with probability proportional to current degree.
+    nodes, picked with probability proportional to current degree. Returns
+    the edges as (earlier, later) index pairs.
     """
     if num_nodes < 2:
         raise InvalidParameterError(f"num_nodes must be >= 2, got {num_nodes}")
@@ -106,25 +98,10 @@ def sample_ba_graph(num_nodes: int, attach_m: int, rng: np.random.Generator) -> 
         while len(targets) < m:
             targets.add(repeated[int(rng.integers(len(repeated)))])
         for t in sorted(targets):
-            edges.add((min(t, new), max(t, new)))
+            edges.add((t, new))
             repeated.append(t)
         repeated.extend([new] * m)
-    return UndirectedGraph(num_nodes=num_nodes, edges=frozenset(edges))
-
-
-def orient_and_prune(g: UndirectedGraph, name_prefix: str = "N") -> DagSpec:
-    """Direct every edge low->high, drop isolated nodes, re-index contiguously."""
-    degree = [0] * g.num_nodes
-    for a, b in g.edges:
-        degree[a] += 1
-        degree[b] += 1
-    kept = [i for i in range(g.num_nodes) if degree[i] > 0]
-    if not g.edges:
-        raise DegenerateGraphError("graph has no edges after pruning")
-    remap = {old: new for new, old in enumerate(kept)}
-    edges = {(remap[a], remap[b]) for a, b in g.edges}
-    nodes = [NodeSpec(index=i, name=f"{name_prefix}{i}") for i in range(len(kept))]
-    return DagSpec(nodes=nodes, edges=edges)
+    return edges
 
 
 def classify_nodes(dag: DagSpec) -> DagSpec:
@@ -219,29 +196,22 @@ def sample_dag(
     run_tag: str,
     name_prefix: str = "N",
 ) -> DagSpec:
-    """Sample, orient, classify, and annotate a graph; resample degenerate draws.
+    """Sample, classify, and annotate a graph, redrawing the node count while
+    it is below 3 or not above ``attach_m``.
 
     ``graph_key`` selects cfg.main_graph or cfg.add_graph. Each attempt uses
-    the sub-stream (seed, run_tag, attempt).
+    the sub-stream (seed, run_tag, attempt). Node i is named f"{name_prefix}{i}".
     """
     gcfg = getattr(cfg, f"{graph_key}_graph")
     lo, hi = gcfg.num_nodes
     for attempt in range(MAX_DAG_ATTEMPTS):
         rng = substream(seed, run_tag, attempt)
         num_nodes = int(rng.integers(lo, hi + 1))
-        if gcfg.attach_m >= num_nodes:
+        if num_nodes < 3 or gcfg.attach_m >= num_nodes:
             continue
-        try:
-            dag = orient_and_prune(sample_ba_graph(num_nodes, gcfg.attach_m, rng), name_prefix)
-        except DegenerateGraphError:
-            continue
-        classify_nodes(dag)
-        parents = dag.parent_map()
-        has_fed_sink = any(parents[i] for i in dag.sinks())
-        if len(dag.nodes) < 3 or not has_fed_sink:
-            continue
-        assign_node_configs(dag, cfg, rng)
-        return dag
+        nodes = [NodeSpec(index=i, name=f"{name_prefix}{i}") for i in range(num_nodes)]
+        dag = DagSpec(nodes=nodes, edges=sample_ba_graph(num_nodes, gcfg.attach_m, rng))
+        return assign_node_configs(classify_nodes(dag), cfg, rng)
     raise DegenerateGraphError(
         f"no usable graph for {graph_key!r} after {MAX_DAG_ATTEMPTS} attempts (seed {seed})"
     )

@@ -99,8 +99,8 @@ def compose(
         raise ContractViolationError("both graphs must be annotated with the same hidden_dim")
     n = g_main.hidden_dim
     add_sinks = g_add.sinks()
-    main_nonsinks = [i for i in range(len(g_main.nodes)) if i not in set(g_main.sinks())]
     main_sinks = g_main.sinks()
+    main_nonsinks = [i for i in range(len(g_main.nodes)) if i not in main_sinks]
     if not add_sinks or not main_nonsinks or not main_sinks:
         raise DegenerateGraphError("coupling needs an additional-graph sink and a main-graph feature and sink")
 

@@ -154,3 +154,22 @@ def test_negative_std_rejected_with_key_name(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert key in err and len(err.strip().splitlines()) == 1
     assert getattr(config_from_dict({key: [4, 0]}), key) == (4.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    ("graph", "key"),
+    [({"num_nodes": 2}, "main_graph.num_nodes"), ({"num_nodes": [6, 12], "attach_m": 12}, "main_graph.attach_m")],
+)
+def test_graph_range_that_cannot_be_sampled_rejected(tmp_path, capsys, graph, key):
+    """A sampled graph needs at least 3 nodes and more nodes than attach_m;
+    a range that never allows both is refused before any draw."""
+    with pytest.raises(InvalidConfigError, match=rf"^{key} "):
+        config_from_dict({"main_graph": graph})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"main_graph": graph}))
+    from relgen.cli import main
+
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "ds")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "attempts" not in err and len(err.strip().splitlines()) == 1
+    assert config_from_dict({"main_graph": {"num_nodes": [2, 3], "attach_m": 2}}).main_graph.num_nodes == (2, 3)

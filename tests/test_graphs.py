@@ -4,28 +4,31 @@ import pytest
 from relgen.config import _write, config_from_dict
 from relgen.errors import DegenerateGraphError, InvalidConfigError, InvalidParameterError
 from relgen.graphs import (
+    ROLE_FEATURE,
     ROLE_ROOT,
     ROLE_TARGET,
-    UndirectedGraph,
+    DagSpec,
+    NodeSpec,
     assign_node_configs,
     classify_nodes,
-    orient_and_prune,
     sample_ba_graph,
     sample_dag,
     validate_dag,
 )
 
 
+def _dag(num_nodes: int, edges: set) -> DagSpec:
+    return DagSpec(nodes=[NodeSpec(index=i, name=f"N{i}") for i in range(num_nodes)], edges=edges)
+
+
 def test_two_nodes_forced_edge():
-    g = sample_ba_graph(2, 1, np.random.default_rng(0))
-    assert g.edges == frozenset({(0, 1)})
+    assert sample_ba_graph(2, 1, np.random.default_rng(0)) == {(0, 1)}
 
 
 def test_edge_count_from_attachment_rule():
     # seed pair contributes 1 edge; each of the 6 later nodes attaches twice
     for seed in range(5):
-        g = sample_ba_graph(8, 2, np.random.default_rng(seed))
-        assert len(g.edges) == 1 + 2 * 6
+        assert len(sample_ba_graph(8, 2, np.random.default_rng(seed))) == 1 + 2 * 6
 
 
 def test_attach_m_too_large_rejected():
@@ -44,29 +47,31 @@ def test_ba_is_seed_deterministic():
     assert a == b
 
 
+def test_ba_graph_is_connected_and_oriented_by_index():
+    """The properties sample_dag relies on instead of pruning and re-checking:
+    no node is isolated, every edge runs from lower to higher index, and the
+    last node is a sink with a parent."""
+    for n in range(2, 41):
+        for m in range(1, n):
+            for seed in range(3):
+                edges = sample_ba_graph(n, m, np.random.default_rng(seed))
+                assert {i for edge in edges for i in edge} == set(range(n))
+                assert all(a < b for a, b in edges)
+                assert not any(a == n - 1 for a, _ in edges)
+                assert any(b == n - 1 for _, b in edges)
+
+
 def test_orientation_follows_index_order():
-    g = UndirectedGraph(3, frozenset({(0, 1), (1, 2)}))
-    dag = classify_nodes(orient_and_prune(g))
-    assert dag.edges == {(0, 1), (1, 2)}
-    assert dag.roots() == [0]
+    dag = classify_nodes(_dag(3, {(0, 1), (1, 2)}))
+    validate_dag(dag)
+    assert [n.role for n in dag.nodes] == [ROLE_ROOT, ROLE_FEATURE, ROLE_TARGET]
     assert dag.sinks() == [2]
-
-
-def test_isolated_nodes_pruned_and_reindexed():
-    g = UndirectedGraph(4, frozenset({(0, 2)}))
-    dag = orient_and_prune(g)
-    assert len(dag.nodes) == 2
-    assert dag.edges == {(0, 1)}
-
-
-def test_empty_graph_is_degenerate():
-    with pytest.raises(DegenerateGraphError):
-        orient_and_prune(UndirectedGraph(3, frozenset()))
+    with pytest.raises(DegenerateGraphError, match="index-order"):
+        validate_dag(_dag(3, {(0, 1), (2, 1)}))
 
 
 def test_star_targets():
-    g = UndirectedGraph(3, frozenset({(0, 1), (0, 2)}))
-    dag = classify_nodes(orient_and_prune(g))
+    dag = classify_nodes(_dag(3, {(0, 1), (0, 2)}))
     assert dag.sinks() == [1, 2]
     assert [n.index for n in dag.nodes if n.role == ROLE_TARGET] == [1, 2]
 
@@ -74,8 +79,7 @@ def test_star_targets():
 def test_category_count_clamped_to_two():
     # force categorical pooling and a distribution that often samples below 2
     cfg = config_from_dict({"categorical_probability": 1.0, "category_count": [0.0, 0.5]})
-    g = UndirectedGraph(3, frozenset({(0, 1), (1, 2)}))
-    dag = classify_nodes(orient_and_prune(g))
+    dag = classify_nodes(_dag(3, {(0, 1), (1, 2)}))
     assign_node_configs(dag, cfg, np.random.default_rng(0))
     assert all(n.category_count >= 2 for n in dag.nodes)
 
@@ -87,8 +91,7 @@ def test_empty_activation_set_rejected():
 
 def test_assign_fills_everything():
     cfg = config_from_dict({})
-    g = sample_ba_graph(8, 2, np.random.default_rng(3))
-    dag = classify_nodes(orient_and_prune(g))
+    dag = classify_nodes(_dag(8, sample_ba_graph(8, 2, np.random.default_rng(3))))
     assign_node_configs(dag, cfg, np.random.default_rng(3))
     parents = dag.parent_map()
     for node in dag.nodes:
