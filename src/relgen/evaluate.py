@@ -20,6 +20,7 @@ from .errors import (
     InvalidParameterError,
     UndefinedMetricError,
 )
+from .prerun import group_means
 from .relational import RelationalDataset, latently_affected_targets
 from .tables import KIND_CATEGORICAL, KIND_NUMERIC, Table
 
@@ -162,13 +163,11 @@ def build_key_aggregates(add_table: Table, key_column: str) -> KeyAggregates:
             encoded.append((col.values[:, None] == cats[None, :]).astype(float))
             numeric_flags.extend([False] * len(cats))
     rows = np.concatenate(encoded, axis=1) if encoded else np.zeros((add_table.row_count, 0))
-    keys = np.unique(key.values).astype(np.int64)
-    table = np.zeros((len(keys) + 1, rows.shape[1]))
-    for i, value in enumerate(keys):
-        table[i] = rows[key.values == value].mean(axis=0)
+    keys, key_rows = np.unique(key.values, return_inverse=True)
+    table = group_means(rows, key_rows, np.zeros((len(keys) + 1, rows.shape[1])))
     if len(rows):
         table[-1] = rows.mean(axis=0)
-    return KeyAggregates(keys, table, np.array(numeric_flags, dtype=bool))
+    return KeyAggregates(keys.astype(np.int64), table, np.array(numeric_flags, dtype=bool))
 
 
 def map_aggregates(keys: np.ndarray, agg: KeyAggregates) -> tuple[np.ndarray, np.ndarray]:
@@ -507,10 +506,6 @@ def _rank(train_X, test_X, k, widths, screen, out, rows, pairs, main_limit, cove
     (more_sq,) = _pair_sq(train_X, test_X, rows[more_rows], more_cand, widths[1:])
     pair_rows, cand = np.concatenate([main_rows, more_rows]), np.concatenate([cand, more_cand])
     dist = np.sqrt(np.concatenate([pair_sq[1], more_sq]))
-    # The k candidates nearest in the joined metric lie within joined
-    # distance sqrt(U), so every joined neighbour does too.
-    keep = dist <= np.sqrt(upper)[pair_rows]
-    pair_rows, cand, dist = pair_rows[keep], cand[keep], dist[keep]
     pick = _rank_pairs(pair_rows, cand, dist, len(rows), k)
     out[1][0][rows], out[1][1][rows] = cand[pick], dist[pick]
 

@@ -54,20 +54,19 @@ class DagSpec:
     edges: set[tuple[int, int]]  # (parent, child) with parent < child
 
     def parent_map(self) -> dict[int, list[int]]:
-        parents: dict[int, list[int]] = {node.index: [] for node in self.nodes}
-        for a, b in self.edges:
-            parents[b].append(a)
-        for lst in parents.values():
-            lst.sort()
-        return parents
+        return self._adjacency((b, a) for a, b in self.edges)
 
     def child_map(self) -> dict[int, list[int]]:
-        children: dict[int, list[int]] = {node.index: [] for node in self.nodes}
-        for a, b in self.edges:
-            children[a].append(b)
-        for lst in children.values():
+        return self._adjacency(self.edges)
+
+    def _adjacency(self, pairs) -> dict[int, list[int]]:
+        """Each node's neighbours, ascending, from (node, neighbour) ``pairs``."""
+        lists: dict[int, list[int]] = {node.index: [] for node in self.nodes}
+        for node, neighbour in pairs:
+            lists[node].append(neighbour)
+        for lst in lists.values():
             lst.sort()
-        return children
+        return lists
 
     def sinks(self) -> list[int]:
         children = self.child_map()
@@ -104,17 +103,18 @@ def sample_ba_graph(num_nodes: int, attach_m: int, rng: np.random.Generator) -> 
     return edges
 
 
+def _degree_role(parents: list[int], children: list[int]) -> str:
+    """In-degree 0 -> root, else out-degree 0 -> target, else feature."""
+    if not parents:
+        return ROLE_ROOT
+    return ROLE_FEATURE if children else ROLE_TARGET
+
+
 def classify_nodes(dag: DagSpec) -> DagSpec:
-    """Assign roles: in-degree 0 -> root, out-degree 0 -> target, else feature."""
-    parents = dag.parent_map()
-    children = dag.child_map()
+    """Assign every node the role its degrees give it."""
+    parents, children = dag.parent_map(), dag.child_map()
     for node in dag.nodes:
-        if not parents[node.index]:
-            node.role = ROLE_ROOT
-        elif not children[node.index]:
-            node.role = ROLE_TARGET
-        else:
-            node.role = ROLE_FEATURE
+        node.role = _degree_role(parents[node.index], children[node.index])
     return dag
 
 
@@ -170,23 +170,21 @@ def assign_node_configs(
 
 
 def validate_dag(dag: DagSpec) -> None:
-    """Raise if any structural invariant is broken."""
+    """Raise if any structural invariant is broken. A node's role is checked
+    against its degrees only if it is one of ``ROLES``."""
     indices = [n.index for n in dag.nodes]
     if indices != list(range(len(dag.nodes))):
         raise DegenerateGraphError("node indices must be contiguous from 0")
     for a, b in dag.edges:
         if not (0 <= a < b < len(dag.nodes)):
             raise DegenerateGraphError(f"edge ({a},{b}) breaks the index-order topology")
-    parents = dag.parent_map()
-    children = dag.child_map()
+    parents, children = dag.parent_map(), dag.child_map()
     for node in dag.nodes:
-        if not parents[node.index] and not children[node.index]:
+        ins, outs = parents[node.index], children[node.index]
+        if not ins and not outs:
             raise DegenerateGraphError(f"node {node.index} is isolated")
-        if node.role:
-            expect_root = not parents[node.index]
-            expect_target = bool(parents[node.index]) and not children[node.index]
-            if expect_root != (node.role == ROLE_ROOT) or expect_target != (node.role == ROLE_TARGET):
-                raise DegenerateGraphError(f"node {node.index} role {node.role!r} contradicts degrees")
+        if node.role in ROLES and node.role != _degree_role(ins, outs):
+            raise DegenerateGraphError(f"node {node.index} role {node.role!r} contradicts degrees")
 
 
 def sample_dag(

@@ -100,6 +100,21 @@ def nearest_centroid(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndar
     return labels, nearest_d2
 
 
+def group_means(values: np.ndarray, labels: np.ndarray, fill: np.ndarray) -> np.ndarray:
+    """Row j is ``values[labels == j].mean(axis=0)`` bit for bit, or ``fill[j]``
+    if no row has label j: a stable sort puts each label's rows in one slice,
+    in row order, and ``add.reduce`` over it divided by the count is ``mean``."""
+    by_label = values[np.argsort(labels, kind="stable")]
+    ends = np.cumsum(np.bincount(labels, minlength=len(fill)))
+    means = np.array(fill, dtype=float)
+    start = 0
+    for j, end in enumerate(ends):
+        if end > start:
+            means[j] = np.add.reduce(by_label[start:end], axis=0) / (end - start)
+        start = end
+    return means
+
+
 def fit_codebook(
     samples: np.ndarray,
     k: int,
@@ -128,9 +143,9 @@ def fit_codebook(
     d2 = ((samples - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k_eff):
         total = d2.sum()
-        if total <= 0.0:  # all mass already covered; take any unused distinct point
-            unused = distinct[nearest_centroid(distinct, centroids[:j])[1] > 0]
-            centroids[j] = unused[0]
+        if total <= 0.0:  # squared distances underflowed; take the first unused distinct point
+            taken = (distinct[:, None] == centroids[None, :j]).all(axis=2).any(axis=1)
+            centroids[j] = distinct[~taken][0]
         else:
             centroids[j] = samples[int(rng.choice(len(samples), p=d2 / total))]
         d2 = np.minimum(d2, ((samples - centroids[j]) ** 2).sum(axis=1))
@@ -144,17 +159,7 @@ def fit_codebook(
         if objective_trace is not None:
             objective_trace.append(objective)
         prev_objective = objective
-        # Sorting once puts each cluster's members in one contiguous slice, in
-        # sample order, so add.reduce over it divided by the count is the
-        # per-cluster ``mean`` bit for bit. Empty clusters keep their centroid.
-        by_cluster = samples[np.argsort(labels, kind="stable")]
-        ends = np.cumsum(np.bincount(labels, minlength=k_eff))
-        new_centroids = centroids.copy()
-        start = 0
-        for j, end in enumerate(ends):
-            if end > start:
-                new_centroids[j] = np.add.reduce(by_cluster[start:end], axis=0) / (end - start)
-            start = end
+        new_centroids = group_means(samples, labels, centroids)
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
         if shift < KMEANS_TOL:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import GenerationConfig
 from .engine import NoiseConfig, init_propagation_fn
-from .errors import ContractViolationError, DegenerateGraphError, InvalidConfigError
+from .errors import ContractViolationError, DegenerateDataError, DegenerateGraphError, InvalidConfigError
 from .graphs import (
     ROLE_ROOT,
     ROLE_TARGET,
@@ -158,18 +158,14 @@ def compose(
 
 
 def latently_affected_targets(schema: RelationalSchema) -> dict[int, bool]:
-    """Per main-target flag: reachable from the additional graph avoiding C?"""
-    children = schema.merged.child_map()
-    blocked = schema.coupling_index
-    seen = set()
-    frontier = schema.add_indices
-    while frontier:
-        i = frontier.pop()
-        if i in seen or i == blocked:
-            continue
-        seen.add(i)
-        frontier.extend(c for c in children[i] if c != blocked and c not in seen)
-    return {t: (t in seen) for t in schema.main_targets()}
+    """Per main-target flag: reachable from the additional graph avoiding C?
+    Every edge points to a higher index, so one pass over the main nodes in
+    order settles each from its parents; the additional nodes are reached."""
+    parents = schema.merged.parent_map()
+    reached = [i < schema.coupling_index for i in range(len(schema.merged.nodes))]
+    for i in schema.main_indices:
+        reached[i] = any(reached[p] for p in parents[i])
+    return {t: reached[t] for t in schema.main_targets()}
 
 
 def generate_relational(
@@ -194,7 +190,10 @@ def generate_relational(
     matrices = prerun(merged, num_presamples, seed, threads=threads)
     stats = build_prerun_stats(merged, matrices, seed)
     if c not in stats.codebooks:
-        raise ContractViolationError("coupling node has no fitted codebook")
+        raise DegenerateDataError(
+            f"coupling node {merged.node(c).name} sees constant pre-run data at seed {seed}, "
+            "so it has no categories to key the tables; pick another seed"
+        )
 
     main_table = generate_table(
         merged, stats, rows_main, noise, seed, run_tag="main", threads=threads, indices=working.main_columns()

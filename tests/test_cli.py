@@ -329,6 +329,19 @@ def test_load_dataset_round_trips_values(tmp_path, small_config):
     assert float(cell) == ds.main_table.columns[first_numeric].values[0]
 
 
+def test_seed_whose_coupling_node_sees_constant_data_exits_2(tmp_path, capsys):
+    """At seed 54 the default profile's C is relu of A3, and its
+    pre-activation is never positive over the pre-run: C is constant."""
+    out = tmp_path / "ds"
+    assert main(["generate", "--seed", "54", "--rows-main", "200", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: coupling node C sees constant pre-run data at seed 54, "
+        "so it has no categories to key the tables; pick another seed\n"
+    )
+    assert not out.exists()
+
+
 def test_bad_command_errors_cleanly(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     missing.write_text("{\"rows_main\": -2}")
@@ -475,9 +488,24 @@ def _first(nodes, part):
             lambda s: _first(s["merged"]["nodes"], "root_dist").update(root_dist={"kind": "normal", "params": 5}),
             "merged.nodes[0].root_dist.params must be a JSON object",  # node 0 has no parents: a root
         ),
+        (
+            lambda s: s["merged"]["nodes"][0].update(index=1),
+            "malformed schema (DegenerateGraphError: node indices must be contiguous from 0)",
+        ),
+        (
+            lambda s: s["merged"].update(edges=[e for e in s["merged"]["edges"] if 0 not in e]),
+            "malformed schema (DegenerateGraphError: node 0 is isolated)",
+        ),
+        (
+            lambda s: s["merged"]["nodes"][0].update(role="target"),
+            "malformed schema (DegenerateGraphError: node 0 role 'target' contradicts degrees)",
+        ),
+        # The last node is a target; a role outside ROLES is named as unknown, not as contradicting.
+        (lambda s: s["merged"]["nodes"][-1].update(role="sink"), "merged.nodes[{last}].role 'sink' is not one of"),
     ],
     ids=["edge-past-the-nodes", "weights-not-numbers", "edges-not-pairs", "nodes-not-a-list",
-         "latent-edges-not-a-list", "gamma-without-shape", "params-not-an-object"],
+         "latent-edges-not-a-list", "gamma-without-shape", "params-not-an-object", "indices-not-contiguous",
+         "isolated-node", "role-contradicts-degrees", "unknown-role"],
 )
 def test_export_dot_of_malformed_schema_exits_2(tmp_path, small_config, capsys, malform, part):
     path = generate(tmp_path, small_config, seed=9) / "schema.json"

@@ -19,7 +19,7 @@ from relgen.engine import (
     sample_root,
     structural_assign,
 )
-from relgen.errors import ContractViolationError, InvalidParameterError
+from relgen.errors import ContractViolationError, InvalidParameterError, NonFiniteValueError
 from relgen.graphs import DagSpec, NodeSpec, classify_nodes
 from relgen.relational import build_schema
 from relgen.seeding import SEED_DERIVATION_NOTE
@@ -216,6 +216,16 @@ def test_propagate_rows_requires_quantiles_with_noise():
     dag = classify_nodes(DagSpec(nodes=nodes, edges={(0, 1)}, hidden_dim=2))
     with pytest.raises(ContractViolationError):
         propagate_rows(dag, 5, seed=0, run_tag="main", noise=NoiseConfig())
+
+
+def test_overflowing_node_is_named_with_its_activation():
+    nodes = [
+        NodeSpec(index=0, name="N0", root_dist=RootDistribution("normal", {"mean": 1e300, "std": 1.0}), pooling="mean"),
+        NodeSpec(index=1, name="N1", activation="identity", weights=1e10 * np.eye(2), pooling="mean"),
+    ]
+    dag = classify_nodes(DagSpec(nodes=nodes, edges={(0, 1)}, hidden_dim=2))
+    with pytest.raises(NonFiniteValueError, match=r"^non-finite values at node N1 \(activation identity\)$"):
+        propagate_rows(dag, 5, seed=0, run_tag="main")
 
 
 # --- block streams ----------------------------------------------------------------

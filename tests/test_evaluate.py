@@ -301,6 +301,12 @@ def test_perfectly_separated_scores_have_auc_one():
     assert auc_binary(scores, labels) == 1.0
 
 
+@pytest.mark.parametrize("labels", [[True, True, True], [False, False, False]], ids=["all-positive", "all-negative"])
+def test_auc_of_single_class_labels_is_undefined(labels):
+    with pytest.raises(UndefinedMetricError, match="both classes"):
+        auc_binary(np.array([0.2, 0.5, 0.9]), np.array(labels))
+
+
 def test_rank_auc_matches_trapezoid():
     for seed in range(20):
         scores = rng(seed).normal(size=200)

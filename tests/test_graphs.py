@@ -15,6 +15,7 @@ from relgen.graphs import (
     sample_dag,
     validate_dag,
 )
+from relgen.seeding import substream
 
 
 def _dag(num_nodes: int, edges: set) -> DagSpec:
@@ -129,3 +130,28 @@ def test_sampled_dag_is_bit_reproducible():
     a = sample_dag(cfg, "main", 11, "structure-main")
     b = sample_dag(cfg, "main", 11, "structure-main")
     assert _write(a) == _write(b)
+
+
+def test_parent_and_child_maps_mirror_each_other_in_ascending_order():
+    dag = _dag(5, {(2, 4), (0, 4), (1, 4), (0, 3), (0, 1)})
+    assert dag.parent_map() == {0: [], 1: [0], 2: [], 3: [0], 4: [0, 1, 2]}
+    assert dag.child_map() == {0: [1, 3, 4], 1: [4], 2: [4], 3: [], 4: []}
+
+
+def test_validate_dag_checks_known_roles_against_degrees():
+    dag = classify_nodes(_dag(3, {(0, 1), (1, 2)}))
+    assert [n.role for n in dag.nodes] == [ROLE_ROOT, ROLE_FEATURE, ROLE_TARGET]
+    dag.nodes[2].role = "sink"  # an unknown role is the schema reader's to name
+    validate_dag(dag)
+    dag.nodes[2].role = ROLE_FEATURE
+    with pytest.raises(DegenerateGraphError, match="node 2 role 'feature' contradicts degrees"):
+        validate_dag(dag)
+
+
+def test_sample_dag_redraws_a_node_count_of_two():
+    cfg = config_from_dict({"main_graph": {"num_nodes": [2, 4], "attach_m": 2}})
+    # At seed 4 attempt 0 draws 2 nodes, which attach_m 2 cannot use, and attempt 1 draws 3.
+    assert [int(substream(4, "structure-main", a).integers(2, 5)) for a in (0, 1)] == [2, 3]
+    dag = sample_dag(cfg, "main", 4, "structure-main")
+    assert len(dag.nodes) == 3
+    validate_dag(dag)

@@ -9,6 +9,7 @@ from relgen.prerun import (
     build_prerun_stats,
     compute_quantiles,
     fit_codebook,
+    group_means,
     prerun,
 )
 
@@ -219,6 +220,27 @@ def test_fit_codebook_matches_mask_mean_lloyd(samples, k, seed, k_fit, empties):
     assert got.centroids.tobytes() == want.tobytes()
     assert trace == want_trace
     assert got.k == k_fit and bool(empty) == empties
+
+
+def test_fit_codebook_takes_an_unused_point_when_distances_underflow():
+    # (1e-200)^2 underflows to 0, so k-means++ sees no mass left after the
+    # first pick and takes the distinct point no centroid equals.
+    for seed in range(4):
+        cb = fit_codebook(np.array([[0.0], [1e-200]]), 2, rng(seed))
+        assert cb.k == 2 and len(np.unique(cb.centroids)) == 2
+
+
+@pytest.mark.parametrize("width", [1, 2, 8, 9])
+def test_group_means_match_mask_means_bit_for_bit(width):
+    values = rng(width).normal(size=(500, width)) * 10.0 ** rng(width + 1).integers(-3, 4, size=(500, 1))
+    labels = rng(width + 2).integers(0, 7, size=500)
+    labels[labels == 4] = 5  # labels 4 and 7 get no rows
+    fill = rng(width + 3).normal(size=(8, width))
+    means = group_means(values, labels, fill)
+    for j in range(8):
+        want = values[labels == j].mean(axis=0) if (labels == j).any() else fill[j]
+        assert means[j].tobytes() == want.tobytes()
+    assert not np.shares_memory(means, fill)
 
 
 # --- stats assembly --------------------------------------------------------------

@@ -3,9 +3,10 @@ import pytest
 
 from relgen import tables
 from relgen.config import config_from_dict
-from relgen.errors import ContractViolationError, InvalidConfigError
-from relgen.graphs import ROLE_TARGET, validate_dag
+from relgen.errors import DegenerateDataError, InvalidConfigError
+from relgen.graphs import ROLE_TARGET, DagSpec, NodeSpec, classify_nodes, validate_dag
 from relgen.relational import (
+    RelationalSchema,
     build_schema,
     compose,
     generate_relational,
@@ -58,6 +59,15 @@ def test_latent_reachability_avoiding_coupling():
     assert any(affected.values())
 
 
+def test_latent_reachability_follows_main_paths():
+    # A0 -> A1 -> C -> M0 -> M1 and C -> M2; A0 -> M0 bypasses C, so M1 is
+    # reached through the main feature M0 and M2 only through C.
+    edges = {(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (0, 3)}
+    merged = classify_nodes(DagSpec(nodes=[NodeSpec(index=i, name=f"N{i}") for i in range(6)], edges=edges))
+    schema = RelationalSchema(merged=merged, coupling_index=2, latent_edges={(0, 3)})
+    assert latently_affected_targets(schema) == {4: True, 5: False}
+
+
 def test_ablation_cuts_all_paths_through_coupling():
     _, schema = schema_for(5, latent_count=0)
     assert schema.latent_edges == set()
@@ -102,7 +112,7 @@ def test_demoted_coupling_node_is_rejected():
     # it to mean pooling and the tables would share no categorical key.
     cfg, schema = schema_for(8, main_graph={"num_nodes": 8}, add_graph={"num_nodes": 5})
     schema.merged.node(schema.coupling_index).weights[:] = 0.0
-    with pytest.raises(ContractViolationError, match="coupling node has no fitted codebook"):
+    with pytest.raises(DegenerateDataError, match="coupling node C sees constant pre-run data at seed 1, .*pick another seed"):
         generate_relational(schema, 100, 20, cfg.noise, 200, seed=1)
 
 
