@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 from .config import config_from_dict, load_config, with_overrides
-from .errors import InvalidConfigError, RelgenError
+from .errors import InvalidConfigError, InvalidParameterError, RelgenError
 from .evaluate import EvalConfig, run_comparison
 from .relational import run_generation
 from .seeding import STREAM_VERSION
@@ -84,10 +84,12 @@ def cmd_regenerate(args: argparse.Namespace) -> int:
             f"{args.manifest} was written with random stream version {version}; "
             f"this relgen uses version {STREAM_VERSION} and cannot reproduce its bytes"
         )
-    # The files beside the manifest are hashed before anything is written,
-    # so an --out that names the dataset itself still checks the originals.
-    listed = manifest["files"]
+    # Regenerating into the dataset's own directory would overwrite the files
+    # being verified, even when they turn out not to match.
     dataset_dir = Path(args.manifest).resolve().parent
+    if args.out and Path(args.out).resolve() == dataset_dir:
+        raise InvalidParameterError(f"--out {args.out} is the dataset being verified; pick another directory")
+    listed = manifest["files"]
     on_disk = mismatched_files(dataset_dir, listed, listed)
     if args.out:
         regenerated = _regenerate_into(manifest, Path(args.out))

@@ -365,9 +365,10 @@ class _Cells(NamedTuple):
     """The key-sorted training rows in a second order, by their codes in the
     other one-hot spans and then by key, and each test row's ranges in it.
 
-    A training row of another key that shares every other code with a test
-    row differs from it in the key and in the plain columns, those outside
-    every span, alone; its screen value is read from those columns.
+    A training row that shares every other code with a test row differs
+    from it in the key and in the plain columns, those outside every span,
+    alone; its screen value is read from those columns, with 2 off in the
+    test row's code cell, the rows that share its key as well.
     """
 
     pos: np.ndarray  # the key-sorted position of each row
@@ -375,7 +376,7 @@ class _Cells(NamedTuple):
     factors: np.ndarray  # [-2 * (plain - centre), 1, |plain - centre|^2 + 1 - const] per test row
     start: np.ndarray  # per test row: the rows sharing its every other code are start : stop,
     stop: np.ndarray
-    own_start: np.ndarray  # and those of its own key own_start : own_stop
+    own_start: np.ndarray  # and its code cell, those of its own key, own_start : own_stop
     own_stop: np.ndarray
     eligible: np.ndarray  # the test rows with a one in every other span
     cost: float  # the least main d^2 a differing other code adds: 2, or 1 if some training row lacks one
@@ -437,9 +438,10 @@ def _bound(kth, norms, width):
     the k-th smallest, and so of every k-th the search reads: each is the
     k-th smallest screen value over k or more training rows, so at least
     that large, and adds no error of its own, whichever product it was read
-    from. Over an other-code range the product takes the plain columns
-    alone, with the key term folded into the norm column: in exact
-    arithmetic the same values, from fewer rounded terms. A joined
+    from. Over a code cell or an other-code range the product takes the
+    plain columns alone, with the key term folded into the norm column (and
+    2 subtracted in the cell, as on a key range): in exact arithmetic the
+    same values, from fewer rounded terms. A joined
     neighbour has exact main d^2 <= exact joined d^2 (the joined rows lead
     with the main ones); U is the k-th smallest explicit joined d^2 over k
     or more rows, so the neighbour's exact joined d^2 is at most U plus the
@@ -510,52 +512,57 @@ def _rank(train_X, test_X, k, widths, screen, out, rows, pairs, main_limit, cove
     out[1][0][rows], out[1][1][rows] = cand[pick], dist[pick]
 
 
-def _widen(cells, rows, smallest, cover, k):
-    """The k-th and the 2k-th smallest screen value of each test row of
-    ``rows`` over its own key and its other-code range, given its 2k
-    smallest over its own key, ``smallest``; and the row index, key-sorted
-    position and value of each pair of the other-code range, own key left
-    out, within the row's ``cover``. Values are less the row constants."""
-    starts, stops = cells.start[rows], cells.stop[rows]
-    width = (stops - starts).max()
-    values = np.full((len(rows), width + 2 * k), np.inf)
-    values[:, width:] = smallest
-    bounds = zip(starts.tolist(), stops.tolist(), cells.own_start[rows].tolist(), cells.own_stop[rows].tolist())
-    for value, factor, (a, b, own_a, own_b) in zip(values, cells.factors[rows], bounds):
-        np.dot(cells.values[a:b], factor, out=value[: b - a])
-        value[own_a - a : own_b - a] = np.inf
-    nearest = np.partition(values, 2 * k - 1, axis=1)
-    kth = np.partition(nearest[:, : 2 * k], k - 1, axis=1)[:, k - 1]
-    pair_rows, col, screened = _read(values[:, :width], cover)
-    return kth, nearest[:, 2 * k - 1].copy(), (pair_rows, cells.pos[starts[pair_rows] + col], screened)
+def _scan(rows, parts, k):
+    """Screen values, less the row constants, of each test row of ``rows``
+    over its ranges of training rows, and a function that reads the pairs
+    within a cover per row: their row indices, key-sorted positions and
+    values.
+
+    Each part is (values, factors, positions, starts, stops): a test row
+    reads the products of its factor with ``values[start:stop]``, whose
+    key-sorted positions are ``positions[start:stop]``. The first part's
+    rows share the test row's key, so 2 comes off its products. Each part
+    takes a band of columns as wide as its widest range; the rest of a band,
+    and any columns added to make 2k, hold inf.
+    """
+    bands = np.cumsum([0, *((stops[rows] - starts[rows]).max() for *_, starts, stops in parts)])
+    values = np.full((len(rows), max(bands[-1], 2 * k)), np.inf)
+    for (table, factors, _, starts, stops), at in zip(parts, bands):
+        for value, factor, a, b in zip(values[:, at:], factors[rows], starts[rows].tolist(), stops[rows].tolist()):
+            np.dot(table[a:b], factor, out=value[: b - a])
+    values[:, : bands[1]] -= 2.0
+
+    def read(cover):
+        reads = []
+        for (_, _, positions, starts, _), a, b in zip(parts, bands, bands[1:]):
+            pair_rows, col, screened = _read(values[:, a:b], cover)
+            reads.append((pair_rows, positions[starts[rows[pair_rows]] + col], screened))
+        return (np.concatenate(part) for part in zip(*reads))
+
+    return values, read
 
 
-def _settle_in_key(rank, screen, factors, consts, test_code, test_order, k, main_width, cells):
-    """Rank the test rows whose neighbours all lie in their own key or, given
-    ``cells``, in their own key and its other-code range.
+def _settle_in_key(rank, screen, factors, consts, test_code, k, main_width, cells):
+    """Rank the test rows whose neighbours all lie in their own key or,
+    given ``cells``, in their code cell or their own key and its other-code
+    range.
 
     Returns the k-th smallest screen value over the training rows each test
     row read (inf for a row without a key or whose key has fewer than k
     training rows) and the mask of the rows settled; ``rank`` writes both
     conditions' neighbours of those, _TEST_BLOCK rows or more at a time.
-    Every key's product is written into one buffer, of the largest one's
-    size. See ``_select_neighbors``.
+    See ``_select_neighbors``.
     """
     n, m = len(screen.order), len(test_code)
     ends = screen.key_ends
     # Every training row of another key is at main d^2 >= 2, one without a
-    # key at main d^2 >= 1, and a joined d^2 is at least the main one. A
-    # row outside the other-code range as well differs in one more code.
+    # key at main d^2 >= 1, and a joined d^2 is at least the main one.
     threshold = 2.0 if ends[-1] == n else 1.0
-    wide_threshold = threshold + (cells.cost if cells is not None else np.inf)
-    eligible = cells.eligible if cells is not None else np.zeros(m, dtype=bool)
     own, settled = np.full(m, np.inf), np.zeros(m, dtype=bool)
     limit, cover = np.empty(m), np.empty(m)
-    # Per key block: the rows settled and not yet ranked, with the pairs
-    # they read (test row, key-sorted position, screen value); and the rows
-    # left for their other-code range, with their 2k smallest own-key
-    # values and the pairs they read within the wide threshold.
-    pending, wide = [], []
+    # The rows settled and not yet ranked, with the pairs they read (test
+    # row, key-sorted position, screen value).
+    pending = []
 
     def flush(least=_TEST_BLOCK):
         if sum(len(part[0]) for part in pending) < least:
@@ -570,66 +577,54 @@ def _settle_in_key(rank, screen, factors, consts, test_code, test_order, k, main
         rank(rows, (local[pair_rows], at, screened), limit[rows], cover[rows], consts[rows], whole)
         pending.clear()
 
-    starts = np.searchsorted(test_code[test_order], np.arange(len(ends)))
-    keys = np.flatnonzero((np.diff(starts) > 0) & (np.diff(ends) >= k))
-    # A key's test rows go _TEST_BLOCK at a time.
-    buf = np.empty((np.minimum(np.diff(starts), _TEST_BLOCK) * np.diff(ends))[keys].max(initial=0))
-    for c in keys:
-        lo, hi = ends[c], ends[c + 1]
-        for s in range(starts[c], starts[c + 1], _TEST_BLOCK):
-            rows = test_order[s : min(s + _TEST_BLOCK, starts[c + 1])]
-            const = consts[rows]
-            sq = buf[: len(rows) * (hi - lo)].reshape(len(rows), hi - lo)
-            np.matmul(factors[rows], screen.values[lo:hi].T, out=sq)
-            sq -= 2.0
-            own[rows] = kth = np.partition(sq, k - 1, axis=1)[:, k - 1]
-            bound = _bound(kth + const, const + screen.max_norm, main_width)
-            ok = bound < threshold
-            on = ~ok & eligible[rows]
-            limit[rows], cover[rows] = bound - const, np.where(on, wide_threshold, threshold) - const
-            pair_rows, col, screened = _read(sq, np.where(ok | on, cover[rows], -np.inf))
-            settled[rows[ok]] = True
-            mine = ok[pair_rows]
-            pending.append((rows[ok], rows[pair_rows[mine]], lo + col[mine], screened[mine]))
-            if on.any():
-                # 2k columns of inf give every key 2k values to partition; the
-                # copy keeps only those 2k.
-                smallest = np.full((on.sum(), hi - lo + 2 * k), np.inf)
-                smallest[:, : hi - lo] = sq[on]
-                smallest.partition(2 * k - 1, axis=1)
-                smallest = smallest[:, : 2 * k].copy()
-                wide.append((rows[on], smallest, rows[pair_rows[~mine]], lo + col[~mine], screened[~mine]))
-            flush()
-    if wide:
-        rows, smallest, pair_rows, at, screened = (np.concatenate(part) for part in zip(*wide))
+    def settle(rows, parts, thresholds):
+        """Settle each of the test ``rows`` whose bound of the k-th over its
+        ranges lies below its threshold."""
         # Rows of like range length share a padded block.
-        by = np.argsort(cells.stop[rows] - cells.start[rows], kind="stable")
-        rows, smallest = rows[by], smallest[by]
-        now = np.zeros(m, dtype=bool)
+        rows = rows[np.argsort(sum(stops[rows] - starts[rows] for *_, starts, stops in parts), kind="stable")]
         for s in range(0, len(rows), _TEST_BLOCK):
             block = rows[s : s + _TEST_BLOCK]
-            const = consts[block]
-            own[block], second, (cell_rows, cell_at, cell_values) = _widen(
-                cells, block, smallest[s : s + _TEST_BLOCK], cover[block], k
-            )
+            const, below = consts[block], thresholds[block]
+            values, read = _scan(block, parts, k)
+            nearest = np.partition(values, 2 * k - 1, axis=1)
+            own[block] = kth = np.partition(nearest[:, : 2 * k], k - 1, axis=1)[:, k - 1]
             norms = const + screen.max_norm
-            ok = _bound(own[block] + const, norms, main_width) < wide_threshold
-            # The main candidates go up to the 2k-th: a U over more of them
-            # is tighter and admits fewer joined ones.
-            limit[block] = np.minimum(_bound(second + const, norms, main_width), wide_threshold) - const
-            settled[block[ok]] = now[block[ok]] = True
-            # The rows settled take their own-key pairs along.
-            mine, cell = now[pair_rows], ok[cell_rows]
-            now[block] = False
-            pending.append(
-                (
-                    block[ok],
-                    np.concatenate([pair_rows[mine], block[cell_rows[cell]]]),
-                    np.concatenate([at[mine], cell_at[cell]]),
-                    np.concatenate([screened[mine], cell_values[cell]]),
-                )
-            )
+            bound = _bound(kth + const, norms, main_width)
+            ok = bound < below
+            # A row read past its own key takes main candidates up to the
+            # bound of the 2k-th, capped at its threshold: a U over more of
+            # them is tighter and admits fewer joined ones.
+            second = np.minimum(_bound(nearest[:, 2 * k - 1] + const, norms, main_width), below)
+            limit[block] = np.where(below > threshold, second, bound) - const
+            cover[block] = below - const
+            settled[block[ok]] = True
+            pair_rows, at, screened = read(np.where(ok, cover[block], -np.inf))
+            pending.append((block[ok], block[pair_rows], at, screened))
             flush()
+
+    keyed = test_code < len(ends) - 1
+    # A row without a key is given the keyless training rows, and reads nothing.
+    key_ranges = np.append(ends, n)
+    lo, hi = key_ranges[test_code], key_ranges[test_code + 1]
+    parts = [(screen.values, factors, np.arange(n), lo, hi)]
+    thresholds = np.full(m, threshold)
+    if cells is not None:
+        # Stage 1: a row with a one in every span reads its code cell. A
+        # training row outside it differs in the key, at main d^2 >= the
+        # threshold, or in another code, at >= the cost.
+        by_codes = (cells.values, cells.factors, cells.pos)
+        cell = [(*by_codes, cells.own_start, cells.own_stop)]
+        settle(np.flatnonzero(keyed & cells.eligible), cell, np.full(m, min(threshold, cells.cost)))
+        # Stage 2 widens such a row to Hamming radius 1 over the codes: the
+        # other keys' rows that share its every other code, its other-code
+        # range with the cell left out. Every training row outside it and
+        # the own key differs in the key and in one more code.
+        start = np.where(cells.eligible, cells.start, cells.own_start)
+        stop = np.where(cells.eligible, cells.stop, cells.own_stop)
+        parts += [(*by_codes, start, cells.own_start), (*by_codes, cells.own_stop, stop)]
+        thresholds[cells.eligible] += cells.cost
+    # Stage 2: every row left whose key has k training rows reads that key.
+    settle(np.flatnonzero(keyed & ~settled & (hi - lo >= k)), parts, thresholds)
     flush(1)
     return own, settled
 
@@ -656,29 +651,35 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
 
     Two screens feed one ranking routine, ``_rank``, and every bound comes
     with its rounding margin from ``_bound``. The first screen settles test
-    rows near their own key (``_settle_in_key``), with small matmuls over
-    each key's training rows alone (an inverted-file search, Jegou, Douze &
-    Schmid, TPAMI 2011). Every training row of another key is at main d^2
-    >= 2, and at >= 1 if some training row has no key, which sets the
-    threshold. A row whose key has k training rows gets the k-th smallest
-    screen value over them, the own k-th; if its bound lies below the
-    threshold, all of the row's main neighbours share its key and the row
-    is settled there. Otherwise, given other spans and a row with a one in
-    each, the screen widens to Hamming radius 1 over the categorical codes
+    rows near their own codes (``_settle_in_key``) in two stages, each a
+    scan of a few contiguous ranges of training rows per test row
+    (``_scan``; an inverted-file search, Jegou, Douze & Schmid, TPAMI 2011).
+    Every training row of another key is at main d^2 >= 2, and at >= 1 if
+    some training row has no key, which sets the threshold. Given other
+    spans, a second training order sorts the rows by their other codes and
+    then by key (``_Cells``). Stage 1 takes each row with a key and a one
+    in every other span to its code cell, the training rows that share its
+    every code, one range of that order. A row outside the cell differs in
+    the key or in another code, so lies at main d^2 >= the smaller of the
+    threshold and the cost, 2, or 1 if some training row lacks a code in
+    some other span. If the bound of the k-th smallest screen value over
+    the cell lies below that, all of the row's main neighbours lie in the
+    cell and the row is settled there. Stage 2 takes every row left whose
+    key has k training rows to that key, and, if the row has a one in every
+    other span, widens it to Hamming radius 1 over the categorical codes
     (multi-index hashing, Norouzi, Punjani & Fleet, CVPR 2012): the other
-    keys' rows that share every other code form one range of a second
-    training order, sorted by those codes and then by key (``_Cells``).
-    Every row outside both ranges differs in the key and in one more code,
-    so lies at main d^2 >= the wide threshold, the threshold plus 2, or
-    plus 1 if some training row lacks a code in some other span. If the
-    bound of the k-th smallest value over both ranges lies below it, the
-    row is settled on them, with main candidates up to the bound of the
-    2k-th, capped at the wide threshold. The second screen takes the other
-    rows against every training row, blocked over test rows in key order
-    into one preallocated buffer, which the first screen's products share.
-    Its main bound is the smaller of the k-th the first screen read and the
-    k-th smallest screen value over every ``_SCREEN_STRIDE``-th training
-    row, the strided k-th.
+    keys' rows that share every other code, the rest of the cell's range in
+    the second order. Every row outside both differs in the key and in one
+    more code, so lies at main d^2 >= the wide threshold, the threshold
+    plus the cost. If the bound of the k-th smallest value over what the
+    row read lies below its threshold, the row is settled; a widened row's
+    main candidates go up to the bound of the 2k-th, capped at the wide
+    threshold. Without other spans only stage 2 runs, on the own key. The
+    second screen takes the other rows against every training row, blocked
+    over test rows in key order into one preallocated buffer. Its main
+    bound is the smaller of the k-th the first screen read and the k-th
+    smallest screen value over every ``_SCREEN_STRIDE``-th training row,
+    the strided k-th.
 
     The screens read each row's values in one pass up to a cover limit: a
     settle threshold on the ranges read, the strided bound on a whole row.
@@ -731,14 +732,14 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
     test_code = test_codes[:, 0].copy()
     del train_codes, train_seen, test_codes, test_seen
     rank = partial(_rank, train_X, test_X, k, widths, screen, out)
-    own, settled = _settle_in_key(rank, screen, factors, consts, test_code, test_order, k, widths[0], cells)
+    own, settled = _settle_in_key(rank, screen, factors, consts, test_code, k, widths[0], cells)
     hard = test_order[~settled[test_order]]
     # One buffer for the blocks, sized for the rows left.
-    buf = np.empty((min(_TEST_BLOCK, len(hard)), n))
+    block_sq = np.empty((min(_TEST_BLOCK, len(hard)), n))
     for start in range(0, len(hard), _TEST_BLOCK):
         rows = hard[start : start + _TEST_BLOCK]
         const = consts[rows]
-        sq = buf[: len(rows)]
+        sq = block_sq[: len(rows)]
         np.matmul(factors[rows], values.T, out=sq)
         screen.key_term(sq, test_code[rows])
         strided = sq[:, ::_SCREEN_STRIDE] if n // _SCREEN_STRIDE >= k else sq
@@ -810,10 +811,11 @@ def knn_predict(
     block: each row holds zeros and at most one 1. The search then screens
     the block by key code and settles what test rows it can inside their
     own key. ``other_spans`` names further one-hot blocks of main columns,
-    disjoint from the key's and from each other; a test row its key does
-    not settle may then settle on its key's training rows and the other
-    keys' rows that share its code in every other block. Neither changes
-    the predictions.
+    disjoint from the key's and from each other; a test row is then first
+    settled, where it can be, on its code cell, the training rows that
+    share its code in every block, and a row its cell does not settle on
+    its key's training rows and the other keys' rows that share its code
+    in every other block. Neither changes the predictions.
 
     Every feature value must be finite: a NaN or infinite distance ranks no
     neighbour.

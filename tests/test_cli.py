@@ -136,6 +136,22 @@ def test_regenerate_reads_the_dataset_it_verifies(tmp_path, small_config, capsys
     assert dir_bytes(out) == before
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotted", "relative"])
+def test_regenerate_refuses_out_that_is_the_dataset(tmp_path, small_config, capsys, monkeypatch, spelling):
+    # A manifest that no longer matches its files: regenerating into the
+    # dataset's own directory would rewrite main.csv to 301 rows.
+    out = generate(tmp_path, small_config, seed=6)
+    manifest = load_manifest(out / "manifest.json")
+    manifest["config"]["rows_main"] = 301
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    monkeypatch.chdir(tmp_path)
+    target = {"same": str(out), "dotted": str(out / ".." / out.name), "relative": out.name}[spelling]
+    before = dir_bytes(tmp_path)
+    assert main(["regenerate", str(out / "manifest.json"), "--out", target]) == 2
+    assert "is the dataset being verified" in capsys.readouterr().err
+    assert dir_bytes(tmp_path) == before
+
+
 def refuses_to_regenerate(tmp_path, out):
     """``regenerate`` with and without --out exits 2 and writes nothing."""
     before = dir_bytes(tmp_path)

@@ -470,32 +470,55 @@ def coded_rows(rows):
 
 
 @pytest.mark.parametrize(
-    "test_row, train_rows, k, settles",
+    "test_row, train_rows, k, stages, settles",
     [
         # Own-key rows at main d^2 2 (another code) and other-key rows
-        # sharing the code at 2: the row settles on both ranges, and the
-        # rows differing in both, at 4, are never measured.
-        ((0, 0, 0, 0), [(1, 1, 0, 0)] * 2 + [(0, 1, 0, 0)] * 4 + [(1, 0, 0, 0)] * 3, 4, True),
+        # sharing the code at 2: the cell is empty, the row settles on both
+        # ranges, and the rows differing in both, at 4, are never measured.
+        ((0, 0, 0, 0), [(1, 1, 0, 0)] * 2 + [(0, 1, 0, 0)] * 4 + [(1, 0, 0, 0)] * 3, 4, (1, 2), True),
         # The k-th over both ranges is exactly 4, the threshold: rows 0 and
         # 1, which differ in both codes, tie with it and win on index.
-        ((0, 0, 0, 0), [(1, 1, 0, 0)] * 2 + [(0, 1, 1, 1)] * 4, 4, False),
+        ((0, 0, 0, 0), [(1, 1, 0, 0)] * 2 + [(0, 1, 1, 1)] * 4, 4, (1, 2), False),
         # The same where the k-th reads one rounding step below 4: only the
         # rounding margin keeps the row unsettled.
-        ((0, 0, 0, 2.5), [(1, 1, 0, 2.5)] + [(0, 1, 1, 3.5)] * 4, 4, False),
+        ((0, 0, 0, 2.5), [(1, 1, 0, 2.5)] + [(0, 1, 1, 3.5)] * 4, 4, (1, 2), False),
         # Rows 0 and 1 lack the other code, so they are at 3, and the
         # threshold is 3: a k-th at 3 does not settle.
-        ((0, 0, 0, 0), [(1, -1, 0, 0)] * 2 + [(0, 1, 1, 0)] * 2 + [(1, 0, 1, 0)], 2, False),
-        # The test row's other code is unseen, so a row differing in the key
-        # and the code is at 3, below the own key's k-th, 3.5; the row keeps
-        # the full screen.
-        ((0, -1, 0, 0), [(1, 1, 0, 0)] * 2 + [(0, 0, 1.5, 0.5)] * 2, 2, False),
+        ((0, 0, 0, 0), [(1, -1, 0, 0)] * 2 + [(0, 1, 1, 0)] * 2 + [(1, 0, 1, 0)], 2, (1, 2), False),
+        # The test row's other code is unseen, so it has no cell, and a row
+        # differing in the key and the code is at 3, below the own key's
+        # k-th, 3.5; the row keeps the full screen.
+        ((0, -1, 0, 0), [(1, 1, 0, 0)] * 2 + [(0, 0, 1.5, 0.5)] * 2, 2, (2,), False),
+        # The cell holds one row at 0, fewer than k: the row settles on both
+        # ranges, with its cell's row and the first two at 2.
+        ((0, 0, 0, 0), [(1, 1, 0, 0)] * 2 + [(0, 1, 0, 0)] * 2 + [(1, 0, 0, 0)] * 2 + [(0, 0, 0, 0)], 3, (1, 2), True),
+        # The cell's k-th is exactly 2, the cell's threshold: row 2, of the
+        # own key and another code, ties with it and wins on index, so the
+        # cell must not settle the row; both ranges do.
+        ((0, 0, 0, 0), [(1, 1, 0, 0)] * 2 + [(0, 1, 0, 0)] + [(0, 0, 1, 1)] * 2, 2, (1, 2), True),
+        # An empty cell, and an own key of one row, fewer than k: neither
+        # stage settles the row.
+        ((0, 0, 0, 0), [(1, 1, 0, 0)] * 2 + [(0, 1, 0, 0)] + [(1, 0, 0, 0)] * 2, 2, (1,), False),
+        # The cell's k-th is 0.25: the row settles there, and every pair
+        # measured is of the cell.
+        ((0, 0, 0, 0), [(1, 1, 0, 0)] * 2 + [(0, 1, 0, 0)] * 2 + [(1, 0, 0, 0)] * 2 + [(0, 0, 0, 0.5)] * 3, 2, (1,), True),
     ],
-    ids=["tie-at-2", "kth-at-4", "kth-rounded-below-4", "row-without-code", "unseen-code"],
+    ids=[
+        "tie-at-2",
+        "kth-at-4",
+        "kth-rounded-below-4",
+        "row-without-code",
+        "unseen-code",
+        "cell-below-k",
+        "cell-kth-at-2",
+        "empty-cell-small-key",
+        "settled-in-cell",
+    ],
 )
-def test_other_code_range_settles_below_its_threshold_only(monkeypatch, test_row, train_rows, k, settles):
+def test_other_code_range_settles_below_its_threshold_only(monkeypatch, test_row, train_rows, k, stages, settles):
     train_J, test_J = coded_rows(train_rows), coded_rows([test_row])
-    masks, measured = [], []
-    settle, pair_sq = evaluate._settle_in_key, evaluate._pair_sq
+    masks, measured, scans = [], [], []
+    settle, pair_sq, scan = evaluate._settle_in_key, evaluate._pair_sq, evaluate._scan
 
     def settled(*args):
         own, mask = settle(*args)
@@ -506,16 +529,30 @@ def test_other_code_range_settles_below_its_threshold_only(monkeypatch, test_row
         measured.extend(cand.tolist())
         return pair_sq(train, test, rows, cand, widths)
 
+    def staged(rows, parts, k):
+        # With another span, stage 1 reads the cell alone, and stage 2 the
+        # own key and the two parts of the other-code range around the cell.
+        scans.append((1 if len(parts) == 1 else 2, sum(int((b - a)[rows].sum()) for *_, a, b in parts)))
+        return scan(rows, parts, k)
+
     monkeypatch.setattr(evaluate, "_settle_in_key", settled)
     monkeypatch.setattr(evaluate, "_pair_sq", counted)
+    monkeypatch.setattr(evaluate, "_scan", staged)
     got = _select_neighbors(train_J, test_J, k, 6, (2, 4), [(4, 6)])
-    assert masks == [[settles]]
+    assert masks == [[settles]] and tuple(stage for stage, _ in scans) == stages
+    # Stage 1 reads the cell; stage 2 the rows sharing the key or, for a row
+    # with a code, the other code.
+    cell = {i for i, row in enumerate(train_rows) if row[:2] == test_row[:2]}
+    near = {i for i, row in enumerate(train_rows) if row[0] == test_row[0] or row[1] == test_row[1] >= 0}
+    assert [read for _, read in scans] == [[len(cell), len(near)][stage - 1] for stage, _ in scans]
     d2 = ((train_J - test_J) ** 2).sum(axis=1)
     nearest = np.lexsort((np.arange(len(d2)), d2))[:k]
     for idx, dist in got:
         assert idx.tolist() == [nearest.tolist()] and dist.tolist() == [np.sqrt(d2[nearest]).tolist()]
     if settles:
         assert not {0, 1} & set(measured)
+    if settles and stages == (1,):
+        assert set(measured) <= cell
 
 
 @pytest.mark.parametrize(
