@@ -225,9 +225,6 @@ _SCREEN_STRIDE = 4
 # Most pairs ``_pair_sq`` gathers at a time: 2,048 rows of the joined width
 # are a few MB, and as fast as larger gathers.
 _PAIR_CHUNK = 2048
-# Rows of whole-row screen values a settled row's far path computes at a
-# time: one product reads the screen for all of them.
-_FAR_BLOCK = 16
 _EPS = np.finfo(float).eps
 
 
@@ -341,24 +338,16 @@ class _Screen(NamedTuple):
         block[:, :-1] *= -2.0
         return block, const
 
-    def whole(self, factors, codes):
+    def full(self, factors, codes, out=None):
         """Screen values, less the row constants, over every key-sorted
         training row of the test rows whose factors are ``factors`` and key
-        codes ``codes``: yields one row of them at a time, computed
-        ``_FAR_BLOCK`` rows at a time."""
-        for s in range(0, len(factors), _FAR_BLOCK):
-            values = factors[s : s + _FAR_BLOCK] @ self.values.T
-            self.key_term(values, codes[s : s + _FAR_BLOCK])
-            yield from values
-
-    def key_term(self, sq, codes):
-        """Subtract 2 on each row's own key range of the screen values ``sq``,
-        whose rows have the key ``codes``, in key order. A row without a key
-        (code ``len(key_ends) - 1``) has no range."""
-        first = np.flatnonzero(np.diff(codes, prepend=-1))
-        for lo, hi, code in zip(first, [*first[1:], len(codes)], codes[first]):
+        codes ``codes``: the product, then 2 off each row's own key range.
+        A row without a key (code ``len(key_ends) - 1``) has no range."""
+        values = np.matmul(factors, self.values.T, out=out)
+        for row, code in zip(values, codes.tolist()):
             if code < len(self.key_ends) - 1:
-                sq[lo:hi, self.key_ends[code] : self.key_ends[code + 1]] -= 2.0
+                row[self.key_ends[code] : self.key_ends[code + 1]] -= 2.0
+        return values
 
 
 class _Cells(NamedTuple):
@@ -456,30 +445,23 @@ def _bound(kth, norms, width):
     return kth + 4.0 * (width + 8) * _EPS * (norms + np.abs(kth))
 
 
-def _read(sq, cover):
-    """The pairs whose values in ``sq`` lie within their row's ``cover``:
-    their rows, columns and values."""
-    rows, col = np.divmod(np.flatnonzero(sq <= cover[:, None]), sq.shape[1])
-    return rows, col, sq[rows, col]
-
-
-def _rank(train_X, test_X, k, widths, screen, out, rows, pairs, main_limit, cover, const, whole):
+def _rank(train_X, test_X, k, widths, screen, factors, codes, out, rows, values, at, main_limit, cover, const):
     """Write both conditions' neighbours of the test ``rows`` to ``out``.
 
-    ``pairs`` holds the (row, key-sorted position, screen value) of every
-    pair a screen read within ``cover``, with values less the row constants
-    ``const``; every training row a screen did not read lies beyond its
-    row's cover. ``main_limit`` is a limit at most ``cover``. The main
-    candidates are the pairs within ``main_limit``, and the joined ones
-    beyond them those within the joined limit, the bound of U. A row whose
-    joined limit passes ``cover`` also takes, of its values over every
-    key-sorted training row, those within the joined limit it has not
-    measured yet: ``whole(rows)`` yields (row, values) for such rows. See
-    ``_select_neighbors``.
+    ``values`` is a screen's block of values of the rows, less the row
+    constants ``const``, and ``at(test_rows, col)`` maps its cells to
+    key-sorted positions. A training row without a cell in a row's values
+    lies beyond the row's ``cover``, and ``main_limit`` is at most it. The
+    main candidates are the cells within ``main_limit``, and the joined ones
+    beyond them the cells within the joined limit, the bound of U, which
+    this computes. A row whose joined limit passes its cover also takes the
+    pairs within it that it has not taken yet from its values over every
+    key-sorted training row; ``factors`` and ``codes`` hold each test row's
+    factor and key code, which give those. See ``_select_neighbors``.
     """
-    pair_rows, at, screened = pairs
-    main = screened <= main_limit[pair_rows]
-    main_rows, cand = pair_rows[main], screen.order[at[main]]
+    main_rows, col = np.divmod(np.flatnonzero(values <= main_limit[:, None]), values.shape[1])
+    main_at = at(rows[main_rows], col)
+    cand = screen.order[main_at]
     pair_sq = _pair_sq(train_X, test_X, rows[main_rows], cand, widths)
     dist = np.sqrt(pair_sq[0])
     pick = _rank_pairs(main_rows, cand, dist, len(rows), k)
@@ -489,17 +471,20 @@ def _rank(train_X, test_X, k, widths, screen, out, rows, pairs, main_limit, cove
     # U: the joined d^2 of each row's k-th main candidate ranked by joined d^2.
     upper = pair_sq[1][_rank_pairs(main_rows, cand, pair_sq[1], len(rows), k)[:, k - 1]]
     joined_limit = _bound(upper, const + screen.max_norm, widths[1]) - const
-    more = ~main & (screened <= joined_limit[pair_rows])
-    more_rows, more_at, more_screened = [pair_rows[more]], [at[more]], [screened[more]]
-    for r, values in whole(np.flatnonzero(joined_limit > cover)):
-        near = values <= joined_limit[r]
-        near[at[(pair_rows == r) & (main | more)]] = False
-        col = np.flatnonzero(near)
-        more_rows.append(np.full(len(col), r))
-        more_at.append(col)
-        more_screened.append(values[col])
-    more_rows, more_at, more_screened = (np.concatenate(part) for part in (more_rows, more_at, more_screened))
-    more_cand = screen.order[more_at]
+    near = values <= joined_limit[:, None]
+    near[main_rows, col] = False
+    more_rows, col = np.divmod(np.flatnonzero(near), values.shape[1])
+    more_at = at(rows[more_rows], col)
+    # The far rows' values over every training row, with the pairs taken
+    # above set to inf.
+    far = np.flatnonzero(joined_limit > cover)
+    whole = screen.full(factors[rows[far]], codes[rows[far]])
+    taken_rows, taken_at = np.concatenate([main_rows, more_rows]), np.concatenate([main_at, more_at])
+    taken = np.isin(taken_rows, far)
+    whole[np.searchsorted(far, taken_rows[taken]), taken_at[taken]] = np.inf
+    far_rows, far_at = np.divmod(np.flatnonzero(whole <= joined_limit[far, None]), whole.shape[1])
+    more_screened = np.concatenate([values[more_rows, col], whole[far_rows, far_at]])
+    more_rows, more_cand = np.concatenate([more_rows, far[far_rows]]), screen.order[np.concatenate([more_at, far_at])]
     # A joined d^2 is the main d^2 plus the appended columns' part, and the
     # screen value plus that part must lie within the joined limit too;
     # measuring the part alone first leaves most of these pairs out.
@@ -514,9 +499,9 @@ def _rank(train_X, test_X, k, widths, screen, out, rows, pairs, main_limit, cove
 
 def _scan(rows, parts, k):
     """Screen values, less the row constants, of each test row of ``rows``
-    over its ranges of training rows, and a function that reads the pairs
-    within a cover per row: their row indices, key-sorted positions and
-    values.
+    over its ranges of training rows, and the map of their cells to
+    key-sorted positions, ``at(test_rows, col)`` of each cell's test row
+    and column.
 
     Each part is (values, factors, positions, starts, stops): a test row
     reads the products of its factor with ``values[start:stop]``, whose
@@ -527,19 +512,19 @@ def _scan(rows, parts, k):
     """
     bands = np.cumsum([0, *((stops[rows] - starts[rows]).max() for *_, starts, stops in parts)])
     values = np.full((len(rows), max(bands[-1], 2 * k)), np.inf)
-    for (table, factors, _, starts, stops), at in zip(parts, bands):
-        for value, factor, a, b in zip(values[:, at:], factors[rows], starts[rows].tolist(), stops[rows].tolist()):
+    for (table, factors, _, starts, stops), band in zip(parts, bands):
+        for value, factor, a, b in zip(values[:, band:], factors[rows], starts[rows].tolist(), stops[rows].tolist()):
             np.dot(table[a:b], factor, out=value[: b - a])
     values[:, : bands[1]] -= 2.0
 
-    def read(cover):
-        reads = []
+    def at(test_rows, col):
+        pos = np.empty(len(col), dtype=np.intp)
         for (_, _, positions, starts, _), a, b in zip(parts, bands, bands[1:]):
-            pair_rows, col, screened = _read(values[:, a:b], cover)
-            reads.append((pair_rows, positions[starts[rows[pair_rows]] + col], screened))
-        return (np.concatenate(part) for part in zip(*reads))
+            inside = (a <= col) & (col < b)
+            pos[inside] = positions[starts[test_rows[inside]] + col[inside] - a]
+        return pos
 
-    return values, read
+    return values, at
 
 
 def _settle_in_key(rank, screen, factors, consts, test_code, k, main_width, cells):
@@ -547,11 +532,12 @@ def _settle_in_key(rank, screen, factors, consts, test_code, k, main_width, cell
     given ``cells``, in their code cell or their own key and its other-code
     range.
 
-    Returns the k-th smallest screen value over the training rows each test
-    row read (inf for a row without a key or whose key has fewer than k
-    training rows) and the mask of the rows settled; ``rank`` writes both
-    conditions' neighbours of those, _TEST_BLOCK rows or more at a time.
-    See ``_select_neighbors``.
+    Each block of test rows ``_scan`` reads hands its settled rows, with
+    their values, to ``rank``, which writes both conditions' neighbours of
+    them. Returns the k-th smallest screen value over the training rows
+    each test row read (inf for a row without a key or whose key has fewer
+    than k training rows) and the mask of the rows settled. See
+    ``_select_neighbors``.
     """
     n, m = len(screen.order), len(test_code)
     ends = screen.key_ends
@@ -559,48 +545,28 @@ def _settle_in_key(rank, screen, factors, consts, test_code, k, main_width, cell
     # key at main d^2 >= 1, and a joined d^2 is at least the main one.
     threshold = 2.0 if ends[-1] == n else 1.0
     own, settled = np.full(m, np.inf), np.zeros(m, dtype=bool)
-    limit, cover = np.empty(m), np.empty(m)
-    # The rows settled and not yet ranked, with the pairs they read (test
-    # row, key-sorted position, screen value).
-    pending = []
-
-    def flush(least=_TEST_BLOCK):
-        if sum(len(part[0]) for part in pending) < least:
-            return
-        rows, pair_rows, at, screened = (np.concatenate(part) for part in zip(*pending))
-        local = np.empty(m, dtype=np.intp)
-        local[rows] = np.arange(len(rows))
-
-        def whole(far):
-            return zip(far, screen.whole(factors[rows[far]], test_code[rows[far]]))
-
-        rank(rows, (local[pair_rows], at, screened), limit[rows], cover[rows], consts[rows], whole)
-        pending.clear()
 
     def settle(rows, parts, thresholds):
-        """Settle each of the test ``rows`` whose bound of the k-th over its
-        ranges lies below its threshold."""
+        """Settle and rank each of the test ``rows`` whose bound of the
+        k-th over its ranges lies below its threshold."""
         # Rows of like range length share a padded block.
         rows = rows[np.argsort(sum(stops[rows] - starts[rows] for *_, starts, stops in parts), kind="stable")]
         for s in range(0, len(rows), _TEST_BLOCK):
             block = rows[s : s + _TEST_BLOCK]
             const, below = consts[block], thresholds[block]
-            values, read = _scan(block, parts, k)
+            values, at = _scan(block, parts, k)
             nearest = np.partition(values, 2 * k - 1, axis=1)
             own[block] = kth = np.partition(nearest[:, : 2 * k], k - 1, axis=1)[:, k - 1]
             norms = const + screen.max_norm
             bound = _bound(kth + const, norms, main_width)
-            ok = bound < below
             # A row read past its own key takes main candidates up to the
             # bound of the 2k-th, capped at its threshold: a U over more of
             # them is tighter and admits fewer joined ones.
             second = np.minimum(_bound(nearest[:, 2 * k - 1] + const, norms, main_width), below)
-            limit[block] = np.where(below > threshold, second, bound) - const
-            cover[block] = below - const
+            limit = np.where(below > threshold, second, bound) - const
+            ok = np.flatnonzero(bound < below)
             settled[block[ok]] = True
-            pair_rows, at, screened = read(np.where(ok, cover[block], -np.inf))
-            pending.append((block[ok], block[pair_rows], at, screened))
-            flush()
+            rank(block[ok], values[ok], at, limit[ok], below[ok] - const[ok], const[ok])
 
     keyed = test_code < len(ends) - 1
     # A row without a key is given the keyless training rows, and reads nothing.
@@ -625,7 +591,6 @@ def _settle_in_key(rank, screen, factors, consts, test_code, k, main_width, cell
         thresholds[cells.eligible] += cells.cost
     # Stage 2: every row left whose key has k training rows reads that key.
     settle(np.flatnonzero(keyed & ~settled & (hi - lo >= k)), parts, thresholds)
-    flush(1)
     return own, settled
 
 
@@ -676,24 +641,26 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
     main candidates go up to the bound of the 2k-th, capped at the wide
     threshold. Without other spans only stage 2 runs, on the own key. The
     second screen takes the other rows against every training row, blocked
-    over test rows in key order into one preallocated buffer. Its main
-    bound is the smaller of the k-th the first screen read and the k-th
-    smallest screen value over every ``_SCREEN_STRIDE``-th training row,
-    the strided k-th.
+    over test rows into one preallocated buffer. Its main bound is the
+    smaller of the k-th the first screen read and the k-th smallest screen
+    value over every ``_SCREEN_STRIDE``-th training row, the strided k-th.
 
-    The screens read each row's values in one pass up to a cover limit: a
-    settle threshold on the ranges read, the strided bound on a whole row.
-    The main candidates are the pairs read within the main bound. A joined
-    d^2 is the main d^2 plus that of the appended block, so main d^2 is a
-    lower bound of it (multi-step kNN, Seidl & Kriegel, SIGMOD 1998), and
-    the k-th smallest joined d^2 U over the main candidates, measured at
-    full width, bounds the joined k-th d^2 from above. The joined candidates
-    beyond the main ones are the pairs read within the bound of U whose
-    screen value plus the appended block's explicit d^2 lies within it too;
-    a row whose joined limit passes its cover also takes them from its
-    values over every training row. No pair is measured twice. Each
-    condition ranks its candidates by exact distance, ties by training
-    index, which is the order of a brute-force search.
+    Each screen hands its block of values to ``_rank`` as it computes it.
+    The main candidates are the values within the main bound. A joined d^2
+    is the main d^2 plus that of the appended block, so main d^2 is a lower
+    bound of it (multi-step kNN, Seidl & Kriegel, SIGMOD 1998), and the
+    k-th smallest joined d^2 U over the main candidates, measured at full
+    width, bounds the joined k-th d^2 from above. The joined candidates
+    beyond the main ones are the values within the bound of U whose screen
+    value plus the appended block's explicit d^2 lies within it too. The
+    second screen's block holds every training row. A settled row's holds
+    only the ranges it read, and every training row outside them lies
+    beyond its cover, its settle threshold: a settled row whose joined
+    limit passes its cover takes the rest of its joined candidates from its
+    values over every training row (``_Screen.full``, as the second screen
+    does), at most ``_TEST_BLOCK`` rows at a time. No pair is measured
+    twice. Each condition ranks its candidates by exact distance, ties by
+    training index, which is the order of a brute-force search.
     """
     n, width = train_X.shape
     widths = [width] if main_width is None else [main_width, width]
@@ -703,9 +670,6 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
     train_codes, train_seen = _span_codes(train_X, spans)
     test_codes, test_seen = _span_codes(test_X, spans)
     order = np.argsort(train_codes[:, 0], kind="stable")
-    # The test rows go through the blocks in key order, so the rows of one
-    # key in a block are adjacent and share one key range.
-    test_order = np.argsort(test_codes[:, 0], kind="stable")
     values = np.empty((n, len(rest) + 1))
     train_c = values[:, :-1]
     # Two slices of gathered rows: an np.ix_ gather is about three times slower.
@@ -731,26 +695,19 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
     # lowers the search's peak memory.
     test_code = test_codes[:, 0].copy()
     del train_codes, train_seen, test_codes, test_seen
-    rank = partial(_rank, train_X, test_X, k, widths, screen, out)
+    rank = partial(_rank, train_X, test_X, k, widths, screen, factors, test_code, out)
     own, settled = _settle_in_key(rank, screen, factors, consts, test_code, k, widths[0], cells)
-    hard = test_order[~settled[test_order]]
+    hard = np.flatnonzero(~settled)
     # One buffer for the blocks, sized for the rows left.
     block_sq = np.empty((min(_TEST_BLOCK, len(hard)), n))
     for start in range(0, len(hard), _TEST_BLOCK):
         rows = hard[start : start + _TEST_BLOCK]
         const = consts[rows]
-        sq = block_sq[: len(rows)]
-        np.matmul(factors[rows], values.T, out=sq)
-        screen.key_term(sq, test_code[rows])
+        sq = screen.full(factors[rows], test_code[rows], block_sq[: len(rows)])
         strided = sq[:, ::_SCREEN_STRIDE] if n // _SCREEN_STRIDE >= k else sq
-        strided_kth = np.partition(strided, k - 1, axis=1)[:, k - 1] + const
-        # The main bound is the smaller one; the block is read up to the
-        # strided one, which most rows' joined limit does not pass.
-        main_limit, cover = (
-            _bound(kth, const + screen.max_norm, widths[0]) - const
-            for kth in (np.minimum(strided_kth, own[rows] + const), strided_kth)
-        )
-        rank(rows, _read(sq, cover), main_limit, cover, const, lambda far: ((r, sq[r]) for r in far))
+        kth = np.minimum(np.partition(strided, k - 1, axis=1)[:, k - 1] + const, own[rows] + const)
+        # The block holds every training row's value: no row lies beyond it.
+        rank(rows, sq, lambda _, col: col, _bound(kth, const + screen.max_norm, widths[0]) - const, np.inf, const)
     return out
 
 

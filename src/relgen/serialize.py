@@ -180,15 +180,28 @@ def write_csv(table: Table, path: Path) -> None:
 
 
 def read_csv_table(path: Path, column_info: list[tuple[str, str, str]]) -> Table:
-    """Load a CSV written by write_csv; column_info is (name, kind, role) per column."""
+    """Load a CSV written by write_csv; column_info is (name, kind, role) per column.
+
+    Every row of the body must hold one number per header column; raises
+    InvalidConfigError naming ``path`` otherwise.
+    """
     expected = [name for name, _, _ in column_info]
     with path.open("r", newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh))
         if header != expected:
             raise InvalidConfigError(f"{path}: header {header} does not match schema {expected}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a table of no rows
-            data = np.loadtxt(fh, delimiter=",", ndmin=2).reshape(-1, len(expected))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a table of no rows
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:  # a ragged row or a non-numeric cell
+            # numpy's message names the row; past its ";" it advises on loadtxt's arguments.
+            reason = str(exc).split(";")[0]
+            raise InvalidConfigError(f"{path}: each row must hold {len(expected)} numeric cells: {reason}") from None
+    if not len(data):
+        data = data.reshape(0, len(expected))
+    if data.shape[1] != len(expected):
+        raise InvalidConfigError(f"{path}: rows of {data.shape[1]} cells under a header of {len(expected)} columns")
     columns = []
     for j, (name, kind, role) in enumerate(column_info):
         values = data[:, j].copy()

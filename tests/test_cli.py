@@ -702,3 +702,20 @@ def test_eval_of_non_finite_feature_cell_exits_2(tmp_path, small_config, capsys,
     assert f"{path}: column {columns[j].name} holds a non-finite cell" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert not (out / "eval_report.json").exists()
+
+
+def test_eval_of_ragged_row_exits_2(tmp_path, small_config, capsys):
+    out = generate(tmp_path, small_config, seed=9)
+    path = out / "main.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[5] = lines[5].rstrip("\n").rsplit(",", 1)[0] + "\n"
+    path.write_text("".join(lines))
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["files"]["main.csv"] = file_sha256(path)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["eval", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: each row must hold" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "eval_report.json").exists()

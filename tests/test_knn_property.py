@@ -687,14 +687,17 @@ def test_own_key_bound_measures_only_the_keys_nearest_rows(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "far, joined, joined_dist, measured",
+    "far, shifts, joined, joined_dist, measured",
     [
-        (False, [[0, 1]], [[np.sqrt(2.0), 2.0]], [[1, 2, 3], [0]]),
-        (True, [[0, 4]], [[np.sqrt(2.0), 1.5]], [[1, 2, 3], [0, 4]]),
+        (False, [0.0], [[0, 1]], [[np.sqrt(2.0), 2.0]], [[1, 2, 3], [0]]),
+        (True, [0.0], [[0, 4]], [[np.sqrt(2.0), 1.5]], [[1, 2, 3], [0, 4]]),
+        (True, [0.0, 0.05, -0.05, 0.1] * 10, None, None, None),
     ],
-    ids=["other-key", "own-key-past-threshold"],
+    ids=["other-key", "own-key-past-threshold", "many-far-rows"],
 )
-def test_joined_neighbour_between_the_own_and_the_strided_limit(monkeypatch, far, joined, joined_dist, measured):
+def test_joined_neighbour_between_the_own_and_the_strided_limit(
+    monkeypatch, far, shifts, joined, joined_dist, measured
+):
     # Keys as above, k = 2. The own key's rows are at main d^2 0 and joined
     # d^2 4, so the test row settles inside its key with joined limit 4,
     # past the settle threshold 2. The key-0 row, main d^2 2 and joined d^2
@@ -703,19 +706,37 @@ def test_joined_neighbour_between_the_own_and_the_strided_limit(monkeypatch, far
     # ``far``, a fourth key-1 row (training index 4) has rest 1.5 and an
     # appended block of 0: main d^2 2.25, beyond the threshold, and joined
     # d^2 2.25. It is read from the rest of its own key's values, and each
-    # pair is measured once.
+    # pair is measured once. Many test rows, their rest shifted by up to
+    # 0.1, all settle in one block and all take their values over every
+    # training row; they match the search without a key span.
     keys = np.repeat([0, 1, 2], [1, 4, 35] if far else [1, 3, 36])
     rest = np.where(keys == 2, 2.0, 0.0)
     block = np.where(keys == 1, 2.0, 0.0)
     if far:
         rest[4], block[4] = 1.5, 0.0
     train_J = np.concatenate([rest[:, None], np.eye(3)[keys], block[:, None]], axis=1)
-    test_J = np.array([[0.0, 0.0, 1.0, 0.0, 0.0]])
-    calls = measured_pairs(monkeypatch)
-    (idx, _), (joined_idx, got_dist) = _select_neighbors(train_J, test_J, 2, 4, (1, 4))
-    assert idx.tolist() == [[1, 2]] and joined_idx.tolist() == joined
-    assert got_dist.tolist() == joined_dist
-    assert calls == measured
+    test_J = np.zeros((len(shifts), 5))
+    test_J[:, 0], test_J[:, 2] = shifts, 1.0
+    plain = _select_neighbors(train_J, test_J, 2, 4)
+    pairs, calls = [], []
+    pair_sq = evaluate._pair_sq
+
+    def recorded(train, test, rows, cand, widths):
+        pairs.extend(zip(rows.tolist(), cand.tolist()))
+        calls.append(sorted(cand.tolist()))
+        return pair_sq(train, test, rows, cand, widths)
+
+    monkeypatch.setattr(evaluate, "_pair_sq", recorded)
+    got = _select_neighbors(train_J, test_J, 2, 4, (1, 4))
+    # One ranking of the settled block: a main and a joined measurement.
+    assert len(set(pairs)) == len(pairs) and len(calls) == 2
+    for (idx, dist), (ref_idx, ref_dist) in zip(got, plain):
+        assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
+    if measured is not None:
+        (idx, _), (joined_idx, got_dist) = got
+        assert idx.tolist() == [[1, 2]] and joined_idx.tolist() == joined
+        assert got_dist.tolist() == joined_dist
+        assert calls == measured
 
 
 def test_joined_bound_from_the_main_candidates_rescreens_nothing(monkeypatch):

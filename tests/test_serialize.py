@@ -164,6 +164,26 @@ def test_csv_non_finite_cell_rejected(tmp_path, cell, kind):
         read_csv_table(path, [("x", kind, "feature"), ("k", "categorical", "feature")])
 
 
+@pytest.mark.parametrize(
+    "body, match",
+    [
+        # Every row a cell short: 22 rows of 10 cells would reshape into 20
+        # shifted rows of 11.
+        ("".join(",".join(["1"] * 10) + "\n" for _ in range(22)), "rows of 10 cells under a header of 11 columns"),
+        ("".join(",".join(["1"] * 12) + "\n" for _ in range(3)), "rows of 12 cells under a header of 11 columns"),
+        (",".join(["1"] * 11) + "\n" + ",".join(["1"] * 10) + "\n", "each row must hold 11 numeric cells"),
+        (",".join(["1"] * 10) + ",x\n", "each row must hold 11 numeric cells"),
+    ],
+    ids=["every-row-short", "every-row-long", "ragged-row", "non-numeric-cell"],
+)
+def test_csv_body_not_matching_its_header_rejected(tmp_path, body, match):
+    names = [f"c{j}" for j in range(11)]
+    path = tmp_path / "t.csv"
+    path.write_text(",".join(names) + "\n" + body, encoding="utf-8")
+    with pytest.raises(InvalidConfigError, match=f"{path}: {match}"):
+        read_csv_table(path, [(name, "numeric", "feature") for name in names])
+
+
 def test_csv_header_mismatch_rejected(tmp_path):
     table = Table(columns=[Column("x", "numeric", "feature", np.zeros(2))])
     path = tmp_path / "t.csv"
