@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import CHUNK_ROWS, QuantilePair, propagate_rows
+from .engine import QuantilePair, propagate_rows
 from .errors import DegenerateDataError, InvalidParameterError
 from .graphs import DagSpec
 from .seeding import substream
@@ -80,39 +80,74 @@ def nearest_centroid(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndar
 
     Ties resolve to the lowest centroid index. Squared distances are sums of
     explicit squared differences, accumulated one column at a time in column
-    order over blocks of ``CHUNK_ROWS`` points, so the only temporaries are
-    (block, K) arrays. Below 8 columns this adds in the same order as
-    ``((p - c) ** 2).sum(axis=2)`` and gives the same bits.
+    order, so below 8 columns they add in the same order as
+    ``((p - c) ** 2).sum(axis=2)`` and give the same bits. Points go in
+    blocks of ``max(256, 32768 // K)`` rows: the (block, K) d^2 array and
+    its difference temporary then take about 256 KB each and stay in cache
+    while every column is added onto them.
     """
     labels = np.empty(len(points), dtype=np.int64)
     nearest_d2 = np.empty(len(points))
-    for start in range(0, len(points), CHUNK_ROWS):
-        block = points[start : start + CHUNK_ROWS]
-        d2 = np.zeros((len(block), len(centroids)))
+    step = max(256, 32768 // len(centroids))
+    for start in range(0, len(points), step):
+        block = points[start : start + step]
+        # d^2 starts as column 0's square: 0.0 + x is x for every x >= 0.
+        d2 = np.subtract(block[:, 0, None], centroids[:, 0])
+        d2 *= d2
         diff = np.empty_like(d2)
-        for j in range(centroids.shape[1]):
+        for j in range(1, centroids.shape[1]):
             np.subtract(block[:, j, None], centroids[:, j], out=diff)
             diff *= diff
             d2 += diff
         block_labels = np.argmin(d2, axis=1)
-        labels[start : start + CHUNK_ROWS] = block_labels
-        nearest_d2[start : start + CHUNK_ROWS] = d2[np.arange(len(block)), block_labels]
+        labels[start : start + step] = block_labels
+        nearest_d2[start : start + step] = d2[np.arange(len(block)), block_labels]
     return labels, nearest_d2
 
 
 def group_means(values: np.ndarray, labels: np.ndarray, fill: np.ndarray) -> np.ndarray:
     """Row j is ``values[labels == j].mean(axis=0)`` bit for bit, or ``fill[j]``
-    if no row has label j: a stable sort puts each label's rows in one slice,
-    in row order, and ``add.reduce`` over it divided by the count is ``mean``."""
-    by_label = values[np.argsort(labels, kind="stable")]
-    ends = np.cumsum(np.bincount(labels, minlength=len(fill)))
+    if no row has label j.
+
+    ``mean`` adds a label's rows onto 0.0 in row order, one column at a time,
+    and divides by the count. From width 2 one ``np.bincount`` per column
+    adds in that order too, for all labels in one call. A (rows, 1) slice,
+    though, is summed pairwise, so at width 1 a stable sort puts each label's
+    rows in one slice, in row order, and ``add.reduce`` over it gives
+    ``mean``'s sum.
+    """
+    counts = np.bincount(labels, minlength=len(fill))
     means = np.array(fill, dtype=float)
+    if values.shape[1] > 1:
+        won = counts > 0
+        sums = np.column_stack([np.bincount(labels, weights=col, minlength=len(fill)) for col in values.T])
+        means[won] = sums[won] / counts[won, None]
+        return means
+    by_label = values[np.argsort(labels, kind="stable")]
     start = 0
-    for j, end in enumerate(ends):
+    for j, end in enumerate(np.cumsum(counts)):
         if end > start:
             means[j] = np.add.reduce(by_label[start:end], axis=0) / (end - start)
         start = end
     return means
+
+
+def count_distinct_rows(samples: np.ndarray) -> int:
+    """``len(np.unique(samples, axis=0))``: rows that compare equal under float
+    ``==`` (so -0.0 and 0.0 too) count once. Sorting the rows
+    lexicographically puts equal rows next to each other."""
+    if len(samples) == 0:
+        return 0
+    ordered = samples[np.lexsort(samples.T)]
+    return 1 + int(np.count_nonzero((ordered[1:] != ordered[:-1]).any(axis=1)))
+
+
+def draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
+    """``rng.choice(len(p), p=p)`` without its checks on ``p``: the same index
+    from the same one ``rng.random()`` draw, so the stream moves on alike."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def fit_codebook(
@@ -123,7 +158,9 @@ def fit_codebook(
 ) -> Codebook:
     """k-means with k-means++ seeding and Lloyd iterations.
 
-    Runs until the largest centroid shift drops below 1e-8 or 100 iterations.
+    Runs until the labels repeat, the largest centroid shift drops below
+    1e-8, or 100 iterations. Repeated labels would give the same centroids,
+    so that stop ends on the iteration the shift test would.
     If the data holds fewer than k distinct vectors, k is reduced to that
     count (the caller records the warning). Fewer than 2 distinct vectors is
     a degenerate node and raises. When ``objective_trace`` is given, the
@@ -132,10 +169,10 @@ def fit_codebook(
     if k < 2:
         raise InvalidParameterError(f"category count must be >= 2, got {k}")
     samples = np.asarray(samples, dtype=float)
-    distinct = np.unique(samples, axis=0)
-    if len(distinct) < 2:
+    distinct = count_distinct_rows(samples)
+    if distinct < 2:
         raise DegenerateDataError("fewer than 2 distinct vectors; cannot form categories")
-    k_eff = min(k, len(distinct))
+    k_eff = min(k, distinct)
 
     # k-means++: first centroid uniform, then squared-distance weighted picks.
     centroids = np.empty((k_eff, samples.shape[1]))
@@ -144,13 +181,15 @@ def fit_codebook(
     for j in range(1, k_eff):
         total = d2.sum()
         if total <= 0.0:  # squared distances underflowed; take the first unused distinct point
-            taken = (distinct[:, None] == centroids[None, :j]).all(axis=2).any(axis=1)
-            centroids[j] = distinct[~taken][0]
+            rows = np.unique(samples, axis=0)
+            taken = (rows[:, None] == centroids[None, :j]).all(axis=2).any(axis=1)
+            centroids[j] = rows[~taken][0]
         else:
-            centroids[j] = samples[int(rng.choice(len(samples), p=d2 / total))]
+            centroids[j] = samples[draw_index(d2 / total, rng)]
         d2 = np.minimum(d2, ((samples - centroids[j]) ** 2).sum(axis=1))
 
     prev_objective = np.inf
+    prev_labels = None
     for _ in range(KMEANS_MAX_ITER):
         labels, nearest_d2 = nearest_centroid(samples, centroids)
         objective = float(nearest_d2.sum())
@@ -159,15 +198,21 @@ def fit_codebook(
         if objective_trace is not None:
             objective_trace.append(objective)
         prev_objective = objective
+        # Repeated labels would repeat the centroids bit for bit: shift 0.
+        settled = np.array_equal(labels, prev_labels)
+        if settled:
+            break
+        prev_labels = labels
         new_centroids = group_means(samples, labels, centroids)
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
         if shift < KMEANS_TOL:
             break
+    if not settled:  # the centroids moved after the last labelling
+        labels, _ = nearest_centroid(samples, centroids)
 
     # Re-number clusters by first appearance over the sample order; clusters
     # that never win a point keep their relative order at the end.
-    labels, _ = nearest_centroid(samples, centroids)
     won, first = np.unique(labels, return_index=True)
     unwon = np.setdiff1d(np.arange(k_eff), won)
     order = np.concatenate([won[np.argsort(first)], unwon])

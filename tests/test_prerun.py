@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from relgen.graphs import DagSpec, NodeSpec, classify_nodes, sample_dag
 from relgen.prerun import (
     build_prerun_stats,
     compute_quantiles,
+    count_distinct_rows,
+    draw_index,
     fit_codebook,
     group_means,
     prerun,
@@ -146,12 +150,13 @@ def test_kmeans_objective_monotone():
     assert after <= before * (1 + 1e-9)
 
 
-def mask_mean_lloyd(samples, k, generator, trace, empty):
+def mask_mean_lloyd(samples, k, generator, trace, empty, max_iter, tol):
     """Oracle: k-means as ``fit_codebook`` did it with one boolean mask per cluster.
 
-    Same k-means++ seeding, then Lloyd steps whose centroids are
-    ``samples[labels == j].mean(axis=0)``, then a renumbering by first
-    appearance in a Python loop. Appends each iteration's objective to
+    Same k-means++ seeding, then at most ``max_iter`` Lloyd steps whose
+    centroids are ``samples[labels == j].mean(axis=0)``, until the largest
+    shift drops below ``tol``, then a fresh labelling and a renumbering by
+    first appearance in a Python loop. Appends each iteration's objective to
     ``trace`` and each cluster found empty to ``empty``.
     """
 
@@ -170,7 +175,7 @@ def mask_mean_lloyd(samples, k, generator, trace, empty):
         else:
             centroids[j] = samples[int(generator.choice(len(samples), p=d2 / total))]
         d2 = np.minimum(d2, ((samples - centroids[j]) ** 2).sum(axis=1))
-    for _ in range(100):
+    for _ in range(max_iter):
         d2 = d2_to(samples, centroids)
         labels = np.argmin(d2, axis=1)
         trace.append(float(d2[np.arange(len(samples)), labels].sum()))
@@ -183,7 +188,7 @@ def mask_mean_lloyd(samples, k, generator, trace, empty):
                 empty.append(j)
         shift = float(np.sqrt(((updated - centroids) ** 2).sum(axis=1)).max())
         centroids = updated
-        if shift < 1e-8:
+        if shift < tol:
             break
     labels = np.argmin(d2_to(samples, centroids), axis=1)
     order = []
@@ -216,10 +221,54 @@ def test_fit_codebook_matches_mask_mean_lloyd(samples, k, seed, k_fit, empties):
     """Sort-once centroid update and renumbering: bit-equal centroids and objectives."""
     trace, want_trace, empty = [], [], []
     got = fit_codebook(samples, k, rng(seed), objective_trace=trace)
-    want = mask_mean_lloyd(samples, k, rng(seed), want_trace, empty)
+    want = mask_mean_lloyd(samples, k, rng(seed), want_trace, empty, max_iter=100, tol=1e-8)
     assert got.centroids.tobytes() == want.tobytes()
     assert trace == want_trace
     assert got.k == k_fit and bool(empty) == empties
+
+
+@pytest.mark.parametrize(
+    "max_iter, tol, iterations", [(2, 1e-8, 2), (100, np.inf, 1)], ids=["iteration-cap", "shift-below-tol"]
+)
+@pytest.mark.parametrize("seed", [40, 41, 42])
+def test_fit_codebook_relabels_after_an_exit_on_cap_or_shift(monkeypatch, seed, max_iter, tol, iterations):
+    """The exits on the iteration cap and on a small shift leave the last
+    labels one update behind the centroids, so the renumbering must label
+    the points afresh. (A stop on repeated labels has nothing to redo; the
+    cases above end there.)"""
+    module = importlib.import_module("relgen.prerun")  # ``relgen.prerun`` is also a function
+    monkeypatch.setattr(module, "KMEANS_MAX_ITER", max_iter)
+    monkeypatch.setattr(module, "KMEANS_TOL", tol)
+    samples = rng(seed).normal(size=(1000, 2))
+    trace, want_trace = [], []
+    got = fit_codebook(samples, 47, rng(seed + 100), objective_trace=trace)
+    want = mask_mean_lloyd(samples, 47, rng(seed + 100), want_trace, [], max_iter=max_iter, tol=tol)
+    assert len(trace) == iterations
+    assert got.centroids.tobytes() == want.tobytes()
+    assert trace == want_trace
+
+
+def test_draw_index_matches_rng_choice():
+    """``draw_index`` copies ``Generator.choice``'s draw with ``p`` (numpy
+    2.4.6): the same index and the same generator state after it, on 2,000
+    random trials with zero weights and with one weight dominating the rest.
+    It rests on numpy's internals, so an upgrade that changes them fails here
+    before it changes a codebook."""
+    source = rng(50)
+    for trial in range(2000):
+        m = int(source.integers(1, 80))
+        p = source.random(m) ** int(source.integers(1, 6))
+        if trial % 2:
+            p[source.random(m) < 0.5] = 0.0
+        if trial % 3 == 0:
+            p[source.integers(m)] += 10.0 ** int(source.integers(3, 12))
+        if p.sum() == 0.0:
+            p[int(source.integers(m))] = 1.0
+        p /= p.sum()
+        seed = int(source.integers(2**63))
+        ours, theirs = rng(seed), rng(seed)
+        assert draw_index(p, ours) == theirs.choice(m, p=p)
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_fit_codebook_takes_an_unused_point_when_distances_underflow():
@@ -235,12 +284,30 @@ def test_group_means_match_mask_means_bit_for_bit(width):
     values = rng(width).normal(size=(500, width)) * 10.0 ** rng(width + 1).integers(-3, 4, size=(500, 1))
     labels = rng(width + 2).integers(0, 7, size=500)
     labels[labels == 4] = 5  # labels 4 and 7 get no rows
+    values[labels == 3, 0] = -0.0  # both sums start from +0.0: label 3 averages to +0.0
     fill = rng(width + 3).normal(size=(8, width))
     means = group_means(values, labels, fill)
     for j in range(8):
         want = values[labels == j].mean(axis=0) if (labels == j).any() else fill[j]
         assert means[j].tobytes() == want.tobytes()
     assert not np.shares_memory(means, fill)
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        rng(60).integers(0, 3, size=(200, 2)).astype(float),
+        rng(61).integers(0, 2, size=(50, 5)).astype(float),
+        rng(62).normal(size=(300, 3)),
+        np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [1.0, 0.0]]),
+        np.array([[2.5], [2.5], [-0.0], [0.0]]),
+        np.ones((4, 2)),
+        np.empty((0, 2)),
+    ],
+    ids=["duplicates", "binary-width5", "all-distinct", "signed-zeros", "width1", "constant", "empty"],
+)
+def test_count_distinct_rows_matches_unique(samples):
+    assert count_distinct_rows(samples) == len(np.unique(samples, axis=0))
 
 
 # --- stats assembly --------------------------------------------------------------

@@ -68,24 +68,35 @@ def scan_nearest(points, centroids):
     return np.array([j for _, j in best]), np.array([d for d, _ in best])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 16])
-def test_categorical_batch_matches_brute_force_across_blocks(n):
-    """Nearest centroid over two row blocks, exact ties included, against a scan.
+def check_nearest_across_blocks(n, k, extra_rows):
+    """Nearest centroid against a scan, exact ties on every block's first and
+    last row.
 
     Centroids 1 and 3 mirror each other around ``mid``, as do 0 and 4 around
     the origin, so rows on ``mid`` or the origin sit on exact ties and must
-    take the lower index. Below 8 columns d^2 must also equal the old
-    ``((p - c) ** 2).sum(axis=2)`` bit for bit.
+    take the lower index. Any further centroids lie farther from both points
+    than those pairs. ``nearest_centroid`` takes ``max(256, 32768 // k)`` rows
+    per block; the rows fill one block and ``extra_rows`` more. Below 8
+    columns d^2 must also equal ``((p - c) ** 2).sum(axis=2)`` bit for bit.
     """
-    rng = np.random.default_rng(100 + n)
+    rng = np.random.default_rng(100 + n + k)
 
     def signed(magnitudes):
         return rng.choice([-1.0, 1.0], size=n) * rng.choice(magnitudes, size=n)
 
     mid, delta, around_origin = signed([1.5, 2.0]), signed([0.25, 0.5]), signed([0.5])
     centroids = np.array([around_origin, mid - delta, np.full(n, 5.0), mid + delta, -around_origin])
-    rows = rng.normal(scale=2.0, size=(CHUNK_ROWS + 800, n))
-    tied = np.concatenate([[0, CHUNK_ROWS - 1, CHUNK_ROWS, len(rows) - 1], rng.choice(len(rows), 300, replace=False)])
+    far = rng.normal(scale=4.0, size=(20 * k, n))
+    clear = (((far - mid) ** 2).sum(axis=1) > (delta**2).sum()) & ((far**2).sum(axis=1) > (around_origin**2).sum())
+    far = far[clear]
+    centroids = np.concatenate([centroids, far[: k - 5]])
+    assert len(centroids) == k
+    block = max(256, 32768 // k)
+    rows = rng.normal(scale=2.0, size=(block + extra_rows, n))
+    starts = np.arange(0, len(rows), block)
+    edges = np.unique(np.concatenate([starts, starts[1:] - 1, [len(rows) - 1]]))
+    inner = np.setdiff1d(np.arange(len(rows)), edges)
+    tied = np.concatenate([edges, rng.choice(inner, 300, replace=False)])
     rows[tied[::2]] = mid
     rows[tied[1::2]] = 0.0
     labels, d2 = nearest_centroid(rows, centroids)
@@ -98,6 +109,17 @@ def test_categorical_batch_matches_brute_force_across_blocks(n):
         old = ((rows[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assert d2.tobytes() == old[np.arange(len(rows)), labels].tobytes()
         assert np.array_equal(labels, np.argmin(old, axis=1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 16])
+def test_categorical_batch_matches_brute_force_across_blocks(n):
+    check_nearest_across_blocks(n, 5, 800)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_categorical_batch_matches_brute_force_at_k100(n):
+    # 327-row blocks: 1,000 rows span four, the last of 19 rows.
+    check_nearest_across_blocks(n, 100, 1000 - 327)
 
 
 # --- table generation ----------------------------------------------------------
