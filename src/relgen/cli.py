@@ -117,8 +117,12 @@ def _regenerate_into(manifest: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    schema, _ = read_schema(args.schema)
     out = Path(args.out) if args.out else Path(args.schema).with_suffix(".dot")
+    # Writing the DOT text over the schema it renders would destroy the schema
+    # (the default --out of a schema named *.dot is that same file).
+    if out.resolve() == Path(args.schema).resolve():
+        raise InvalidParameterError(f"--out {out} is the schema being read; pick another file")
+    schema, _ = read_schema(args.schema)
     out.write_text(schema_to_dot(schema), encoding="utf-8")
     print(f"wrote {out}")
     return 0
@@ -137,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="score main-table targets with and without the join")
     ev.add_argument("dataset_dir", type=Path)
-    ev.add_argument("--k", type=int, default=10)
-    ev.add_argument("--test-fraction", type=float, default=0.1, dest="test_fraction")
+    ev.add_argument("--k", type=int, default=EvalConfig.k)
+    ev.add_argument("--test-fraction", type=float, default=EvalConfig.test_fraction, dest="test_fraction")
     ev.add_argument("--out", type=Path, help="report directory (defaults to dataset dir)")
     ev.set_defaults(func=cmd_eval)
 

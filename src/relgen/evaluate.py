@@ -319,64 +319,54 @@ def _lex_code(columns, dims):
 
 
 class _Screen(NamedTuple):
-    """The main training rows as the screen reads them (see ``_select_neighbors``)."""
+    """What the screen multiplies: the main training rows, sorted by key
+    code, and the test rows (see ``_select_neighbors``)."""
 
-    values: np.ndarray  # [rest - centre, |rest - centre|^2 + key count] per row, sorted by key code
+    values: np.ndarray  # [rest - centre, |rest - centre|^2 + key count] per training row
     order: np.ndarray  # training index of each sorted row
     key_ends: np.ndarray  # the sorted rows of key code c are key_ends[c] : key_ends[c + 1]
-    rest: np.ndarray  # the main columns outside the key span
-    center: np.ndarray  # their training mean
     max_norm: float  # the largest entry of the norm column
+    factors: np.ndarray  # [-2 * (rest - centre), 1] per test row
+    consts: np.ndarray  # the row constant that product leaves out, |rest - centre|^2 + key count
+    codes: np.ndarray  # the key code of each test row
 
-    def factor(self, test_X, seen):
-        """[-2 * (test rest - centre), 1] for every test row, whose key
-        counts are ``seen``, and the row constant that product leaves out."""
-        block = np.ones((len(test_X), len(self.rest) + 1))
-        block[:, :-1] = test_X[:, self.rest] - self.center
-        const = np.einsum("ij,ij->i", block[:, :-1], block[:, :-1]) + seen
-        # Scaling by -2 is exact, so scaling the block is scaling the product.
-        block[:, :-1] *= -2.0
-        return block, const
-
-    def full(self, factors, codes, out=None):
-        """Screen values, less the row constants, over every key-sorted
-        training row of the test rows whose factors are ``factors`` and key
-        codes ``codes``: the product, then 2 off each row's own key range.
-        A row without a key (code ``len(key_ends) - 1``) has no range."""
-        values = np.matmul(factors, self.values.T, out=out)
-        for row, code in zip(values, codes.tolist()):
+    def full(self, rows, out=None):
+        """Screen values, less the row constants, of the test ``rows`` over
+        every key-sorted training row: the product, then 2 off each row's
+        own key range. A row without a key (code ``len(key_ends) - 1``) has
+        no range."""
+        values = np.matmul(self.factors[rows], self.values.T, out=out)
+        for row, code in zip(values, self.codes[rows].tolist()):
             if code < len(self.key_ends) - 1:
                 row[self.key_ends[code] : self.key_ends[code + 1]] -= 2.0
         return values
 
 
-class _Cells(NamedTuple):
+def _cells(screen, plain, spans, train_codes, train_seen, test_codes, test_seen):
     """The key-sorted training rows in a second order, by their codes in the
     other one-hot spans and then by key, and each test row's ranges in it.
 
     A training row that shares every other code with a test row differs
     from it in the key and in the plain columns, those outside every span,
     alone; its screen value is read from those columns, with 2 off in the
-    test row's code cell, the rows that share its key as well.
-    """
+    test row's code cell, the rows that share its key as well. ``plain``
+    are the screen columns outside every span, and the codes and counts
+    ``_span_codes``' of the key span, then the others.
 
-    pos: np.ndarray  # the key-sorted position of each row
-    values: np.ndarray  # [plain - centre, |plain - centre|^2 + key count, 1] per row
-    factors: np.ndarray  # [-2 * (plain - centre), 1, |plain - centre|^2 + 1 - const] per test row
-    start: np.ndarray  # per test row: the rows sharing its every other code are start : stop,
-    stop: np.ndarray
-    own_start: np.ndarray  # and its code cell, those of its own key, own_start : own_stop
-    own_stop: np.ndarray
-    eligible: np.ndarray  # the test rows with a one in every other span
-    cost: float  # the least main d^2 a differing other code adds: 2, or 1 if some training row lacks one
+    Returns four things:
 
+    - the ``_scan`` part of each test row's code cell, the training rows
+      that share its every code;
+    - a list of the two parts of its other-code range around the cell, the
+      rows that share its every other code, both empty for a row without a
+      one in every other span;
+    - the mask of the test rows with a one in every other span;
+    - the cost, the least main d^2 a differing other code adds: 2, or 1 if
+      some training row lacks one.
 
-def _cells(screen, factors, consts, plain, spans, train_codes, train_seen, test_codes, test_seen):
-    """The second training order of the screen's rows (see ``_Cells``).
-
-    ``factors`` and ``consts`` are the test rows' (see ``_Screen.factor``),
-    ``plain`` the screen columns outside every span, and the codes and
-    counts ``_span_codes``' of the key span, then the others.
+    Each part holds [plain - centre, |plain - centre|^2 + key count, 1] per
+    training row, [-2 * (plain - centre), 1, |plain - centre|^2 + 1 - const]
+    per test row and the key-sorted position of each training row.
     """
     n = len(screen.order)
     # The key is the last digit, so a row's code less its key code is the
@@ -392,19 +382,20 @@ def _cells(screen, factors, consts, plain, spans, train_codes, train_seen, test_
     np.einsum("ij,ij->i", values[:, :-2], values[:, :-2], out=values[:, -2])
     values[:, -2] += train_seen[screen.order[pos], 0]
     test = np.ones((len(test_codes), len(plain) + 2))
-    test[:, :-2] = factors[:, plain]
+    test[:, :-2] = screen.factors[:, plain]
     # Halving undoes the factor's exact scaling by -2.
     np.einsum("ij,ij->i", test[:, :-2], test[:, :-2], out=test[:, -1])
-    test[:, -1] = test[:, -1] / 4.0 + 1.0 - consts
-    return _Cells(
-        pos,
-        values,
-        test,
-        np.searchsorted(ordered, first),
-        np.searchsorted(ordered, first + dims[-1]),
-        np.searchsorted(ordered, test_code),
-        np.searchsorted(ordered, test_code, side="right"),
-        (test_seen[:, 1:] == 1.0).all(axis=1),
+    test[:, -1] = test[:, -1] / 4.0 + 1.0 - screen.consts
+    own_start = np.searchsorted(ordered, test_code)
+    own_stop = np.searchsorted(ordered, test_code, side="right")
+    eligible = (test_seen[:, 1:] == 1.0).all(axis=1)
+    start = np.where(eligible, np.searchsorted(ordered, first), own_start)
+    stop = np.where(eligible, np.searchsorted(ordered, first + dims[-1]), own_stop)
+    by_codes = (values, test, pos)
+    return (
+        (*by_codes, own_start, own_stop),
+        [(*by_codes, start, own_start), (*by_codes, own_stop, stop)],
+        eligible,
         2.0 if (train_seen[:, 1:] == 1.0).all() else 1.0,
     )
 
@@ -445,7 +436,7 @@ def _bound(kth, norms, width):
     return kth + 4.0 * (width + 8) * _EPS * (norms + np.abs(kth))
 
 
-def _rank(train_X, test_X, k, widths, screen, factors, codes, out, rows, values, at, main_limit, cover, const):
+def _rank(train_X, test_X, k, widths, screen, out, rows, values, at, main_limit, cover, const):
     """Write both conditions' neighbours of the test ``rows`` to ``out``.
 
     ``values`` is a screen's block of values of the rows, less the row
@@ -456,8 +447,7 @@ def _rank(train_X, test_X, k, widths, screen, factors, codes, out, rows, values,
     beyond them the cells within the joined limit, the bound of U, which
     this computes. A row whose joined limit passes its cover also takes the
     pairs within it that it has not taken yet from its values over every
-    key-sorted training row; ``factors`` and ``codes`` hold each test row's
-    factor and key code, which give those. See ``_select_neighbors``.
+    key-sorted training row. See ``_select_neighbors``.
     """
     main_rows, col = np.divmod(np.flatnonzero(values <= main_limit[:, None]), values.shape[1])
     main_at = at(rows[main_rows], col)
@@ -478,7 +468,7 @@ def _rank(train_X, test_X, k, widths, screen, factors, codes, out, rows, values,
     # The far rows' values over every training row, with the pairs taken
     # above set to inf.
     far = np.flatnonzero(joined_limit > cover)
-    whole = screen.full(factors[rows[far]], codes[rows[far]])
+    whole = screen.full(rows[far])
     taken_rows, taken_at = np.concatenate([main_rows, more_rows]), np.concatenate([main_at, more_at])
     taken = np.isin(taken_rows, far)
     whole[np.searchsorted(far, taken_rows[taken]), taken_at[taken]] = np.inf
@@ -527,10 +517,10 @@ def _scan(rows, parts, k):
     return values, at
 
 
-def _settle_in_key(rank, screen, factors, consts, test_code, k, main_width, cells):
+def _settle_in_key(rank, screen, k, main_width, cells):
     """Rank the test rows whose neighbours all lie in their own key or,
-    given ``cells``, in their code cell or their own key and its other-code
-    range.
+    given ``cells``, what ``_cells`` returns, in their code cell or their
+    own key and its other-code range.
 
     Each block of test rows ``_scan`` reads hands its settled rows, with
     their values, to ``rank``, which writes both conditions' neighbours of
@@ -539,7 +529,7 @@ def _settle_in_key(rank, screen, factors, consts, test_code, k, main_width, cell
     than k training rows) and the mask of the rows settled. See
     ``_select_neighbors``.
     """
-    n, m = len(screen.order), len(test_code)
+    n, m = len(screen.order), len(screen.codes)
     ends = screen.key_ends
     # Every training row of another key is at main d^2 >= 2, one without a
     # key at main d^2 >= 1, and a joined d^2 is at least the main one.
@@ -553,7 +543,7 @@ def _settle_in_key(rank, screen, factors, consts, test_code, k, main_width, cell
         rows = rows[np.argsort(sum(stops[rows] - starts[rows] for *_, starts, stops in parts), kind="stable")]
         for s in range(0, len(rows), _TEST_BLOCK):
             block = rows[s : s + _TEST_BLOCK]
-            const, below = consts[block], thresholds[block]
+            const, below = screen.consts[block], thresholds[block]
             values, at = _scan(block, parts, k)
             nearest = np.partition(values, 2 * k - 1, axis=1)
             own[block] = kth = np.partition(nearest[:, : 2 * k], k - 1, axis=1)[:, k - 1]
@@ -568,27 +558,24 @@ def _settle_in_key(rank, screen, factors, consts, test_code, k, main_width, cell
             settled[block[ok]] = True
             rank(block[ok], values[ok], at, limit[ok], below[ok] - const[ok], const[ok])
 
-    keyed = test_code < len(ends) - 1
+    keyed = screen.codes < len(ends) - 1
     # A row without a key is given the keyless training rows, and reads nothing.
     key_ranges = np.append(ends, n)
-    lo, hi = key_ranges[test_code], key_ranges[test_code + 1]
-    parts = [(screen.values, factors, np.arange(n), lo, hi)]
+    lo, hi = key_ranges[screen.codes], key_ranges[screen.codes + 1]
+    parts = [(screen.values, screen.factors, np.arange(n), lo, hi)]
     thresholds = np.full(m, threshold)
     if cells is not None:
+        cell, around, eligible, cost = cells
         # Stage 1: a row with a one in every span reads its code cell. A
         # training row outside it differs in the key, at main d^2 >= the
         # threshold, or in another code, at >= the cost.
-        by_codes = (cells.values, cells.factors, cells.pos)
-        cell = [(*by_codes, cells.own_start, cells.own_stop)]
-        settle(np.flatnonzero(keyed & cells.eligible), cell, np.full(m, min(threshold, cells.cost)))
+        settle(np.flatnonzero(keyed & eligible), [cell], np.full(m, min(threshold, cost)))
         # Stage 2 widens such a row to Hamming radius 1 over the codes: the
         # other keys' rows that share its every other code, its other-code
         # range with the cell left out. Every training row outside it and
         # the own key differs in the key and in one more code.
-        start = np.where(cells.eligible, cells.start, cells.own_start)
-        stop = np.where(cells.eligible, cells.stop, cells.own_stop)
-        parts += [(*by_codes, start, cells.own_start), (*by_codes, cells.own_stop, stop)]
-        thresholds[cells.eligible] += cells.cost
+        parts += around
+        thresholds[eligible] += cost
     # Stage 2: every row left whose key has k training rows reads that key.
     settle(np.flatnonzero(keyed & ~settled & (hi - lo >= k)), parts, thresholds)
     return own, settled
@@ -622,7 +609,7 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
     Every training row of another key is at main d^2 >= 2, and at >= 1 if
     some training row has no key, which sets the threshold. Given other
     spans, a second training order sorts the rows by their other codes and
-    then by key (``_Cells``). Stage 1 takes each row with a key and a one
+    then by key (``_cells``). Stage 1 takes each row with a key and a one
     in every other span to its code cell, the training rows that share its
     every code, one range of that order. A row outside the cell differs in
     the key or in another code, so lies at main d^2 >= the smaller of the
@@ -680,30 +667,33 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
     np.einsum("ij,ij->i", train_c, train_c, out=values[:, -1])
     values[:, -1] += train_seen[order, 0]
     key_ends = np.searchsorted(train_codes[order, 0], np.arange(key_stop - key_start + 1))
-    screen = _Screen(values, order, key_ends, rest, center, values[:, -1].max(initial=0.0))
     m = len(test_X)
+    factors = np.ones((m, len(rest) + 1))
+    factors[:, :-1] = test_X[:, rest] - center
+    consts = np.einsum("ij,ij->i", factors[:, :-1], factors[:, :-1]) + test_seen[:, 0]
+    # Scaling by -2 is exact, so scaling the block is scaling the product.
+    factors[:, :-1] *= -2.0
+    screen = _Screen(values, order, key_ends, values[:, -1].max(initial=0.0), factors, consts, test_codes[:, 0].copy())
     out = [(np.empty((m, k), dtype=np.intp), np.empty((m, k))) for _ in widths]
-    factors, consts = screen.factor(test_X, test_seen[:, 0])
     cells = None
     if other_spans and key_stop > key_start:
         plain = np.ones(widths[0], dtype=bool)
         for start, stop in other_spans:
             plain[start:stop] = False
         plain = np.flatnonzero(plain[rest])
-        cells = _cells(screen, factors, consts, plain, spans, train_codes, train_seen, test_codes, test_seen)
-    # Past here only the test rows' key codes are read: freeing the rest
-    # lowers the search's peak memory.
-    test_code = test_codes[:, 0].copy()
+        cells = _cells(screen, plain, spans, train_codes, train_seen, test_codes, test_seen)
+    # Past here the codes and counts are read only through the screen:
+    # freeing them lowers the search's peak memory.
     del train_codes, train_seen, test_codes, test_seen
-    rank = partial(_rank, train_X, test_X, k, widths, screen, factors, test_code, out)
-    own, settled = _settle_in_key(rank, screen, factors, consts, test_code, k, widths[0], cells)
+    rank = partial(_rank, train_X, test_X, k, widths, screen, out)
+    own, settled = _settle_in_key(rank, screen, k, widths[0], cells)
     hard = np.flatnonzero(~settled)
     # One buffer for the blocks, sized for the rows left.
     block_sq = np.empty((min(_TEST_BLOCK, len(hard)), n))
     for start in range(0, len(hard), _TEST_BLOCK):
         rows = hard[start : start + _TEST_BLOCK]
         const = consts[rows]
-        sq = screen.full(factors[rows], test_code[rows], block_sq[: len(rows)])
+        sq = screen.full(rows, block_sq[: len(rows)])
         strided = sq[:, ::_SCREEN_STRIDE] if n // _SCREEN_STRIDE >= k else sq
         kth = np.minimum(np.partition(strided, k - 1, axis=1)[:, k - 1] + const, own[rows] + const)
         # The block holds every training row's value: no row lies beyond it.
@@ -879,9 +869,8 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
     weight = fit_agg_weight(main.values[:n_train], agg_rows[:n_train])
     joined = featurize_joined(main, agg_rows, weight).values
     # Both conditions read the joined rows, the main one their leading
-    # columns, so no main-only copy is kept through the search. A key that
-    # is not a feature has no span.
-    main_width, key_span = main.values.shape[1], main.spans.get(key, (0, 0))
+    # columns, so no main-only copy is kept through the search.
+    main_width, key_span = main.values.shape[1], main.spans[key]
     other_spans = [span for name, span in main.spans.items() if name in stats.categories and name != key]
     del main, agg_rows
     affected = latently_affected_targets(dataset.schema)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import QuantilePair, propagate_rows
-from .errors import DegenerateDataError, InvalidParameterError
+from .errors import DegenerateDataError, InvalidParameterError, NonFiniteValueError
 from .graphs import DagSpec
 from .seeding import substream
 
@@ -165,6 +165,7 @@ def fit_codebook(
     count (the caller records the warning). Fewer than 2 distinct vectors is
     a degenerate node and raises. When ``objective_trace`` is given, the
     within-cluster sum of squares of every iteration is appended to it.
+    Samples whose squared distances overflow raise NonFiniteValueError.
     """
     if k < 2:
         raise InvalidParameterError(f"category count must be >= 2, got {k}")
@@ -180,6 +181,8 @@ def fit_codebook(
     d2 = ((samples - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k_eff):
         total = d2.sum()
+        if not np.isfinite(total):
+            raise NonFiniteValueError("k-means++ seeding mass is not finite: squared distances overflow")
         if total <= 0.0:  # squared distances underflowed; take the first unused distinct point
             rows = np.unique(samples, axis=0)
             taken = (rows[:, None] == centroids[None, :j]).all(axis=2).any(axis=1)
@@ -193,6 +196,8 @@ def fit_codebook(
     for _ in range(KMEANS_MAX_ITER):
         labels, nearest_d2 = nearest_centroid(samples, centroids)
         objective = float(nearest_d2.sum())
+        if not np.isfinite(objective):
+            raise NonFiniteValueError("k-means objective is not finite: the pre-run values overflow")
         if objective > prev_objective * (1 + 1e-12) + 1e-12:
             raise AssertionError("k-means objective increased")
         if objective_trace is not None:
@@ -239,6 +244,8 @@ def build_prerun_stats(
             codebook = fit_codebook(
                 matrices[node.index], node.category_count, substream(seed, "kmeans", node.index)
             )
+        except NonFiniteValueError as exc:
+            raise NonFiniteValueError(f"node {node.name}: {exc}") from None
         except DegenerateDataError:
             stats.warnings.append(
                 f"node {node.name}: constant pre-run data, demoted categorical pooling to mean"

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import NoiseConfig, propagate_rows
-from .errors import ContractViolationError, InvalidParameterError
+from .errors import ContractViolationError, InvalidParameterError, NonFiniteValueError
 from .graphs import ROLE_FEATURE, ROLE_TARGET, DagSpec, NodeSpec
 from .prerun import Codebook, PrerunStats, nearest_centroid
 
@@ -99,7 +99,8 @@ def generate_table(
     the whole graph is propagated either way. Row r draws all of its
     randomness from the block stream (seed, run_tag, r // CHUNK_ROWS), so
     output does not depend on the thread count, and the first rows of a
-    longer run equal a shorter run.
+    longer run equal a shorter run. A pooled column that is not finite
+    raises NonFiniteValueError naming the node and its pooling.
     """
     if not stats.covers(dag):
         raise ContractViolationError("pre-run stats do not cover the graph")
@@ -109,5 +110,8 @@ def generate_table(
     columns = []
     for node in dag.nodes if indices is None else [dag.node(i) for i in indices]:
         values = pool_batch(matrices[node.index], node.pooling, stats.codebooks.get(node.index))
+        # Finite node values can still overflow when pooled, as squares in a norm.
+        if not np.isfinite(values).all():
+            raise NonFiniteValueError(f"{node.pooling} pooling of node {node.name} is not finite")
         columns.append(Column(*column_info(node), values=values))
     return Table(columns=columns)

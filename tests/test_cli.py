@@ -320,6 +320,27 @@ def test_export_dot(tmp_path, small_config):
     assert text == (out / "schema.dot").read_text()
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotted", "relative", "default"])
+def test_export_dot_refuses_out_that_is_the_schema(tmp_path, small_config, capsys, monkeypatch, spelling):
+    # Writing DOT text over the schema would leave a dataset that eval and
+    # regenerate refuse. A schema named *.dot is its own default --out.
+    out = generate(tmp_path, small_config, seed=10)
+    monkeypatch.chdir(tmp_path)
+    schema = out / "schema.json"
+    if spelling == "default":
+        schema = tmp_path / "schema.dot"
+        schema.write_bytes((out / "schema.json").read_bytes())
+        argv = ["export-dot", str(schema)]
+    else:
+        target = {"same": str(schema), "dotted": str(out / ".." / out.name / "schema.json"), "relative": f"{out.name}/schema.json"}
+        argv = ["export-dot", str(schema), "--out", target[spelling]]
+    before = dir_bytes(tmp_path)
+    assert main(argv) == 2
+    assert "is the schema being read" in capsys.readouterr().err
+    assert dir_bytes(tmp_path) == before
+    assert main(["regenerate", str(out / "manifest.json")]) == 0
+
+
 def test_dot_styles_targets_and_labels_edges(tmp_path, small_config):
     out = generate(tmp_path, small_config, seed=11)
     schema, _ = read_schema(out / "schema.json")
@@ -355,6 +376,26 @@ def test_seed_whose_coupling_node_sees_constant_data_exits_2(tmp_path, capsys):
         "error: coupling node C sees constant pre-run data at seed 54, "
         "so it has no categories to key the tables; pick another seed\n"
     )
+    assert not out.exists()
+
+
+OVERFLOW = {
+    "activations": ["identity"],
+    "root_distributions": {"family_weights": {"normal": 1.0}, "normal_mean": [0, 0], "normal_std": [1e160, 2e160]},
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_generate_whose_values_overflow_when_squared_exits_2(tmp_path, capsys):
+    """Root values near 1e160 are finite, but their squares overflow the
+    k-means fit of the first categorical node."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(OVERFLOW))
+    out = tmp_path / "ds"
+    assert main(["generate", "--config", str(config), "--seed", "0", "--rows-main", "2000", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+    assert lines[-1].startswith("error: node ") and "not finite" in lines[-1]
     assert not out.exists()
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from relgen.config import config_from_dict
 from relgen.engine import CHUNK_ROWS, NoiseConfig
-from relgen.errors import ContractViolationError
+from relgen.errors import ContractViolationError, NonFiniteValueError
 from relgen.graphs import sample_dag
 from relgen.prerun import Codebook, build_prerun_stats, nearest_centroid, prerun
 from relgen.tables import generate_table, pool, pool_batch
@@ -214,6 +214,21 @@ def test_root_mean_pooling_matches_distribution():
     # column is the mean of n iid draws; its std is sigma/sqrt(n)
     tol = 4 * sigma / np.sqrt(n) / np.sqrt(rows)
     assert abs(col.mean() - mu) < tol
+
+
+def test_overflowing_norm_pooling_raises():
+    from relgen.engine import RootDistribution
+    from relgen.graphs import DagSpec, NodeSpec, classify_nodes
+
+    # Node values near 1e160 are finite, but their squares overflow the norm.
+    nodes = [
+        NodeSpec(index=0, name="N0", root_dist=RootDistribution("normal", {"mean": 0.0, "std": 1e160}), pooling="mean"),
+        NodeSpec(index=1, name="N1", activation="identity", weights=np.eye(2), pooling="norm"),
+    ]
+    dag = classify_nodes(DagSpec(nodes=nodes, edges={(0, 1)}, hidden_dim=2))
+    stats = build_prerun_stats(dag, prerun(dag, 100, 1), 1)
+    with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteValueError, match="norm pooling of node N1"):
+        generate_table(dag, stats, 100, NoiseConfig(affected_fraction=0.0), 1)
 
 
 def test_generate_requires_covering_stats():
