@@ -228,34 +228,24 @@ _PAIR_CHUNK = 2048
 _EPS = np.finfo(float).eps
 
 
-def _pair_sq(train_X, test_X, rows, cand, widths):
+def _pair_sq(train_X, test_X, rows, cand, widths, start=0):
     """Squared exact distances of (test row, training row) pairs.
 
-    One array per entry of ``widths``, measuring the pairs over that many
-    leading columns. Distances come from explicit differences, so exact
-    matches are exact zeros. Pairs are gathered ``_PAIR_CHUNK``, or half a
-    training matrix, at a time, whichever is less: the gathered copies never
-    hold more rows than ``train_X`` or grow with the number of pairs.
+    One array per entry of ``widths``, measuring the pairs over the columns
+    from ``start`` up to that width. Distances come from explicit
+    differences, so exact matches are exact zeros. Pairs are gathered
+    ``_PAIR_CHUNK``, or half a training matrix, at a time, whichever is
+    less: the gathered copies never hold more rows than ``train_X`` or grow
+    with the number of pairs.
     """
     out = [np.empty(len(rows)) for _ in widths]
     step = max(1, min(_PAIR_CHUNK, len(train_X) // 2))
     for s in range(0, len(rows), step):
-        diff = train_X[cand[s : s + step]]
-        diff -= test_X[rows[s : s + step]]
+        diff = train_X[cand[s : s + step], start:]
+        diff -= test_X[rows[s : s + step], start:]
         diff *= diff
         for sq, width in zip(out, widths):
-            sq[s : s + step] = diff[:, :width].sum(axis=1)
-    return out
-
-
-def _tail_sq(train_X, test_X, rows, cand, start):
-    """Squared distances of (test row, training row) pairs over the columns
-    from ``start`` on, gathered ``_PAIR_CHUNK`` pairs at a time."""
-    out = np.empty(len(rows))
-    for s in range(0, len(rows), _PAIR_CHUNK):
-        diff = train_X[cand[s : s + _PAIR_CHUNK], start:]
-        diff -= test_X[rows[s : s + _PAIR_CHUNK], start:]
-        out[s : s + _PAIR_CHUNK] = np.einsum("ij,ij->i", diff, diff)
+            sq[s : s + step] = diff[:, : width - start].sum(axis=1)
     return out
 
 
@@ -330,16 +320,26 @@ class _Screen(NamedTuple):
     consts: np.ndarray  # the row constant that product leaves out, |rest - centre|^2 + key count
     codes: np.ndarray  # the key code of each test row
 
-    def full(self, rows, out=None):
+    def full(self, rows, out):
         """Screen values, less the row constants, of the test ``rows`` over
-        every key-sorted training row: the product, then 2 off each row's
-        own key range. A row without a key (code ``len(key_ends) - 1``) has
-        no range."""
+        every key-sorted training row, written to ``out``: the product, then
+        2 off each row's own key range. A row without a key (code
+        ``len(key_ends) - 1``) has no range."""
         values = np.matmul(self.factors[rows], self.values.T, out=out)
         for row, code in zip(values, self.codes[rows].tolist()):
             if code < len(self.key_ends) - 1:
                 row[self.key_ends[code] : self.key_ends[code + 1]] -= 2.0
         return values
+
+
+class _Work(NamedTuple):
+    """What one search did: where each test row was ranked, and what each
+    screen read and measured. Stage 1 is the code cell, 2 the key and
+    other-code range, 3 the block screen."""
+
+    stage: np.ndarray  # int8 per test row: the stage that ranked it last
+    reads: list  # (stage, screen values read) per block of test rows ``_scan`` reads
+    pairs: list  # (stage, test rows, training rows) per full-width ``_pair_sq`` call
 
 
 def _cells(screen, plain, spans, train_codes, train_seen, test_codes, test_seen):
@@ -436,8 +436,9 @@ def _bound(kth, norms, width):
     return kth + 4.0 * (width + 8) * _EPS * (norms + np.abs(kth))
 
 
-def _rank(train_X, test_X, k, widths, screen, out, rows, values, at, main_limit, cover, const):
-    """Write both conditions' neighbours of the test ``rows`` to ``out``.
+def _rank(train_X, test_X, k, widths, screen, out, work, stage, rows, values, at, main_limit, cover, const):
+    """Write both conditions' neighbours of the test ``rows`` to ``out``, and
+    return the mask of the rows whose joined limit passes their cover.
 
     ``values`` is a screen's block of values of the rows, less the row
     constants ``const``, and ``at(test_rows, col)`` maps its cells to
@@ -445,46 +446,43 @@ def _rank(train_X, test_X, k, widths, screen, out, rows, values, at, main_limit,
     lies beyond the row's ``cover``, and ``main_limit`` is at most it. The
     main candidates are the cells within ``main_limit``, and the joined ones
     beyond them the cells within the joined limit, the bound of U, which
-    this computes. A row whose joined limit passes its cover also takes the
-    pairs within it that it has not taken yet from its values over every
-    key-sorted training row. See ``_select_neighbors``.
+    this computes. A masked row may have a joined neighbour beyond its
+    cover, outside its values, so its joined neighbours are final only once
+    a later screen, whose values do cover the limit, ranks it again. Each
+    full-width measurement is logged in ``work.pairs`` under ``stage``. See
+    ``_select_neighbors``.
     """
     main_rows, col = np.divmod(np.flatnonzero(values <= main_limit[:, None]), values.shape[1])
-    main_at = at(rows[main_rows], col)
-    cand = screen.order[main_at]
-    pair_sq = _pair_sq(train_X, test_X, rows[main_rows], cand, widths)
+    main_test = rows[main_rows]
+    cand = screen.order[at(main_test, col)]
+    pair_sq = _pair_sq(train_X, test_X, main_test, cand, widths)
+    work.pairs.append((stage, main_test, cand))
     dist = np.sqrt(pair_sq[0])
     pick = _rank_pairs(main_rows, cand, dist, len(rows), k)
     out[0][0][rows], out[0][1][rows] = cand[pick], dist[pick]
     if len(widths) == 1:
-        return
+        return np.zeros(len(rows), dtype=bool)
     # U: the joined d^2 of each row's k-th main candidate ranked by joined d^2.
     upper = pair_sq[1][_rank_pairs(main_rows, cand, pair_sq[1], len(rows), k)[:, k - 1]]
     joined_limit = _bound(upper, const + screen.max_norm, widths[1]) - const
     near = values <= joined_limit[:, None]
     near[main_rows, col] = False
     more_rows, col = np.divmod(np.flatnonzero(near), values.shape[1])
-    more_at = at(rows[more_rows], col)
-    # The far rows' values over every training row, with the pairs taken
-    # above set to inf.
-    far = np.flatnonzero(joined_limit > cover)
-    whole = screen.full(rows[far])
-    taken_rows, taken_at = np.concatenate([main_rows, more_rows]), np.concatenate([main_at, more_at])
-    taken = np.isin(taken_rows, far)
-    whole[np.searchsorted(far, taken_rows[taken]), taken_at[taken]] = np.inf
-    far_rows, far_at = np.divmod(np.flatnonzero(whole <= joined_limit[far, None]), whole.shape[1])
-    more_screened = np.concatenate([values[more_rows, col], whole[far_rows, far_at]])
-    more_rows, more_cand = np.concatenate([more_rows, far[far_rows]]), screen.order[np.concatenate([more_at, far_at])]
+    more_test = rows[more_rows]
+    more_cand = screen.order[at(more_test, col)]
     # A joined d^2 is the main d^2 plus the appended columns' part, and the
     # screen value plus that part must lie within the joined limit too;
     # measuring the part alone first leaves most of these pairs out.
-    near = more_screened + _tail_sq(train_X, test_X, rows[more_rows], more_cand, widths[0]) <= joined_limit[more_rows]
-    more_rows, more_cand = more_rows[near], more_cand[near]
-    (more_sq,) = _pair_sq(train_X, test_X, rows[more_rows], more_cand, widths[1:])
+    (tail_sq,) = _pair_sq(train_X, test_X, more_test, more_cand, widths[1:], widths[0])
+    near = values[more_rows, col] + tail_sq <= joined_limit[more_rows]
+    more_rows, more_test, more_cand = more_rows[near], more_test[near], more_cand[near]
+    (more_sq,) = _pair_sq(train_X, test_X, more_test, more_cand, widths[1:])
+    work.pairs.append((stage, more_test, more_cand))
     pair_rows, cand = np.concatenate([main_rows, more_rows]), np.concatenate([cand, more_cand])
     dist = np.sqrt(np.concatenate([pair_sq[1], more_sq]))
     pick = _rank_pairs(pair_rows, cand, dist, len(rows), k)
     out[1][0][rows], out[1][1][rows] = cand[pick], dist[pick]
+    return joined_limit > cover
 
 
 def _scan(rows, parts, k):
@@ -517,32 +515,36 @@ def _scan(rows, parts, k):
     return values, at
 
 
-def _settle_in_key(rank, screen, k, main_width, cells):
+def _settle_in_key(rank, screen, k, main_width, cells, work):
     """Rank the test rows whose neighbours all lie in their own key or,
     given ``cells``, what ``_cells`` returns, in their code cell or their
     own key and its other-code range.
 
-    Each block of test rows ``_scan`` reads hands its settled rows, with
-    their values, to ``rank``, which writes both conditions' neighbours of
-    them. Returns the k-th smallest screen value over the training rows
-    each test row read (inf for a row without a key or whose key has fewer
-    than k training rows) and the mask of the rows settled. See
-    ``_select_neighbors``.
+    Each block of test rows ``_scan`` reads hands the rows whose main
+    neighbours it holds, with their values, to ``rank``, which writes both
+    conditions' neighbours of them; the rows whose joined neighbours it
+    holds too are settled, at their stage in ``work.stage``. Returns the
+    k-th smallest screen value over the training rows each test row read
+    (inf for a row without a key or whose key has fewer than k training
+    rows). See ``_select_neighbors``.
     """
     n, m = len(screen.order), len(screen.codes)
     ends = screen.key_ends
     # Every training row of another key is at main d^2 >= 2, one without a
     # key at main d^2 >= 1, and a joined d^2 is at least the main one.
     threshold = 2.0 if ends[-1] == n else 1.0
-    own, settled = np.full(m, np.inf), np.zeros(m, dtype=bool)
+    own = np.full(m, np.inf)
 
-    def settle(rows, parts, thresholds):
-        """Settle and rank each of the test ``rows`` whose bound of the
-        k-th over its ranges lies below its threshold."""
+    def settle(stage, rows, parts, thresholds):
+        """Rank each of the test ``rows`` whose bound of the k-th over its
+        ranges lies below its threshold, and settle those ``rank`` does
+        not hand on."""
         # Rows of like range length share a padded block.
-        rows = rows[np.argsort(sum(stops[rows] - starts[rows] for *_, starts, stops in parts), kind="stable")]
+        reads = sum(stops[rows] - starts[rows] for *_, starts, stops in parts)
+        rows, reads = rows[np.argsort(reads, kind="stable")], np.sort(reads)
         for s in range(0, len(rows), _TEST_BLOCK):
             block = rows[s : s + _TEST_BLOCK]
+            work.reads.append((stage, int(reads[s : s + _TEST_BLOCK].sum())))
             const, below = screen.consts[block], thresholds[block]
             values, at = _scan(block, parts, k)
             nearest = np.partition(values, 2 * k - 1, axis=1)
@@ -555,8 +557,8 @@ def _settle_in_key(rank, screen, k, main_width, cells):
             second = np.minimum(_bound(nearest[:, 2 * k - 1] + const, norms, main_width), below)
             limit = np.where(below > threshold, second, bound) - const
             ok = np.flatnonzero(bound < below)
-            settled[block[ok]] = True
-            rank(block[ok], values[ok], at, limit[ok], below[ok] - const[ok], const[ok])
+            far = rank(stage, block[ok], values[ok], at, limit[ok], below[ok] - const[ok], const[ok])
+            work.stage[block[ok[~far]]] = stage
 
     keyed = screen.codes < len(ends) - 1
     # A row without a key is given the keyless training rows, and reads nothing.
@@ -569,7 +571,7 @@ def _settle_in_key(rank, screen, k, main_width, cells):
         # Stage 1: a row with a one in every span reads its code cell. A
         # training row outside it differs in the key, at main d^2 >= the
         # threshold, or in another code, at >= the cost.
-        settle(np.flatnonzero(keyed & eligible), [cell], np.full(m, min(threshold, cost)))
+        settle(1, np.flatnonzero(keyed & eligible), [cell], np.full(m, min(threshold, cost)))
         # Stage 2 widens such a row to Hamming radius 1 over the codes: the
         # other keys' rows that share its every other code, its other-code
         # range with the cell left out. Every training row outside it and
@@ -577,20 +579,21 @@ def _settle_in_key(rank, screen, k, main_width, cells):
         parts += around
         thresholds[eligible] += cost
     # Stage 2: every row left whose key has k training rows reads that key.
-    settle(np.flatnonzero(keyed & ~settled & (hi - lo >= k)), parts, thresholds)
-    return own, settled
+    settle(2, np.flatnonzero(keyed & (work.stage == 0) & (hi - lo >= k)), parts, thresholds)
+    return own
 
 
 def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), other_spans=()):
     """Indices and exact distances of the k nearest training rows per test row.
 
-    Returns a list holding one (idx, dist) pair for ``train_X``/``test_X``
-    or, given ``main_width``, one pair for the main rows, their leading
-    ``main_width`` columns, and a second for the joined rows, all of them,
-    both from one pass. ``key_span`` is the (start, stop) column span of a
-    one-hot block among the main columns, and ``other_spans`` those of
-    further one-hot blocks, disjoint from it and from each other; they
-    change the cost of the search, not its result.
+    Returns ``(out, work)``: ``out`` is a list holding one (idx, dist) pair
+    for ``train_X``/``test_X`` or, given ``main_width``, one pair for the
+    main rows, their leading ``main_width`` columns, and a second for the
+    joined rows, all of them, both from one pass; ``work`` is the
+    ``_Work`` record of what the search did. ``key_span`` is the (start,
+    stop) column span of a one-hot block among the main columns, and
+    ``other_spans`` those of further one-hot blocks, disjoint from it and
+    from each other; they change the cost of the search, not its result.
 
     Candidates are screened by the expanded square of the main rows. Over a
     one-hot block d^2 is exactly ``seen_test + seen_train - 2 * [same code]``,
@@ -616,7 +619,7 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
     threshold and the cost, 2, or 1 if some training row lacks a code in
     some other span. If the bound of the k-th smallest screen value over
     the cell lies below that, all of the row's main neighbours lie in the
-    cell and the row is settled there. Stage 2 takes every row left whose
+    cell and the row is ranked there. Stage 2 takes every row left whose
     key has k training rows to that key, and, if the row has a one in every
     other span, widens it to Hamming radius 1 over the categorical codes
     (multi-index hashing, Norouzi, Punjani & Fleet, CVPR 2012): the other
@@ -624,13 +627,14 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
     the second order. Every row outside both differs in the key and in one
     more code, so lies at main d^2 >= the wide threshold, the threshold
     plus the cost. If the bound of the k-th smallest value over what the
-    row read lies below its threshold, the row is settled; a widened row's
-    main candidates go up to the bound of the 2k-th, capped at the wide
-    threshold. Without other spans only stage 2 runs, on the own key. The
-    second screen takes the other rows against every training row, blocked
-    over test rows into one preallocated buffer. Its main bound is the
-    smaller of the k-th the first screen read and the k-th smallest screen
-    value over every ``_SCREEN_STRIDE``-th training row, the strided k-th.
+    row read lies below its threshold, the row is ranked there; a widened
+    row's main candidates go up to the bound of the 2k-th, capped at the
+    wide threshold. Without other spans only stage 2 runs, on the own key.
+    The second screen takes the other rows against every training row,
+    blocked over test rows into one preallocated buffer. Its main bound is
+    the smaller of the k-th the first screen read and the k-th smallest
+    screen value over every ``_SCREEN_STRIDE``-th training row, the strided
+    k-th.
 
     Each screen hands its block of values to ``_rank`` as it computes it.
     The main candidates are the values within the main bound. A joined d^2
@@ -640,14 +644,14 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
     width, bounds the joined k-th d^2 from above. The joined candidates
     beyond the main ones are the values within the bound of U whose screen
     value plus the appended block's explicit d^2 lies within it too. The
-    second screen's block holds every training row. A settled row's holds
-    only the ranges it read, and every training row outside them lies
-    beyond its cover, its settle threshold: a settled row whose joined
-    limit passes its cover takes the rest of its joined candidates from its
-    values over every training row (``_Screen.full``, as the second screen
-    does), at most ``_TEST_BLOCK`` rows at a time. No pair is measured
-    twice. Each condition ranks its candidates by exact distance, ties by
-    training index, which is the order of a brute-force search.
+    second screen's block holds every training row. A first-screen row's
+    holds only the ranges it read, and every training row outside them lies
+    beyond its cover, its settle threshold: a row whose joined limit passes
+    its cover is not settled but handed on, to stage 2 or the second
+    screen, which ranks it again. No stage measures a pair twice; a pair
+    two stages measure is a handed-on row's. Each condition ranks its
+    candidates by exact distance, ties by training index, which is the order
+    of a brute-force search.
     """
     n, width = train_X.shape
     widths = [width] if main_width is None else [main_width, width]
@@ -685,9 +689,12 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
     # Past here the codes and counts are read only through the screen:
     # freeing them lowers the search's peak memory.
     del train_codes, train_seen, test_codes, test_seen
-    rank = partial(_rank, train_X, test_X, k, widths, screen, out)
-    own, settled = _settle_in_key(rank, screen, k, widths[0], cells)
-    hard = np.flatnonzero(~settled)
+    work = _Work(np.zeros(m, dtype=np.int8), [], [])
+    rank = partial(_rank, train_X, test_X, k, widths, screen, out, work)
+    own = _settle_in_key(rank, screen, k, widths[0], cells, work)
+    # The block screen reads no cell: freeing them lowers its peak memory.
+    del cells
+    hard = np.flatnonzero(work.stage == 0)
     # One buffer for the blocks, sized for the rows left.
     block_sq = np.empty((min(_TEST_BLOCK, len(hard)), n))
     for start in range(0, len(hard), _TEST_BLOCK):
@@ -695,10 +702,13 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
         const = consts[rows]
         sq = screen.full(rows, block_sq[: len(rows)])
         strided = sq[:, ::_SCREEN_STRIDE] if n // _SCREEN_STRIDE >= k else sq
-        kth = np.minimum(np.partition(strided, k - 1, axis=1)[:, k - 1] + const, own[rows] + const)
+        # The strided k-th one row at a time: partitioning the whole strided
+        # block would copy a quarter of the buffer.
+        kth = np.minimum(const + [np.partition(row, k - 1)[k - 1] for row in strided], const + own[rows])
         # The block holds every training row's value: no row lies beyond it.
-        rank(rows, sq, lambda _, col: col, _bound(kth, const + screen.max_norm, widths[0]) - const, np.inf, const)
-    return out
+        rank(3, rows, sq, lambda _, col: col, _bound(kth, const + screen.max_norm, widths[0]) - const, np.inf, const)
+    work.stage[hard] = 3
+    return out, work
 
 
 def _predict(idx, dist, train_y, task):
@@ -797,7 +807,7 @@ def knn_predict(
         raise ContractViolationError("feature matrices hold a non-finite value")
     predictions = [
         _predict(idx, dist, train_y, task)
-        for idx, dist in _select_neighbors(train_X, test_X, k, main_width, key_span, other_spans)
+        for idx, dist in _select_neighbors(train_X, test_X, k, main_width, key_span, other_spans)[0]
     ]
     if single:
         predictions = [p[0] for p in predictions]

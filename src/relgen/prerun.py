@@ -178,7 +178,9 @@ def fit_codebook(
     # k-means++: first centroid uniform, then squared-distance weighted picks.
     centroids = np.empty((k_eff, samples.shape[1]))
     centroids[0] = samples[int(rng.integers(len(samples)))]
-    d2 = ((samples - centroids[0]) ** 2).sum(axis=1)
+    # Squares that overflow are refused below, from the sum they make inf.
+    with np.errstate(over="ignore"):
+        d2 = ((samples - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k_eff):
         total = d2.sum()
         if not np.isfinite(total):
@@ -189,7 +191,8 @@ def fit_codebook(
             centroids[j] = rows[~taken][0]
         else:
             centroids[j] = samples[draw_index(d2 / total, rng)]
-        d2 = np.minimum(d2, ((samples - centroids[j]) ** 2).sum(axis=1))
+        with np.errstate(over="ignore"):
+            d2 = np.minimum(d2, ((samples - centroids[j]) ** 2).sum(axis=1))
 
     prev_objective = np.inf
     prev_labels = None

@@ -385,7 +385,7 @@ OVERFLOW = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_generate_whose_values_overflow_when_squared_exits_2(tmp_path, capsys):
     """Root values near 1e160 are finite, but their squares overflow the
     k-means fit of the first categorical node."""

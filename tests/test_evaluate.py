@@ -582,32 +582,82 @@ def test_no_main_only_matrix_outlives_featurization(monkeypatch):
     run_comparison(small_dataset())
 
 
-def test_search_with_the_key_settle_equals_the_search_without(monkeypatch):
-    # Eight keys over 900 training rows: most test rows settle inside their
-    # own key and the rest take the full screen. Both conditions must equal
-    # the search without a key span, which settles none.
+def captured_search(monkeypatch, dataset):
+    """The arguments and the result of the one neighbour search an eval of
+    ``dataset`` makes."""
     from relgen import evaluate
 
-    searches, settled = [], []
-    search, settle = evaluate._select_neighbors, evaluate._settle_in_key
+    searches = []
+    search = evaluate._select_neighbors
 
     def kept(*args):
         searches.append((args, search(*args)))
         return searches[-1][1]
 
-    def counted(*args):
-        own, mask = settle(*args)
-        settled.append(mask.mean())
-        return own, mask
-
     monkeypatch.setattr(evaluate, "_select_neighbors", kept)
-    monkeypatch.setattr(evaluate, "_settle_in_key", counted)
+    run_comparison(dataset)
+    (args, result), = searches
+    return args, result
+
+
+def test_search_with_the_key_settle_equals_the_search_without(monkeypatch):
+    # Eight keys over 900 training rows: most test rows settle inside their
+    # own key and the rest take the block screen. Both conditions must equal
+    # the search without a key span, which settles none.
+    from relgen import evaluate
+
     cfg = config_from_dict(
         {"master_seed": 5, "main_graph": {"num_nodes": 8}, "add_graph": {"num_nodes": 5}, "coupling_categories": [8, 0]}
     )
-    run_comparison(generate_relational(build_schema(cfg), 1000, 60, cfg.noise, 200, 1))
-    (args, got), = searches
+    dataset = generate_relational(build_schema(cfg), 1000, 60, cfg.noise, 200, 1)
+    args, (got, work) = captured_search(monkeypatch, dataset)
     train_X, test_X, k, main_width, span, _ = args
-    assert span[1] - span[0] == 8 and 0.3 <= settled[0] < 1.0
-    for (idx, dist), (ref_idx, ref_dist) in zip(got, search(train_X, test_X, k, main_width, (0, 0))):
+    assert span[1] - span[0] == 8 and 0.3 <= (work.stage < 3).mean() < 1.0
+    plain, plain_work = evaluate._select_neighbors(train_X, test_X, k, main_width, (0, 0))
+    assert (plain_work.stage == 3).all()
+    for (idx, dist), (ref_idx, ref_dist) in zip(got, plain):
+        assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
+
+
+def exact_neighbours(train_X, test_X, k):
+    """Brute force: each test row's k nearest training rows, d^2 summed
+    from explicit differences, ranked by distance, ties by training index."""
+    idx = np.empty((len(test_X), k), dtype=np.intp)
+    dist = np.empty((len(test_X), k))
+    for i, row in enumerate(test_X):
+        d = np.sqrt(((train_X - row) ** 2).sum(axis=1))
+        idx[i] = np.lexsort((np.arange(len(d)), d))[:k]
+        dist[i] = d[idx[i]]
+    return idx, dist
+
+
+@pytest.mark.parametrize("unseen", [False, True], ids=["as-generated", "unseen-categories"])
+def test_search_on_a_generated_dataset_equals_brute_force(monkeypatch, unseen):
+    # The CLI's SMALL profile at seed 4 with 600 main rows: 540 training
+    # rows over 84 keys, most of them with fewer than k rows, three other
+    # one-hot spans, and one test row whose key training never saw. Every
+    # stage ranks some test row. The variant gives a test row its cell
+    # settled an unseen code in another span, and one the key range settled
+    # an unseen key.
+    from test_cli import SMALL
+
+    from relgen import evaluate
+
+    cfg = config_from_dict({**SMALL, "master_seed": 4, "rows_main": 600})
+    dataset = generate_relational(
+        build_schema(cfg), cfg.rows_main, cfg.rows_add, cfg.noise, cfg.num_presamples, cfg.master_seed
+    )
+    args, (out, work) = captured_search(monkeypatch, dataset)
+    train_X, test_X, k, main_width, key_span, other_spans = args
+    assert len(other_spans) == 3 and (work.stage[:, None] == [1, 2, 3]).any(axis=0).all()
+    if unseen:
+        cell_row, key_row = np.flatnonzero(work.stage == 1)[0], np.flatnonzero(work.stage == 2)[0]
+        test_X = test_X.copy()
+        test_X[cell_row, slice(*other_spans[0])] = 0.0
+        test_X[key_row, slice(*key_span)] = 0.0
+        out, work = evaluate._select_neighbors(train_X, test_X, k, main_width, key_span, other_spans)
+        assert work.stage[cell_row] > 1 and work.stage[key_row] == 3
+        assert (work.stage[:, None] == [1, 2, 3]).any(axis=0).all()
+    for (idx, dist), width in zip(out, [main_width, train_X.shape[1]]):
+        ref_idx, ref_dist = exact_neighbours(train_X[:, :width], test_X[:, :width], k)
         assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)

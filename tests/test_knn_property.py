@@ -317,28 +317,40 @@ def keyed_cases(draw):
     return train_J, test_J, width + n_keys, k, (at, at + n_keys), y_reg, y_cls
 
 
+def pairs_by_stage(work):
+    """Each stage's measured (test row, training row) pairs, read from the
+    search's record of its work.
+
+    Asserts that every test row was ranked, that no stage measures a pair
+    twice, and that every row a stage measures is ranked last by that stage
+    or a later one: a pair measured in two stages is a row's that the
+    earlier stage handed on.
+    """
+    stages = {}
+    for stage, rows, cand in work.pairs:
+        stages.setdefault(stage, []).extend(zip(rows.tolist(), cand.tolist()))
+    assert set(work.stage.tolist()) <= {1, 2, 3}
+    for stage, pairs in stages.items():
+        assert len(set(pairs)) == len(pairs)
+        assert all(work.stage[row] >= stage for row, _ in pairs)
+    return stages
+
+
+def measured_calls(work):
+    """The stage and the sorted training rows of each full-width measurement."""
+    pairs_by_stage(work)
+    return [(stage, sorted(cand.tolist())) for stage, _, cand in work.pairs]
+
+
 @settings(max_examples=300, deadline=None)
 @given(keyed_cases())
 def test_key_screen_matches_the_plain_search_and_the_oracle(case):
     train_J, test_J, width, k, span, y_reg, y_cls = case
     train_X, test_X = train_J[:, :width], test_J[:, :width]
-    # Every (test row, training row) pair each search measures. Hypothesis
-    # refuses the function-scoped ``monkeypatch``, so the spy is set here.
-    searches = []
-    pair_sq = evaluate._pair_sq
-
-    def recorded(train, test, rows, cand, widths):
-        searches[-1].extend(zip(rows.tolist(), cand.tolist()))
-        return pair_sq(train, test, rows, cand, widths)
-
-    def search(key_span):
-        searches.append([])
-        return _select_neighbors(train_J, test_J, k, width, key_span)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evaluate, "_pair_sq", recorded)
-        plain, keyed = search((0, 0)), search(span)
-    assert all(len(set(pairs)) == len(pairs) for pairs in searches)
+    searches = [_select_neighbors(train_J, test_J, k, width, key_span) for key_span in [(0, 0), span]]
+    for _, work in searches:
+        pairs_by_stage(work)
+    (plain, _), (keyed, _) = searches
     for (idx, dist), (ref_idx, ref_dist) in zip(keyed, plain):
         assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
 
@@ -424,21 +436,12 @@ def spanned_cases(draw):
 def test_other_spans_match_the_plain_search_and_the_oracle(case):
     train_J, test_J, width, k, key_span, other_spans, y_reg, y_cls = case
     train_X, test_X = train_J[:, :width], test_J[:, :width]
-    searches = []
-    pair_sq = evaluate._pair_sq
-
-    def recorded(train, test, rows, cand, widths):
-        searches[-1].extend(zip(rows.tolist(), cand.tolist()))
-        return pair_sq(train, test, rows, cand, widths)
-
-    def search(*spans):
-        searches.append([])
-        return _select_neighbors(train_J, test_J, k, width, *spans)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evaluate, "_pair_sq", recorded)
-        plain, keyed, spanned = search(), search(key_span), search(key_span, other_spans)
-    assert all(len(set(pairs)) == len(pairs) for pairs in searches)
+    searches = [
+        _select_neighbors(train_J, test_J, k, width, *spans) for spans in [(), (key_span,), (key_span, other_spans)]
+    ]
+    for _, work in searches:
+        pairs_by_stage(work)
+    (plain, _), (keyed, _), (spanned, _) = searches
     for (idx, dist), (plain_idx, plain_dist), (key_idx, key_dist) in zip(spanned, plain, keyed):
         assert np.array_equal(idx, plain_idx) and np.array_equal(dist, plain_dist)
         assert np.array_equal(idx, key_idx) and np.array_equal(dist, key_dist)
@@ -502,6 +505,10 @@ def coded_rows(rows):
         # The cell's k-th is 0.25: the row settles there, and every pair
         # measured is of the cell.
         ((0, 0, 0, 0), [(1, 1, 0, 0)] * 2 + [(0, 1, 0, 0)] * 2 + [(1, 0, 0, 0)] * 2 + [(0, 0, 0, 0.5)] * 3, 2, (1,), True),
+        # The cell's ties at main d^2 1 read a rounding step apart, as the
+        # training mean is inexact: only the rounding margin keeps rows 2 and
+        # 3, the lower indices, among the cell's candidates.
+        ((0, 0, 0, 0), [(1, 1, 0, 1), (1, 1, 0, 0)] + [(0, 0, 0, 1)] * 2 + [(0, 0, 0, -1)] * 2 + [(0, 0, 0, 0)], 3, (1,), True),
     ],
     ids=[
         "tie-at-2",
@@ -513,38 +520,22 @@ def coded_rows(rows):
         "cell-kth-at-2",
         "empty-cell-small-key",
         "settled-in-cell",
+        "cell-ties-rounded-apart",
     ],
 )
-def test_other_code_range_settles_below_its_threshold_only(monkeypatch, test_row, train_rows, k, stages, settles):
+def test_other_code_range_settles_below_its_threshold_only(test_row, train_rows, k, stages, settles):
     train_J, test_J = coded_rows(train_rows), coded_rows([test_row])
-    masks, measured, scans = [], [], []
-    settle, pair_sq, scan = evaluate._settle_in_key, evaluate._pair_sq, evaluate._scan
-
-    def settled(*args):
-        own, mask = settle(*args)
-        masks.append(mask.tolist())
-        return own, mask
-
-    def counted(train, test, rows, cand, widths):
-        measured.extend(cand.tolist())
-        return pair_sq(train, test, rows, cand, widths)
-
-    def staged(rows, parts, k):
-        # With another span, stage 1 reads the cell alone, and stage 2 the
-        # own key and the two parts of the other-code range around the cell.
-        scans.append((1 if len(parts) == 1 else 2, sum(int((b - a)[rows].sum()) for *_, a, b in parts)))
-        return scan(rows, parts, k)
-
-    monkeypatch.setattr(evaluate, "_settle_in_key", settled)
-    monkeypatch.setattr(evaluate, "_pair_sq", counted)
-    monkeypatch.setattr(evaluate, "_scan", staged)
-    got = _select_neighbors(train_J, test_J, k, 6, (2, 4), [(4, 6)])
-    assert masks == [[settles]] and tuple(stage for stage, _ in scans) == stages
+    got, work = _select_neighbors(train_J, test_J, k, 6, (2, 4), [(4, 6)])
+    # A settled row is ranked last by the last stage it read, any other by
+    # the block screen.
+    assert work.stage.tolist() == [stages[-1] if settles else 3]
+    assert tuple(stage for stage, _ in work.reads) == stages
     # Stage 1 reads the cell; stage 2 the rows sharing the key or, for a row
     # with a code, the other code.
     cell = {i for i, row in enumerate(train_rows) if row[:2] == test_row[:2]}
     near = {i for i, row in enumerate(train_rows) if row[0] == test_row[0] or row[1] == test_row[1] >= 0}
-    assert [read for _, read in scans] == [[len(cell), len(near)][stage - 1] for stage, _ in scans]
+    assert [read for _, read in work.reads] == [[len(cell), len(near)][stage - 1] for stage, _ in work.reads]
+    measured = [row for pairs in pairs_by_stage(work).values() for _, row in pairs]
     d2 = ((train_J - test_J) ** 2).sum(axis=1)
     nearest = np.lexsort((np.arange(len(d2)), d2))[:k]
     for idx, dist in got:
@@ -585,7 +576,7 @@ def test_malformed_other_spans_are_refused(other_spans, match):
         knn_predict(half[:20], y, half[20:], k=3, main_width=8, key_span=(1, 4), other_spans=[(4, 6)])
 
 
-def test_key_screen_measures_no_row_beyond_the_bound(monkeypatch):
+def test_key_screen_measures_no_row_beyond_the_bound():
     # The test row has key 0 and value 0, and forty training rows equal it,
     # so with k = 5 both conditions' bound is 0. The same key at value 1, no
     # key at value 0 (d^2 1 each) and key 1 at value 0 (d^2 2) lie beyond
@@ -599,18 +590,11 @@ def test_key_screen_measures_no_row_beyond_the_bound(monkeypatch):
         axis=1,
     )
     test_J = np.array([[0.0, 1.0, 0.0, 0.0]])
-    measured = []
-    pair_sq = evaluate._pair_sq
-
-    def counted(train, test, rows, cand, widths):
-        measured.extend(cand.tolist())
-        return pair_sq(train, test, rows, cand, widths)
-
-    monkeypatch.setattr(evaluate, "_pair_sq", counted)
-    (idx, dist), (joined_idx, joined_dist) = _select_neighbors(train_J, test_J, 5, 3, (1, 3))
+    ((idx, dist), (joined_idx, joined_dist)), work = _select_neighbors(train_J, test_J, 5, 3, (1, 3))
     assert idx.tolist() == joined_idx.tolist() == [[0, 1, 2, 3, 4]]
     assert dist.tolist() == joined_dist.tolist() == [[0.0] * 5]
-    assert sorted(measured) == list(range(40))
+    assert work.stage.tolist() == [2]
+    assert sorted(row for _, row in pairs_by_stage(work)[2]) == list(range(40))
 
 
 def test_span_codes_match_the_nonzero_form():
@@ -657,20 +641,7 @@ def test_lex_code_orders_rows_past_the_int64_range():
     assert np.array_equal(code % 1000, columns[7])
 
 
-def measured_pairs(monkeypatch):
-    """The training rows of every pair ``_pair_sq`` measures, one list per call."""
-    calls = []
-    pair_sq = evaluate._pair_sq
-
-    def counted(train, test, rows, cand, widths):
-        calls.append(sorted(cand.tolist()))
-        return pair_sq(train, test, rows, cand, widths)
-
-    monkeypatch.setattr(evaluate, "_pair_sq", counted)
-    return calls
-
-
-def test_own_key_bound_measures_only_the_keys_nearest_rows(monkeypatch):
+def test_own_key_bound_measures_only_the_keys_nearest_rows():
     # Forty training rows at value 0, sorted by key: key 0 once, key 1 three
     # times, key 2 the rest. Every fourth of them holds key 0 or 2, d^2 2
     # from the test row of key 1, so the strided bound is 2 and would admit
@@ -679,36 +650,33 @@ def test_own_key_bound_measures_only_the_keys_nearest_rows(monkeypatch):
     keys = np.repeat([0, 1, 2], [1, 3, 36])
     train_J = np.concatenate([np.zeros((40, 1)), np.eye(3)[keys], 0.5 * keys[:, None]], axis=1)
     test_J = np.array([[0.0, 0.0, 1.0, 0.0, 0.5]])
-    calls = measured_pairs(monkeypatch)
-    (idx, dist), (joined_idx, joined_dist) = _select_neighbors(train_J, test_J, 3, 4, (1, 4))
+    ((idx, dist), (joined_idx, joined_dist)), work = _select_neighbors(train_J, test_J, 3, 4, (1, 4))
     assert idx.tolist() == joined_idx.tolist() == [[1, 2, 3]]
     assert dist.tolist() == joined_dist.tolist() == [[0.0] * 3]
-    assert calls == [[1, 2, 3], []]
+    assert measured_calls(work) == [(2, [1, 2, 3]), (2, [])]
 
 
 @pytest.mark.parametrize(
     "far, shifts, joined, joined_dist, measured",
     [
-        (False, [0.0], [[0, 1]], [[np.sqrt(2.0), 2.0]], [[1, 2, 3], [0]]),
-        (True, [0.0], [[0, 4]], [[np.sqrt(2.0), 1.5]], [[1, 2, 3], [0, 4]]),
+        (False, [0.0], [[0, 1]], [[np.sqrt(2.0), 2.0]], [(2, [1, 2, 3]), (2, []), (3, [1, 2, 3]), (3, [0])]),
+        (True, [0.0], [[0, 4]], [[np.sqrt(2.0), 1.5]], [(2, [1, 2, 3]), (2, [4]), (3, [1, 2, 3]), (3, [0, 4])]),
         (True, [0.0, 0.05, -0.05, 0.1] * 10, None, None, None),
     ],
     ids=["other-key", "own-key-past-threshold", "many-far-rows"],
 )
-def test_joined_neighbour_between_the_own_and_the_strided_limit(
-    monkeypatch, far, shifts, joined, joined_dist, measured
-):
+def test_joined_neighbour_between_the_own_and_the_strided_limit(far, shifts, joined, joined_dist, measured):
     # Keys as above, k = 2. The own key's rows are at main d^2 0 and joined
-    # d^2 4, so the test row settles inside its key with joined limit 4,
-    # past the settle threshold 2. The key-0 row, main d^2 2 and joined d^2
-    # 2, lies beyond the main limit, 6 from the key-2 rows, and is the
-    # joined nearest; it is read from the other keys' product. With
-    # ``far``, a fourth key-1 row (training index 4) has rest 1.5 and an
-    # appended block of 0: main d^2 2.25, beyond the threshold, and joined
-    # d^2 2.25. It is read from the rest of its own key's values, and each
-    # pair is measured once. Many test rows, their rest shifted by up to
-    # 0.1, all settle in one block and all take their values over every
-    # training row; they match the search without a key span.
+    # d^2 4, so the key range ranks the test row with joined limit 4, past
+    # the settle threshold 2, and hands it on to the block screen. The key-0
+    # row, main d^2 2 and joined d^2 2, lies beyond the main limit, 6 from
+    # the key-2 rows, and is the joined nearest; only the block screen reads
+    # it. With ``far``, a fourth key-1 row (training index 4) has rest 1.5
+    # and an appended block of 0: main d^2 2.25, beyond the threshold, and
+    # joined d^2 2.25. Both stages read it from their values, and each
+    # measures it once. Many test rows, their rest shifted by up to 0.1, are
+    # all ranked in one block by each stage; they match the search without a
+    # key span.
     keys = np.repeat([0, 1, 2], [1, 4, 35] if far else [1, 3, 36])
     rest = np.where(keys == 2, 2.0, 0.0)
     block = np.where(keys == 1, 2.0, 0.0)
@@ -717,19 +685,12 @@ def test_joined_neighbour_between_the_own_and_the_strided_limit(
     train_J = np.concatenate([rest[:, None], np.eye(3)[keys], block[:, None]], axis=1)
     test_J = np.zeros((len(shifts), 5))
     test_J[:, 0], test_J[:, 2] = shifts, 1.0
-    plain = _select_neighbors(train_J, test_J, 2, 4)
-    pairs, calls = [], []
-    pair_sq = evaluate._pair_sq
-
-    def recorded(train, test, rows, cand, widths):
-        pairs.extend(zip(rows.tolist(), cand.tolist()))
-        calls.append(sorted(cand.tolist()))
-        return pair_sq(train, test, rows, cand, widths)
-
-    monkeypatch.setattr(evaluate, "_pair_sq", recorded)
-    got = _select_neighbors(train_J, test_J, 2, 4, (1, 4))
-    # One ranking of the settled block: a main and a joined measurement.
-    assert len(set(pairs)) == len(pairs) and len(calls) == 2
+    plain, _ = _select_neighbors(train_J, test_J, 2, 4)
+    got, work = _select_neighbors(train_J, test_J, 2, 4, (1, 4))
+    # One ranking of the block by each stage: a main and a joined
+    # measurement apiece.
+    calls = measured_calls(work)
+    assert [stage for stage, _ in calls] == [2, 2, 3, 3] and (work.stage == 3).all()
     for (idx, dist), (ref_idx, ref_dist) in zip(got, plain):
         assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
     if measured is not None:
@@ -739,7 +700,7 @@ def test_joined_neighbour_between_the_own_and_the_strided_limit(
         assert calls == measured
 
 
-def test_joined_bound_from_the_main_candidates_rescreens_nothing(monkeypatch):
+def test_joined_bound_from_the_main_candidates_rescreens_nothing():
     # Test row at the origin, k = 2. Row 0 is the main-nearest but far in
     # the appended block (joined d^2 100); rows 1 and 2 are main candidates
     # at d^2 1 with an equal block, so the second smallest joined d^2 among
@@ -747,11 +708,10 @@ def test_joined_bound_from_the_main_candidates_rescreens_nothing(monkeypatch):
     # 1, is 100 and would screen rows 3 to 5 (main d^2 4, 9, 16) again.
     main = np.array([0.0, 1.0, -1.0, 2.0, 3.0, 4.0])
     train_J = np.stack([main, [10.0, 0, 0, 0, 0, 0]], axis=1)
-    calls = measured_pairs(monkeypatch)
-    (idx, dist), (joined_idx, joined_dist) = _select_neighbors(train_J, np.zeros((1, 2)), 2, 1)
+    ((idx, dist), (joined_idx, joined_dist)), work = _select_neighbors(train_J, np.zeros((1, 2)), 2, 1)
     assert idx.tolist() == [[0, 1]] and joined_idx.tolist() == [[1, 2]]
     assert joined_dist.tolist() == [[1.0, 1.0]]
-    assert calls == [[0, 1, 2], []]
+    assert measured_calls(work) == [(3, [0, 1, 2]), (3, [])]
 
 
 def test_rows_beyond_the_main_limit_are_screened_without_a_block_copy():
@@ -773,12 +733,12 @@ def test_rows_beyond_the_main_limit_are_screened_without_a_block_copy():
     assert np.allclose(joined, brute_force_knn(train_J, y, test_J, k, "regression"), atol=1e-9, rtol=0)
 
 
-def test_settled_rows_measure_no_pair_outside_their_key(monkeypatch):
+def test_settled_rows_measure_no_pair_outside_their_key():
     # Five keys of forty training rows within main d^2 of about 0.1 of
     # each other, whatever the key, and an appended block equal within a
     # key: every test row of those keys settles in both conditions, and
     # must measure only rows of its key. Key 5 has two training rows, fewer
-    # than k, and one test row has no key; both take the full screen.
+    # than k, and one test row has no key; both take the block screen.
     rng = np.random.default_rng(5)
     train_keys = np.repeat([0, 1, 2, 3, 4, 5], [40, 40, 40, 40, 40, 2])
     test_keys = np.array([0, 1, 2, 3, 4, 0, 3, -1, 5])
@@ -789,20 +749,15 @@ def test_settled_rows_measure_no_pair_outside_their_key(monkeypatch):
         return np.concatenate([rest, keys[:, None] == np.arange(6), table[keys]], axis=1)
 
     train_J, test_J = joined(train_keys), joined(test_keys)
-    pairs = []
-    pair_sq = evaluate._pair_sq
-
-    def recorded(train, test, rows, cand, widths):
-        block = test[rows, 2:8]
-        pairs.extend(zip(np.where(block.any(axis=1), block.argmax(axis=1), -1), train_keys[cand]))
-        return pair_sq(train, test, rows, cand, widths)
-
-    monkeypatch.setattr(evaluate, "_pair_sq", recorded)
-    got = _select_neighbors(train_J, test_J, 5, 8, (2, 8))
+    got, work = _select_neighbors(train_J, test_J, 5, 8, (2, 8))
+    assert work.stage.tolist() == [2] * 7 + [3, 3]
+    pairs = [
+        (test_keys[row], train_keys[cand]) for pairs in pairs_by_stage(work).values() for row, cand in pairs
+    ]
     settled = [(test, train) for test, train in pairs if 0 <= test < 5]
     assert len(settled) >= 7 * 5 and all(test == train for test, train in settled)
     assert any(test != train for test, train in pairs if test in (-1, 5))
-    for (idx, dist), (ref_idx, ref_dist) in zip(got, _select_neighbors(train_J, test_J, 5, 8)):
+    for (idx, dist), (ref_idx, ref_dist) in zip(got, _select_neighbors(train_J, test_J, 5, 8)[0]):
         assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
 
 
@@ -815,11 +770,14 @@ def test_pair_gather_is_bounded_by_the_chunk(n):
     rng = np.random.default_rng(6)
     train_X, test_X = rng.normal(size=(n, width)), rng.normal(size=(5, width))
     rows, cand = rng.integers(0, 5, size=count), rng.integers(0, n, size=count)
-    tracemalloc.start()
-    main, joined = evaluate._pair_sq(train_X, test_X, rows, cand, [8, width])
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak <= 2 * count * 8 + 3 * evaluate._PAIR_CHUNK * width * 8
     diff = train_X[cand] - test_X[rows]
-    assert np.allclose(main, (diff[:, :8] ** 2).sum(axis=1), rtol=1e-12, atol=0)
-    assert np.allclose(joined, (diff**2).sum(axis=1), rtol=1e-12, atol=0)
+    # The main and joined widths at once, then the joined extras' tail alone.
+    for widths, start in [([8, width], 0), ([width], 8)]:
+        tracemalloc.start()
+        got = evaluate._pair_sq(train_X, test_X, rows, cand, widths, start)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 2 * count * 8 + 3 * evaluate._PAIR_CHUNK * width * 8
+        assert len(got) == len(widths)
+        for sq, stop in zip(got, widths):
+            assert np.allclose(sq, (diff[:, start:stop] ** 2).sum(axis=1), rtol=1e-12, atol=0)

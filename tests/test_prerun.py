@@ -126,14 +126,14 @@ def test_k_reduced_to_distinct_count():
     assert cb.requested_k == 4
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_seeding_mass_raises():
     # Squared distances of 1e200 apart overflow to inf.
     with pytest.raises(NonFiniteValueError, match="k-means\\+\\+ seeding mass"):
         fit_codebook(np.array([[0.0], [1e200], [2e200], [3.0]]), 2, rng(0))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_lloyd_objective_raises():
     # The seeding distances are finite, but two rows of 1.7e308 sum to inf,
     # so a cluster mean and the next objective are not finite.
@@ -142,13 +142,14 @@ def test_overflowing_lloyd_objective_raises():
         fit_codebook(pts, 2, rng(0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_in_prerun_names_the_node():
     nodes = [
         NodeSpec(index=0, name="N0", root_dist=RootDistribution("normal", {"mean": 0.0, "std": 1e200}), pooling="mean"),
         NodeSpec(index=1, name="N1", activation="identity", weights=np.eye(2), pooling="categorical", category_count=3),
     ]
     dag = classify_nodes(DagSpec(nodes=nodes, edges={(0, 1)}, hidden_dim=2))
-    with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteValueError, match="^node N1: "):
+    with pytest.raises(NonFiniteValueError, match="^node N1: "):
         build_prerun_stats(dag, prerun(dag, 100, 1), 1)
 
 
