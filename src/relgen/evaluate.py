@@ -36,6 +36,9 @@ AGG_SHARE = 0.02
 class FeatureMatrix:
     values: np.ndarray  # (rows, d)
     spans: dict[str, tuple[int, int]]  # feature name -> (start, stop) of its columns
+    # categorical name -> each row's column within its span, the span's width
+    # for a category unseen in training
+    codes: dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -90,46 +93,61 @@ class FeatureStats:
 
     numeric: dict[str, tuple[float, float]]  # name -> (mean, std)
     categories: dict[str, np.ndarray]  # name -> sorted training-observed values
-    feature_names: list[str]  # non-target columns in table order
+    # non-target column name, in table order -> (start, stop) of its encoded
+    # columns: one for a numeric, one per training category for a categorical
+    spans: dict[str, tuple[int, int]]
+
+    @property
+    def width(self) -> int:
+        """Columns of the encoded features."""
+        return max((stop for _, stop in self.spans.values()), default=0)
 
 
 def fit_feature_stats(train: Table) -> FeatureStats:
     numeric: dict[str, tuple[float, float]] = {}
     categories: dict[str, np.ndarray] = {}
-    names = []
+    spans: dict[str, tuple[int, int]] = {}
+    stop = 0
     for col in train.columns:
         if col.role == "target":
             continue
-        names.append(col.name)
         if col.kind == KIND_NUMERIC:
             numeric[col.name] = (float(col.values.mean()), float(col.values.std()))
         else:
             categories[col.name] = np.unique(col.values)
-    return FeatureStats(numeric=numeric, categories=categories, feature_names=names)
+        start, stop = stop, stop + (1 if col.kind == KIND_NUMERIC else len(categories[col.name]))
+        spans[col.name] = (start, stop)
+    return FeatureStats(numeric=numeric, categories=categories, spans=spans)
 
 
-def featurize_main_only(rows: Table, stats: FeatureStats) -> FeatureMatrix:
+def featurize_main_only(rows: Table, stats: FeatureStats, _out: np.ndarray | None = None) -> FeatureMatrix:
     """Standardized numerics plus one-hot categoricals; targets excluded.
 
-    ``spans`` gives each feature's (start, stop) columns: one for a numeric,
-    one per training category for a categorical. Categories unseen during
-    training encode as an all-zero block, keeping test rows finite without
-    touching the training geometry.
+    The columns are laid out as ``stats.spans`` says. Each categorical
+    value's code, the column of its one within the span, is found once and
+    kept in ``codes``; a category unseen during training gets the span's
+    width as its code and encodes as an all-zero block, keeping test rows
+    finite without touching the training geometry. The features go to a
+    new matrix or, given ``_out``, to the leading columns of that matrix of
+    the rows, which ``values`` then views.
     """
-    spans: dict[str, tuple[int, int]] = {}
-    stop = 0
-    for name in stats.feature_names:
-        start, stop = stop, stop + (1 if name in stats.numeric else len(stats.categories[name]))
-        spans[name] = (start, stop)
-    values = np.empty((rows.row_count, stop))
-    for name, (start, stop) in spans.items():
+    values = np.empty((rows.row_count, stats.width)) if _out is None else _out[:, : stats.width]
+    codes: dict[str, np.ndarray] = {}
+    for name, (start, stop) in stats.spans.items():
         col = rows.column(name).values
         if name in stats.numeric:
             mean, std = stats.numeric[name]
             values[:, start] = (col - mean) / max(std, STD_FLOOR)
-        else:
-            np.equal(col[:, None], stats.categories[name], out=values[:, start:stop])
-    return FeatureMatrix(values=values, spans=spans)
+            continue
+        cats = stats.categories[name]
+        code = np.searchsorted(cats, col)
+        # A value that is no training category gets the span's width.
+        code[cats[np.minimum(code, len(cats) - 1)] != col] = len(cats)
+        values[:, start:stop] = 0.0
+        seen = np.flatnonzero(code < len(cats))
+        values[seen, start + code[seen]] = 1.0
+        codes[name] = code
+    return FeatureMatrix(values=values, spans=dict(stats.spans), codes=codes)
 
 
 @dataclass
@@ -192,31 +210,77 @@ def fit_agg_norms(mapped: np.ndarray, n_train: int, numeric_mask: np.ndarray) ->
     mapped[:, numeric_mask] = (mapped[:, numeric_mask] - mean) / np.maximum(std, STD_FLOOR)
 
 
+# Rows of each block ``_column_var`` reads: a block of 512 rows of the
+# joined width stays in cache.
+_VAR_BLOCK = 512
+
+
+def _column_var(X: np.ndarray) -> np.ndarray:
+    """``X.var(axis=0)`` bit for bit, without a temporary as large as ``X``.
+
+    ``var`` sums each column in row order, twice: the values, and after
+    dividing by the row count, their squared deviations from that mean.
+    Both sums run over blocks of ``_VAR_BLOCK`` rows, each block reduced
+    with the running sum as its first row, which continues the row-order
+    sum. A single column is summed pairwise instead, so it keeps ``var``,
+    as does a matrix without rows.
+    """
+    n, width = X.shape
+    if width == 1 or n == 0:
+        return X.var(axis=0)
+    block = np.empty((_VAR_BLOCK + 1, width))
+
+    def column_sums(write):
+        for start in range(0, n, _VAR_BLOCK):
+            stop = min(n, start + _VAR_BLOCK)
+            write(X[start:stop], block[1 : stop - start + 1])
+            first = 0 if start else 1
+            block[0] = np.add.reduce(block[first : stop - start + 1], axis=0)
+        return block[0] / n
+
+    mean = column_sums(lambda rows, out: np.copyto(out, rows))
+    return column_sums(lambda rows, out: np.square(np.subtract(rows, mean, out=out), out=out))
+
+
 def fit_agg_weight(train_main: np.ndarray, train_agg: np.ndarray) -> float:
     """Block weight granting the aggregates a fixed share of the metric.
 
     The weight w solves w^2 * var(agg block) = AGG_SHARE * var(main block),
-    with per-column variances measured over the training rows; it is capped
-    at 1 so sparse aggregate blocks are never inflated.
+    with per-column variances measured over the training rows, a block of
+    rows at a time (``_column_var``); it is capped at 1 so sparse aggregate
+    blocks are never inflated.
     """
-    v_main = float(train_main.var(axis=0).sum())
-    v_agg = float(train_agg.var(axis=0).sum())
+    v_main = float(_column_var(train_main).sum())
+    v_agg = float(_column_var(train_agg).sum())
     if v_agg <= 0.0 or v_main <= 0.0:
         return 1.0
     return min(1.0, float(np.sqrt(AGG_SHARE * v_main / v_agg)))
 
 
-def featurize_joined(main: FeatureMatrix, agg_rows: np.ndarray, agg_weight: float = 1.0) -> FeatureMatrix:
+def featurize_joined(
+    main: FeatureMatrix, agg_rows: np.ndarray, agg_weight: float = 1.0, _out: np.ndarray | None = None
+) -> FeatureMatrix:
     """Main-table features with the key-matched aggregate rows appended.
 
     ``agg_rows`` are the standardized aggregates mapped to the same rows;
-    ``agg_weight`` multiplies the whole aggregate block. The spans are the
-    main features', which lead the joined columns.
+    ``agg_weight`` multiplies the whole aggregate block. The spans and
+    codes are the main features', which lead the joined columns. Given
+    ``_out``, the matrix whose leading columns ``featurize_main_only``
+    wrote, the weighted block is written into its tail in place; otherwise
+    both go to a new matrix.
     """
-    return FeatureMatrix(np.concatenate([main.values, agg_weight * agg_rows], axis=1), main.spans)
+    width = main.values.shape[1]
+    if _out is None:
+        _out = np.empty((len(agg_rows), width + agg_rows.shape[1]))
+        _out[:, :width] = main.values
+    np.multiply(agg_weight, agg_rows, out=_out[:, width:])
+    return FeatureMatrix(_out, main.spans, main.codes)
 
 
-_TEST_BLOCK = 128
+# Most values a block of screen values holds: a block of the settle pass
+# counts its padded ``_scan`` cells, one of the block screen its rows times
+# the training rows. A block takes one test row at least.
+_BLOCK_VALUES = 2**19
 # The strided bound is the k-th smallest screen value over every fourth
 # training row. It is read from a basic strided view: a fancy-indexed
 # gather of those columns comes out column-major and partitions about five
@@ -293,6 +357,15 @@ def _span_codes(X, spans):
         raise ContractViolationError(f"the spans {spans} are not all one-hot blocks")
     widths = np.array([stop - start for start, stop in spans])
     return code.astype(np.intp) + (seen == 0.0) * widths, seen
+
+
+def _feature_codes(features, names):
+    """Each row's code and count of ones in the spans of the categorical
+    features ``names``, as ``_span_codes`` reads them from the matrix, from
+    the codes ``featurize_main_only`` kept."""
+    codes = np.column_stack([features.codes[name] for name in names])
+    widths = np.array([stop - start for start, stop in (features.spans[name] for name in names)])
+    return codes, (codes < widths).astype(float)
 
 
 def _lex_code(columns, dims):
@@ -447,8 +520,10 @@ def _rank(train_X, test_X, k, widths, screen, out, work, stage, rows, values, at
     main candidates are the cells within ``main_limit``, and the joined ones
     beyond them the cells within the joined limit, the bound of U, which
     this computes. A masked row may have a joined neighbour beyond its
-    cover, outside its values, so its joined neighbours are final only once
-    a later screen, whose values do cover the limit, ranks it again. Each
+    cover, outside its values: a later screen, whose values do cover the
+    limit, ranks it again, so its joined candidates here are left unread,
+    and the joined neighbours written for it, from its main candidates
+    alone, are not final. Each
     full-width measurement is logged in ``work.pairs`` under ``stage``. See
     ``_select_neighbors``.
     """
@@ -465,8 +540,10 @@ def _rank(train_X, test_X, k, widths, screen, out, work, stage, rows, values, at
     # U: the joined d^2 of each row's k-th main candidate ranked by joined d^2.
     upper = pair_sq[1][_rank_pairs(main_rows, cand, pair_sq[1], len(rows), k)[:, k - 1]]
     joined_limit = _bound(upper, const + screen.max_norm, widths[1]) - const
+    far = joined_limit > cover
     near = values <= joined_limit[:, None]
     near[main_rows, col] = False
+    near[far] = False
     more_rows, col = np.divmod(np.flatnonzero(near), values.shape[1])
     more_test = rows[more_rows]
     more_cand = screen.order[at(more_test, col)]
@@ -482,7 +559,21 @@ def _rank(train_X, test_X, k, widths, screen, out, work, stage, rows, values, at
     dist = np.sqrt(np.concatenate([pair_sq[1], more_sq]))
     pick = _rank_pairs(pair_rows, cand, dist, len(rows), k)
     out[1][0][rows], out[1][1][rows] = cand[pick], dist[pick]
-    return joined_limit > cover
+    return far
+
+
+def _blocks(cost):
+    """Consecutive (start, stop) blocks of rows, each of one row or of at
+    most ``_BLOCK_VALUES`` values counted at its last row's ``cost``.
+    ``cost``, values per row, is positive and never falls from one row to
+    the next, so the last row's is the block's largest."""
+    start = 0
+    while start < len(cost):
+        count = min(len(cost) - start, max(1, _BLOCK_VALUES // cost[start]))
+        if count * cost[start + count - 1] > _BLOCK_VALUES:
+            count = max(1, _BLOCK_VALUES // cost[start + count - 1])
+        yield start, start + count
+        start += count
 
 
 def _scan(rows, parts, k):
@@ -520,7 +611,8 @@ def _settle_in_key(rank, screen, k, main_width, cells, work):
     given ``cells``, what ``_cells`` returns, in their code cell or their
     own key and its other-code range.
 
-    Each block of test rows ``_scan`` reads hands the rows whose main
+    Each block of test rows ``_scan`` reads, of at most ``_BLOCK_VALUES``
+    padded cells or of one row, hands the rows whose main
     neighbours it holds, with their values, to ``rank``, which writes both
     conditions' neighbours of them; the rows whose joined neighbours it
     holds too are settled, at their stage in ``work.stage``. Returns the
@@ -539,16 +631,18 @@ def _settle_in_key(rank, screen, k, main_width, cells, work):
         """Rank each of the test ``rows`` whose bound of the k-th over its
         ranges lies below its threshold, and settle those ``rank`` does
         not hand on."""
-        # Rows of like range length share a padded block.
+        # Rows of like range length share a padded block. Each part's band
+        # is at most as wide as the block's last row reads in all of them.
         reads = sum(stops[rows] - starts[rows] for *_, starts, stops in parts)
         rows, reads = rows[np.argsort(reads, kind="stable")], np.sort(reads)
-        for s in range(0, len(rows), _TEST_BLOCK):
-            block = rows[s : s + _TEST_BLOCK]
-            work.reads.append((stage, int(reads[s : s + _TEST_BLOCK].sum())))
+        for s, e in _blocks(np.maximum(len(parts) * reads, 2 * k)):
+            block = rows[s:e]
+            work.reads.append((stage, int(reads[s:e].sum())))
             const, below = screen.consts[block], thresholds[block]
             values, at = _scan(block, parts, k)
-            nearest = np.partition(values, 2 * k - 1, axis=1)
-            own[block] = kth = np.partition(nearest[:, : 2 * k], k - 1, axis=1)[:, k - 1]
+            # Each row's 2k smallest values, without the rest of the partitioned copy.
+            nearest = np.partition(values, 2 * k - 1, axis=1)[:, : 2 * k].copy()
+            own[block] = kth = np.partition(nearest, k - 1, axis=1)[:, k - 1]
             norms = const + screen.max_norm
             bound = _bound(kth + const, norms, main_width)
             # A row read past its own key takes main candidates up to the
@@ -557,7 +651,9 @@ def _settle_in_key(rank, screen, k, main_width, cells, work):
             second = np.minimum(_bound(nearest[:, 2 * k - 1] + const, norms, main_width), below)
             limit = np.where(below > threshold, second, bound) - const
             ok = np.flatnonzero(bound < below)
-            far = rank(stage, block[ok], values[ok], at, limit[ok], below[ok] - const[ok], const[ok])
+            # Only the ranked rows' values stay alive while they are ranked.
+            values = values[ok]
+            far = rank(stage, block[ok], values, at, limit[ok], below[ok] - const[ok], const[ok])
             work.stage[block[ok[~far]]] = stage
 
     keyed = screen.codes < len(ends) - 1
@@ -583,7 +679,7 @@ def _settle_in_key(rank, screen, k, main_width, cells, work):
     return own
 
 
-def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), other_spans=()):
+def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), other_spans=(), codes=None):
     """Indices and exact distances of the k nearest training rows per test row.
 
     Returns ``(out, work)``: ``out`` is a list holding one (idx, dist) pair
@@ -594,6 +690,8 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
     stop) column span of a one-hot block among the main columns, and
     ``other_spans`` those of further one-hot blocks, disjoint from it and
     from each other; they change the cost of the search, not its result.
+    ``codes``, if given, is what ``_span_codes`` reads from ``train_X`` and
+    from ``test_X`` over those spans, key first, found without reading them.
 
     Candidates are screened by the expanded square of the main rows. Over a
     one-hot block d^2 is exactly ``seen_test + seen_train - 2 * [same code]``,
@@ -601,8 +699,8 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
     stay out of the matmul, and 2 is subtracted on each test row's own key
     range. The other columns are centred on the training mean (centring
     keeps a large common offset from cancelling), and the training norms
-    and key counts form one more column of the matmul. One product reads
-    every span's codes (``_span_codes``).
+    and key counts form one more column of the matmul. Without ``codes``,
+    one product reads every span's codes (``_span_codes``).
 
     Two screens feed one ranking routine, ``_rank``, and every bound comes
     with its rounding margin from ``_bound``. The first screen settles test
@@ -631,7 +729,8 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
     row's main candidates go up to the bound of the 2k-th, capped at the
     wide threshold. Without other spans only stage 2 runs, on the own key.
     The second screen takes the other rows against every training row,
-    blocked over test rows into one preallocated buffer. Its main bound is
+    blocked over test rows into one preallocated buffer of at most
+    ``_BLOCK_VALUES`` values, or one row. Its main bound is
     the smaller of the k-th the first screen read and the k-th smallest
     screen value over every ``_SCREEN_STRIDE``-th training row, the strided
     k-th.
@@ -658,8 +757,9 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
     key_start, key_stop = key_span
     rest = np.r_[0:key_start, key_stop : widths[0]]
     spans = [key_span, *other_spans]
-    train_codes, train_seen = _span_codes(train_X, spans)
-    test_codes, test_seen = _span_codes(test_X, spans)
+    if codes is None:
+        codes = [_span_codes(X, spans) for X in (train_X, test_X)]
+    (train_codes, train_seen), (test_codes, test_seen) = codes
     order = np.argsort(train_codes[:, 0], kind="stable")
     values = np.empty((n, len(rest) + 1))
     train_c = values[:, :-1]
@@ -688,7 +788,7 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
         cells = _cells(screen, plain, spans, train_codes, train_seen, test_codes, test_seen)
     # Past here the codes and counts are read only through the screen:
     # freeing them lowers the search's peak memory.
-    del train_codes, train_seen, test_codes, test_seen
+    del codes, train_codes, train_seen, test_codes, test_seen
     work = _Work(np.zeros(m, dtype=np.int8), [], [])
     rank = partial(_rank, train_X, test_X, k, widths, screen, out, work)
     own = _settle_in_key(rank, screen, k, widths[0], cells, work)
@@ -696,9 +796,10 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
     del cells
     hard = np.flatnonzero(work.stage == 0)
     # One buffer for the blocks, sized for the rows left.
-    block_sq = np.empty((min(_TEST_BLOCK, len(hard)), n))
-    for start in range(0, len(hard), _TEST_BLOCK):
-        rows = hard[start : start + _TEST_BLOCK]
+    step = max(1, _BLOCK_VALUES // n)
+    block_sq = np.empty((min(step, len(hard)), n))
+    for start in range(0, len(hard), step):
+        rows = hard[start : start + step]
         const = consts[rows]
         sq = screen.full(rows, block_sq[: len(rows)])
         strided = sq[:, ::_SCREEN_STRIDE] if n // _SCREEN_STRIDE >= k else sq
@@ -743,6 +844,7 @@ def knn_predict(
     main_width: int | None = None,
     key_span: tuple[int, int] = (0, 0),
     other_spans: Sequence[tuple[int, int]] = (),
+    _codes=None,
 ):
     """Inverse-distance weighted k-nearest-neighbor prediction.
 
@@ -772,7 +874,11 @@ def knn_predict(
     settled, where it can be, on its code cell, the training rows that
     share its code in every block, and a row its cell does not settle on
     its key's training rows and the other keys' rows that share its code
-    in every other block. Neither changes the predictions.
+    in every other block. Neither changes the predictions. The search reads
+    each row's code in every block from the matrices, unless ``_codes``
+    holds them, as ``(codes, seen)`` of the training and of the test rows
+    over the key's block, then the others; eval hands over the codes its
+    featurizer found.
 
     Every feature value must be finite: a NaN or infinite distance ranks no
     neighbour.
@@ -807,7 +913,7 @@ def knn_predict(
         raise ContractViolationError("feature matrices hold a non-finite value")
     predictions = [
         _predict(idx, dist, train_y, task)
-        for idx, dist in _select_neighbors(train_X, test_X, k, main_width, key_span, other_spans)[0]
+        for idx, dist in _select_neighbors(train_X, test_X, k, main_width, key_span, other_spans, _codes)[0]
     ]
     if single:
         predictions = [p[0] for p in predictions]
@@ -872,16 +978,19 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
     n_train = train.row_count
     key = dataset.schema.merged.node(dataset.schema.coupling_index).name
     stats = fit_feature_stats(train)
-    main = featurize_main_only(dataset.main_table, stats)
     agg = build_key_aggregates(dataset.add_table, key)
     agg_rows, fallback = map_aggregates(dataset.main_table.column(key).values, agg)
     fit_agg_norms(agg_rows, n_train, agg.numeric_mask)
+    # Both conditions read one matrix: the main features lead, written in
+    # place, and the weighted aggregates follow. No main-only copy exists.
+    main_width = stats.width
+    joined = np.empty((len(agg_rows), main_width + agg_rows.shape[1]))
+    main = featurize_main_only(dataset.main_table, stats, _out=joined)
     weight = fit_agg_weight(main.values[:n_train], agg_rows[:n_train])
-    joined = featurize_joined(main, agg_rows, weight).values
-    # Both conditions read the joined rows, the main one their leading
-    # columns, so no main-only copy is kept through the search.
-    main_width, key_span = main.values.shape[1], main.spans[key]
-    other_spans = [span for name, span in main.spans.items() if name in stats.categories and name != key]
+    featurize_joined(main, agg_rows, weight, _out=joined)
+    others = [name for name in main.spans if name in stats.categories and name != key]
+    key_span, other_spans = main.spans[key], [main.spans[name] for name in others]
+    codes, seen = _feature_codes(main, [key, *others])
     del main, agg_rows
     affected = latently_affected_targets(dataset.schema)
     name_to_affected = {
@@ -904,6 +1013,7 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
         main_width=main_width,
         key_span=key_span,
         other_spans=other_spans,
+        _codes=[(codes[:n_train], seen[:n_train]), (codes[n_train:], seen[n_train:])],
     )
     main_scores, joined_scores = (
         [score(p, test.column(name).values, task) for p, (name, task) in zip(preds, targets)]

@@ -1,8 +1,9 @@
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from relgen import evaluate
 from relgen.config import config_from_dict
 from relgen.errors import InvalidParameterError, UndefinedMetricError
 from relgen.evaluate import (
@@ -160,6 +161,21 @@ def test_agg_norms_standardize_numeric_columns_on_the_training_head():
     fit_agg_norms(mapped, 2, np.array([True, False]))
     # Mean 2 and std 1 of the first two rows; the frequency column stays raw.
     assert np.array_equal(mapped, [[-1.0, 0.5], [1.0, 0.25], [7.0, 1.0]])
+
+
+@pytest.mark.parametrize("rows", [1, 511, 512, 513, 3 * 512 + 7])
+def test_row_blocked_variance_equals_numpy_bit_for_bit(rows):
+    # Around and past the block of 512 rows: columns at a 1e8 common offset,
+    # where the order of the row sums shows in the last bits, 0/1 columns,
+    # a lone column (summed pairwise) and the strided leading columns of a
+    # wider matrix, as eval's training rows are.
+    assert evaluate._VAR_BLOCK == 512
+    gen = rng(rows)
+    offset = 1e8 + gen.normal(size=(rows, 5))
+    onehot = (gen.random((rows, 6)) < 0.3).astype(float)
+    wide = np.concatenate([offset, onehot, gen.normal(size=(rows, 4))], axis=1)
+    for X in (offset, onehot, wide, wide[:, :11], wide[:, :2], offset[:, :1], wide[:, 3:4]):
+        assert evaluate._column_var(X).tobytes() == X.var(axis=0).tobytes()
 
 
 def test_joined_concatenates_main_and_aggregates():
@@ -400,7 +416,7 @@ def test_one_neighbor_search_per_condition(monkeypatch, kwargs):
     assert len(report.targets) > 1
     # One search serves both conditions: the joined rows and their main width.
     assert len(calls) == 1 and len(report.feature_widths) == 2
-    train_X, test_X, _, main_width, (start, stop), _ = calls[0]
+    train_X, test_X, _, main_width, (start, stop), _, _ = calls[0]
     assert train_X.shape[1] == test_X.shape[1] == report.feature_widths["joined"]
     assert main_width == report.feature_widths["main_only"]
     # The search is given the coupling key's one-hot columns.
@@ -561,21 +577,25 @@ def test_main_table_is_featurized_once_per_eval(monkeypatch):
 
 
 def test_no_main_only_matrix_outlives_featurization(monkeypatch):
-    # The search reads the main condition from the joined rows' leading
-    # columns, so the main-only matrix is freed before it starts.
+    # The main features are written into the leading columns of the one
+    # joined matrix, and the search reads both conditions from it: the
+    # main block is a view of the matrix the search is handed.
     from relgen import evaluate
 
     made = []
     featurize, search = evaluate.featurize_main_only, evaluate.knn_predict
 
-    def tracked(*args):
-        features = featurize(*args)
-        made.append(weakref.ref(features.values))
+    def tracked(*args, **kwargs):
+        features = featurize(*args, **kwargs)
+        made.append(features.values)
         return features
 
-    def checked(*args, **kwargs):
-        assert len(made) == 1 and made[0]() is None
-        return search(*args, **kwargs)
+    def checked(train_X, train_y, test_X, **kwargs):
+        (values,) = made
+        assert np.shares_memory(values, train_X) and np.shares_memory(values, test_X)
+        assert values.base is train_X.base is test_X.base
+        assert values.base.shape == (len(train_X) + len(test_X), train_X.shape[1])
+        return search(train_X, train_y, test_X, **kwargs)
 
     monkeypatch.setattr(evaluate, "featurize_main_only", tracked)
     monkeypatch.setattr(evaluate, "knn_predict", checked)
@@ -611,7 +631,7 @@ def test_search_with_the_key_settle_equals_the_search_without(monkeypatch):
     )
     dataset = generate_relational(build_schema(cfg), 1000, 60, cfg.noise, 200, 1)
     args, (got, work) = captured_search(monkeypatch, dataset)
-    train_X, test_X, k, main_width, span, _ = args
+    train_X, test_X, k, main_width, span, _, _ = args
     assert span[1] - span[0] == 8 and 0.3 <= (work.stage < 3).mean() < 1.0
     plain, plain_work = evaluate._select_neighbors(train_X, test_X, k, main_width, (0, 0))
     assert (plain_work.stage == 3).all()
@@ -648,7 +668,7 @@ def test_search_on_a_generated_dataset_equals_brute_force(monkeypatch, unseen):
         build_schema(cfg), cfg.rows_main, cfg.rows_add, cfg.noise, cfg.num_presamples, cfg.master_seed
     )
     args, (out, work) = captured_search(monkeypatch, dataset)
-    train_X, test_X, k, main_width, key_span, other_spans = args
+    train_X, test_X, k, main_width, key_span, other_spans, _ = args
     assert len(other_spans) == 3 and (work.stage[:, None] == [1, 2, 3]).any(axis=0).all()
     if unseen:
         cell_row, key_row = np.flatnonzero(work.stage == 1)[0], np.flatnonzero(work.stage == 2)[0]
@@ -661,3 +681,54 @@ def test_search_on_a_generated_dataset_equals_brute_force(monkeypatch, unseen):
     for (idx, dist), width in zip(out, [main_width, train_X.shape[1]]):
         ref_idx, ref_dist = exact_neighbours(train_X[:, :width], test_X[:, :width], k)
         assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
+
+
+@pytest.mark.parametrize("split_side", ["all-rows", "test-split"])
+def test_featurizer_codes_equal_the_span_codes_of_its_matrix(split_side):
+    # The codes eval hands to the search come from the featurizer, not from
+    # its matrix; they must be what the search reads from the matrix when
+    # given none. The CLI's SMALL profile at seed 4 has four categorical
+    # features, and its test split a key training never saw.
+    from test_cli import SMALL
+
+    cfg = config_from_dict({**SMALL, "master_seed": 4, "rows_main": 600})
+    dataset = generate_relational(
+        build_schema(cfg), cfg.rows_main, cfg.rows_add, cfg.noise, cfg.num_presamples, cfg.master_seed
+    )
+    train, test = split(dataset.main_table, EvalConfig().test_fraction)
+    stats = fit_feature_stats(train)
+    features = featurize_main_only(dataset.main_table if split_side == "all-rows" else test, stats)
+    names = list(stats.categories)
+    codes, seen = evaluate._feature_codes(features, names)
+    want_codes, want_seen = evaluate._span_codes(features.values, [features.spans[name] for name in names])
+    assert len(names) == 4
+    assert codes.dtype == want_codes.dtype and np.array_equal(codes, want_codes)
+    assert seen.dtype == want_seen.dtype and np.array_equal(seen, want_seen)
+    assert (seen == 0.0).any()
+
+
+def test_eval_peak_memory_is_the_joined_matrix_plus_a_few_blocks():
+    # A 20,000-row eval of the benchmark's pinned profile. Past the one
+    # joined matrix, eval holds a few blocks of at most the value budget:
+    # the screen's copy of the non-key main columns, about one, a block of
+    # screen values, the gathered pairs and their temporaries. Six budgets
+    # leave about 20% headroom; a main-only copy of the features (21 MB)
+    # or a full-size variance temporary (19 MB) would exceed them.
+    cfg = config_from_dict(
+        {
+            "master_seed": 0,
+            "main_graph": {"num_nodes": 12},
+            "add_graph": {"num_nodes": 6},
+            "coupling_categories": [100, 0],
+        }
+    )
+    dataset = generate_relational(build_schema(cfg), 20_000, 500, cfg.noise, cfg.num_presamples, 0)
+    tracemalloc.start()
+    try:
+        report = run_comparison(dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    joined = dataset.main_table.row_count * report.feature_widths["joined"] * 8
+    assert report.feature_widths == {"main_only": 130, "joined": 148}
+    assert peak <= joined + 6 * evaluate._BLOCK_VALUES * 8

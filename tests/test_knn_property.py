@@ -660,7 +660,7 @@ def test_own_key_bound_measures_only_the_keys_nearest_rows():
     "far, shifts, joined, joined_dist, measured",
     [
         (False, [0.0], [[0, 1]], [[np.sqrt(2.0), 2.0]], [(2, [1, 2, 3]), (2, []), (3, [1, 2, 3]), (3, [0])]),
-        (True, [0.0], [[0, 4]], [[np.sqrt(2.0), 1.5]], [(2, [1, 2, 3]), (2, [4]), (3, [1, 2, 3]), (3, [0, 4])]),
+        (True, [0.0], [[0, 4]], [[np.sqrt(2.0), 1.5]], [(2, [1, 2, 3]), (2, []), (3, [1, 2, 3]), (3, [0, 4])]),
         (True, [0.0, 0.05, -0.05, 0.1] * 10, None, None, None),
     ],
     ids=["other-key", "own-key-past-threshold", "many-far-rows"],
@@ -673,8 +673,9 @@ def test_joined_neighbour_between_the_own_and_the_strided_limit(far, shifts, joi
     # the key-2 rows, and is the joined nearest; only the block screen reads
     # it. With ``far``, a fourth key-1 row (training index 4) has rest 1.5
     # and an appended block of 0: main d^2 2.25, beyond the threshold, and
-    # joined d^2 2.25. Both stages read it from their values, and each
-    # measures it once. Many test rows, their rest shifted by up to 0.1, are
+    # joined d^2 2.25. Both stages read it from their values, but only the
+    # block screen measures it: the key range leaves the joined candidates
+    # of a row it hands on unread. Many test rows, their rest shifted by up to 0.1, are
     # all ranked in one block by each stage; they match the search without a
     # key span.
     keys = np.repeat([0, 1, 2], [1, 4, 35] if far else [1, 3, 36])
