@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,15 +139,22 @@ def featurize_main_only(rows: Table, stats: FeatureStats, _out: np.ndarray | Non
             mean, std = stats.numeric[name]
             values[:, start] = (col - mean) / max(std, STD_FLOOR)
             continue
-        cats = stats.categories[name]
-        code = np.searchsorted(cats, col)
-        # A value that is no training category gets the span's width.
-        code[cats[np.minimum(code, len(cats) - 1)] != col] = len(cats)
+        code = _sorted_position(stats.categories[name], col)
         values[:, start:stop] = 0.0
-        seen = np.flatnonzero(code < len(cats))
+        seen = np.flatnonzero(code < stop - start)
         values[seen, start + code[seen]] = 1.0
         codes[name] = code
     return FeatureMatrix(values=values, spans=dict(stats.spans), codes=codes)
+
+
+def _sorted_position(sorted_values, values):
+    """Position of each of ``values`` among the distinct ``sorted_values``,
+    or ``len(sorted_values)`` for a value not among them."""
+    position = np.searchsorted(sorted_values, values)
+    found = position < len(sorted_values)
+    found[found] = sorted_values[position[found]] == values[found]
+    position[~found] = len(sorted_values)
+    return position
 
 
 @dataclass
@@ -191,22 +198,20 @@ def build_key_aggregates(add_table: Table, key_column: str) -> KeyAggregates:
 def map_aggregates(keys: np.ndarray, agg: KeyAggregates) -> tuple[np.ndarray, np.ndarray]:
     """Aggregate row of each key, and a mask of the keys the additional
     table lacks, which get the fallback row."""
-    keys = np.asarray(keys, dtype=np.int64)
-    row = np.searchsorted(agg.keys, keys)
-    fallback = ~np.isin(keys, agg.keys)
-    row[fallback] = len(agg.keys)
-    return agg.table[row], fallback
+    row = _sorted_position(agg.keys, np.asarray(keys, dtype=np.int64))
+    return agg.table[row], row == len(agg.keys)
 
 
 def fit_agg_norms(mapped: np.ndarray, n_train: int, numeric_mask: np.ndarray) -> None:
     """Standardize the mean-aggregated columns of ``mapped`` in place.
 
     ``mapped`` holds the aggregate rows of every main row, the training
-    rows first; mean and std are those of its first ``n_train`` rows.
-    Frequency columns stay raw like every other one-hot block.
+    rows first; mean and std are those of its first ``n_train`` rows, the
+    std from ``_column_var``. Frequency columns stay raw like every other
+    one-hot block.
     """
     train = mapped[:n_train]
-    mean, std = train.mean(axis=0)[numeric_mask], train.std(axis=0)[numeric_mask]
+    mean, std = train.mean(axis=0)[numeric_mask], np.sqrt(_column_var(train))[numeric_mask]
     mapped[:, numeric_mask] = (mapped[:, numeric_mask] - mean) / np.maximum(std, STD_FLOOR)
 
 
@@ -331,43 +336,6 @@ def _rank_pairs(rows, cand, dist, n_rows, k):
     return order[first[:, None] + np.arange(k)]
 
 
-def _span_codes(X, spans):
-    """Each row's code in each one-hot span of ``X``, the column of its one
-    within the span (the span's width for an all-zero row), and the row's
-    count of ones there, 0 or 1: two (rows, len(spans)) arrays.
-
-    One product over the columns the spans cover yields both. The nonzero
-    cells of the spans must then number the ones counted, which holds only
-    if every cell is 0 or 1 and no row holds two ones in a span; raises
-    ContractViolationError otherwise.
-    """
-    lo, hi = min(start for start, _ in spans), max(stop for _, stop in spans)
-    weights = np.zeros((hi - lo, 2 * len(spans)))
-    inside = np.zeros(hi - lo, dtype=bool)
-    for j, (start, stop) in enumerate(spans):
-        weights[start - lo : stop - lo, j] = 1.0
-        weights[start - lo : stop - lo, len(spans) + j] = np.arange(stop - start)
-        inside[start - lo : stop - lo] = True
-    block = X[:, lo:hi]
-    sums = block @ weights
-    seen, code = sums[:, : len(spans)], sums[:, len(spans) :]
-    nonzero = block != 0.0
-    nonzero[:, ~inside] = False
-    if not (((seen == 0.0) | (seen == 1.0)).all() and np.count_nonzero(nonzero) == seen.sum()):
-        raise ContractViolationError(f"the spans {spans} are not all one-hot blocks")
-    widths = np.array([stop - start for start, stop in spans])
-    return code.astype(np.intp) + (seen == 0.0) * widths, seen
-
-
-def _feature_codes(features, names):
-    """Each row's code and count of ones in the spans of the categorical
-    features ``names``, as ``_span_codes`` reads them from the matrix, from
-    the codes ``featurize_main_only`` kept."""
-    codes = np.column_stack([features.codes[name] for name in names])
-    widths = np.array([stop - start for start, stop in (features.spans[name] for name in names)])
-    return codes, (codes < widths).astype(float)
-
-
 def _lex_code(columns, dims):
     """One int64 per row of the code ``columns``, column j in [0, dims[j]),
     ordered as the rows are lexicographically: ``c * dims[-1] +
@@ -415,7 +383,7 @@ class _Work(NamedTuple):
     pairs: list  # (stage, test rows, training rows) per full-width ``_pair_sq`` call
 
 
-def _cells(screen, plain, spans, train_codes, train_seen, test_codes, test_seen):
+def _cells(screen, plain, spans, codes, seen):
     """The key-sorted training rows in a second order, by their codes in the
     other one-hot spans and then by key, and each test row's ranges in it.
 
@@ -423,8 +391,9 @@ def _cells(screen, plain, spans, train_codes, train_seen, test_codes, test_seen)
     from it in the key and in the plain columns, those outside every span,
     alone; its screen value is read from those columns, with 2 off in the
     test row's code cell, the rows that share its key as well. ``plain``
-    are the screen columns outside every span, and the codes and counts
-    ``_span_codes``' of the key span, then the others.
+    are the screen columns outside every span; ``codes`` and ``seen`` are
+    each row's codes and whether it has one, training rows first (see
+    ``_select_neighbors``).
 
     Returns four things:
 
@@ -445,23 +414,22 @@ def _cells(screen, plain, spans, train_codes, train_seen, test_codes, test_seen)
     # The key is the last digit, so a row's code less its key code is the
     # first code of its other-code range.
     dims = [stop - start + 1 for start, stop in [*spans[1:], spans[0]]]
-    digits = np.concatenate([train_codes, test_codes])
-    code = _lex_code([*digits[:, 1:].T, digits[:, 0]], dims)
+    code = _lex_code([*codes[:, 1:].T, codes[:, 0]], dims)
     train_code, test_code = code[:n][screen.order], code[n:]
     pos = np.argsort(train_code, kind="stable")
-    ordered, first = train_code[pos], test_code - test_codes[:, 0]
+    ordered, first = train_code[pos], test_code - codes[n:, 0]
     values = np.ones((n, len(plain) + 2))
     values[:, :-2] = screen.values[:, plain][pos]
     np.einsum("ij,ij->i", values[:, :-2], values[:, :-2], out=values[:, -2])
-    values[:, -2] += train_seen[screen.order[pos], 0]
-    test = np.ones((len(test_codes), len(plain) + 2))
+    values[:, -2] += seen[screen.order[pos], 0]
+    test = np.ones((len(screen.codes), len(plain) + 2))
     test[:, :-2] = screen.factors[:, plain]
     # Halving undoes the factor's exact scaling by -2.
     np.einsum("ij,ij->i", test[:, :-2], test[:, :-2], out=test[:, -1])
     test[:, -1] = test[:, -1] / 4.0 + 1.0 - screen.consts
     own_start = np.searchsorted(ordered, test_code)
     own_stop = np.searchsorted(ordered, test_code, side="right")
-    eligible = (test_seen[:, 1:] == 1.0).all(axis=1)
+    eligible = seen[n:, 1:].all(axis=1)
     start = np.where(eligible, np.searchsorted(ordered, first), own_start)
     stop = np.where(eligible, np.searchsorted(ordered, first + dims[-1]), own_stop)
     by_codes = (values, test, pos)
@@ -469,7 +437,7 @@ def _cells(screen, plain, spans, train_codes, train_seen, test_codes, test_seen)
         (*by_codes, own_start, own_stop),
         [(*by_codes, start, own_start), (*by_codes, own_stop, stop)],
         eligible,
-        2.0 if (train_seen[:, 1:] == 1.0).all() else 1.0,
+        2.0 if seen[:n, 1:].all() else 1.0,
     )
 
 
@@ -679,19 +647,20 @@ def _settle_in_key(rank, screen, k, main_width, cells, work):
     return own
 
 
-def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), other_spans=(), codes=None):
+def _select_neighbors(train_X, test_X, k, main_width=None, spans=(), codes=None):
     """Indices and exact distances of the k nearest training rows per test row.
 
     Returns ``(out, work)``: ``out`` is a list holding one (idx, dist) pair
     for ``train_X``/``test_X`` or, given ``main_width``, one pair for the
     main rows, their leading ``main_width`` columns, and a second for the
     joined rows, all of them, both from one pass; ``work`` is the
-    ``_Work`` record of what the search did. ``key_span`` is the (start,
-    stop) column span of a one-hot block among the main columns, and
-    ``other_spans`` those of further one-hot blocks, disjoint from it and
-    from each other; they change the cost of the search, not its result.
-    ``codes``, if given, is what ``_span_codes`` reads from ``train_X`` and
-    from ``test_X`` over those spans, key first, found without reading them.
+    ``_Work`` record of what the search did. ``spans`` are the (start,
+    stop) column spans of disjoint one-hot blocks among the main columns,
+    the key's first, and ``codes`` an int array of each training row's and
+    then each test row's code in each of them: the column of the row's one
+    within the block, or the block's width for a row without one. They
+    change the cost of the search, not its result. Without spans the key
+    has no columns, and no row has one.
 
     Candidates are screened by the expanded square of the main rows. Over a
     one-hot block d^2 is exactly ``seen_test + seen_train - 2 * [same code]``,
@@ -699,8 +668,7 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
     stay out of the matmul, and 2 is subtracted on each test row's own key
     range. The other columns are centred on the training mean (centring
     keeps a large common offset from cancelling), and the training norms
-    and key counts form one more column of the matmul. Without ``codes``,
-    one product reads every span's codes (``_span_codes``).
+    and key counts form one more column of the matmul.
 
     Two screens feed one ranking routine, ``_rank``, and every bound comes
     with its rounding margin from ``_bound``. The first screen settles test
@@ -708,7 +676,7 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
     scan of a few contiguous ranges of training rows per test row
     (``_scan``; an inverted-file search, Jegou, Douze & Schmid, TPAMI 2011).
     Every training row of another key is at main d^2 >= 2, and at >= 1 if
-    some training row has no key, which sets the threshold. Given other
+    some training row has no key, which sets the threshold. Given further
     spans, a second training order sorts the rows by their other codes and
     then by key (``_cells``). Stage 1 takes each row with a key and a one
     in every other span to its code cell, the training rows that share its
@@ -752,15 +720,15 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
     candidates by exact distance, ties by training index, which is the order
     of a brute-force search.
     """
-    n, width = train_X.shape
+    (n, width), m = train_X.shape, len(test_X)
     widths = [width] if main_width is None else [main_width, width]
-    key_start, key_stop = key_span
+    if not spans:
+        spans, codes = [(0, 0)], np.zeros((n + m, 1), dtype=np.intp)
+    key_start, key_stop = spans[0]
     rest = np.r_[0:key_start, key_stop : widths[0]]
-    spans = [key_span, *other_spans]
-    if codes is None:
-        codes = [_span_codes(X, spans) for X in (train_X, test_X)]
-    (train_codes, train_seen), (test_codes, test_seen) = codes
-    order = np.argsort(train_codes[:, 0], kind="stable")
+    # Adding a bool adds exactly 0.0 or 1.0, a row's count of ones in a block.
+    seen = codes < [stop - start for start, stop in spans]
+    order = np.argsort(codes[:n, 0], kind="stable")
     values = np.empty((n, len(rest) + 1))
     train_c = values[:, :-1]
     # Two slices of gathered rows: an np.ix_ gather is about three times slower.
@@ -769,26 +737,22 @@ def _select_neighbors(train_X, test_X, k, main_width=None, key_span=(0, 0), othe
     center = train_c.mean(axis=0)
     train_c -= center
     np.einsum("ij,ij->i", train_c, train_c, out=values[:, -1])
-    values[:, -1] += train_seen[order, 0]
-    key_ends = np.searchsorted(train_codes[order, 0], np.arange(key_stop - key_start + 1))
-    m = len(test_X)
+    values[:, -1] += seen[order, 0]
+    key_ends = np.searchsorted(codes[order, 0], np.arange(key_stop - key_start + 1))
     factors = np.ones((m, len(rest) + 1))
     factors[:, :-1] = test_X[:, rest] - center
-    consts = np.einsum("ij,ij->i", factors[:, :-1], factors[:, :-1]) + test_seen[:, 0]
+    consts = np.einsum("ij,ij->i", factors[:, :-1], factors[:, :-1]) + seen[n:, 0]
     # Scaling by -2 is exact, so scaling the block is scaling the product.
     factors[:, :-1] *= -2.0
-    screen = _Screen(values, order, key_ends, values[:, -1].max(initial=0.0), factors, consts, test_codes[:, 0].copy())
+    screen = _Screen(values, order, key_ends, values[:, -1].max(initial=0.0), factors, consts, codes[n:, 0])
     out = [(np.empty((m, k), dtype=np.intp), np.empty((m, k))) for _ in widths]
     cells = None
-    if other_spans and key_stop > key_start:
+    if len(spans) > 1:
         plain = np.ones(widths[0], dtype=bool)
-        for start, stop in other_spans:
+        for start, stop in spans[1:]:
             plain[start:stop] = False
         plain = np.flatnonzero(plain[rest])
-        cells = _cells(screen, plain, spans, train_codes, train_seen, test_codes, test_seen)
-    # Past here the codes and counts are read only through the screen:
-    # freeing them lowers the search's peak memory.
-    del codes, train_codes, train_seen, test_codes, test_seen
+        cells = _cells(screen, plain, spans, codes, seen)
     work = _Work(np.zeros(m, dtype=np.int8), [], [])
     rank = partial(_rank, train_X, test_X, k, widths, screen, out, work)
     own = _settle_in_key(rank, screen, k, widths[0], cells, work)
@@ -842,9 +806,7 @@ def knn_predict(
     k: int = 10,
     task: str | list[str] = "regression",
     main_width: int | None = None,
-    key_span: tuple[int, int] = (0, 0),
-    other_spans: Sequence[tuple[int, int]] = (),
-    _codes=None,
+    _one_hot=(),
 ):
     """Inverse-distance weighted k-nearest-neighbor prediction.
 
@@ -866,19 +828,14 @@ def knn_predict(
     the joined neighbours lie among the rows whose main d^2 is within a
     rounding margin of an upper bound (see ``_select_neighbors``).
 
-    ``key_span=(start, stop)`` names main columns that form a one-hot
-    block: each row holds zeros and at most one 1. The search then screens
-    the block by key code and settles what test rows it can inside their
-    own key. ``other_spans`` names further one-hot blocks of main columns,
-    disjoint from the key's and from each other; a test row is then first
-    settled, where it can be, on its code cell, the training rows that
-    share its code in every block, and a row its cell does not settle on
-    its key's training rows and the other keys' rows that share its code
-    in every other block. Neither changes the predictions. The search reads
-    each row's code in every block from the matrices, unless ``_codes``
-    holds them, as ``(codes, seen)`` of the training and of the test rows
-    over the key's block, then the others; eval hands over the codes its
-    featurizer found.
+    Eval hands over its one-hot blocks through ``_one_hot``, as ``(spans,
+    codes)``: the (start, stop) main columns of each categorical feature's
+    block, the key's first, and an int array of each training row's and
+    then each test row's code in each block, the column of its one there
+    or the block's width where it has none, as its featurizer found them.
+    The search then screens the key's block by code and settles what test
+    rows it can inside their own code cell or key. The blocks change the
+    cost of the search, not the predictions.
 
     Every feature value must be finite: a NaN or infinite distance ranks no
     neighbour.
@@ -898,22 +855,11 @@ def knn_predict(
     width = train_X.shape[1]
     if main_width is not None and not 0 < main_width <= width:
         raise ContractViolationError(f"main width {main_width} lies outside (0, {width}]")
-    main = width if main_width is None else main_width
-    start, stop = key_span
-    if not 0 <= start <= stop <= main:
-        raise ContractViolationError(f"key span {key_span} lies outside {main} main columns")
-    other_spans = [tuple(span) for span in other_spans]
-    for span in other_spans:
-        if not 0 <= span[0] < span[1] <= main:
-            raise ContractViolationError(f"other span {span} is no non-empty range of {main} main columns")
-    spans = sorted(span for span in [key_span, *other_spans] if span[0] < span[1])
-    if any(a[1] > b[0] for a, b in zip(spans, spans[1:])):
-        raise ContractViolationError(f"the one-hot spans {spans} overlap")
     if not (np.isfinite(train_X).all() and np.isfinite(test_X).all()):
         raise ContractViolationError("feature matrices hold a non-finite value")
     predictions = [
         _predict(idx, dist, train_y, task)
-        for idx, dist in _select_neighbors(train_X, test_X, k, main_width, key_span, other_spans, _codes)[0]
+        for idx, dist in _select_neighbors(train_X, test_X, k, main_width, *_one_hot)[0]
     ]
     if single:
         predictions = [p[0] for p in predictions]
@@ -988,9 +934,9 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
     main = featurize_main_only(dataset.main_table, stats, _out=joined)
     weight = fit_agg_weight(main.values[:n_train], agg_rows[:n_train])
     featurize_joined(main, agg_rows, weight, _out=joined)
-    others = [name for name in main.spans if name in stats.categories and name != key]
-    key_span, other_spans = main.spans[key], [main.spans[name] for name in others]
-    codes, seen = _feature_codes(main, [key, *others])
+    # The search takes every categorical feature's block with its codes, the key's first.
+    names = [key, *(name for name in main.spans if name in stats.categories and name != key)]
+    one_hot = [main.spans[name] for name in names], np.column_stack([main.codes[name] for name in names])
     del main, agg_rows
     affected = latently_affected_targets(dataset.schema)
     name_to_affected = {
@@ -1011,9 +957,7 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
         k=cfg.k,
         task=tasks,
         main_width=main_width,
-        key_span=key_span,
-        other_spans=other_spans,
-        _codes=[(codes[:n_train], seen[:n_train]), (codes[n_train:], seen[n_train:])],
+        _one_hot=one_hot,
     )
     main_scores, joined_scores = (
         [score(p, test.column(name).values, task) for p, (name, task) in zip(preds, targets)]

@@ -168,7 +168,8 @@ def test_row_blocked_variance_equals_numpy_bit_for_bit(rows):
     # Around and past the block of 512 rows: columns at a 1e8 common offset,
     # where the order of the row sums shows in the last bits, 0/1 columns,
     # a lone column (summed pairwise) and the strided leading columns of a
-    # wider matrix, as eval's training rows are.
+    # wider matrix, as eval's training rows are. Its square root is the std
+    # ``fit_agg_norms`` standardizes by, bit for bit.
     assert evaluate._VAR_BLOCK == 512
     gen = rng(rows)
     offset = 1e8 + gen.normal(size=(rows, 5))
@@ -176,6 +177,7 @@ def test_row_blocked_variance_equals_numpy_bit_for_bit(rows):
     wide = np.concatenate([offset, onehot, gen.normal(size=(rows, 4))], axis=1)
     for X in (offset, onehot, wide, wide[:, :11], wide[:, :2], offset[:, :1], wide[:, 3:4]):
         assert evaluate._column_var(X).tobytes() == X.var(axis=0).tobytes()
+        assert np.sqrt(evaluate._column_var(X)).tobytes() == X.std(axis=0).tobytes()
 
 
 def test_joined_concatenates_main_and_aggregates():
@@ -416,7 +418,8 @@ def test_one_neighbor_search_per_condition(monkeypatch, kwargs):
     assert len(report.targets) > 1
     # One search serves both conditions: the joined rows and their main width.
     assert len(calls) == 1 and len(report.feature_widths) == 2
-    train_X, test_X, _, main_width, (start, stop), _, _ = calls[0]
+    train_X, test_X, _, main_width, spans, _ = calls[0]
+    start, stop = spans[0]
     assert train_X.shape[1] == test_X.shape[1] == report.feature_widths["joined"]
     assert main_width == report.feature_widths["main_only"]
     # The search is given the coupling key's one-hot columns.
@@ -631,9 +634,9 @@ def test_search_with_the_key_settle_equals_the_search_without(monkeypatch):
     )
     dataset = generate_relational(build_schema(cfg), 1000, 60, cfg.noise, 200, 1)
     args, (got, work) = captured_search(monkeypatch, dataset)
-    train_X, test_X, k, main_width, span, _, _ = args
-    assert span[1] - span[0] == 8 and 0.3 <= (work.stage < 3).mean() < 1.0
-    plain, plain_work = evaluate._select_neighbors(train_X, test_X, k, main_width, (0, 0))
+    train_X, test_X, k, main_width, spans, _ = args
+    assert spans[0][1] - spans[0][0] == 8 and 0.3 <= (work.stage < 3).mean() < 1.0
+    plain, plain_work = evaluate._select_neighbors(train_X, test_X, k, main_width)
     assert (plain_work.stage == 3).all()
     for (idx, dist), (ref_idx, ref_dist) in zip(got, plain):
         assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
@@ -658,7 +661,7 @@ def test_search_on_a_generated_dataset_equals_brute_force(monkeypatch, unseen):
     # one-hot spans, and one test row whose key training never saw. Every
     # stage ranks some test row. The variant gives a test row its cell
     # settled an unseen code in another span, and one the key range settled
-    # an unseen key.
+    # an unseen key: an all-zero block, and the block's width as its code.
     from test_cli import SMALL
 
     from relgen import evaluate
@@ -668,14 +671,16 @@ def test_search_on_a_generated_dataset_equals_brute_force(monkeypatch, unseen):
         build_schema(cfg), cfg.rows_main, cfg.rows_add, cfg.noise, cfg.num_presamples, cfg.master_seed
     )
     args, (out, work) = captured_search(monkeypatch, dataset)
-    train_X, test_X, k, main_width, key_span, other_spans, _ = args
+    train_X, test_X, k, main_width, spans, codes = args
+    (key_span, *other_spans), n = spans, len(train_X)
     assert len(other_spans) == 3 and (work.stage[:, None] == [1, 2, 3]).any(axis=0).all()
     if unseen:
         cell_row, key_row = np.flatnonzero(work.stage == 1)[0], np.flatnonzero(work.stage == 2)[0]
-        test_X = test_X.copy()
-        test_X[cell_row, slice(*other_spans[0])] = 0.0
-        test_X[key_row, slice(*key_span)] = 0.0
-        out, work = evaluate._select_neighbors(train_X, test_X, k, main_width, key_span, other_spans)
+        test_X, codes = test_X.copy(), codes.copy()
+        for row, j, (start, stop) in [(cell_row, 1, other_spans[0]), (key_row, 0, key_span)]:
+            test_X[row, start:stop] = 0.0
+            codes[n + row, j] = stop - start
+        out, work = evaluate._select_neighbors(train_X, test_X, k, main_width, spans, codes)
         assert work.stage[cell_row] > 1 and work.stage[key_row] == 3
         assert (work.stage[:, None] == [1, 2, 3]).any(axis=0).all()
     for (idx, dist), width in zip(out, [main_width, train_X.shape[1]]):
@@ -685,10 +690,12 @@ def test_search_on_a_generated_dataset_equals_brute_force(monkeypatch, unseen):
 
 @pytest.mark.parametrize("split_side", ["all-rows", "test-split"])
 def test_featurizer_codes_equal_the_span_codes_of_its_matrix(split_side):
-    # The codes eval hands to the search come from the featurizer, not from
-    # its matrix; they must be what the search reads from the matrix when
-    # given none. The CLI's SMALL profile at seed 4 has four categorical
-    # features, and its test split a key training never saw.
+    # The search takes the featurizer's codes as the codes of its one-hot
+    # blocks, and nothing checks them at run time. Each block must be the
+    # one-hot form of its codes, and each code the position of the row's
+    # category among the training ones; an unseen category gets the block's
+    # width and an all-zero block. The CLI's SMALL profile at seed 4 has
+    # four categorical features, and its test split a key training never saw.
     from test_cli import SMALL
 
     cfg = config_from_dict({**SMALL, "master_seed": 4, "rows_main": 600})
@@ -697,14 +704,19 @@ def test_featurizer_codes_equal_the_span_codes_of_its_matrix(split_side):
     )
     train, test = split(dataset.main_table, EvalConfig().test_fraction)
     stats = fit_feature_stats(train)
-    features = featurize_main_only(dataset.main_table if split_side == "all-rows" else test, stats)
-    names = list(stats.categories)
-    codes, seen = evaluate._feature_codes(features, names)
-    want_codes, want_seen = evaluate._span_codes(features.values, [features.spans[name] for name in names])
-    assert len(names) == 4
-    assert codes.dtype == want_codes.dtype and np.array_equal(codes, want_codes)
-    assert seen.dtype == want_seen.dtype and np.array_equal(seen, want_seen)
-    assert (seen == 0.0).any()
+    rows = dataset.main_table if split_side == "all-rows" else test
+    features = featurize_main_only(rows, stats)
+    assert len(stats.categories) == 4
+    unseen = 0
+    for name, cats in stats.categories.items():
+        start, stop = features.spans[name]
+        code, values = features.codes[name], rows.column(name).values
+        assert np.array_equal(features.values[:, start:stop], code[:, None] == np.arange(stop - start))
+        missing = code == len(cats)
+        assert np.array_equal(cats[code[~missing]], values[~missing])
+        assert not np.isin(values[missing], cats).any()
+        unseen += missing.sum()
+    assert unseen > 0
 
 
 def test_eval_peak_memory_is_the_joined_matrix_plus_a_few_blocks():

@@ -7,9 +7,10 @@ The joined form is checked on main rows plus a per-key block, the shape of
 the joined features: equal aggregate rows under distinct keys, the fallback
 row and an all-zero block. Its main condition must equal the plain call on
 the leading columns. The screen by key code is checked on main rows
-holding a one-hot key block, against the same search without the key span,
-with own-key k-th values at and just below the threshold below which a
-test row settles inside its key.
+holding a one-hot key block, handed to the search with each row's code as
+eval hands them, against the same search without the block, with own-key
+k-th values at and just below the threshold below which a test row settles
+inside its key.
 """
 
 import tracemalloc
@@ -28,6 +29,14 @@ from relgen.evaluate import _select_neighbors, knn_predict  # noqa: E402
 from test_evaluate import brute_force_knn  # noqa: E402
 
 OFFSETS = [0.0, 1.0, -3e3, 1e5, 1e7, -1e7]
+
+
+def one_hot(spans, codes):
+    """The search's ``_one_hot`` for ``spans``: ``codes`` holds each
+    training row's and then each test row's code per span, -1 for a row
+    without a one there, which the search reads as the span's width."""
+    codes = np.asarray(codes).reshape(-1, len(spans))
+    return list(spans), np.where(codes < 0, [stop - start for start, stop in spans], codes)
 
 
 @st.composite
@@ -169,13 +178,15 @@ def test_identical_training_rows_stay_within_one_training_matrix():
         test_X = np.concatenate([rest, keys], axis=1)
         test_J = np.concatenate([test_X, np.stack([block, 0 * block, block])], axis=1)
         y = rng.normal(size=n)
-        span = (rest_width, rest_width + key_width)
+        blocks = one_hot([(rest_width, rest_width + key_width)], [3] * n + [3, 7, -1]) if key_width else ()
         tracemalloc.start()
-        main, joined = knn_predict(
-            train_J, y, test_J, k=k, task="regression", main_width=train_X.shape[1], key_span=span
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        try:
+            main, joined = knn_predict(
+                train_J, y, test_J, k=k, task="regression", main_width=train_X.shape[1], _one_hot=blocks
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak <= 2 * n * train_J.shape[1] * 8
         if key_width:
             # The screen holds the non-key columns only: no full-width,
@@ -185,7 +196,7 @@ def test_identical_training_rows_stay_within_one_training_matrix():
         assert np.allclose(joined, brute_force_knn(train_J, y, test_J, k, "regression"), atol=1e-9, rtol=0)
 
 
-def test_main_width_and_key_span_must_lie_in_the_main_columns():
+def test_main_width_must_lie_in_the_columns():
     # Three main columns, the last two a one-hot key, then two joined
     # columns that repeat the key block.
     rng = np.random.default_rng(1)
@@ -195,16 +206,9 @@ def test_main_width_and_key_span_must_lie_in_the_main_columns():
     y = rng.normal(size=20)
     for width in (1, 3, 5):
         knn_predict(train_J, y, test_J, k=3, main_width=width)
-    knn_predict(train_J, y, test_J, k=3, main_width=3, key_span=(1, 3))
     for width in (0, -1, 6):
         with pytest.raises(ContractViolationError, match="main width"):
             knn_predict(train_J, y, test_J, k=3, main_width=width)
-    # A span past the main width is refused even where the plain call over
-    # all five columns accepts it as one-hot.
-    knn_predict(train_J, y, test_J, k=3, key_span=(3, 5))
-    for span in [(3, 5), (1, 4), (2, 4)]:
-        with pytest.raises(ContractViolationError, match="key span"):
-            knn_predict(train_J, y, test_J, k=3, main_width=3, key_span=span)
 
 
 def test_joined_tie_at_the_upper_bound_stays_a_candidate():
@@ -221,25 +225,10 @@ def test_joined_tie_at_the_upper_bound_stays_a_candidate():
 
 
 
-def test_key_span_must_be_one_hot():
-    rng = np.random.default_rng(2)
-    train_X = np.concatenate([rng.normal(size=(20, 2)), np.eye(3)[rng.integers(0, 3, size=20)]], axis=1)
-    test_X = train_X[:4].copy()
-    test_X[3, 2:] = 0.0
-    y = rng.normal(size=20)
-    knn_predict(train_X, y, test_X, k=3, key_span=(2, 5))
-    half = test_X.copy()
-    half[1, 2:] = [0.5, 0.0, 0.0]
-    two_ones = train_X.copy()
-    two_ones[6, 2:] = [1.0, 1.0, 0.0]
-    for train, test, span in [(train_X, half, (2, 5)), (two_ones, test_X, (2, 5)), (train_X, test_X, (2, 6))]:
-        with pytest.raises(ContractViolationError):
-            knn_predict(train, y, test, k=3, key_span=span)
-
-
 @st.composite
 def keyed_cases(draw):
-    """Joined rows whose main part holds a one-hot key block, the main width and the span.
+    """Joined rows whose main part holds a one-hot key block, the main width,
+    and the block's span with each row's key code (``one_hot``).
 
     The shape ``run_comparison`` searches: the appended block is the key's
     aggregate row, and a row without a key (an all-zero block) gets the
@@ -314,7 +303,8 @@ def keyed_cases(draw):
 
     train_J, test_J = joined(train_rest, train_keys), joined(test_rest, test_keys)
     y_reg, y_cls = rng.normal(size=n), rng.integers(0, 4, size=n)
-    return train_J, test_J, width + n_keys, k, (at, at + n_keys), y_reg, y_cls
+    blocks = one_hot([(at, at + n_keys)], np.concatenate([train_keys, test_keys]))
+    return train_J, test_J, width + n_keys, k, blocks, y_reg, y_cls
 
 
 def pairs_by_stage(work):
@@ -345,20 +335,20 @@ def measured_calls(work):
 @settings(max_examples=300, deadline=None)
 @given(keyed_cases())
 def test_key_screen_matches_the_plain_search_and_the_oracle(case):
-    train_J, test_J, width, k, span, y_reg, y_cls = case
+    train_J, test_J, width, k, blocks, y_reg, y_cls = case
     train_X, test_X = train_J[:, :width], test_J[:, :width]
-    searches = [_select_neighbors(train_J, test_J, k, width, key_span) for key_span in [(0, 0), span]]
+    searches = [_select_neighbors(train_J, test_J, k, width, *given) for given in [(), blocks]]
     for _, work in searches:
         pairs_by_stage(work)
     (plain, _), (keyed, _) = searches
     for (idx, dist), (ref_idx, ref_dist) in zip(keyed, plain):
         assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
 
-    main, got = knn_predict(train_J, y_reg, test_J, k=k, task="regression", main_width=width, key_span=span)
+    main, got = knn_predict(train_J, y_reg, test_J, k=k, task="regression", main_width=width, _one_hot=blocks)
     assert np.allclose(main, brute_force_knn(train_X, y_reg, test_X, k, "regression"), atol=1e-9, rtol=0)
     assert np.allclose(got, brute_force_knn(train_J, y_reg, test_J, k, "regression"), atol=1e-9, rtol=0)
     for (scores, classes), (X, T) in zip(
-        knn_predict(train_J, y_cls, test_J, k=k, task="classification", main_width=width, key_span=span),
+        knn_predict(train_J, y_cls, test_J, k=k, task="classification", main_width=width, _one_hot=blocks),
         [(train_X, test_X), (train_J, test_J)],
     ):
         ref_scores, ref_classes = brute_force_knn(X, y_cls, T, k, "classification")
@@ -370,7 +360,8 @@ def test_key_screen_matches_the_plain_search_and_the_oracle(case):
 def spanned_cases(draw):
     """Joined rows whose main part holds a one-hot key block, one to three
     other one-hot blocks and up to two numeric columns, in a drawn order;
-    the main width, the key span and the other spans.
+    the main width, and the blocks' spans, the key's first, with each row's
+    codes (``one_hot``).
 
     The shape ``run_comparison`` searches, with every categorical feature's
     span. The values come from a drawn seed, as in :func:`joined_cases`.
@@ -427,18 +418,18 @@ def spanned_cases(draw):
         return np.concatenate([main, agg + offset], axis=1)
 
     y_reg, y_cls = rng.normal(size=n), rng.integers(0, 4, size=n)
-    others = [spans[j] for j in range(1, len(widths) + 1)]
-    return joined(train, train_num), joined(test, test_num), start, k, spans[0], others, y_reg, y_cls
+    row_codes = np.concatenate([np.column_stack(train), np.column_stack(test)])
+    blocks = one_hot([spans[j] for j in range(len(widths) + 1)], row_codes)
+    return joined(train, train_num), joined(test, test_num), start, k, blocks, y_reg, y_cls
 
 
 @settings(max_examples=300, deadline=None)
 @given(spanned_cases())
 def test_other_spans_match_the_plain_search_and_the_oracle(case):
-    train_J, test_J, width, k, key_span, other_spans, y_reg, y_cls = case
+    train_J, test_J, width, k, (spans, codes), y_reg, y_cls = case
     train_X, test_X = train_J[:, :width], test_J[:, :width]
-    searches = [
-        _select_neighbors(train_J, test_J, k, width, *spans) for spans in [(), (key_span,), (key_span, other_spans)]
-    ]
+    given = [(), (spans[:1], codes[:, :1]), (spans, codes)]
+    searches = [_select_neighbors(train_J, test_J, k, width, *blocks) for blocks in given]
     for _, work in searches:
         pairs_by_stage(work)
     (plain, _), (keyed, _), (spanned, _) = searches
@@ -446,17 +437,21 @@ def test_other_spans_match_the_plain_search_and_the_oracle(case):
         assert np.array_equal(idx, plain_idx) and np.array_equal(dist, plain_dist)
         assert np.array_equal(idx, key_idx) and np.array_equal(dist, key_dist)
 
-    spans = {"main_width": width, "key_span": key_span, "other_spans": other_spans}
-    main, got = knn_predict(train_J, y_reg, test_J, k=k, task="regression", **spans)
+    kwargs = {"main_width": width, "_one_hot": (spans, codes)}
+    main, got = knn_predict(train_J, y_reg, test_J, k=k, task="regression", **kwargs)
     assert np.allclose(main, brute_force_knn(train_X, y_reg, test_X, k, "regression"), atol=1e-9, rtol=0)
     assert np.allclose(got, brute_force_knn(train_J, y_reg, test_J, k, "regression"), atol=1e-9, rtol=0)
     for (scores, classes), (X, T) in zip(
-        knn_predict(train_J, y_cls, test_J, k=k, task="classification", **spans),
+        knn_predict(train_J, y_cls, test_J, k=k, task="classification", **kwargs),
         [(train_X, test_X), (train_J, test_J)],
     ):
         ref_scores, ref_classes = brute_force_knn(X, y_cls, T, k, "classification")
         assert np.array_equal(classes, ref_classes)
         assert np.allclose(scores, ref_scores, atol=1e-9, rtol=0)
+
+
+# The key's and the other code's columns in ``coded_rows``.
+CODED_SPANS = [(2, 4), (4, 6)]
 
 
 def coded_rows(rows):
@@ -525,7 +520,8 @@ def coded_rows(rows):
 )
 def test_other_code_range_settles_below_its_threshold_only(test_row, train_rows, k, stages, settles):
     train_J, test_J = coded_rows(train_rows), coded_rows([test_row])
-    got, work = _select_neighbors(train_J, test_J, k, 6, (2, 4), [(4, 6)])
+    blocks = one_hot(CODED_SPANS, [row[:2] for row in [*train_rows, test_row]])
+    got, work = _select_neighbors(train_J, test_J, k, 6, *blocks)
     # A settled row is ranked last by the last stage it read, any other by
     # the block screen.
     assert work.stage.tolist() == [stages[-1] if settles else 3]
@@ -546,36 +542,6 @@ def test_other_code_range_settles_below_its_threshold_only(test_row, train_rows,
         assert set(measured) <= cell
 
 
-@pytest.mark.parametrize(
-    "other_spans, match",
-    [
-        ([(3, 6)], "overlap"),
-        ([(4, 7), (6, 8)], "overlap"),
-        ([(6, 9)], "other span"),
-        ([(-1, 1)], "other span"),
-        ([(5, 5)], "other span"),
-        ([(0, 1)], "one-hot"),
-        ([(4, 8)], "one-hot"),
-    ],
-    ids=["over-the-key", "over-each-other", "past-the-main-columns", "negative", "empty", "numeric", "two-ones"],
-)
-def test_malformed_other_spans_are_refused(other_spans, match):
-    # Main columns: one numeric, a key of three, then two other one-hot
-    # blocks of two; one appended column. (4, 8) spans both blocks, whose
-    # rows hold a one in each.
-    rng = np.random.default_rng(3)
-    blocks = [np.eye(w)[rng.integers(0, w, size=24)] for w in (3, 2, 2)]
-    X = np.concatenate([rng.normal(size=(24, 1)), *blocks, rng.normal(size=(24, 1))], axis=1)
-    y = rng.normal(size=20)
-    knn_predict(X[:20], y, X[20:], k=3, main_width=8, key_span=(1, 4), other_spans=[(4, 6), (6, 8)])
-    with pytest.raises(ContractViolationError, match=match):
-        knn_predict(X[:20], y, X[20:], k=3, main_width=8, key_span=(1, 4), other_spans=other_spans)
-    half = X.copy()
-    half[5, 4:6] = 0.5
-    with pytest.raises(ContractViolationError, match="one-hot"):
-        knn_predict(half[:20], y, half[20:], k=3, main_width=8, key_span=(1, 4), other_spans=[(4, 6)])
-
-
 def test_key_screen_measures_no_row_beyond_the_bound():
     # The test row has key 0 and value 0, and forty training rows equal it,
     # so with k = 5 both conditions' bound is 0. The same key at value 1, no
@@ -590,39 +556,12 @@ def test_key_screen_measures_no_row_beyond_the_bound():
         axis=1,
     )
     test_J = np.array([[0.0, 1.0, 0.0, 0.0]])
-    ((idx, dist), (joined_idx, joined_dist)), work = _select_neighbors(train_J, test_J, 5, 3, (1, 3))
+    blocks = one_hot([(1, 3)], [*np.repeat([0, 0, -1, 1], 40), 0])
+    ((idx, dist), (joined_idx, joined_dist)), work = _select_neighbors(train_J, test_J, 5, 3, *blocks)
     assert idx.tolist() == joined_idx.tolist() == [[0, 1, 2, 3, 4]]
     assert dist.tolist() == joined_dist.tolist() == [[0.0] * 5]
     assert work.stage.tolist() == [2]
     assert sorted(row for _, row in pairs_by_stage(work)[2]) == list(range(40))
-
-
-def test_span_codes_match_the_nonzero_form():
-    # Strided views of one-hot blocks, as the search reads them: rows
-    # without a key, keys in the first and the last column, a block of no
-    # key at all and one of no columns; then two spans with a numeric
-    # column between them and one after, read in one pass.
-    keys = np.array([-1, 4, 0, -1, 2, 4, 4, -1])
-    X = np.zeros((len(keys), 7))
-    X[keys >= 0, 1 + keys[keys >= 0]] = 1.0
-    X[:, 0] = np.arange(len(keys)) - 3.5
-
-    def nonzero_form(block):
-        code = np.full(len(block), block.shape[1])
-        rows, cols = np.nonzero(block)
-        code[rows] = cols
-        return code
-
-    for rows, span in [(slice(None), (1, 6)), ([0, 3, 7], (1, 6)), (slice(None), (1, 1))]:
-        block = X[rows, span[0] : span[1]]
-        got_code, got_seen = evaluate._span_codes(X[rows], [span])
-        assert got_code[:, 0].tolist() == nonzero_form(block).tolist() and got_code.dtype == np.intp
-        assert got_seen[:, 0].tolist() == block.sum(axis=1).tolist()
-    Y = np.concatenate([X[:, 1:4], X[:, :1], X[:, 4:6], X[:, :1]], axis=1)
-    got_code, got_seen = evaluate._span_codes(Y, [(4, 6), (0, 3)])
-    for j, (start, stop) in enumerate([(4, 6), (0, 3)]):
-        assert got_code[:, j].tolist() == nonzero_form(Y[:, start:stop]).tolist()
-        assert got_seen[:, j].tolist() == Y[:, start:stop].sum(axis=1).tolist()
 
 
 def test_lex_code_orders_rows_past_the_int64_range():
@@ -650,7 +589,8 @@ def test_own_key_bound_measures_only_the_keys_nearest_rows():
     keys = np.repeat([0, 1, 2], [1, 3, 36])
     train_J = np.concatenate([np.zeros((40, 1)), np.eye(3)[keys], 0.5 * keys[:, None]], axis=1)
     test_J = np.array([[0.0, 0.0, 1.0, 0.0, 0.5]])
-    ((idx, dist), (joined_idx, joined_dist)), work = _select_neighbors(train_J, test_J, 3, 4, (1, 4))
+    blocks = one_hot([(1, 4)], [*keys, 1])
+    ((idx, dist), (joined_idx, joined_dist)), work = _select_neighbors(train_J, test_J, 3, 4, *blocks)
     assert idx.tolist() == joined_idx.tolist() == [[1, 2, 3]]
     assert dist.tolist() == joined_dist.tolist() == [[0.0] * 3]
     assert measured_calls(work) == [(2, [1, 2, 3]), (2, [])]
@@ -687,7 +627,7 @@ def test_joined_neighbour_between_the_own_and_the_strided_limit(far, shifts, joi
     test_J = np.zeros((len(shifts), 5))
     test_J[:, 0], test_J[:, 2] = shifts, 1.0
     plain, _ = _select_neighbors(train_J, test_J, 2, 4)
-    got, work = _select_neighbors(train_J, test_J, 2, 4, (1, 4))
+    got, work = _select_neighbors(train_J, test_J, 2, 4, *one_hot([(1, 4)], [*keys, *[1] * len(shifts)]))
     # One ranking of the block by each stage: a main and a joined
     # measurement apiece.
     calls = measured_calls(work)
@@ -726,9 +666,11 @@ def test_rows_beyond_the_main_limit_are_screened_without_a_block_copy():
     test_J = np.stack([100.5 + 30.0 * np.arange(128), np.full(128, 32.0)], axis=1)
     y = np.arange(n, dtype=float)
     tracemalloc.start()
-    main, joined = knn_predict(train_J, y, test_J, k=k, task="regression", main_width=1)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    try:
+        main, joined = knn_predict(train_J, y, test_J, k=k, task="regression", main_width=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak <= 1.5 * 128 * n * 8
     assert np.allclose(main, brute_force_knn(train_J[:, :1], y, test_J[:, :1], k, "regression"), atol=1e-9, rtol=0)
     assert np.allclose(joined, brute_force_knn(train_J, y, test_J, k, "regression"), atol=1e-9, rtol=0)
@@ -750,7 +692,7 @@ def test_settled_rows_measure_no_pair_outside_their_key():
         return np.concatenate([rest, keys[:, None] == np.arange(6), table[keys]], axis=1)
 
     train_J, test_J = joined(train_keys), joined(test_keys)
-    got, work = _select_neighbors(train_J, test_J, 5, 8, (2, 8))
+    got, work = _select_neighbors(train_J, test_J, 5, 8, *one_hot([(2, 8)], [*train_keys, *test_keys]))
     assert work.stage.tolist() == [2] * 7 + [3, 3]
     pairs = [
         (test_keys[row], train_keys[cand]) for pairs in pairs_by_stage(work).values() for row, cand in pairs
@@ -775,9 +717,11 @@ def test_pair_gather_is_bounded_by_the_chunk(n):
     # The main and joined widths at once, then the joined extras' tail alone.
     for widths, start in [([8, width], 0), ([width], 8)]:
         tracemalloc.start()
-        got = evaluate._pair_sq(train_X, test_X, rows, cand, widths, start)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        try:
+            got = evaluate._pair_sq(train_X, test_X, rows, cand, widths, start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak <= 2 * count * 8 + 3 * evaluate._PAIR_CHUNK * width * 8
         assert len(got) == len(widths)
         for sq, stop in zip(got, widths):
