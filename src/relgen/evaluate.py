@@ -96,6 +96,8 @@ class FeatureStats:
     # non-target column name, in table order -> (start, stop) of its encoded
     # columns: one for a numeric, one per training category for a categorical
     spans: dict[str, tuple[int, int]]
+    # summed per-column variance of the encoded training rows
+    variance: float
 
     @property
     def width(self) -> int:
@@ -104,20 +106,35 @@ class FeatureStats:
 
 
 def fit_feature_stats(train: Table) -> FeatureStats:
+    """Fit the encoding, and the variance of the training rows it encodes.
+
+    A one-hot block whose categories take the shares p of the training rows
+    has variance 1 - sum(p^2). A standardized column's variance is measured
+    on the column itself, as its std does not give it: a constant column
+    whose mean rounds has a std of a few ulps, and a column whose squares
+    overflow has a std of inf, yet both standardize to a constant.
+    """
     numeric: dict[str, tuple[float, float]] = {}
     categories: dict[str, np.ndarray] = {}
     spans: dict[str, tuple[int, int]] = {}
-    stop = 0
+    variance, stop = 0.0, 0
     for col in train.columns:
         if col.role == "target":
             continue
         if col.kind == KIND_NUMERIC:
-            numeric[col.name] = (float(col.values.mean()), float(col.values.std()))
+            mean, std = numeric[col.name] = float(col.values.mean()), float(col.values.std())
+            variance += float(_standardize(col.values, mean, std).var())
         else:
-            categories[col.name] = np.unique(col.values)
+            categories[col.name], counts = np.unique(col.values, return_counts=True)
+            variance += 1.0 - float(np.square(counts / train.row_count).sum())
         start, stop = stop, stop + (1 if col.kind == KIND_NUMERIC else len(categories[col.name]))
         spans[col.name] = (start, stop)
-    return FeatureStats(numeric=numeric, categories=categories, spans=spans)
+    return FeatureStats(numeric=numeric, categories=categories, spans=spans, variance=variance)
+
+
+def _standardize(values, mean, std):
+    """``values`` less ``mean``, over ``std`` or ``STD_FLOOR`` if larger."""
+    return (values - mean) / np.maximum(std, STD_FLOOR)
 
 
 def featurize_main_only(rows: Table, stats: FeatureStats, _out: np.ndarray | None = None) -> FeatureMatrix:
@@ -132,15 +149,15 @@ def featurize_main_only(rows: Table, stats: FeatureStats, _out: np.ndarray | Non
     the rows, which ``values`` then views.
     """
     values = np.empty((rows.row_count, stats.width)) if _out is None else _out[:, : stats.width]
+    # One pass zeroes every one-hot block; the numeric columns are overwritten.
+    values[...] = 0.0
     codes: dict[str, np.ndarray] = {}
     for name, (start, stop) in stats.spans.items():
         col = rows.column(name).values
         if name in stats.numeric:
-            mean, std = stats.numeric[name]
-            values[:, start] = (col - mean) / max(std, STD_FLOOR)
+            values[:, start] = _standardize(col, *stats.numeric[name])
             continue
         code = _sorted_position(stats.categories[name], col)
-        values[:, start:stop] = 0.0
         seen = np.flatnonzero(code < stop - start)
         values[seen, start + code[seen]] = 1.0
         codes[name] = code
@@ -196,89 +213,73 @@ def build_key_aggregates(add_table: Table, key_column: str) -> KeyAggregates:
 
 
 def map_aggregates(keys: np.ndarray, agg: KeyAggregates) -> tuple[np.ndarray, np.ndarray]:
-    """Aggregate row of each key, and a mask of the keys the additional
-    table lacks, which get the fallback row."""
+    """Row of ``agg.table`` each key reads, and a mask of the keys the
+    additional table lacks, which read the fallback row."""
     row = _sorted_position(agg.keys, np.asarray(keys, dtype=np.int64))
-    return agg.table[row], row == len(agg.keys)
+    return row, row == len(agg.keys)
 
 
-def fit_agg_norms(mapped: np.ndarray, n_train: int, numeric_mask: np.ndarray) -> None:
-    """Standardize the mean-aggregated columns of ``mapped`` in place.
+def _weighted_moments(table: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population variance of each column of ``table`` with row i
+    weighted by ``counts[i]``: those of ``np.repeat(table, counts, axis=0)``.
 
-    ``mapped`` holds the aggregate rows of every main row, the training
-    rows first; mean and std are those of its first ``n_train`` rows, the
-    std from ``_column_var``. Frequency columns stay raw like every other
-    one-hot block.
+    Each sum adds the weighted rows in order, so its bits do not depend on
+    the machine's BLAS.
     """
-    train = mapped[:n_train]
-    mean, std = train.mean(axis=0)[numeric_mask], np.sqrt(_column_var(train))[numeric_mask]
-    mapped[:, numeric_mask] = (mapped[:, numeric_mask] - mean) / np.maximum(std, STD_FLOOR)
+    weights, n = counts[:, None], counts.sum()
+    mean = (table * weights).sum(axis=0) / n
+    return mean, (np.square(table - mean) * weights).sum(axis=0) / n
 
 
-# Rows of each block ``_column_var`` reads: a block of 512 rows of the
-# joined width stays in cache.
-_VAR_BLOCK = 512
+def fit_agg_norms(agg: KeyAggregates, counts: np.ndarray) -> None:
+    """Standardize the mean-aggregated columns of ``agg.table`` in place.
 
-
-def _column_var(X: np.ndarray) -> np.ndarray:
-    """``X.var(axis=0)`` bit for bit, without a temporary as large as ``X``.
-
-    ``var`` sums each column in row order, twice: the values, and after
-    dividing by the row count, their squared deviations from that mean.
-    Both sums run over blocks of ``_VAR_BLOCK`` rows, each block reduced
-    with the running sum as its first row, which continues the row-order
-    sum. A single column is summed pairwise instead, so it keeps ``var``,
-    as does a matrix without rows.
+    ``counts`` holds, per table row, the training rows that read it, so the
+    mean and std are those of the training rows' aggregates. Frequency
+    columns stay raw like every other one-hot block.
     """
-    n, width = X.shape
-    if width == 1 or n == 0:
-        return X.var(axis=0)
-    block = np.empty((_VAR_BLOCK + 1, width))
-
-    def column_sums(write):
-        for start in range(0, n, _VAR_BLOCK):
-            stop = min(n, start + _VAR_BLOCK)
-            write(X[start:stop], block[1 : stop - start + 1])
-            first = 0 if start else 1
-            block[0] = np.add.reduce(block[first : stop - start + 1], axis=0)
-        return block[0] / n
-
-    mean = column_sums(lambda rows, out: np.copyto(out, rows))
-    return column_sums(lambda rows, out: np.square(np.subtract(rows, mean, out=out), out=out))
+    numeric = agg.table[:, agg.numeric_mask]
+    mean, var = _weighted_moments(numeric, counts)
+    agg.table[:, agg.numeric_mask] = _standardize(numeric, mean, np.sqrt(var))
 
 
-def fit_agg_weight(train_main: np.ndarray, train_agg: np.ndarray) -> float:
+def fit_agg_weight(stats: FeatureStats, agg: KeyAggregates, counts: np.ndarray) -> float:
     """Block weight granting the aggregates a fixed share of the metric.
 
     The weight w solves w^2 * var(agg block) = AGG_SHARE * var(main block),
-    with per-column variances measured over the training rows, a block of
-    rows at a time (``_column_var``); it is capped at 1 so sparse aggregate
-    blocks are never inflated.
+    summed per-column variances of the training rows: the main block's as
+    ``stats`` fitted it, the aggregate block's from the standardized table
+    with each row weighted by its ``counts``. It is capped at 1 so sparse
+    aggregate blocks are never inflated.
     """
-    v_main = float(_column_var(train_main).sum())
-    v_agg = float(_column_var(train_agg).sum())
-    if v_agg <= 0.0 or v_main <= 0.0:
+    v_agg = float(_weighted_moments(agg.table, counts)[1].sum())
+    if v_agg <= 0.0 or stats.variance <= 0.0:
         return 1.0
-    return min(1.0, float(np.sqrt(AGG_SHARE * v_main / v_agg)))
+    return min(1.0, float(np.sqrt(AGG_SHARE * stats.variance / v_agg)))
 
 
 def featurize_joined(
-    main: FeatureMatrix, agg_rows: np.ndarray, agg_weight: float = 1.0, _out: np.ndarray | None = None
+    main: FeatureMatrix, agg: KeyAggregates, row: np.ndarray, agg_weight: float = 1.0, _out: np.ndarray | None = None
 ) -> FeatureMatrix:
-    """Main-table features with the key-matched aggregate rows appended.
+    """Main-table features with each row's standardized aggregate row appended.
 
-    ``agg_rows`` are the standardized aggregates mapped to the same rows;
-    ``agg_weight`` multiplies the whole aggregate block. The spans and
-    codes are the main features', which lead the joined columns. Given
-    ``_out``, the matrix whose leading columns ``featurize_main_only``
-    wrote, the weighted block is written into its tail in place; otherwise
-    both go to a new matrix.
+    ``row`` is the row of ``agg.table`` each main row reads; ``agg_weight``
+    multiplies the whole aggregate block. The spans and codes are the main
+    features', which lead the joined columns. Given ``_out``, the matrix
+    whose leading columns ``featurize_main_only`` wrote, the weighted block
+    is written into its tail in place; otherwise both go to a new matrix.
+    The table is weighted before the gather, which copies ``_PAIR_CHUNK``
+    rows at a time: a gather into the strided tail in one call would go
+    through a buffer of every row.
     """
     width = main.values.shape[1]
     if _out is None:
-        _out = np.empty((len(agg_rows), width + agg_rows.shape[1]))
+        _out = np.empty((len(row), width + agg.table.shape[1]))
         _out[:, :width] = main.values
-    np.multiply(agg_weight, agg_rows, out=_out[:, width:])
+    table = agg_weight * agg.table
+    for start in range(0, len(row), _PAIR_CHUNK):
+        stop = start + _PAIR_CHUNK
+        np.take(table, row[start:stop], axis=0, out=_out[start:stop, width:])
     return FeatureMatrix(_out, main.spans, main.codes)
 
 
@@ -291,8 +292,9 @@ _BLOCK_VALUES = 2**19
 # gather of those columns comes out column-major and partitions about five
 # times slower.
 _SCREEN_STRIDE = 4
-# Most pairs ``_pair_sq`` gathers at a time: 2,048 rows of the joined width
-# are a few MB, and as fast as larger gathers.
+# Most rows a gather copies at a time, of the pairs ``_pair_sq`` measures
+# and of the aggregate rows ``featurize_joined`` writes: 2,048 rows of the
+# joined width are a few MB, and as fast as larger gathers.
 _PAIR_CHUNK = 2048
 _EPS = np.finfo(float).eps
 
@@ -925,19 +927,21 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
     key = dataset.schema.merged.node(dataset.schema.coupling_index).name
     stats = fit_feature_stats(train)
     agg = build_key_aggregates(dataset.add_table, key)
-    agg_rows, fallback = map_aggregates(dataset.main_table.column(key).values, agg)
-    fit_agg_norms(agg_rows, n_train, agg.numeric_mask)
+    row, fallback = map_aggregates(dataset.main_table.column(key).values, agg)
+    # The aggregate block is fitted on the key table, each row weighted by
+    # the training rows that read it, and expanded to every main row once.
+    counts = np.bincount(row[:n_train], minlength=len(agg.table))
+    fit_agg_norms(agg, counts)
     # Both conditions read one matrix: the main features lead, written in
     # place, and the weighted aggregates follow. No main-only copy exists.
     main_width = stats.width
-    joined = np.empty((len(agg_rows), main_width + agg_rows.shape[1]))
+    joined = np.empty((len(row), main_width + agg.table.shape[1]))
     main = featurize_main_only(dataset.main_table, stats, _out=joined)
-    weight = fit_agg_weight(main.values[:n_train], agg_rows[:n_train])
-    featurize_joined(main, agg_rows, weight, _out=joined)
+    featurize_joined(main, agg, row, fit_agg_weight(stats, agg, counts), _out=joined)
     # The search takes every categorical feature's block with its codes, the key's first.
     names = [key, *(name for name in main.spans if name in stats.categories and name != key)]
     one_hot = [main.spans[name] for name in names], np.column_stack([main.codes[name] for name in names])
-    del main, agg_rows
+    del main, row
     affected = latently_affected_targets(dataset.schema)
     name_to_affected = {
         dataset.schema.merged.node(i).name: flag for i, flag in affected.items()

@@ -199,8 +199,8 @@ GOLDEN = {
 # SHA-256 of what ``relgen eval`` writes for that dataset: a change to the
 # neighbours, the scores or the report's encoding changes these.
 GOLDEN_EVAL = {
-    "eval_report.json": "80dab7fb85240b1c2e514052240a92e64b1b8a5a8a225ea3cb134a044fde64d5",
-    "metrics.csv": "e3c6889950839c13ab690b3e2fbbbb68cf678ab5e98775e5b6fc38c5b0e33df4",
+    "eval_report.json": "c005a8098b113e90d137d09db5d72dd1a5961ed9ab0d709a121227bdb567978b",
+    "metrics.csv": "be8e6505504d60f12822e3db3b4043d8fe57c82bc0e654b4b902985a8593b94a",
 }
 
 
@@ -215,8 +215,8 @@ GOLDEN_BY_HIDDEN_DIM = {
         "additional.csv": "dff1b733157b7fab9c85d510cdf15b7234d29b90a6c281c87f87ee87f1ee7c18",
         "schema.json": "76004f3baace5bd868e552fe839444cc47d97703a8635debbb49a9f94b81f1b8",
         "manifest.json": "160e3cc530a37110cc685152683434dd4506e7b1d74e8b961a0133f47559f040",
-        "eval_report.json": "31416e11704eb7bc7cafb8bdf63131742f506bb879dc26423436313c3c5cf031",
-        "metrics.csv": "919940b9b20e1331b4823f6f6ab502a518018a73e729f2e267267b5f788b8d78",
+        "eval_report.json": "003a96dc452c5006d13ac9d4f3f6063f1b96799d48f83e3fdb55c4dae1d0ae38",
+        "metrics.csv": "48a35e269fcbb5cbc32b31a830392525b40339d71dd8c68276459e4b166fa28c",
     },
     8: {
         "main.csv": "4fa5931cf63315ec1c78b881fb731e94f681871fd122bfbada47edd53b1da04d",

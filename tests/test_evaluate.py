@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -131,8 +132,8 @@ def make_add_table(keys, a_num, a_cat):
 def test_single_match_aggregate_equals_row_encoding():
     add = make_add_table(keys=[5, 6], a_num=[2.5, 7.0], a_cat=[1, 0])
     agg = build_key_aggregates(add, "C")
-    mapped, fallback = map_aggregates(np.array([5]), agg)
-    vec = mapped[0]
+    row, fallback = map_aggregates(np.array([5]), agg)
+    vec = agg.table[row[0]]
     assert fallback.tolist() == [False]
     # columns: A0 mean, then A1 one-hot frequencies over observed {0, 1}
     assert vec[0] == 2.5
@@ -142,7 +143,7 @@ def test_single_match_aggregate_equals_row_encoding():
 def test_two_matches_average():
     add = make_add_table(keys=[5, 5], a_num=[1.0, 3.0], a_cat=[0, 1])
     agg = build_key_aggregates(add, "C")
-    vec = map_aggregates(np.array([5]), agg)[0][0]
+    vec = agg.table[map_aggregates(np.array([5]), agg)[0][0]]
     assert vec[0] == 2.0
     assert np.array_equal(vec[1:], [0.5, 0.5])
 
@@ -150,34 +151,83 @@ def test_two_matches_average():
 def test_missing_key_falls_back_to_global():
     add = make_add_table(keys=[1, 2], a_num=[0.0, 4.0], a_cat=[0, 0])
     agg = build_key_aggregates(add, "C")
-    mapped, fallback = map_aggregates(np.array([99, 2]), agg)
+    row, fallback = map_aggregates(np.array([99, 2]), agg)
+    mapped = agg.table[row]
     assert fallback.tolist() == [True, False]
     assert mapped[0][0] == 2.0  # global mean
     assert np.isfinite(mapped).all()
 
 
 def test_agg_norms_standardize_numeric_columns_on_the_training_head():
-    mapped = np.array([[1.0, 0.5], [3.0, 0.25], [9.0, 1.0]])
-    fit_agg_norms(mapped, 2, np.array([True, False]))
+    table = np.array([[1.0, 0.5], [3.0, 0.25], [9.0, 1.0]])
+    agg = evaluate.KeyAggregates(np.array([1, 2]), table, np.array([True, False]))
+    # One training row reads each of the first two rows, none the last.
+    fit_agg_norms(agg, np.array([1, 1, 0]))
     # Mean 2 and std 1 of the first two rows; the frequency column stays raw.
-    assert np.array_equal(mapped, [[-1.0, 0.5], [1.0, 0.25], [7.0, 1.0]])
+    assert np.array_equal(agg.table, [[-1.0, 0.5], [1.0, 0.25], [7.0, 1.0]])
 
 
-@pytest.mark.parametrize("rows", [1, 511, 512, 513, 3 * 512 + 7])
-def test_row_blocked_variance_equals_numpy_bit_for_bit(rows):
-    # Around and past the block of 512 rows: columns at a 1e8 common offset,
-    # where the order of the row sums shows in the last bits, 0/1 columns,
-    # a lone column (summed pairwise) and the strided leading columns of a
-    # wider matrix, as eval's training rows are. Its square root is the std
-    # ``fit_agg_norms`` standardizes by, bit for bit.
-    assert evaluate._VAR_BLOCK == 512
-    gen = rng(rows)
-    offset = 1e8 + gen.normal(size=(rows, 5))
-    onehot = (gen.random((rows, 6)) < 0.3).astype(float)
-    wide = np.concatenate([offset, onehot, gen.normal(size=(rows, 4))], axis=1)
-    for X in (offset, onehot, wide, wide[:, :11], wide[:, :2], offset[:, :1], wide[:, 3:4]):
-        assert evaluate._column_var(X).tobytes() == X.var(axis=0).tobytes()
-        assert np.sqrt(evaluate._column_var(X)).tobytes() == X.std(axis=0).tobytes()
+@pytest.mark.parametrize("width", [6, 0])
+def test_weighted_moments_equal_those_of_the_repeated_rows(width):
+    # Seven key rows and an unread fallback row far from the rest: columns
+    # at a 1e8 common offset, where a mean's rounding shows, 0/1 columns
+    # and normal ones; some keys are read by no training row. The reference
+    # is exact: numpy's own variance of the repeated rows is off by up to
+    # 1e-14 at that offset.
+    gen = rng(3)
+    table = np.concatenate(
+        [1e8 + gen.normal(size=(8, 2)), (gen.random((8, 2)) < 0.5).astype(float), gen.normal(size=(8, 2))], axis=1
+    )[:, :width]
+    table[-1] = 1e12
+    counts = np.array([3, 0, 40, 1, 0, 7, 12, 0])
+    mean, var = evaluate._weighted_moments(table, counts)
+    exact_mean, exact_var = [], []
+    for column in np.repeat(table, counts, axis=0).T:
+        values = [Fraction(v) for v in column.tolist()]
+        exact_mean.append(sum(values) / len(values))
+        exact_var.append(sum((v - exact_mean[-1]) ** 2 for v in values) / len(values))
+    assert mean.shape == var.shape == (width,)
+    np.testing.assert_allclose(mean, np.array(exact_mean, dtype=float), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(var, np.array(exact_var, dtype=float), rtol=1e-14, atol=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_agg_weight_equals_the_variances_of_the_materialized_training_rows():
+    # The CLI's SMALL profile at seed 4, plus four main columns whose
+    # encoded variance a std alone does not give: a constant whose mean
+    # rounds (std about 1e-16), a column with 0 < std < STD_FLOOR, one near
+    # +-1e200, whose squares overflow, and a categorical with one training
+    # category. The closed forms equal the variances of the training rows
+    # the join block and the main block materialize.
+    from test_cli import SMALL
+
+    cfg = config_from_dict({**SMALL, "master_seed": 4, "rows_main": 600})
+    dataset = generate_relational(
+        build_schema(cfg), cfg.rows_main, cfg.rows_add, cfg.noise, cfg.num_presamples, cfg.master_seed
+    )
+    main, gen = dataset.main_table, rng(9)
+    one_category = np.where(np.arange(main.row_count) < 540, 3, 4)
+    main.columns += [
+        Column("E0", "numeric", "feature", np.full(main.row_count, 0.7)),
+        Column("E1", "numeric", "feature", 1e-14 * gen.normal(size=main.row_count)),
+        Column("E2", "numeric", "feature", 1e200 * gen.choice([-1.0, 1.0], main.row_count)),
+        Column("E3", "categorical", "feature", one_category),
+    ]
+    train, _ = split(main, EvalConfig().test_fraction)
+    key = dataset.schema.merged.node(dataset.schema.coupling_index).name
+    agg = build_key_aggregates(dataset.add_table, key)
+    row = map_aggregates(main.column(key).values, agg)[0]
+    counts = np.bincount(row[: train.row_count], minlength=len(agg.table))
+    fit_agg_norms(agg, counts)
+    stats = fit_feature_stats(train)
+    X, A = featurize_main_only(train, stats).values, agg.table[row[: train.row_count]]
+    assert X[:, stats.spans["E0"][0]].std() == 0.0 < np.std(train.column("E0").values)
+    assert 0.0 < stats.numeric["E1"][1] < evaluate.STD_FLOOR and stats.numeric["E2"][1] == np.inf
+    assert len(stats.categories["E3"]) == 1
+    expected = min(1.0, np.sqrt(AGG_SHARE * X.var(axis=0).sum() / A.var(axis=0).sum()))
+    assert stats.variance == pytest.approx(X.var(axis=0).sum(), rel=1e-13)
+    assert expected < 1.0
+    assert evaluate.fit_agg_weight(stats, agg, counts) == pytest.approx(expected, rel=1e-13)
 
 
 def test_joined_concatenates_main_and_aggregates():
@@ -186,15 +236,20 @@ def test_joined_concatenates_main_and_aggregates():
     add = make_add_table(keys=[1, 2], a_num=[0.0, 4.0], a_cat=[0, 1])
     stats = fit_feature_stats(main)
     agg = build_key_aggregates(add, "C")
-    mapped = map_aggregates(main.column("C").values, agg)[0]
-    fit_agg_norms(mapped, main.row_count, agg.numeric_mask)
+    row = map_aggregates(main.column("C").values, agg)[0]
+    fit_agg_norms(agg, np.bincount(row, minlength=len(agg.table)))
     base = featurize_main_only(main, stats)
-    fm = featurize_joined(base, mapped)
+    fm = featurize_joined(base, agg, row)
     width = base.values.shape[1]
     assert fm.values.shape[1] == width + agg.table.shape[1]
     assert fm.spans == base.spans
     assert np.array_equal(fm.values[:, :width], base.values)
-    assert np.array_equal(fm.values[:, width:], mapped)
+    assert np.array_equal(fm.values[:, width:], agg.table[row])
+    # Rows past the first gather chunk, weighted, each IEEE product as a
+    # product of the gathered rows would round it.
+    many = np.arange(2 * evaluate._PAIR_CHUNK + 5) % len(agg.table)
+    no_main = evaluate.FeatureMatrix(np.zeros((len(many), 0)), {}, {})
+    assert np.array_equal(featurize_joined(no_main, agg, many, 0.3).values, 0.3 * agg.table[many])
 
 
 # --- kNN ---------------------------------------------------------------------
