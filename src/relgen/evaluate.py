@@ -34,8 +34,14 @@ AGG_SHARE = 0.02
 
 @dataclass
 class FeatureMatrix:
-    values: np.ndarray  # (rows, d)
-    spans: dict[str, tuple[int, int]]  # feature name -> (start, stop) of its columns
+    """Encoded rows, their one-hot blocks held as codes.
+
+    The dense features are ``values``' columns, each at its span, with
+    every categorical's block at its own: the one-hot form of its codes.
+    """
+
+    values: np.ndarray  # (rows, d): the columns outside every one-hot block, in dense order
+    spans: dict[str, tuple[int, int]]  # feature name -> (start, stop) of its dense columns
     # categorical name -> each row's column within its span, the span's width
     # for a category unseen in training
     codes: dict[str, np.ndarray]
@@ -101,7 +107,7 @@ class FeatureStats:
 
     @property
     def width(self) -> int:
-        """Columns of the encoded features."""
+        """Columns of the dense encoded features, every one-hot block included."""
         return max((stop for _, stop in self.spans.values()), default=0)
 
 
@@ -138,29 +144,22 @@ def _standardize(values, mean, std):
 
 
 def featurize_main_only(rows: Table, stats: FeatureStats, _out: np.ndarray | None = None) -> FeatureMatrix:
-    """Standardized numerics plus one-hot categoricals; targets excluded.
+    """Standardized numerics plus the codes of the one-hot categoricals; targets excluded.
 
-    The columns are laid out as ``stats.spans`` says. Each categorical
-    value's code, the column of its one within the span, is found once and
-    kept in ``codes``; a category unseen during training gets the span's
-    width as its code and encodes as an all-zero block, keeping test rows
-    finite without touching the training geometry. The features go to a
-    new matrix or, given ``_out``, to the leading columns of that matrix of
-    the rows, which ``values`` then views.
+    ``values`` holds the numeric columns in the order of ``stats.spans``;
+    no one-hot column is written. Each categorical value's code, the column
+    of its one within the span, is found once and kept in ``codes``; a
+    category unseen during training gets the span's width as its code and
+    encodes as an all-zero block, keeping test rows finite without touching
+    the training geometry. The features go to a new matrix or, given
+    ``_out``, to the leading columns of that matrix of the rows, which
+    ``values`` then views.
     """
-    values = np.empty((rows.row_count, stats.width)) if _out is None else _out[:, : stats.width]
-    # One pass zeroes every one-hot block; the numeric columns are overwritten.
-    values[...] = 0.0
-    codes: dict[str, np.ndarray] = {}
-    for name, (start, stop) in stats.spans.items():
-        col = rows.column(name).values
-        if name in stats.numeric:
-            values[:, start] = _standardize(col, *stats.numeric[name])
-            continue
-        code = _sorted_position(stats.categories[name], col)
-        seen = np.flatnonzero(code < stop - start)
-        values[seen, start + code[seen]] = 1.0
-        codes[name] = code
+    width = len(stats.numeric)
+    values = np.empty((rows.row_count, width)) if _out is None else _out[:, :width]
+    for column, (name, (mean, std)) in enumerate(stats.numeric.items()):
+        values[:, column] = _standardize(rows.column(name).values, mean, std)
+    codes = {name: _sorted_position(cats, rows.column(name).values) for name, cats in stats.categories.items()}
     return FeatureMatrix(values=values, spans=dict(stats.spans), codes=codes)
 
 
@@ -265,7 +264,7 @@ def featurize_joined(
 
     ``row`` is the row of ``agg.table`` each main row reads; ``agg_weight``
     multiplies the whole aggregate block. The spans and codes are the main
-    features', which lead the joined columns. Given ``_out``, the matrix
+    features', whose plain columns lead the joined ones. Given ``_out``, the matrix
     whose leading columns ``featurize_main_only`` wrote, the weighted block
     is written into its tail in place; otherwise both go to a new matrix.
     The table is weighted before the gather, which copies ``_PAIR_CHUNK``
@@ -299,24 +298,92 @@ _PAIR_CHUNK = 2048
 _EPS = np.finfo(float).eps
 
 
-def _pair_sq(train_X, test_X, rows, cand, widths, start=0):
+class _Dense(NamedTuple):
+    """The search's rows as ``_pair_sq`` rebuilds them dense: the plain
+    columns, those outside every one-hot block, and each block's codes."""
+
+    train: np.ndarray  # plain columns of the training rows
+    test: np.ndarray  # plain columns of the test rows
+    columns: np.ndarray  # dense column of each plain column, rising
+    starts: np.ndarray  # first dense column of each block
+    sizes: np.ndarray  # columns of each block; a code this large has no one
+    train_codes: np.ndarray  # (training rows, blocks)
+    test_codes: np.ndarray  # (test rows, blocks)
+    buffer: np.ndarray  # zeros, (pairs per chunk, dense width or 0)
+
+
+def _dense(train_X, test_X, spans, codes):
+    """The ``_Dense`` of plain rows and the blocks at ``spans``, whose
+    ``codes`` hold each training row's and then each test row's code.
+
+    The dense width is the plain width plus every span's. A chunk takes
+    ``_PAIR_CHUNK`` pairs, or half the training rows, whichever is less, so
+    the buffer never holds more rows than ``train_X``. Without a block of
+    any columns the plain rows are dense, and the buffer has no columns.
+    """
+    starts, stops = np.array(spans, dtype=np.intp).reshape(-1, 2).T
+    plain = np.ones(train_X.shape[1] + (stops - starts).sum(), dtype=bool)
+    for start, stop in spans:
+        plain[start:stop] = False
+    n = len(train_X)
+    buffer = np.zeros((max(1, min(_PAIR_CHUNK, n // 2)), len(plain) if (stops > starts).any() else 0))
+    return _Dense(train_X, test_X, np.flatnonzero(plain), starts, stops - starts, codes[:n], codes[n:], buffer)
+
+
+def _pair_sq(dense, rows, cand, widths, start=0):
     """Squared exact distances of (test row, training row) pairs.
 
-    One array per entry of ``widths``, measuring the pairs over the columns
-    from ``start`` up to that width. Distances come from explicit
-    differences, so exact matches are exact zeros. Pairs are gathered
-    ``_PAIR_CHUNK``, or half a training matrix, at a time, whichever is
-    less: the gathered copies never hold more rows than ``train_X`` or grow
-    with the number of pairs.
+    One array per entry of ``widths``, measuring the pairs over the dense
+    columns from ``start`` up to that width. The plain columns' squares come
+    from explicit differences of the gathered rows, so exact matches are
+    exact zeros. Where a block lies past ``start``, each chunk of pairs
+    writes its dense squared differences into ``dense.buffer``: the plain
+    columns' squares, and 1.0 at both columns of every block whose two codes
+    differ, on each side that has a one there. Every other entry is the
+    difference of two equal zeros or ones, so each entry, and each row sum,
+    has the bits of the dense rows' squared differences. Only the entries
+    written are zeroed again. The gathered copies hold the plain columns of
+    a chunk, and never grow with the number of pairs.
     """
+    # The plain columns past ``start`` are the last of ``dense.train``'s.
+    first = np.searchsorted(dense.columns, start)
+    columns = dense.columns[first:] - start
+    blocks = (dense.starts >= start) & (dense.sizes > 0)
+    starts, sizes = dense.starts[blocks] - start, dense.sizes[blocks]
+    # Runs of adjacent dense columns among the plain ones: (gathered start,
+    # gathered stop, dense start past ``start``).
+    breaks = [0, *(np.flatnonzero(np.diff(columns) != 1) + 1).tolist(), len(columns)]
+    runs = [(a, b, columns[a]) for a, b in zip(breaks, breaks[1:]) if a < b]
     out = [np.empty(len(rows)) for _ in widths]
-    step = max(1, min(_PAIR_CHUNK, len(train_X) // 2))
+    step = len(dense.buffer)
     for s in range(0, len(rows), step):
-        diff = train_X[cand[s : s + step], start:]
-        diff -= test_X[rows[s : s + step], start:]
-        diff *= diff
-        for sq, width in zip(out, widths):
-            sq[s : s + step] = diff[:, : width - start].sum(axis=1)
+        sq = dense.train[cand[s : s + step], first:]
+        sq -= dense.test[rows[s : s + step], first:]
+        sq *= sq
+        # Without a block, the gathered columns are the dense ones.
+        chunk = sq
+        if len(starts):
+            chunk = dense.buffer[: len(sq), start:]
+            for a, b, at in runs:
+                chunk[:, at : at + b - a] = sq[:, a:b]
+            train_code = dense.train_codes[cand[s : s + step]][:, blocks]
+            test_code = dense.test_codes[rows[s : s + step]][:, blocks]
+            differ = train_code != test_code
+            pair, column = [], []
+            for code in (train_code, test_code):
+                i, j = np.nonzero(differ & (code < sizes))
+                pair.append(i)
+                column.append(starts[j] + code[i, j])
+            pair, column = np.concatenate(pair), np.concatenate(column)
+            chunk[pair, column] = 1.0
+        for sq_out, width in zip(out, widths):
+            sq_out[s : s + step] = chunk[:, : width - start].sum(axis=1)
+        if len(starts):
+            chunk[pair, column] = 0.0
+            for a, b, at in runs:
+                chunk[:, at : at + b - a] = 0.0
+        # The next chunk's gather must not sit beside this one.
+        del sq, chunk
     return out
 
 
@@ -479,7 +546,7 @@ def _bound(kth, norms, width):
     return kth + 4.0 * (width + 8) * _EPS * (norms + np.abs(kth))
 
 
-def _rank(train_X, test_X, k, widths, screen, out, work, stage, rows, values, at, main_limit, cover, const):
+def _rank(dense, k, widths, screen, out, work, stage, rows, values, at, main_limit, cover, const):
     """Write both conditions' neighbours of the test ``rows`` to ``out``, and
     return the mask of the rows whose joined limit passes their cover.
 
@@ -500,7 +567,7 @@ def _rank(train_X, test_X, k, widths, screen, out, work, stage, rows, values, at
     main_rows, col = np.divmod(np.flatnonzero(values <= main_limit[:, None]), values.shape[1])
     main_test = rows[main_rows]
     cand = screen.order[at(main_test, col)]
-    pair_sq = _pair_sq(train_X, test_X, main_test, cand, widths)
+    pair_sq = _pair_sq(dense, main_test, cand, widths)
     work.pairs.append((stage, main_test, cand))
     dist = np.sqrt(pair_sq[0])
     pick = _rank_pairs(main_rows, cand, dist, len(rows), k)
@@ -520,10 +587,10 @@ def _rank(train_X, test_X, k, widths, screen, out, work, stage, rows, values, at
     # A joined d^2 is the main d^2 plus the appended columns' part, and the
     # screen value plus that part must lie within the joined limit too;
     # measuring the part alone first leaves most of these pairs out.
-    (tail_sq,) = _pair_sq(train_X, test_X, more_test, more_cand, widths[1:], widths[0])
+    (tail_sq,) = _pair_sq(dense, more_test, more_cand, widths[1:], widths[0])
     near = values[more_rows, col] + tail_sq <= joined_limit[more_rows]
     more_rows, more_test, more_cand = more_rows[near], more_test[near], more_cand[near]
-    (more_sq,) = _pair_sq(train_X, test_X, more_test, more_cand, widths[1:])
+    (more_sq,) = _pair_sq(dense, more_test, more_cand, widths[1:])
     work.pairs.append((stage, more_test, more_cand))
     pair_rows, cand = np.concatenate([main_rows, more_rows]), np.concatenate([cand, more_cand])
     dist = np.sqrt(np.concatenate([pair_sq[1], more_sq]))
@@ -653,24 +720,31 @@ def _select_neighbors(train_X, test_X, k, main_width=None, spans=(), codes=None)
     """Indices and exact distances of the k nearest training rows per test row.
 
     Returns ``(out, work)``: ``out`` is a list holding one (idx, dist) pair
-    for ``train_X``/``test_X`` or, given ``main_width``, one pair for the
-    main rows, their leading ``main_width`` columns, and a second for the
+    for the dense rows or, given ``main_width``, one pair for the main
+    rows, their leading ``main_width`` dense columns, and a second for the
     joined rows, all of them, both from one pass; ``work`` is the
     ``_Work`` record of what the search did. ``spans`` are the (start,
-    stop) column spans of disjoint one-hot blocks among the main columns,
-    the key's first, and ``codes`` an int array of each training row's and
-    then each test row's code in each of them: the column of the row's one
-    within the block, or the block's width for a row without one. They
-    change the cost of the search, not its result. Without spans the key
-    has no columns, and no row has one.
+    stop) dense column spans of disjoint one-hot blocks among the main
+    columns, the key's first, and ``codes`` an int array of each training
+    row's and then each test row's code in each of them: the column of the
+    row's one within the block, or the block's width for a row without one.
+    ``train_X`` and ``test_X`` hold the plain columns, those outside every
+    span, in dense column order; the dense rows put each block's one-hot
+    form of the codes back at its span, so their width is the plain width
+    plus the spans'. The spans change the cost of the search, not its
+    result. Without spans the key has no columns, no row has one, and the
+    rows are dense.
 
     Candidates are screened by the expanded square of the main rows. Over a
     one-hot block d^2 is exactly ``seen_test + seen_train - 2 * [same code]``,
     so the training rows are sorted by key code once, the key's columns
     stay out of the matmul, and 2 is subtracted on each test row's own key
-    range. The other columns are centred on the training mean (centring
-    keeps a large common offset from cancelling), and the training norms
-    and key counts form one more column of the matmul.
+    range. The other columns, the plain ones gathered and 1.0 scattered at
+    each code of the other blocks, as a dense matrix holds them, are
+    centred on the training mean (centring keeps a large common offset from
+    cancelling), and the training norms and key counts form one more
+    column of the matmul. Pair distances are rebuilt from the plain columns
+    and the codes, chunk by chunk (``_pair_sq``).
 
     Two screens feed one ranking routine, ``_rank``, and every bound comes
     with its rounding margin from ``_bound``. The first screen settles test
@@ -722,41 +796,52 @@ def _select_neighbors(train_X, test_X, k, main_width=None, spans=(), codes=None)
     candidates by exact distance, ties by training index, which is the order
     of a brute-force search.
     """
-    (n, width), m = train_X.shape, len(test_X)
-    widths = [width] if main_width is None else [main_width, width]
+    n, m = len(train_X), len(test_X)
     if not spans:
         spans, codes = [(0, 0)], np.zeros((n + m, 1), dtype=np.intp)
+    dense = _dense(train_X, test_X, spans, codes)
+    width = int(len(dense.columns) + dense.sizes.sum())
+    widths = [width] if main_width is None else [main_width, width]
     key_start, key_stop = spans[0]
-    rest = np.r_[0:key_start, key_stop : widths[0]]
+    # The screen's columns are the dense main ones but the key's: the plain
+    # main columns and the other blocks, those past the key moved left by
+    # its width.
+    main_plain = np.searchsorted(dense.columns, widths[0])
+    plain, other_starts = dense.columns[:main_plain], dense.starts[1:]
+    plain = plain - (key_stop - key_start) * (plain >= key_stop)
+    other_starts = other_starts - (key_stop - key_start) * (other_starts >= key_stop)
     # Adding a bool adds exactly 0.0 or 1.0, a row's count of ones in a block.
-    seen = codes < [stop - start for start, stop in spans]
+    seen = codes < dense.sizes
+
+    def screen_rows(out, X, code, has):
+        """Write the screen columns of dense rows into ``out``, zeros: the
+        plain main columns ``X``, and 1.0 at each other block's code."""
+        out[:, plain] = X
+        for block, start in enumerate(other_starts, 1):
+            row = np.flatnonzero(has[:, block])
+            out[row, start + code[row, block]] = 1.0
+
     order = np.argsort(codes[:n, 0], kind="stable")
-    values = np.empty((n, len(rest) + 1))
+    values = np.zeros((n, widths[0] - (key_stop - key_start) + 1))
     train_c = values[:, :-1]
-    # Two slices of gathered rows: an np.ix_ gather is about three times slower.
-    train_c[:, :key_start] = train_X[order, :key_start]
-    train_c[:, key_start:] = train_X[order, key_stop : widths[0]]
+    screen_rows(train_c, train_X[order, :main_plain], codes[order], seen[order])
     center = train_c.mean(axis=0)
     train_c -= center
     np.einsum("ij,ij->i", train_c, train_c, out=values[:, -1])
     values[:, -1] += seen[order, 0]
     key_ends = np.searchsorted(codes[order, 0], np.arange(key_stop - key_start + 1))
-    factors = np.ones((m, len(rest) + 1))
-    factors[:, :-1] = test_X[:, rest] - center
+    factors = np.zeros((m, values.shape[1]))
+    screen_rows(factors[:, :-1], test_X[:, :main_plain], codes[n:], seen[n:])
+    factors[:, :-1] -= center
+    factors[:, -1] = 1.0
     consts = np.einsum("ij,ij->i", factors[:, :-1], factors[:, :-1]) + seen[n:, 0]
     # Scaling by -2 is exact, so scaling the block is scaling the product.
     factors[:, :-1] *= -2.0
     screen = _Screen(values, order, key_ends, values[:, -1].max(initial=0.0), factors, consts, codes[n:, 0])
     out = [(np.empty((m, k), dtype=np.intp), np.empty((m, k))) for _ in widths]
-    cells = None
-    if len(spans) > 1:
-        plain = np.ones(widths[0], dtype=bool)
-        for start, stop in spans[1:]:
-            plain[start:stop] = False
-        plain = np.flatnonzero(plain[rest])
-        cells = _cells(screen, plain, spans, codes, seen)
+    cells = _cells(screen, plain, spans, codes, seen) if len(spans) > 1 else None
     work = _Work(np.zeros(m, dtype=np.int8), [], [])
-    rank = partial(_rank, train_X, test_X, k, widths, screen, out, work)
+    rank = partial(_rank, dense, k, widths, screen, out, work)
     own = _settle_in_key(rank, screen, k, widths[0], cells, work)
     # The block screen reads no cell: freeing them lowers its peak memory.
     del cells
@@ -835,9 +920,12 @@ def knn_predict(
     block, the key's first, and an int array of each training row's and
     then each test row's code in each block, the column of its one there
     or the block's width where it has none, as its featurizer found them.
-    The search then screens the key's block by code and settles what test
-    rows it can inside their own code cell or key. The blocks change the
-    cost of the search, not the predictions.
+    ``train_X`` and ``test_X`` then hold only the columns outside the
+    spans, in dense column order, and ``main_width`` counts dense columns:
+    the dense rows put each block's one-hot columns back at its span. The
+    search screens the key's block by code and settles what test rows it
+    can inside their own code cell or key. The blocks change the cost of
+    the search, not the predictions.
 
     Every feature value must be finite: a NaN or infinite distance ranks no
     neighbour.
@@ -854,7 +942,8 @@ def knn_predict(
         raise InvalidParameterError(f"k must lie in [1, {len(train_X)}], got {k}")
     if train_X.shape[1] != test_X.shape[1]:
         raise ContractViolationError("train and test feature widths differ")
-    width = train_X.shape[1]
+    # The dense rows put each one-hot block back at its span.
+    width = train_X.shape[1] + sum(stop - start for start, stop in (_one_hot[0] if _one_hot else ()))
     if main_width is not None and not 0 < main_width <= width:
         raise ContractViolationError(f"main width {main_width} lies outside (0, {width}]")
     if not (np.isfinite(train_X).all() and np.isfinite(test_X).all()):
@@ -932,14 +1021,14 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
     # the training rows that read it, and expanded to every main row once.
     counts = np.bincount(row[:n_train], minlength=len(agg.table))
     fit_agg_norms(agg, counts)
-    # Both conditions read one matrix: the main features lead, written in
-    # place, and the weighted aggregates follow. No main-only copy exists.
-    main_width = stats.width
-    joined = np.empty((len(row), main_width + agg.table.shape[1]))
+    # Both conditions read one matrix of the plain columns: the main
+    # numerics lead, written in place, and the weighted aggregates follow.
+    # No main-only copy and no one-hot column exists.
+    joined = np.empty((len(row), len(stats.numeric) + agg.table.shape[1]))
     main = featurize_main_only(dataset.main_table, stats, _out=joined)
     featurize_joined(main, agg, row, fit_agg_weight(stats, agg, counts), _out=joined)
-    # The search takes every categorical feature's block with its codes, the key's first.
-    names = [key, *(name for name in main.spans if name in stats.categories and name != key)]
+    # The search takes every categorical feature's block as its codes, the key's first.
+    names = [key, *(name for name in stats.categories if name != key)]
     one_hot = [main.spans[name] for name in names], np.column_stack([main.codes[name] for name in names])
     del main, row
     affected = latently_affected_targets(dataset.schema)
@@ -960,7 +1049,7 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
         joined[n_train:],
         k=cfg.k,
         task=tasks,
-        main_width=main_width,
+        main_width=stats.width,
         _one_hot=one_hot,
     )
     main_scores, joined_scores = (
@@ -985,7 +1074,7 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
         rows_add=dataset.add_table.row_count,
         generation_seed=dataset.seed,
         schema_fingerprint=dataset.schema_fingerprint,
-        feature_widths={"main_only": main_width, "joined": joined.shape[1]},
+        feature_widths={"main_only": stats.width, "joined": stats.width + agg.table.shape[1]},
         fallback_share={"train": float(fallback[:n_train].mean()), "test": float(fallback[n_train:].mean())},
         targets=results,
     )

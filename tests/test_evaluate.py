@@ -36,6 +36,33 @@ def numeric_table(rows, name="x", role="feature"):
     return Table(columns=[Column(name, "numeric", role, np.asarray(rows, dtype=float))])
 
 
+def plain_columns(X, spans):
+    """``X`` without the columns of ``spans``: the rows the search takes
+    with ``_one_hot`` for the dense rows ``X``."""
+    return np.delete(X, [column for start, stop in spans for column in range(start, stop)], axis=1)
+
+
+def dense_columns(X, spans, codes):
+    """The dense rows of the plain rows ``X``, whose ``codes`` give each
+    row's code in each of ``spans``: each block's one-hot columns put back
+    at its span, all zero for a code as large as the block."""
+    codes = np.asarray(codes).reshape(len(X), len(spans))
+    width = X.shape[1] + sum(stop - start for start, stop in spans)
+    out, plain = np.zeros((len(X), width)), np.ones(width, dtype=bool)
+    for (start, stop), code in zip(spans, codes.T):
+        plain[start:stop] = False
+        out[:, start:stop] = code[:, None] == np.arange(stop - start)
+    out[:, plain] = X
+    return out
+
+
+def dense_features(features):
+    """The dense rows of a ``FeatureMatrix``."""
+    names = list(features.codes)
+    codes = np.column_stack([features.codes[name] for name in names]) if names else np.zeros((len(features.values), 0))
+    return dense_columns(features.values, [features.spans[name] for name in names], codes)
+
+
 # --- split -----------------------------------------------------------------
 
 def test_split_90_10():
@@ -77,7 +104,7 @@ def test_constant_column_standardizes_to_zero():
     stats = fit_feature_stats(table)
     fm = featurize_main_only(table, stats)
     start, stop = fm.spans["f1"]
-    assert np.array_equal(fm.values[:, start:stop], np.zeros((4, 1)))
+    assert np.array_equal(dense_features(fm)[:, start:stop], np.zeros((4, 1)))
 
 
 def test_categorical_one_hot_width():
@@ -85,7 +112,8 @@ def test_categorical_one_hot_width():
     fm = featurize_main_only(table, fit_feature_stats(table))
     start, stop = fm.spans["f2"]
     assert stop - start == 3
-    assert np.array_equal(fm.values[:, start:stop], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert fm.codes["f2"].tolist() == [0, 1, 2, 0]
+    assert np.array_equal(dense_features(fm)[:, start:stop], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
 
 def test_unseen_category_encodes_as_zero_block():
@@ -100,17 +128,18 @@ def test_unseen_category_encodes_as_zero_block():
     )
     fm = featurize_main_only(test, stats)
     start, stop = fm.spans["f2"]
-    assert np.array_equal(fm.values[:, start:stop], np.zeros((1, 3)))
+    assert fm.codes["f2"].tolist() == [3]
+    assert np.array_equal(dense_features(fm)[:, start:stop], np.zeros((1, 3)))
     assert np.isfinite(fm.values).all()
 
 
 def test_no_target_leaks_into_spans():
     table = make_main_table()
     fm = featurize_main_only(table, fit_feature_stats(table))
-    # The spans name the two features and tile every column, so the
-    # target has none.
+    # The spans name the two features and tile every dense column, so the
+    # target has none; the matrix holds the one numeric column.
     assert fm.spans == {"f1": (0, 1), "f2": (1, 4)}
-    assert fm.values.shape[1] == 4
+    assert fm.values.shape[1] == 1 and dense_features(fm).shape[1] == 4
 
 
 def test_target_only_table_featurizes_to_no_columns():
@@ -220,7 +249,7 @@ def test_agg_weight_equals_the_variances_of_the_materialized_training_rows():
     counts = np.bincount(row[: train.row_count], minlength=len(agg.table))
     fit_agg_norms(agg, counts)
     stats = fit_feature_stats(train)
-    X, A = featurize_main_only(train, stats).values, agg.table[row[: train.row_count]]
+    X, A = dense_features(featurize_main_only(train, stats)), agg.table[row[: train.row_count]]
     assert X[:, stats.spans["E0"][0]].std() == 0.0 < np.std(train.column("E0").values)
     assert 0.0 < stats.numeric["E1"][1] < evaluate.STD_FLOOR and stats.numeric["E2"][1] == np.inf
     assert len(stats.categories["E3"]) == 1
@@ -473,14 +502,17 @@ def test_one_neighbor_search_per_condition(monkeypatch, kwargs):
     assert len(report.targets) > 1
     # One search serves both conditions: the joined rows and their main width.
     assert len(calls) == 1 and len(report.feature_widths) == 2
-    train_X, test_X, _, main_width, spans, _ = calls[0]
+    train_X, test_X, _, main_width, spans, codes = calls[0]
     start, stop = spans[0]
-    assert train_X.shape[1] == test_X.shape[1] == report.feature_widths["joined"]
+    # The plain columns and the blocks at their spans make the joined width.
+    assert train_X.shape[1] == test_X.shape[1]
+    assert train_X.shape[1] + sum(b - a for a, b in spans) == report.feature_widths["joined"]
     assert main_width == report.feature_widths["main_only"]
-    # The search is given the coupling key's one-hot columns.
+    # The search is given the coupling key's one-hot block.
     keys = split(ds.main_table, EvalConfig().test_fraction)[0].column("C").values
     assert stop - start == len(np.unique(keys)) > 1
-    assert np.array_equal(train_X[:, start:stop], keys[:, None] == np.unique(keys))
+    dense = dense_columns(train_X, spans, codes[: len(train_X)])
+    assert np.array_equal(dense[:, start:stop], keys[:, None] == np.unique(keys))
 
 
 def test_report_metrics_pinned():
@@ -594,14 +626,17 @@ def test_joined_values_match_per_row_reference(monkeypatch, seed, rows_add):
     ds = small_dataset(seed=seed, rows_add=rows_add)
     cfg = evaluate.EvalConfig()
     run_comparison(ds, cfg)
-    ((joined_train, joined_test, width),) = searched
+    ((joined_train, joined_test, main_width),) = searched
     train, test = split(ds.main_table, cfg.test_fraction)
     stats = fit_feature_stats(train)
-    main_train = featurize_main_only(train, stats).values
-    assert np.array_equal(joined_train[:, :width], main_train)
+    assert main_width == stats.width
+    # The search's rows lead with the main plain columns.
+    main_train = featurize_main_only(train, stats)
+    width = main_train.values.shape[1]
+    assert np.array_equal(joined_train[:, :width], main_train.values)
     assert np.array_equal(joined_test[:, :width], featurize_main_only(test, stats).values)
     ref_train, ref_test = reference_aggregate_block(
-        ds, train.column("C").values, test.column("C").values, main_train
+        ds, train.column("C").values, test.column("C").values, dense_features(main_train)
     )
     assert np.allclose(joined_train[:, width:], ref_train, rtol=1e-12, atol=1e-12)
     assert np.allclose(joined_test[:, width:], ref_test, rtol=1e-12, atol=1e-12)
@@ -689,9 +724,11 @@ def test_search_with_the_key_settle_equals_the_search_without(monkeypatch):
     )
     dataset = generate_relational(build_schema(cfg), 1000, 60, cfg.noise, 200, 1)
     args, (got, work) = captured_search(monkeypatch, dataset)
-    train_X, test_X, k, main_width, spans, _ = args
+    train_X, test_X, k, main_width, spans, codes = args
     assert spans[0][1] - spans[0][0] == 8 and 0.3 <= (work.stage < 3).mean() < 1.0
-    plain, plain_work = evaluate._select_neighbors(train_X, test_X, k, main_width)
+    n = len(train_X)
+    dense_train, dense_test = dense_columns(train_X, spans, codes[:n]), dense_columns(test_X, spans, codes[n:])
+    plain, plain_work = evaluate._select_neighbors(dense_train, dense_test, k, main_width)
     assert (plain_work.stage == 3).all()
     for (idx, dist), (ref_idx, ref_dist) in zip(got, plain):
         assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
@@ -731,26 +768,27 @@ def test_search_on_a_generated_dataset_equals_brute_force(monkeypatch, unseen):
     assert len(other_spans) == 3 and (work.stage[:, None] == [1, 2, 3]).any(axis=0).all()
     if unseen:
         cell_row, key_row = np.flatnonzero(work.stage == 1)[0], np.flatnonzero(work.stage == 2)[0]
-        test_X, codes = test_X.copy(), codes.copy()
+        codes = codes.copy()
         for row, j, (start, stop) in [(cell_row, 1, other_spans[0]), (key_row, 0, key_span)]:
-            test_X[row, start:stop] = 0.0
             codes[n + row, j] = stop - start
         out, work = evaluate._select_neighbors(train_X, test_X, k, main_width, spans, codes)
         assert work.stage[cell_row] > 1 and work.stage[key_row] == 3
         assert (work.stage[:, None] == [1, 2, 3]).any(axis=0).all()
-    for (idx, dist), width in zip(out, [main_width, train_X.shape[1]]):
-        ref_idx, ref_dist = exact_neighbours(train_X[:, :width], test_X[:, :width], k)
+    # The brute force reads the dense rows, an unseen code's block all zero.
+    dense_train, dense_test = dense_columns(train_X, spans, codes[:n]), dense_columns(test_X, spans, codes[n:])
+    for (idx, dist), width in zip(out, [main_width, dense_train.shape[1]]):
+        ref_idx, ref_dist = exact_neighbours(dense_train[:, :width], dense_test[:, :width], k)
         assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
 
 
 @pytest.mark.parametrize("split_side", ["all-rows", "test-split"])
 def test_featurizer_codes_equal_the_span_codes_of_its_matrix(split_side):
-    # The search takes the featurizer's codes as the codes of its one-hot
-    # blocks, and nothing checks them at run time. Each block must be the
-    # one-hot form of its codes, and each code the position of the row's
-    # category among the training ones; an unseen category gets the block's
-    # width and an all-zero block. The CLI's SMALL profile at seed 4 has
-    # four categorical features, and its test split a key training never saw.
+    # The search takes the featurizer's codes as its one-hot blocks, and
+    # nothing checks them at run time. The matrix must hold the standardized
+    # numerics alone, in span order, and each code must be the position of
+    # the row's category among the training ones; an unseen category gets
+    # the block's width. The CLI's SMALL profile at seed 4 has four
+    # categorical features, and its test split a key training never saw.
     from test_cli import SMALL
 
     cfg = config_from_dict({**SMALL, "master_seed": 4, "rows_main": 600})
@@ -762,11 +800,16 @@ def test_featurizer_codes_equal_the_span_codes_of_its_matrix(split_side):
     rows = dataset.main_table if split_side == "all-rows" else test
     features = featurize_main_only(rows, stats)
     assert len(stats.categories) == 4
+    numeric = [name for name in features.spans if name in stats.numeric]
+    assert features.values.shape[1] == len(numeric) == len(features.spans) - 4
+    for column, name in enumerate(numeric):
+        standardized = evaluate._standardize(rows.column(name).values, *stats.numeric[name])
+        assert np.array_equal(features.values[:, column], standardized)
     unseen = 0
     for name, cats in stats.categories.items():
         start, stop = features.spans[name]
         code, values = features.codes[name], rows.column(name).values
-        assert np.array_equal(features.values[:, start:stop], code[:, None] == np.arange(stop - start))
+        assert stop - start == len(cats) and ((0 <= code) & (code <= len(cats))).all()
         missing = code == len(cats)
         assert np.array_equal(cats[code[~missing]], values[~missing])
         assert not np.isin(values[missing], cats).any()
@@ -774,13 +817,15 @@ def test_featurizer_codes_equal_the_span_codes_of_its_matrix(split_side):
     assert unseen > 0
 
 
-def test_eval_peak_memory_is_the_joined_matrix_plus_a_few_blocks():
-    # A 20,000-row eval of the benchmark's pinned profile. Past the one
-    # joined matrix, eval holds a few blocks of at most the value budget:
-    # the screen's copy of the non-key main columns, about one, a block of
-    # screen values, the gathered pairs and their temporaries. Six budgets
-    # leave about 20% headroom; a main-only copy of the features (21 MB)
-    # or a full-size variance temporary (19 MB) would exceed them.
+def test_eval_peak_memory_is_the_plain_matrix_plus_a_few_blocks():
+    # A 20,000-row eval of the benchmark's pinned profile. Eval holds one
+    # matrix of the plain columns, the main numerics and the aggregate
+    # block (3.5 MB), and no one-hot column: the search takes each block as
+    # codes. Past that matrix it holds a few blocks of at most the value
+    # budget: the screen's copy of the non-key main columns, a block of
+    # screen values, one dense chunk of pair differences and their
+    # temporaries. Five budgets leave about 25% headroom; a dense one-hot
+    # matrix (23.7 MB at the joined width) would exceed them.
     cfg = config_from_dict(
         {
             "master_seed": 0,
@@ -796,6 +841,8 @@ def test_eval_peak_memory_is_the_joined_matrix_plus_a_few_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    joined = dataset.main_table.row_count * report.feature_widths["joined"] * 8
     assert report.feature_widths == {"main_only": 130, "joined": 148}
-    assert peak <= joined + 6 * evaluate._BLOCK_VALUES * 8
+    main = dataset.main_table.columns
+    plain = sum(col.kind == "numeric" and col.role != "target" for col in main) + 148 - 130
+    assert plain == 22
+    assert peak <= dataset.main_table.row_count * plain * 8 + 5 * evaluate._BLOCK_VALUES * 8

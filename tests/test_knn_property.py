@@ -26,7 +26,7 @@ from relgen.errors import ContractViolationError  # noqa: E402
 from relgen import evaluate  # noqa: E402
 from relgen.evaluate import _select_neighbors, knn_predict  # noqa: E402
 
-from test_evaluate import brute_force_knn  # noqa: E402
+from test_evaluate import brute_force_knn, dense_columns, plain_columns  # noqa: E402
 
 OFFSETS = [0.0, 1.0, -3e3, 1e5, 1e7, -1e7]
 
@@ -37,6 +37,13 @@ def one_hot(spans, codes):
     without a one there, which the search reads as the span's width."""
     codes = np.asarray(codes).reshape(-1, len(spans))
     return list(spans), np.where(codes < 0, [stop - start for start, stop in spans], codes)
+
+
+def searched(train_J, test_J, k, width, spans=(), codes=None):
+    """``_select_neighbors`` of the dense rows ``train_J`` and ``test_J``,
+    handed the blocks as eval hands them: the plain columns and the codes."""
+    blocks = (spans, codes) if len(spans) else ()
+    return _select_neighbors(plain_columns(train_J, spans), plain_columns(test_J, spans), k, width, *blocks)
 
 
 @st.composite
@@ -179,10 +186,12 @@ def test_identical_training_rows_stay_within_one_training_matrix():
         test_J = np.concatenate([test_X, np.stack([block, 0 * block, block])], axis=1)
         y = rng.normal(size=n)
         blocks = one_hot([(rest_width, rest_width + key_width)], [3] * n + [3, 7, -1]) if key_width else ()
+        spans = blocks[0] if blocks else ()
+        train_P, test_P = plain_columns(train_J, spans), plain_columns(test_J, spans)
         tracemalloc.start()
         try:
             main, joined = knn_predict(
-                train_J, y, test_J, k=k, task="regression", main_width=train_X.shape[1], _one_hot=blocks
+                train_P, y, test_P, k=k, task="regression", main_width=train_X.shape[1], _one_hot=blocks
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -337,18 +346,19 @@ def measured_calls(work):
 def test_key_screen_matches_the_plain_search_and_the_oracle(case):
     train_J, test_J, width, k, blocks, y_reg, y_cls = case
     train_X, test_X = train_J[:, :width], test_J[:, :width]
-    searches = [_select_neighbors(train_J, test_J, k, width, *given) for given in [(), blocks]]
+    searches = [searched(train_J, test_J, k, width, *given) for given in [(), blocks]]
     for _, work in searches:
         pairs_by_stage(work)
     (plain, _), (keyed, _) = searches
     for (idx, dist), (ref_idx, ref_dist) in zip(keyed, plain):
         assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
 
-    main, got = knn_predict(train_J, y_reg, test_J, k=k, task="regression", main_width=width, _one_hot=blocks)
+    train_P, test_P = plain_columns(train_J, blocks[0]), plain_columns(test_J, blocks[0])
+    main, got = knn_predict(train_P, y_reg, test_P, k=k, task="regression", main_width=width, _one_hot=blocks)
     assert np.allclose(main, brute_force_knn(train_X, y_reg, test_X, k, "regression"), atol=1e-9, rtol=0)
     assert np.allclose(got, brute_force_knn(train_J, y_reg, test_J, k, "regression"), atol=1e-9, rtol=0)
     for (scores, classes), (X, T) in zip(
-        knn_predict(train_J, y_cls, test_J, k=k, task="classification", main_width=width, _one_hot=blocks),
+        knn_predict(train_P, y_cls, test_P, k=k, task="classification", main_width=width, _one_hot=blocks),
         [(train_X, test_X), (train_J, test_J)],
     ):
         ref_scores, ref_classes = brute_force_knn(X, y_cls, T, k, "classification")
@@ -429,7 +439,7 @@ def test_other_spans_match_the_plain_search_and_the_oracle(case):
     train_J, test_J, width, k, (spans, codes), y_reg, y_cls = case
     train_X, test_X = train_J[:, :width], test_J[:, :width]
     given = [(), (spans[:1], codes[:, :1]), (spans, codes)]
-    searches = [_select_neighbors(train_J, test_J, k, width, *blocks) for blocks in given]
+    searches = [searched(train_J, test_J, k, width, *blocks) for blocks in given]
     for _, work in searches:
         pairs_by_stage(work)
     (plain, _), (keyed, _), (spanned, _) = searches
@@ -438,11 +448,12 @@ def test_other_spans_match_the_plain_search_and_the_oracle(case):
         assert np.array_equal(idx, key_idx) and np.array_equal(dist, key_dist)
 
     kwargs = {"main_width": width, "_one_hot": (spans, codes)}
-    main, got = knn_predict(train_J, y_reg, test_J, k=k, task="regression", **kwargs)
+    train_P, test_P = plain_columns(train_J, spans), plain_columns(test_J, spans)
+    main, got = knn_predict(train_P, y_reg, test_P, k=k, task="regression", **kwargs)
     assert np.allclose(main, brute_force_knn(train_X, y_reg, test_X, k, "regression"), atol=1e-9, rtol=0)
     assert np.allclose(got, brute_force_knn(train_J, y_reg, test_J, k, "regression"), atol=1e-9, rtol=0)
     for (scores, classes), (X, T) in zip(
-        knn_predict(train_J, y_cls, test_J, k=k, task="classification", **kwargs),
+        knn_predict(train_P, y_cls, test_P, k=k, task="classification", **kwargs),
         [(train_X, test_X), (train_J, test_J)],
     ):
         ref_scores, ref_classes = brute_force_knn(X, y_cls, T, k, "classification")
@@ -521,7 +532,7 @@ def coded_rows(rows):
 def test_other_code_range_settles_below_its_threshold_only(test_row, train_rows, k, stages, settles):
     train_J, test_J = coded_rows(train_rows), coded_rows([test_row])
     blocks = one_hot(CODED_SPANS, [row[:2] for row in [*train_rows, test_row]])
-    got, work = _select_neighbors(train_J, test_J, k, 6, *blocks)
+    got, work = searched(train_J, test_J, k, 6, *blocks)
     # A settled row is ranked last by the last stage it read, any other by
     # the block screen.
     assert work.stage.tolist() == [stages[-1] if settles else 3]
@@ -557,7 +568,7 @@ def test_key_screen_measures_no_row_beyond_the_bound():
     )
     test_J = np.array([[0.0, 1.0, 0.0, 0.0]])
     blocks = one_hot([(1, 3)], [*np.repeat([0, 0, -1, 1], 40), 0])
-    ((idx, dist), (joined_idx, joined_dist)), work = _select_neighbors(train_J, test_J, 5, 3, *blocks)
+    ((idx, dist), (joined_idx, joined_dist)), work = searched(train_J, test_J, 5, 3, *blocks)
     assert idx.tolist() == joined_idx.tolist() == [[0, 1, 2, 3, 4]]
     assert dist.tolist() == joined_dist.tolist() == [[0.0] * 5]
     assert work.stage.tolist() == [2]
@@ -590,7 +601,7 @@ def test_own_key_bound_measures_only_the_keys_nearest_rows():
     train_J = np.concatenate([np.zeros((40, 1)), np.eye(3)[keys], 0.5 * keys[:, None]], axis=1)
     test_J = np.array([[0.0, 0.0, 1.0, 0.0, 0.5]])
     blocks = one_hot([(1, 4)], [*keys, 1])
-    ((idx, dist), (joined_idx, joined_dist)), work = _select_neighbors(train_J, test_J, 3, 4, *blocks)
+    ((idx, dist), (joined_idx, joined_dist)), work = searched(train_J, test_J, 3, 4, *blocks)
     assert idx.tolist() == joined_idx.tolist() == [[1, 2, 3]]
     assert dist.tolist() == joined_dist.tolist() == [[0.0] * 3]
     assert measured_calls(work) == [(2, [1, 2, 3]), (2, [])]
@@ -627,7 +638,7 @@ def test_joined_neighbour_between_the_own_and_the_strided_limit(far, shifts, joi
     test_J = np.zeros((len(shifts), 5))
     test_J[:, 0], test_J[:, 2] = shifts, 1.0
     plain, _ = _select_neighbors(train_J, test_J, 2, 4)
-    got, work = _select_neighbors(train_J, test_J, 2, 4, *one_hot([(1, 4)], [*keys, *[1] * len(shifts)]))
+    got, work = searched(train_J, test_J, 2, 4, *one_hot([(1, 4)], [*keys, *[1] * len(shifts)]))
     # One ranking of the block by each stage: a main and a joined
     # measurement apiece.
     calls = measured_calls(work)
@@ -692,7 +703,7 @@ def test_settled_rows_measure_no_pair_outside_their_key():
         return np.concatenate([rest, keys[:, None] == np.arange(6), table[keys]], axis=1)
 
     train_J, test_J = joined(train_keys), joined(test_keys)
-    got, work = _select_neighbors(train_J, test_J, 5, 8, *one_hot([(2, 8)], [*train_keys, *test_keys]))
+    got, work = searched(train_J, test_J, 5, 8, *one_hot([(2, 8)], [*train_keys, *test_keys]))
     assert work.stage.tolist() == [2] * 7 + [3, 3]
     pairs = [
         (test_keys[row], train_keys[cand]) for pairs in pairs_by_stage(work).values() for row, cand in pairs
@@ -706,23 +717,60 @@ def test_settled_rows_measure_no_pair_outside_their_key():
 
 @pytest.mark.parametrize("n", [3_000, 60_000])
 def test_pair_gather_is_bounded_by_the_chunk(n):
-    # 30,000 pairs over a 64-wide matrix: the gathered rows are measured
-    # 2,048 at a time, so the peak is the outputs plus a few chunks,
-    # whether the training matrix is small or large.
-    width, count = 64, 30_000
+    # 30,000 pairs over a 64-wide dense matrix whose blocks of 32 and 8
+    # columns leave 24 plain ones: the pairs are measured 2,048 at a time
+    # in one dense chunk, so the peak is the outputs, that chunk and a few
+    # gathers of the plain columns, whether the training matrix is small or
+    # large. The sums are the dense rows' bit for bit.
+    width, plain, count = 64, 24, 30_000
+    spans = [(8, 40), (40, 48)]
     rng = np.random.default_rng(6)
-    train_X, test_X = rng.normal(size=(n, width)), rng.normal(size=(5, width))
+    codes = np.column_stack([rng.integers(0, 33, size=n + 5), rng.integers(0, 9, size=n + 5)])
+    train_X, test_X = rng.normal(size=(n, plain)), rng.normal(size=(5, plain))
     rows, cand = rng.integers(0, 5, size=count), rng.integers(0, n, size=count)
-    diff = train_X[cand] - test_X[rows]
+    sq = (dense_columns(train_X, spans, codes[:n])[cand] - dense_columns(test_X, spans, codes[n:])[rows]) ** 2
     # The main and joined widths at once, then the joined extras' tail alone.
-    for widths, start in [([8, width], 0), ([width], 8)]:
+    for widths, start in [([48, width], 0), ([width], 48)]:
         tracemalloc.start()
         try:
-            got = evaluate._pair_sq(train_X, test_X, rows, cand, widths, start)
+            dense = evaluate._dense(train_X, test_X, spans, codes)
+            got = evaluate._pair_sq(dense, rows, cand, widths, start)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * count * 8 + 3 * evaluate._PAIR_CHUNK * width * 8
+        assert peak <= 2 * count * 8 + evaluate._PAIR_CHUNK * (width + 3 * plain + 8 * len(spans)) * 8
         assert len(got) == len(widths)
-        for sq, stop in zip(got, widths):
-            assert np.allclose(sq, (diff[:, start:stop] ** 2).sum(axis=1), rtol=1e-12, atol=0)
+        for sums, stop in zip(got, widths):
+            assert sums.tobytes() == sq[:, start:stop].sum(axis=1).tobytes()
+
+
+# Dense rows of ``pair_cases``: numerics at 0, 4, 5, 7 and, past the main
+# width 12, at 12 to 14; blocks of 3, 1 and 4 columns, the last just before
+# the main width.
+PAIR_SPANS, PAIR_MAIN = [(1, 4), (6, 7), (8, 12)], 12
+
+
+@pytest.mark.parametrize("n, count", [(7, 40), (50, 130), (5_000, 4_500)])
+@pytest.mark.parametrize("offset", [0.0, 1e8, -1e8])
+def test_pair_sums_equal_the_dense_rows_bit_for_bit(n, count, offset):
+    # Codes from alphabets of one more than each block's width, so unseen
+    # codes (the width) fall on either side and many pairs share a code;
+    # some test rows copy a training row, exact zeros. The pairs span
+    # several chunks of the buffer, which holds only zeros after every call.
+    rng = np.random.default_rng(n + count)
+    sizes = [stop - start for start, stop in PAIR_SPANS]
+    codes = np.column_stack([rng.integers(0, size + 1, size=n + 9) for size in sizes])
+    train_X = rng.normal(size=(n, 7)) + offset
+    test_X = np.concatenate([rng.normal(size=(5, 7)) + offset, train_X[:4]])
+    codes[n + 5 :] = codes[:4]
+    rows, cand = rng.integers(0, 9, size=count), rng.integers(0, n, size=count)
+    rows[:4], cand[:4] = range(5, 9), range(4)
+    dense = evaluate._dense(train_X, test_X, PAIR_SPANS, codes)
+    assert dense.buffer.shape == (max(1, min(evaluate._PAIR_CHUNK, n // 2)), 15)
+    sq = (dense_columns(train_X, PAIR_SPANS, codes[:n])[cand] - dense_columns(test_X, PAIR_SPANS, codes[n:])[rows]) ** 2
+    assert (sq[:4] == 0.0).all()
+    for widths, start in [([PAIR_MAIN, 15], 0), ([15], PAIR_MAIN), ([PAIR_MAIN], 0)]:
+        got = evaluate._pair_sq(dense, rows, cand, widths, start)
+        assert not dense.buffer.any()
+        for sums, stop in zip(got, widths):
+            assert sums.tobytes() == sq[:, start:stop].sum(axis=1).tobytes()
