@@ -34,16 +34,16 @@ AGG_SHARE = 0.02
 
 @dataclass
 class FeatureMatrix:
-    """Encoded rows, their one-hot blocks held as codes.
+    """Encoded rows: the plain columns, and each one-hot block as codes.
 
-    The dense features are ``values``' columns, each at its span, with
-    every categorical's block at its own: the one-hot form of its codes.
+    The dense layout, where each block's one-hot columns would sit, is
+    ``FeatureStats.spans``' alone; the search and the pair distance take
+    each block's size and codes.
     """
 
-    values: np.ndarray  # (rows, d): the columns outside every one-hot block, in dense order
-    spans: dict[str, tuple[int, int]]  # feature name -> (start, stop) of its dense columns
-    # categorical name -> each row's column within its span, the span's width
-    # for a category unseen in training
+    values: np.ndarray  # (rows, d): the columns outside every one-hot block, in span order
+    # categorical name -> each row's column within its block, the block's
+    # width for a category unseen in training
     codes: dict[str, np.ndarray]
 
 
@@ -160,7 +160,7 @@ def featurize_main_only(rows: Table, stats: FeatureStats, _out: np.ndarray | Non
     for column, (name, (mean, std)) in enumerate(stats.numeric.items()):
         values[:, column] = _standardize(rows.column(name).values, mean, std)
     codes = {name: _sorted_position(cats, rows.column(name).values) for name, cats in stats.categories.items()}
-    return FeatureMatrix(values=values, spans=dict(stats.spans), codes=codes)
+    return FeatureMatrix(values=values, codes=codes)
 
 
 def _sorted_position(sorted_values, values):
@@ -263,8 +263,8 @@ def featurize_joined(
     """Main-table features with each row's standardized aggregate row appended.
 
     ``row`` is the row of ``agg.table`` each main row reads; ``agg_weight``
-    multiplies the whole aggregate block. The spans and codes are the main
-    features', whose plain columns lead the joined ones. Given ``_out``, the matrix
+    multiplies the whole aggregate block. The codes are the main features',
+    whose plain columns lead the joined ones. Given ``_out``, the matrix
     whose leading columns ``featurize_main_only`` wrote, the weighted block
     is written into its tail in place; otherwise both go to a new matrix.
     The table is weighted before the gather, which copies ``_PAIR_CHUNK``
@@ -279,7 +279,7 @@ def featurize_joined(
     for start in range(0, len(row), _PAIR_CHUNK):
         stop = start + _PAIR_CHUNK
         np.take(table, row[start:stop], axis=0, out=_out[start:stop, width:])
-    return FeatureMatrix(_out, main.spans, main.codes)
+    return FeatureMatrix(_out, main.codes)
 
 
 # Most values a block of screen values holds: a block of the settle pass
@@ -298,92 +298,48 @@ _PAIR_CHUNK = 2048
 _EPS = np.finfo(float).eps
 
 
-class _Dense(NamedTuple):
-    """The search's rows as ``_pair_sq`` rebuilds them dense: the plain
-    columns, those outside every one-hot block, and each block's codes."""
+class _Pairs(NamedTuple):
+    """The search's rows as ``_pair_sq`` measures them: the plain columns,
+    those outside every one-hot block, and each block's codes."""
 
     train: np.ndarray  # plain columns of the training rows
     test: np.ndarray  # plain columns of the test rows
-    columns: np.ndarray  # dense column of each plain column, rising
-    starts: np.ndarray  # first dense column of each block
     sizes: np.ndarray  # columns of each block; a code this large has no one
     train_codes: np.ndarray  # (training rows, blocks)
     test_codes: np.ndarray  # (test rows, blocks)
-    buffer: np.ndarray  # zeros, (pairs per chunk, dense width or 0)
 
 
-def _dense(train_X, test_X, spans, codes):
-    """The ``_Dense`` of plain rows and the blocks at ``spans``, whose
-    ``codes`` hold each training row's and then each test row's code.
-
-    The dense width is the plain width plus every span's. A chunk takes
-    ``_PAIR_CHUNK`` pairs, or half the training rows, whichever is less, so
-    the buffer never holds more rows than ``train_X``. Without a block of
-    any columns the plain rows are dense, and the buffer has no columns.
-    """
-    starts, stops = np.array(spans, dtype=np.intp).reshape(-1, 2).T
-    plain = np.ones(train_X.shape[1] + (stops - starts).sum(), dtype=bool)
-    for start, stop in spans:
-        plain[start:stop] = False
-    n = len(train_X)
-    buffer = np.zeros((max(1, min(_PAIR_CHUNK, n // 2)), len(plain) if (stops > starts).any() else 0))
-    return _Dense(train_X, test_X, np.flatnonzero(plain), starts, stops - starts, codes[:n], codes[n:], buffer)
-
-
-def _pair_sq(dense, rows, cand, widths, start=0):
+def _pair_sq(pairs, rows, cand, widths, start=None):
     """Squared exact distances of (test row, training row) pairs.
 
-    One array per entry of ``widths``, measuring the pairs over the dense
-    columns from ``start`` up to that width. The plain columns' squares come
-    from explicit differences of the gathered rows, so exact matches are
-    exact zeros. Where a block lies past ``start``, each chunk of pairs
-    writes its dense squared differences into ``dense.buffer``: the plain
-    columns' squares, and 1.0 at both columns of every block whose two codes
-    differ, on each side that has a one there. Every other entry is the
-    difference of two equal zeros or ones, so each entry, and each row sum,
-    has the bits of the dense rows' squared differences. Only the entries
-    written are zeroed again. The gathered copies hold the plain columns of
-    a chunk, and never grow with the number of pairs.
+    One array per entry of ``widths``, measuring the pairs' rows up to that
+    many plain columns: the row sum of the plain columns' squared
+    differences, taken from explicit differences of the gathered rows, so
+    exact matches are exact zeros, plus the count of the blocks whose two
+    codes differ, 1 for each side with a one in the block. Over a one-hot
+    block d^2 is exactly that count: the two ones where the codes differ,
+    each only if the side has one, and nothing where they are equal. Given
+    ``start``, the main rows' plain width, only the plain columns from
+    there are measured: the appended block, which holds no one-hot block.
+    The gathered copies hold the plain columns of at most ``_PAIR_CHUNK``
+    pairs, and never grow with the number of pairs.
     """
-    # The plain columns past ``start`` are the last of ``dense.train``'s.
-    first = np.searchsorted(dense.columns, start)
-    columns = dense.columns[first:] - start
-    blocks = (dense.starts >= start) & (dense.sizes > 0)
-    starts, sizes = dense.starts[blocks] - start, dense.sizes[blocks]
-    # Runs of adjacent dense columns among the plain ones: (gathered start,
-    # gathered stop, dense start past ``start``).
-    breaks = [0, *(np.flatnonzero(np.diff(columns) != 1) + 1).tolist(), len(columns)]
-    runs = [(a, b, columns[a]) for a, b in zip(breaks, breaks[1:]) if a < b]
     out = [np.empty(len(rows)) for _ in widths]
-    step = len(dense.buffer)
-    for s in range(0, len(rows), step):
-        sq = dense.train[cand[s : s + step], first:]
-        sq -= dense.test[rows[s : s + step], first:]
+    first = start or 0
+    for s in range(0, len(rows), _PAIR_CHUNK):
+        chunk_rows, chunk_cand = rows[s : s + _PAIR_CHUNK], cand[s : s + _PAIR_CHUNK]
+        sq = pairs.train[chunk_cand, first:]
+        sq -= pairs.test[chunk_rows, first:]
         sq *= sq
-        # Without a block, the gathered columns are the dense ones.
-        chunk = sq
-        if len(starts):
-            chunk = dense.buffer[: len(sq), start:]
-            for a, b, at in runs:
-                chunk[:, at : at + b - a] = sq[:, a:b]
-            train_code = dense.train_codes[cand[s : s + step]][:, blocks]
-            test_code = dense.test_codes[rows[s : s + step]][:, blocks]
+        count = 0
+        if start is None:
+            train_code, test_code = pairs.train_codes[chunk_cand], pairs.test_codes[chunk_rows]
             differ = train_code != test_code
-            pair, column = [], []
-            for code in (train_code, test_code):
-                i, j = np.nonzero(differ & (code < sizes))
-                pair.append(i)
-                column.append(starts[j] + code[i, j])
-            pair, column = np.concatenate(pair), np.concatenate(column)
-            chunk[pair, column] = 1.0
+            count = (differ & (train_code < pairs.sizes)).sum(axis=1) + (differ & (test_code < pairs.sizes)).sum(axis=1)
         for sq_out, width in zip(out, widths):
-            sq_out[s : s + step] = chunk[:, : width - start].sum(axis=1)
-        if len(starts):
-            chunk[pair, column] = 0.0
-            for a, b, at in runs:
-                chunk[:, at : at + b - a] = 0.0
+            np.add(sq[:, : width - first].sum(axis=1), count, out=sq_out[s : s + _PAIR_CHUNK])
         # The next chunk's gather must not sit beside this one.
-        del sq, chunk
+        del sq
     return out
 
 
@@ -452,16 +408,17 @@ class _Work(NamedTuple):
     pairs: list  # (stage, test rows, training rows) per full-width ``_pair_sq`` call
 
 
-def _cells(screen, plain, spans, codes, seen):
+def _cells(screen, plain, sizes, codes, seen):
     """The key-sorted training rows in a second order, by their codes in the
-    other one-hot spans and then by key, and each test row's ranges in it.
+    other one-hot blocks and then by key, and each test row's ranges in it.
 
     A training row that shares every other code with a test row differs
-    from it in the key and in the plain columns, those outside every span,
+    from it in the key and in the plain columns, those outside every block,
     alone; its screen value is read from those columns, with 2 off in the
     test row's code cell, the rows that share its key as well. ``plain``
-    are the screen columns outside every span; ``codes`` and ``seen`` are
-    each row's codes and whether it has one, training rows first (see
+    counts the plain main columns, which lead the screen's; ``sizes`` are
+    the blocks' sizes, the key's first, and ``codes`` and ``seen`` each
+    row's codes and whether it has one, training rows first (see
     ``_select_neighbors``).
 
     Returns four things:
@@ -470,8 +427,8 @@ def _cells(screen, plain, spans, codes, seen):
       that share its every code;
     - a list of the two parts of its other-code range around the cell, the
       rows that share its every other code, both empty for a row without a
-      one in every other span;
-    - the mask of the test rows with a one in every other span;
+      one in every other block;
+    - the mask of the test rows with a one in every other block;
     - the cost, the least main d^2 a differing other code adds: 2, or 1 if
       some training row lacks one.
 
@@ -482,17 +439,17 @@ def _cells(screen, plain, spans, codes, seen):
     n = len(screen.order)
     # The key is the last digit, so a row's code less its key code is the
     # first code of its other-code range.
-    dims = [stop - start + 1 for start, stop in [*spans[1:], spans[0]]]
+    dims = [size + 1 for size in [*sizes[1:], sizes[0]]]
     code = _lex_code([*codes[:, 1:].T, codes[:, 0]], dims)
     train_code, test_code = code[:n][screen.order], code[n:]
     pos = np.argsort(train_code, kind="stable")
     ordered, first = train_code[pos], test_code - codes[n:, 0]
-    values = np.ones((n, len(plain) + 2))
-    values[:, :-2] = screen.values[:, plain][pos]
+    values = np.ones((n, plain + 2))
+    values[:, :-2] = screen.values[pos, :plain]
     np.einsum("ij,ij->i", values[:, :-2], values[:, :-2], out=values[:, -2])
     values[:, -2] += seen[screen.order[pos], 0]
-    test = np.ones((len(screen.codes), len(plain) + 2))
-    test[:, :-2] = screen.factors[:, plain]
+    test = np.ones((len(screen.codes), plain + 2))
+    test[:, :-2] = screen.factors[:, :plain]
     # Halving undoes the factor's exact scaling by -2.
     np.einsum("ij,ij->i", test[:, :-2], test[:, :-2], out=test[:, -1])
     test[:, -1] = test[:, -1] / 4.0 + 1.0 - screen.consts
@@ -511,19 +468,25 @@ def _cells(screen, plain, spans, codes, seen):
 
 
 def _bound(kth, norms, width):
-    """``kth``, a k-th smallest squared distance read at ``width`` columns,
+    """``kth``, a k-th smallest squared distance read over ``width`` terms,
     plus its rounding margin; ``norms`` is the row constant plus the
     largest entry of the norm column.
 
-    Centring and the expanded square of the non-key columns, whose matmul
-    sums at most width + 1 terms with the folded norm column, err by under
-    about (width + 7) * eps * (|test row|^2 + |train row|^2), the centred
-    norms. The key term is an exact integer; adding the key counts to the
-    norm column and to the row constant ``const``, subtracting 2, forming
-    ``kth + const`` and comparing against ``limit - const`` round five
-    values, each by at most eps / 2 of ``norms + |kth|``. Explicit squared
-    distances err by about (width + 3) * eps relative, and the square root
-    taken before ranking lets a d^2 up to 2 * eps larger tie. A main row
+    ``width`` counts the terms of the rows' dense form: the plain columns
+    plus every one-hot block's size. Centring and the expanded square of the
+    non-key columns, the plain ones and the other blocks', whose matmul
+    sums fewer than width + 1 terms with the folded norm column, err by
+    under about (width + 7) * eps * (|test row|^2 + |train row|^2), the
+    centred norms. The key term is an exact integer; adding the key counts
+    to the norm column and to the row constant ``const``, subtracting 2,
+    forming ``kth + const`` and comparing against ``limit - const`` round
+    five values, each by at most eps / 2 of ``norms + |kth|``. An explicit
+    squared distance (``_pair_sq``) is a sum of at most width nonnegative
+    plain terms, each rounded twice, by its difference and its square, so
+    it errs by under about (width + 1) * eps relative; adding the blocks'
+    count of differing codes, an exact integer, rounds once more. So it
+    errs by under (width + 3) * eps relative, and the square root taken
+    before ranking lets a d^2 up to 2 * eps larger tie. A main row
     that ties the k-th nearest has a screen value within those errors of
     the k-th smallest, and so of every k-th the search reads: each is the
     k-th smallest screen value over k or more training rows, so at least
@@ -546,7 +509,7 @@ def _bound(kth, norms, width):
     return kth + 4.0 * (width + 8) * _EPS * (norms + np.abs(kth))
 
 
-def _rank(dense, k, widths, screen, out, work, stage, rows, values, at, main_limit, cover, const):
+def _rank(pairs, k, widths, terms, screen, out, work, stage, rows, values, at, main_limit, cover, const):
     """Write both conditions' neighbours of the test ``rows`` to ``out``, and
     return the mask of the rows whose joined limit passes their cover.
 
@@ -555,19 +518,19 @@ def _rank(dense, k, widths, screen, out, work, stage, rows, values, at, main_lim
     key-sorted positions. A training row without a cell in a row's values
     lies beyond the row's ``cover``, and ``main_limit`` is at most it. The
     main candidates are the cells within ``main_limit``, and the joined ones
-    beyond them the cells within the joined limit, the bound of U, which
-    this computes. A masked row may have a joined neighbour beyond its
-    cover, outside its values: a later screen, whose values do cover the
-    limit, ranks it again, so its joined candidates here are left unread,
-    and the joined neighbours written for it, from its main candidates
-    alone, are not final. Each
+    beyond them the cells within the joined limit, the bound of U over the
+    joined ``terms`` (``_bound``), which this computes. A masked row may
+    have a joined neighbour beyond its cover, outside its values: a later
+    screen, whose values do cover the limit, ranks it again, so its joined
+    candidates here are left unread, and the joined neighbours written for
+    it, from its main candidates alone, are not final. Each
     full-width measurement is logged in ``work.pairs`` under ``stage``. See
     ``_select_neighbors``.
     """
     main_rows, col = np.divmod(np.flatnonzero(values <= main_limit[:, None]), values.shape[1])
     main_test = rows[main_rows]
     cand = screen.order[at(main_test, col)]
-    pair_sq = _pair_sq(dense, main_test, cand, widths)
+    pair_sq = _pair_sq(pairs, main_test, cand, widths)
     work.pairs.append((stage, main_test, cand))
     dist = np.sqrt(pair_sq[0])
     pick = _rank_pairs(main_rows, cand, dist, len(rows), k)
@@ -576,7 +539,7 @@ def _rank(dense, k, widths, screen, out, work, stage, rows, values, at, main_lim
         return np.zeros(len(rows), dtype=bool)
     # U: the joined d^2 of each row's k-th main candidate ranked by joined d^2.
     upper = pair_sq[1][_rank_pairs(main_rows, cand, pair_sq[1], len(rows), k)[:, k - 1]]
-    joined_limit = _bound(upper, const + screen.max_norm, widths[1]) - const
+    joined_limit = _bound(upper, const + screen.max_norm, terms[1]) - const
     far = joined_limit > cover
     near = values <= joined_limit[:, None]
     near[main_rows, col] = False
@@ -587,10 +550,10 @@ def _rank(dense, k, widths, screen, out, work, stage, rows, values, at, main_lim
     # A joined d^2 is the main d^2 plus the appended columns' part, and the
     # screen value plus that part must lie within the joined limit too;
     # measuring the part alone first leaves most of these pairs out.
-    (tail_sq,) = _pair_sq(dense, more_test, more_cand, widths[1:], widths[0])
+    (tail_sq,) = _pair_sq(pairs, more_test, more_cand, widths[1:], widths[0])
     near = values[more_rows, col] + tail_sq <= joined_limit[more_rows]
     more_rows, more_test, more_cand = more_rows[near], more_test[near], more_cand[near]
-    (more_sq,) = _pair_sq(dense, more_test, more_cand, widths[1:])
+    (more_sq,) = _pair_sq(pairs, more_test, more_cand, widths[1:])
     work.pairs.append((stage, more_test, more_cand))
     pair_rows, cand = np.concatenate([main_rows, more_rows]), np.concatenate([cand, more_cand])
     dist = np.sqrt(np.concatenate([pair_sq[1], more_sq]))
@@ -643,7 +606,7 @@ def _scan(rows, parts, k):
     return values, at
 
 
-def _settle_in_key(rank, screen, k, main_width, cells, work):
+def _settle_in_key(rank, screen, k, main_terms, cells, work):
     """Rank the test rows whose neighbours all lie in their own key or,
     given ``cells``, what ``_cells`` returns, in their code cell or their
     own key and its other-code range.
@@ -655,7 +618,8 @@ def _settle_in_key(rank, screen, k, main_width, cells, work):
     holds too are settled, at their stage in ``work.stage``. Returns the
     k-th smallest screen value over the training rows each test row read
     (inf for a row without a key or whose key has fewer than k training
-    rows). See ``_select_neighbors``.
+    rows). ``main_terms`` is the main rows' ``_bound`` width. See
+    ``_select_neighbors``.
     """
     n, m = len(screen.order), len(screen.codes)
     ends = screen.key_ends
@@ -681,11 +645,11 @@ def _settle_in_key(rank, screen, k, main_width, cells, work):
             nearest = np.partition(values, 2 * k - 1, axis=1)[:, : 2 * k].copy()
             own[block] = kth = np.partition(nearest, k - 1, axis=1)[:, k - 1]
             norms = const + screen.max_norm
-            bound = _bound(kth + const, norms, main_width)
+            bound = _bound(kth + const, norms, main_terms)
             # A row read past its own key takes main candidates up to the
             # bound of the 2k-th, capped at its threshold: a U over more of
             # them is tighter and admits fewer joined ones.
-            second = np.minimum(_bound(nearest[:, 2 * k - 1] + const, norms, main_width), below)
+            second = np.minimum(_bound(nearest[:, 2 * k - 1] + const, norms, main_terms), below)
             limit = np.where(below > threshold, second, bound) - const
             ok = np.flatnonzero(bound < below)
             # Only the ranked rows' values stay alive while they are ranked.
@@ -701,7 +665,7 @@ def _settle_in_key(rank, screen, k, main_width, cells, work):
     thresholds = np.full(m, threshold)
     if cells is not None:
         cell, around, eligible, cost = cells
-        # Stage 1: a row with a one in every span reads its code cell. A
+        # Stage 1: a row with a one in every block reads its code cell. A
         # training row outside it differs in the key, at main d^2 >= the
         # threshold, or in another code, at >= the cost.
         settle(1, np.flatnonzero(keyed & eligible), [cell], np.full(m, min(threshold, cost)))
@@ -716,35 +680,36 @@ def _settle_in_key(rank, screen, k, main_width, cells, work):
     return own
 
 
-def _select_neighbors(train_X, test_X, k, main_width=None, spans=(), codes=None):
+def _select_neighbors(train_X, test_X, k, main_width=None, sizes=(), codes=None):
     """Indices and exact distances of the k nearest training rows per test row.
 
     Returns ``(out, work)``: ``out`` is a list holding one (idx, dist) pair
-    for the dense rows or, given ``main_width``, one pair for the main
-    rows, their leading ``main_width`` dense columns, and a second for the
-    joined rows, all of them, both from one pass; ``work`` is the
-    ``_Work`` record of what the search did. ``spans`` are the (start,
-    stop) dense column spans of disjoint one-hot blocks among the main
-    columns, the key's first, and ``codes`` an int array of each training
-    row's and then each test row's code in each of them: the column of the
-    row's one within the block, or the block's width for a row without one.
-    ``train_X`` and ``test_X`` hold the plain columns, those outside every
-    span, in dense column order; the dense rows put each block's one-hot
-    form of the codes back at its span, so their width is the plain width
-    plus the spans'. The spans change the cost of the search, not its
-    result. Without spans the key has no columns, no row has one, and the
-    rows are dense.
+    for the rows or, given ``main_width``, one pair for the main rows and a
+    second for the joined rows, both from one pass; ``work`` is the
+    ``_Work`` record of what the search did. A row is its plain columns,
+    ``train_X``' or ``test_X``', plus the one-hot blocks of ``sizes``, the
+    key's first: ``codes`` is an int array of each training row's and then
+    each test row's code in each block, the column of the row's one within
+    the block, or the block's size for a row without one. The main rows are
+    the leading ``main_width`` plain columns and every block, the joined
+    rows every column and every block. A pair's d^2 is its plain columns'
+    squared differences summed, plus the count of the blocks whose codes
+    differ, 1 for each side with a one there (``_pair_sq``): in exact
+    arithmetic the d^2 of the rows with each block's one-hot columns, so
+    handing a block over as codes changes the cost of the search, and its
+    distances by rounding alone. Without sizes the key has no columns, no
+    row has one, and the rows are their plain columns.
 
     Candidates are screened by the expanded square of the main rows. Over a
     one-hot block d^2 is exactly ``seen_test + seen_train - 2 * [same code]``,
     so the training rows are sorted by key code once, the key's columns
     stay out of the matmul, and 2 is subtracted on each test row's own key
-    range. The other columns, the plain ones gathered and 1.0 scattered at
-    each code of the other blocks, as a dense matrix holds them, are
-    centred on the training mean (centring keeps a large common offset from
+    range. The other columns, the plain main ones first and then each
+    other block's one-hot form of its codes, 1.0 at each code, are centred
+    on the training mean (centring keeps a large common offset from
     cancelling), and the training norms and key counts form one more
-    column of the matmul. Pair distances are rebuilt from the plain columns
-    and the codes, chunk by chunk (``_pair_sq``).
+    column of the matmul. Pair distances are measured from the plain
+    columns and the codes, chunk by chunk (``_pair_sq``).
 
     Two screens feed one ranking routine, ``_rank``, and every bound comes
     with its rounding margin from ``_bound``. The first screen settles test
@@ -753,17 +718,17 @@ def _select_neighbors(train_X, test_X, k, main_width=None, spans=(), codes=None)
     (``_scan``; an inverted-file search, Jegou, Douze & Schmid, TPAMI 2011).
     Every training row of another key is at main d^2 >= 2, and at >= 1 if
     some training row has no key, which sets the threshold. Given further
-    spans, a second training order sorts the rows by their other codes and
+    blocks, a second training order sorts the rows by their other codes and
     then by key (``_cells``). Stage 1 takes each row with a key and a one
-    in every other span to its code cell, the training rows that share its
+    in every other block to its code cell, the training rows that share its
     every code, one range of that order. A row outside the cell differs in
     the key or in another code, so lies at main d^2 >= the smaller of the
     threshold and the cost, 2, or 1 if some training row lacks a code in
-    some other span. If the bound of the k-th smallest screen value over
+    some other block. If the bound of the k-th smallest screen value over
     the cell lies below that, all of the row's main neighbours lie in the
     cell and the row is ranked there. Stage 2 takes every row left whose
     key has k training rows to that key, and, if the row has a one in every
-    other span, widens it to Hamming radius 1 over the categorical codes
+    other block, widens it to Hamming radius 1 over the categorical codes
     (multi-index hashing, Norouzi, Punjani & Fleet, CVPR 2012): the other
     keys' rows that share every other code, the rest of the cell's range in
     the second order. Every row outside both differs in the key and in one
@@ -771,7 +736,7 @@ def _select_neighbors(train_X, test_X, k, main_width=None, spans=(), codes=None)
     plus the cost. If the bound of the k-th smallest value over what the
     row read lies below its threshold, the row is ranked there; a widened
     row's main candidates go up to the bound of the 2k-th, capped at the
-    wide threshold. Without other spans only stage 2 runs, on the own key.
+    wide threshold. Without other blocks only stage 2 runs, on the own key.
     The second screen takes the other rows against every training row,
     blocked over test rows into one preallocated buffer of at most
     ``_BLOCK_VALUES`` values, or one row. Its main bound is
@@ -797,41 +762,41 @@ def _select_neighbors(train_X, test_X, k, main_width=None, spans=(), codes=None)
     of a brute-force search.
     """
     n, m = len(train_X), len(test_X)
-    if not spans:
-        spans, codes = [(0, 0)], np.zeros((n + m, 1), dtype=np.intp)
-    dense = _dense(train_X, test_X, spans, codes)
-    width = int(len(dense.columns) + dense.sizes.sum())
-    widths = [width] if main_width is None else [main_width, width]
-    key_start, key_stop = spans[0]
-    # The screen's columns are the dense main ones but the key's: the plain
-    # main columns and the other blocks, those past the key moved left by
-    # its width.
-    main_plain = np.searchsorted(dense.columns, widths[0])
-    plain, other_starts = dense.columns[:main_plain], dense.starts[1:]
-    plain = plain - (key_stop - key_start) * (plain >= key_stop)
-    other_starts = other_starts - (key_stop - key_start) * (other_starts >= key_stop)
+    if not len(sizes):
+        sizes, codes = [0], np.zeros((n + m, 1), dtype=np.intp)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    pairs = _Pairs(train_X, test_X, sizes, codes[:n], codes[n:])
+    widths = [train_X.shape[1]] if main_width is None else [main_width, train_X.shape[1]]
+    # ``_bound``'s margins are argued over the terms of the dense rows, the
+    # plain columns plus every block's: a pair's d^2 sums fewer rounded
+    # terms, and the screen's matmul takes the other blocks' columns.
+    terms = [width + int(sizes.sum()) for width in widths]
+    # The screen's columns are the plain main ones, then each other block's
+    # one-hot columns.
+    plain = widths[0]
+    other_starts = plain + np.cumsum(sizes[1:]) - sizes[1:]
     # Adding a bool adds exactly 0.0 or 1.0, a row's count of ones in a block.
-    seen = codes < dense.sizes
+    seen = codes < sizes
 
     def screen_rows(out, X, code, has):
-        """Write the screen columns of dense rows into ``out``, zeros: the
-        plain main columns ``X``, and 1.0 at each other block's code."""
-        out[:, plain] = X
+        """Write the screen columns of rows into ``out``, zeros: the plain
+        main columns ``X``, and 1.0 at each other block's code."""
+        out[:, :plain] = X
         for block, start in enumerate(other_starts, 1):
             row = np.flatnonzero(has[:, block])
             out[row, start + code[row, block]] = 1.0
 
     order = np.argsort(codes[:n, 0], kind="stable")
-    values = np.zeros((n, widths[0] - (key_stop - key_start) + 1))
+    values = np.zeros((n, plain + int(sizes[1:].sum()) + 1))
     train_c = values[:, :-1]
-    screen_rows(train_c, train_X[order, :main_plain], codes[order], seen[order])
+    screen_rows(train_c, train_X[order, :plain], codes[order], seen[order])
     center = train_c.mean(axis=0)
     train_c -= center
     np.einsum("ij,ij->i", train_c, train_c, out=values[:, -1])
     values[:, -1] += seen[order, 0]
-    key_ends = np.searchsorted(codes[order, 0], np.arange(key_stop - key_start + 1))
+    key_ends = np.searchsorted(codes[order, 0], np.arange(sizes[0] + 1))
     factors = np.zeros((m, values.shape[1]))
-    screen_rows(factors[:, :-1], test_X[:, :main_plain], codes[n:], seen[n:])
+    screen_rows(factors[:, :-1], test_X[:, :plain], codes[n:], seen[n:])
     factors[:, :-1] -= center
     factors[:, -1] = 1.0
     consts = np.einsum("ij,ij->i", factors[:, :-1], factors[:, :-1]) + seen[n:, 0]
@@ -839,10 +804,10 @@ def _select_neighbors(train_X, test_X, k, main_width=None, spans=(), codes=None)
     factors[:, :-1] *= -2.0
     screen = _Screen(values, order, key_ends, values[:, -1].max(initial=0.0), factors, consts, codes[n:, 0])
     out = [(np.empty((m, k), dtype=np.intp), np.empty((m, k))) for _ in widths]
-    cells = _cells(screen, plain, spans, codes, seen) if len(spans) > 1 else None
+    cells = _cells(screen, plain, sizes, codes, seen) if len(sizes) > 1 else None
     work = _Work(np.zeros(m, dtype=np.int8), [], [])
-    rank = partial(_rank, dense, k, widths, screen, out, work)
-    own = _settle_in_key(rank, screen, k, widths[0], cells, work)
+    rank = partial(_rank, pairs, k, widths, terms, screen, out, work)
+    own = _settle_in_key(rank, screen, k, terms[0], cells, work)
     # The block screen reads no cell: freeing them lowers its peak memory.
     del cells
     hard = np.flatnonzero(work.stage == 0)
@@ -858,7 +823,7 @@ def _select_neighbors(train_X, test_X, k, main_width=None, spans=(), codes=None)
         # block would copy a quarter of the buffer.
         kth = np.minimum(const + [np.partition(row, k - 1)[k - 1] for row in strided], const + own[rows])
         # The block holds every training row's value: no row lies beyond it.
-        rank(3, rows, sq, lambda _, col: col, _bound(kth, const + screen.max_norm, widths[0]) - const, np.inf, const)
+        rank(3, rows, sq, lambda _, col: col, _bound(kth, const + screen.max_norm, terms[0]) - const, np.inf, const)
     work.stage[hard] = 3
     return out, work
 
@@ -915,17 +880,19 @@ def knn_predict(
     the joined neighbours lie among the rows whose main d^2 is within a
     rounding margin of an upper bound (see ``_select_neighbors``).
 
-    Eval hands over its one-hot blocks through ``_one_hot``, as ``(spans,
-    codes)``: the (start, stop) main columns of each categorical feature's
-    block, the key's first, and an int array of each training row's and
-    then each test row's code in each block, the column of its one there
-    or the block's width where it has none, as its featurizer found them.
-    ``train_X`` and ``test_X`` then hold only the columns outside the
-    spans, in dense column order, and ``main_width`` counts dense columns:
-    the dense rows put each block's one-hot columns back at its span. The
-    search screens the key's block by code and settles what test rows it
-    can inside their own code cell or key. The blocks change the cost of
-    the search, not the predictions.
+    Eval hands over its one-hot blocks through ``_one_hot``, as ``(sizes,
+    codes)``: the columns of each categorical feature's block, the key's
+    first, and an int array of each training row's and then each test
+    row's code in each block, the column of its one there or the block's
+    size where it has none, as its featurizer found them. ``train_X`` and
+    ``test_X`` then hold only the plain columns, those outside every block,
+    and ``main_width`` counts them; every block belongs to the main rows,
+    which may have no plain column. Over a block a pair's d^2 is the count
+    of its differing ones, exactly the one-hot columns' (see
+    ``_select_neighbors``). The search screens the key's block by code and
+    settles what test rows it can inside their own code cell or key. The
+    blocks change the cost of the search, and its distances by rounding
+    alone.
 
     Every feature value must be finite: a NaN or infinite distance ranks no
     neighbour.
@@ -942,10 +909,10 @@ def knn_predict(
         raise InvalidParameterError(f"k must lie in [1, {len(train_X)}], got {k}")
     if train_X.shape[1] != test_X.shape[1]:
         raise ContractViolationError("train and test feature widths differ")
-    # The dense rows put each one-hot block back at its span.
-    width = train_X.shape[1] + sum(stop - start for start, stop in (_one_hot[0] if _one_hot else ()))
-    if main_width is not None and not 0 < main_width <= width:
-        raise ContractViolationError(f"main width {main_width} lies outside (0, {width}]")
+    # The blocks belong to the main rows, which need a column of some kind.
+    least = 0 if _one_hot and sum(_one_hot[0]) else 1
+    if main_width is not None and not least <= main_width <= train_X.shape[1]:
+        raise ContractViolationError(f"main width {main_width} lies outside [{least}, {train_X.shape[1]}]")
     if not (np.isfinite(train_X).all() and np.isfinite(test_X).all()):
         raise ContractViolationError("feature matrices hold a non-finite value")
     predictions = [
@@ -1027,9 +994,10 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
     joined = np.empty((len(row), len(stats.numeric) + agg.table.shape[1]))
     main = featurize_main_only(dataset.main_table, stats, _out=joined)
     featurize_joined(main, agg, row, fit_agg_weight(stats, agg, counts), _out=joined)
-    # The search takes every categorical feature's block as its codes, the key's first.
+    # The search takes every categorical feature's block as its size and
+    # codes, the key's first.
     names = [key, *(name for name in stats.categories if name != key)]
-    one_hot = [main.spans[name] for name in names], np.column_stack([main.codes[name] for name in names])
+    one_hot = [len(stats.categories[name]) for name in names], np.column_stack([main.codes[name] for name in names])
     del main, row
     affected = latently_affected_targets(dataset.schema)
     name_to_affected = {
@@ -1049,7 +1017,7 @@ def run_comparison(dataset: RelationalDataset, cfg: EvalConfig = EvalConfig()) -
         joined[n_train:],
         k=cfg.k,
         task=tasks,
-        main_width=stats.width,
+        main_width=len(stats.numeric),
         _one_hot=one_hot,
     )
     main_scores, joined_scores = (

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import relgen
 from relgen.cli import main
 from relgen.errors import InvalidConfigError
 from relgen.seeding import STREAM_VERSION
@@ -199,8 +204,8 @@ GOLDEN = {
 # SHA-256 of what ``relgen eval`` writes for that dataset: a change to the
 # neighbours, the scores or the report's encoding changes these.
 GOLDEN_EVAL = {
-    "eval_report.json": "c005a8098b113e90d137d09db5d72dd1a5961ed9ab0d709a121227bdb567978b",
-    "metrics.csv": "be8e6505504d60f12822e3db3b4043d8fe57c82bc0e654b4b902985a8593b94a",
+    "eval_report.json": "926046bbd1526179e26d4f037f6ddc097847dd1268cef6ca0b087fe42ec22d14",
+    "metrics.csv": "9eaba5f132a1ed70c5610269dca9ea65b7933b035fb3c6e37b7b1a26ae73a50b",
 }
 
 
@@ -215,8 +220,8 @@ GOLDEN_BY_HIDDEN_DIM = {
         "additional.csv": "dff1b733157b7fab9c85d510cdf15b7234d29b90a6c281c87f87ee87f1ee7c18",
         "schema.json": "76004f3baace5bd868e552fe839444cc47d97703a8635debbb49a9f94b81f1b8",
         "manifest.json": "160e3cc530a37110cc685152683434dd4506e7b1d74e8b961a0133f47559f040",
-        "eval_report.json": "003a96dc452c5006d13ac9d4f3f6063f1b96799d48f83e3fdb55c4dae1d0ae38",
-        "metrics.csv": "48a35e269fcbb5cbc32b31a830392525b40339d71dd8c68276459e4b166fa28c",
+        "eval_report.json": "977c22a6cff2ec293f8590becd12be43e6349c972c331cd998b38cbb3128a651",
+        "metrics.csv": "603cc761ba5e107e454053f9bb330210f222ea7722fcf5f7271bd3b2614dbb3a",
     },
     8: {
         "main.csv": "4fa5931cf63315ec1c78b881fb731e94f681871fd122bfbada47edd53b1da04d",
@@ -249,6 +254,25 @@ def test_golden_hashes_at_other_widths(tmp_path, capsys, hidden_dim):
     golden = GOLDEN_BY_HIDDEN_DIM[hidden_dim]
     assert {name: file_sha256(out / name) for name in golden} == golden
     assert ("reduced categories" in capsys.readouterr().out) == (hidden_dim == 1)
+
+
+def test_eval_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, small_config):
+    # A user's eval runs at the BLAS's default thread count. The screen's
+    # matmul may round differently with the thread count, but the rounding
+    # margins keep every neighbour, so the outputs keep their bytes. Each
+    # eval runs in a process of its own, as the thread count is read when
+    # numpy loads.
+    data = generate(tmp_path, small_config, seed=4)
+    src = str(Path(relgen.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"eval-{threads}"
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        argv = [sys.executable, "-m", "relgen.cli", "eval", str(data), "--out", str(out)]
+        subprocess.run(argv, env=env, check=True, capture_output=True)
+        outputs.append({name: file_sha256(out / name) for name in GOLDEN_EVAL})
+    assert outputs == [GOLDEN_EVAL, GOLDEN_EVAL]
 
 
 def test_eval_writes_reports(tmp_path, small_config):

@@ -56,11 +56,19 @@ def dense_columns(X, spans, codes):
     return out
 
 
-def dense_features(features):
-    """The dense rows of a ``FeatureMatrix``."""
+def dense_features(features, stats):
+    """The dense rows of a ``FeatureMatrix``, each block at its span in ``stats``."""
     names = list(features.codes)
     codes = np.column_stack([features.codes[name] for name in names]) if names else np.zeros((len(features.values), 0))
-    return dense_columns(features.values, [features.spans[name] for name in names], codes)
+    return dense_columns(features.values, [stats.spans[name] for name in names], codes)
+
+
+def dense_rows(X, main_width, sizes, codes):
+    """The dense rows of the search's plain rows ``X``: their leading
+    ``main_width`` columns, then the one-hot columns of each block of
+    ``sizes`` with its ``codes``, then the rest of ``X``."""
+    starts = main_width + np.cumsum(sizes) - sizes
+    return dense_columns(X, [(start, start + size) for start, size in zip(starts, sizes)], codes)
 
 
 # --- split -----------------------------------------------------------------
@@ -103,17 +111,18 @@ def test_constant_column_standardizes_to_zero():
     table = make_main_table()
     stats = fit_feature_stats(table)
     fm = featurize_main_only(table, stats)
-    start, stop = fm.spans["f1"]
-    assert np.array_equal(dense_features(fm)[:, start:stop], np.zeros((4, 1)))
+    start, stop = stats.spans["f1"]
+    assert np.array_equal(dense_features(fm, stats)[:, start:stop], np.zeros((4, 1)))
 
 
 def test_categorical_one_hot_width():
     table = make_main_table()
-    fm = featurize_main_only(table, fit_feature_stats(table))
-    start, stop = fm.spans["f2"]
+    stats = fit_feature_stats(table)
+    fm = featurize_main_only(table, stats)
+    start, stop = stats.spans["f2"]
     assert stop - start == 3
     assert fm.codes["f2"].tolist() == [0, 1, 2, 0]
-    assert np.array_equal(dense_features(fm)[:, start:stop], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert np.array_equal(dense_features(fm, stats)[:, start:stop], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
 
 def test_unseen_category_encodes_as_zero_block():
@@ -127,25 +136,27 @@ def test_unseen_category_encodes_as_zero_block():
         ]
     )
     fm = featurize_main_only(test, stats)
-    start, stop = fm.spans["f2"]
+    start, stop = stats.spans["f2"]
     assert fm.codes["f2"].tolist() == [3]
-    assert np.array_equal(dense_features(fm)[:, start:stop], np.zeros((1, 3)))
+    assert np.array_equal(dense_features(fm, stats)[:, start:stop], np.zeros((1, 3)))
     assert np.isfinite(fm.values).all()
 
 
 def test_no_target_leaks_into_spans():
     table = make_main_table()
-    fm = featurize_main_only(table, fit_feature_stats(table))
+    stats = fit_feature_stats(table)
+    fm = featurize_main_only(table, stats)
     # The spans name the two features and tile every dense column, so the
     # target has none; the matrix holds the one numeric column.
-    assert fm.spans == {"f1": (0, 1), "f2": (1, 4)}
-    assert fm.values.shape[1] == 1 and dense_features(fm).shape[1] == 4
+    assert stats.spans == {"f1": (0, 1), "f2": (1, 4)}
+    assert fm.values.shape[1] == 1 and dense_features(fm, stats).shape[1] == 4
 
 
 def test_target_only_table_featurizes_to_no_columns():
     table = Table(columns=[Column("y", "numeric", "target", np.array([0.0, 1.0, 2.0]))])
-    fm = featurize_main_only(table, fit_feature_stats(table))
-    assert fm.values.shape == (3, 0) and fm.spans == {}
+    stats = fit_feature_stats(table)
+    fm = featurize_main_only(table, stats)
+    assert fm.values.shape == (3, 0) and stats.spans == {} and fm.codes == {}
 
 
 def make_add_table(keys, a_num, a_cat):
@@ -249,7 +260,7 @@ def test_agg_weight_equals_the_variances_of_the_materialized_training_rows():
     counts = np.bincount(row[: train.row_count], minlength=len(agg.table))
     fit_agg_norms(agg, counts)
     stats = fit_feature_stats(train)
-    X, A = dense_features(featurize_main_only(train, stats)), agg.table[row[: train.row_count]]
+    X, A = dense_features(featurize_main_only(train, stats), stats), agg.table[row[: train.row_count]]
     assert X[:, stats.spans["E0"][0]].std() == 0.0 < np.std(train.column("E0").values)
     assert 0.0 < stats.numeric["E1"][1] < evaluate.STD_FLOOR and stats.numeric["E2"][1] == np.inf
     assert len(stats.categories["E3"]) == 1
@@ -271,13 +282,13 @@ def test_joined_concatenates_main_and_aggregates():
     fm = featurize_joined(base, agg, row)
     width = base.values.shape[1]
     assert fm.values.shape[1] == width + agg.table.shape[1]
-    assert fm.spans == base.spans
+    assert fm.codes is base.codes
     assert np.array_equal(fm.values[:, :width], base.values)
     assert np.array_equal(fm.values[:, width:], agg.table[row])
     # Rows past the first gather chunk, weighted, each IEEE product as a
     # product of the gathered rows would round it.
     many = np.arange(2 * evaluate._PAIR_CHUNK + 5) % len(agg.table)
-    no_main = evaluate.FeatureMatrix(np.zeros((len(many), 0)), {}, {})
+    no_main = evaluate.FeatureMatrix(np.zeros((len(many), 0)), {})
     assert np.array_equal(featurize_joined(no_main, agg, many, 0.3).values, 0.3 * agg.table[many])
 
 
@@ -502,17 +513,15 @@ def test_one_neighbor_search_per_condition(monkeypatch, kwargs):
     assert len(report.targets) > 1
     # One search serves both conditions: the joined rows and their main width.
     assert len(calls) == 1 and len(report.feature_widths) == 2
-    train_X, test_X, _, main_width, spans, codes = calls[0]
-    start, stop = spans[0]
-    # The plain columns and the blocks at their spans make the joined width.
+    train_X, test_X, _, main_width, sizes, codes = calls[0]
+    # The plain columns and the blocks make each condition's dense width.
     assert train_X.shape[1] == test_X.shape[1]
-    assert train_X.shape[1] + sum(b - a for a, b in spans) == report.feature_widths["joined"]
-    assert main_width == report.feature_widths["main_only"]
+    assert train_X.shape[1] + sum(sizes) == report.feature_widths["joined"]
+    assert main_width + sum(sizes) == report.feature_widths["main_only"]
     # The search is given the coupling key's one-hot block.
     keys = split(ds.main_table, EvalConfig().test_fraction)[0].column("C").values
-    assert stop - start == len(np.unique(keys)) > 1
-    dense = dense_columns(train_X, spans, codes[: len(train_X)])
-    assert np.array_equal(dense[:, start:stop], keys[:, None] == np.unique(keys))
+    assert sizes[0] == len(np.unique(keys)) > 1
+    assert np.array_equal(np.unique(keys)[codes[: len(train_X), 0]], keys)
 
 
 def test_report_metrics_pinned():
@@ -629,14 +638,14 @@ def test_joined_values_match_per_row_reference(monkeypatch, seed, rows_add):
     ((joined_train, joined_test, main_width),) = searched
     train, test = split(ds.main_table, cfg.test_fraction)
     stats = fit_feature_stats(train)
-    assert main_width == stats.width
+    assert main_width == len(stats.numeric)
     # The search's rows lead with the main plain columns.
     main_train = featurize_main_only(train, stats)
     width = main_train.values.shape[1]
     assert np.array_equal(joined_train[:, :width], main_train.values)
     assert np.array_equal(joined_test[:, :width], featurize_main_only(test, stats).values)
     ref_train, ref_test = reference_aggregate_block(
-        ds, train.column("C").values, test.column("C").values, dense_features(main_train)
+        ds, train.column("C").values, test.column("C").values, dense_features(main_train, stats)
     )
     assert np.allclose(joined_train[:, width:], ref_train, rtol=1e-12, atol=1e-12)
     assert np.allclose(joined_test[:, width:], ref_test, rtol=1e-12, atol=1e-12)
@@ -713,10 +722,48 @@ def captured_search(monkeypatch, dataset):
     return args, result
 
 
+def exact_neighbours(train_X, test_X, k, sizes=(), codes=None):
+    """Brute force: each test row's k nearest training rows, ranked by
+    distance, ties by training index. d^2 is the rows' squared differences,
+    from explicit differences, summed along each row of a row-major copy,
+    plus, given one-hot blocks of ``sizes`` and each training and then test
+    row's ``codes`` in them, the count of the blocks whose codes differ, 1
+    for each side with a one there."""
+    n, train_X = len(train_X), np.ascontiguousarray(train_X)
+    codes = np.zeros((n + len(test_X), 0), dtype=np.intp) if codes is None else np.asarray(codes)
+    seen = codes < np.asarray(sizes, dtype=np.intp)
+    idx = np.empty((len(test_X), k), dtype=np.intp)
+    dist = np.empty((len(test_X), k))
+    for i, row in enumerate(test_X):
+        differ = codes[:n] != codes[n + i]
+        count = (differ & seen[:n]).sum(axis=1) + (differ & seen[n + i]).sum(axis=1)
+        d = np.sqrt(((train_X - row) ** 2).sum(axis=1) + count)
+        idx[i] = np.lexsort((np.arange(len(d)), d))[:k]
+        dist[i] = d[idx[i]]
+    return idx, dist
+
+
+def assert_brute_force(out, train_X, test_X, k, main_width, sizes=(), codes=None):
+    """``out``, a search's (idx, dist) of its main and joined rows, equals the
+    brute force by its pair distance byte for byte, over the plain rows
+    ``train_X`` and ``test_X`` and the blocks, and lies within (width + 2)
+    * eps relative of the brute force over the dense rows of each width."""
+    n, blocks = len(train_X), int(np.sum(sizes))
+    dense_train = dense_rows(train_X, main_width, sizes, codes[:n]) if blocks else train_X
+    dense_test = dense_rows(test_X, main_width, sizes, codes[n:]) if blocks else test_X
+    for (idx, dist), width in zip(out, [main_width, train_X.shape[1]]):
+        ref_idx, ref_dist = exact_neighbours(train_X[:, :width], test_X[:, :width], k, sizes, codes)
+        assert idx.tobytes() == ref_idx.tobytes() and dist.tobytes() == ref_dist.tobytes()
+        _, dense_dist = exact_neighbours(dense_train[:, : width + blocks], dense_test[:, : width + blocks], k)
+        np.testing.assert_allclose(dist, dense_dist, rtol=(width + blocks + 2) * np.finfo(float).eps, atol=0)
+
+
 def test_search_with_the_key_settle_equals_the_search_without(monkeypatch):
     # Eight keys over 900 training rows: most test rows settle inside their
     # own key and the rest take the block screen. Both conditions must equal
-    # the search without a key span, which settles none.
+    # the brute force by the search's pair distance, and lie within rounding
+    # of the search of the dense rows without a key block, which settles
+    # none.
     from relgen import evaluate
 
     cfg = config_from_dict(
@@ -724,36 +771,26 @@ def test_search_with_the_key_settle_equals_the_search_without(monkeypatch):
     )
     dataset = generate_relational(build_schema(cfg), 1000, 60, cfg.noise, 200, 1)
     args, (got, work) = captured_search(monkeypatch, dataset)
-    train_X, test_X, k, main_width, spans, codes = args
-    assert spans[0][1] - spans[0][0] == 8 and 0.3 <= (work.stage < 3).mean() < 1.0
-    n = len(train_X)
-    dense_train, dense_test = dense_columns(train_X, spans, codes[:n]), dense_columns(test_X, spans, codes[n:])
-    plain, plain_work = evaluate._select_neighbors(dense_train, dense_test, k, main_width)
+    train_X, test_X, k, main_width, sizes, codes = args
+    assert sizes[0] == 8 and 0.3 <= (work.stage < 3).mean() < 1.0
+    assert_brute_force(got, train_X, test_X, k, main_width, sizes, codes)
+    n, blocks = len(train_X), sum(sizes)
+    dense_train = dense_rows(train_X, main_width, sizes, codes[:n])
+    dense_test = dense_rows(test_X, main_width, sizes, codes[n:])
+    plain, plain_work = evaluate._select_neighbors(dense_train, dense_test, k, main_width + blocks)
     assert (plain_work.stage == 3).all()
-    for (idx, dist), (ref_idx, ref_dist) in zip(got, plain):
-        assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
-
-
-def exact_neighbours(train_X, test_X, k):
-    """Brute force: each test row's k nearest training rows, d^2 summed
-    from explicit differences, ranked by distance, ties by training index."""
-    idx = np.empty((len(test_X), k), dtype=np.intp)
-    dist = np.empty((len(test_X), k))
-    for i, row in enumerate(test_X):
-        d = np.sqrt(((train_X - row) ** 2).sum(axis=1))
-        idx[i] = np.lexsort((np.arange(len(d)), d))[:k]
-        dist[i] = d[idx[i]]
-    return idx, dist
+    for (_, dist), (_, ref_dist), width in zip(got, plain, [main_width, train_X.shape[1]]):
+        np.testing.assert_allclose(dist, ref_dist, rtol=(width + blocks + 2) * np.finfo(float).eps, atol=0)
 
 
 @pytest.mark.parametrize("unseen", [False, True], ids=["as-generated", "unseen-categories"])
 def test_search_on_a_generated_dataset_equals_brute_force(monkeypatch, unseen):
     # The CLI's SMALL profile at seed 4 with 600 main rows: 540 training
     # rows over 84 keys, most of them with fewer than k rows, three other
-    # one-hot spans, and one test row whose key training never saw. Every
+    # one-hot blocks, and one test row whose key training never saw. Every
     # stage ranks some test row. The variant gives a test row its cell
-    # settled an unseen code in another span, and one the key range settled
-    # an unseen key: an all-zero block, and the block's width as its code.
+    # settled an unseen code in another block, and one the key range settled
+    # an unseen key: the block's size as its code, an all-zero block.
     from test_cli import SMALL
 
     from relgen import evaluate
@@ -763,22 +800,19 @@ def test_search_on_a_generated_dataset_equals_brute_force(monkeypatch, unseen):
         build_schema(cfg), cfg.rows_main, cfg.rows_add, cfg.noise, cfg.num_presamples, cfg.master_seed
     )
     args, (out, work) = captured_search(monkeypatch, dataset)
-    train_X, test_X, k, main_width, spans, codes = args
-    (key_span, *other_spans), n = spans, len(train_X)
-    assert len(other_spans) == 3 and (work.stage[:, None] == [1, 2, 3]).any(axis=0).all()
+    train_X, test_X, k, main_width, sizes, codes = args
+    n = len(train_X)
+    assert len(sizes) == 4 and (work.stage[:, None] == [1, 2, 3]).any(axis=0).all()
     if unseen:
         cell_row, key_row = np.flatnonzero(work.stage == 1)[0], np.flatnonzero(work.stage == 2)[0]
         codes = codes.copy()
-        for row, j, (start, stop) in [(cell_row, 1, other_spans[0]), (key_row, 0, key_span)]:
-            codes[n + row, j] = stop - start
-        out, work = evaluate._select_neighbors(train_X, test_X, k, main_width, spans, codes)
+        for row, j in [(cell_row, 1), (key_row, 0)]:
+            codes[n + row, j] = sizes[j]
+        out, work = evaluate._select_neighbors(train_X, test_X, k, main_width, sizes, codes)
         assert work.stage[cell_row] > 1 and work.stage[key_row] == 3
         assert (work.stage[:, None] == [1, 2, 3]).any(axis=0).all()
-    # The brute force reads the dense rows, an unseen code's block all zero.
-    dense_train, dense_test = dense_columns(train_X, spans, codes[:n]), dense_columns(test_X, spans, codes[n:])
-    for (idx, dist), width in zip(out, [main_width, dense_train.shape[1]]):
-        ref_idx, ref_dist = exact_neighbours(dense_train[:, :width], dense_test[:, :width], k)
-        assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
+    # The dense rows' brute force reads an unseen code's block as all zero.
+    assert_brute_force(out, train_X, test_X, k, main_width, sizes, codes)
 
 
 @pytest.mark.parametrize("split_side", ["all-rows", "test-split"])
@@ -800,14 +834,14 @@ def test_featurizer_codes_equal_the_span_codes_of_its_matrix(split_side):
     rows = dataset.main_table if split_side == "all-rows" else test
     features = featurize_main_only(rows, stats)
     assert len(stats.categories) == 4
-    numeric = [name for name in features.spans if name in stats.numeric]
-    assert features.values.shape[1] == len(numeric) == len(features.spans) - 4
+    numeric = [name for name in stats.spans if name in stats.numeric]
+    assert features.values.shape[1] == len(numeric) == len(stats.spans) - 4
     for column, name in enumerate(numeric):
         standardized = evaluate._standardize(rows.column(name).values, *stats.numeric[name])
         assert np.array_equal(features.values[:, column], standardized)
     unseen = 0
     for name, cats in stats.categories.items():
-        start, stop = features.spans[name]
+        start, stop = stats.spans[name]
         code, values = features.codes[name], rows.column(name).values
         assert stop - start == len(cats) and ((0 <= code) & (code <= len(cats))).all()
         missing = code == len(cats)

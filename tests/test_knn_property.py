@@ -26,24 +26,41 @@ from relgen.errors import ContractViolationError  # noqa: E402
 from relgen import evaluate  # noqa: E402
 from relgen.evaluate import _select_neighbors, knn_predict  # noqa: E402
 
-from test_evaluate import brute_force_knn, dense_columns, plain_columns  # noqa: E402
+from test_evaluate import assert_brute_force, brute_force_knn, dense_columns, plain_columns  # noqa: E402
 
 OFFSETS = [0.0, 1.0, -3e3, 1e5, 1e7, -1e7]
 
 
 def one_hot(spans, codes):
-    """The search's ``_one_hot`` for ``spans``: ``codes`` holds each
-    training row's and then each test row's code per span, -1 for a row
-    without a one there, which the search reads as the span's width."""
-    codes = np.asarray(codes).reshape(-1, len(spans))
-    return list(spans), np.where(codes < 0, [stop - start for start, stop in spans], codes)
+    """The search's ``_one_hot`` for the dense blocks at ``spans``: each
+    block's size, and ``codes``, each training row's and then each test
+    row's code per block, -1 for a row without a one there, which the
+    search reads as the block's size."""
+    sizes, codes = [stop - start for start, stop in spans], np.asarray(codes).reshape(-1, len(spans))
+    return sizes, np.where(codes < 0, sizes, codes)
+
+
+def plain_form(train_J, test_J, width, spans=(), codes=None):
+    """What the search takes for the dense rows ``train_J`` and ``test_J``,
+    whose main rows are their leading ``width`` columns and whose one-hot
+    blocks at ``spans`` lie among those: the plain columns, the main width
+    counted in them, and ``_one_hot``, empty without spans."""
+    blocks = one_hot(spans, codes) if len(spans) else ()
+    width -= sum(blocks[0]) if blocks else 0
+    return plain_columns(train_J, spans), plain_columns(test_J, spans), width, blocks
 
 
 def searched(train_J, test_J, k, width, spans=(), codes=None):
     """``_select_neighbors`` of the dense rows ``train_J`` and ``test_J``,
-    handed the blocks as eval hands them: the plain columns and the codes."""
-    blocks = (spans, codes) if len(spans) else ()
-    return _select_neighbors(plain_columns(train_J, spans), plain_columns(test_J, spans), k, width, *blocks)
+    handed the blocks as eval hands them (``plain_form``)."""
+    train_P, test_P, main_width, blocks = plain_form(train_J, test_J, width, spans, codes)
+    return _select_neighbors(train_P, test_P, k, main_width, *blocks)
+
+
+def assert_searched_brute_force(out, train_J, test_J, k, width, spans=(), codes=None):
+    """``assert_brute_force`` of what ``searched`` returned for the dense rows."""
+    train_P, test_P, main_width, blocks = plain_form(train_J, test_J, width, spans, codes)
+    assert_brute_force(out, train_P, test_P, k, main_width, *blocks)
 
 
 @st.composite
@@ -185,13 +202,14 @@ def test_identical_training_rows_stay_within_one_training_matrix():
         test_X = np.concatenate([rest, keys], axis=1)
         test_J = np.concatenate([test_X, np.stack([block, 0 * block, block])], axis=1)
         y = rng.normal(size=n)
-        blocks = one_hot([(rest_width, rest_width + key_width)], [3] * n + [3, 7, -1]) if key_width else ()
-        spans = blocks[0] if blocks else ()
-        train_P, test_P = plain_columns(train_J, spans), plain_columns(test_J, spans)
+        spans = [(rest_width, rest_width + key_width)] if key_width else []
+        train_P, test_P, main_width, blocks = plain_form(
+            train_J, test_J, train_X.shape[1], spans, [3] * n + [3, 7, -1]
+        )
         tracemalloc.start()
         try:
             main, joined = knn_predict(
-                train_P, y, test_P, k=k, task="regression", main_width=train_X.shape[1], _one_hot=blocks
+                train_P, y, test_P, k=k, task="regression", main_width=main_width, _one_hot=blocks
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -218,6 +236,20 @@ def test_main_width_must_lie_in_the_columns():
     for width in (0, -1, 6):
         with pytest.raises(ContractViolationError, match="main width"):
             knn_predict(train_J, y, test_J, k=3, main_width=width)
+    # A main table whose every feature is categorical: blocks of 4 and 3
+    # columns and no plain main column, then two joined columns. Main width
+    # 0 is its main rows; past the two plain columns lies none.
+    codes = np.column_stack([rng.integers(0, 5, size=24), rng.integers(0, 4, size=24)])
+    plain = rng.normal(size=(24, 2))
+    blocks = one_hot([(0, 4), (4, 7)], codes)
+    main, joined = knn_predict(plain[:20], y, plain[20:], k=3, main_width=0, _one_hot=blocks)
+    dense = dense_columns(plain, [(0, 4), (4, 7)], codes)
+    for got, width in [(main, 7), (joined, 9)]:
+        ref = brute_force_knn(dense[:20, :width], y, dense[20:, :width], 3, "regression")
+        assert np.allclose(got, ref, atol=1e-9, rtol=0)
+    for width in (-1, 3, 9):
+        with pytest.raises(ContractViolationError, match="main width"):
+            knn_predict(plain[:20], y, plain[20:], k=3, main_width=width, _one_hot=blocks)
 
 
 def test_joined_tie_at_the_upper_bound_stays_a_candidate():
@@ -237,7 +269,7 @@ def test_joined_tie_at_the_upper_bound_stays_a_candidate():
 @st.composite
 def keyed_cases(draw):
     """Joined rows whose main part holds a one-hot key block, the main width,
-    and the block's span with each row's key code (``one_hot``).
+    and the block's span with each row's key code, -1 for none (``one_hot``).
 
     The shape ``run_comparison`` searches: the appended block is the key's
     aggregate row, and a row without a key (an all-zero block) gets the
@@ -312,7 +344,7 @@ def keyed_cases(draw):
 
     train_J, test_J = joined(train_rest, train_keys), joined(test_rest, test_keys)
     y_reg, y_cls = rng.normal(size=n), rng.integers(0, 4, size=n)
-    blocks = one_hot([(at, at + n_keys)], np.concatenate([train_keys, test_keys]))
+    blocks = [(at, at + n_keys)], np.concatenate([train_keys, test_keys])
     return train_J, test_J, width + n_keys, k, blocks, y_reg, y_cls
 
 
@@ -344,21 +376,22 @@ def measured_calls(work):
 @settings(max_examples=300, deadline=None)
 @given(keyed_cases())
 def test_key_screen_matches_the_plain_search_and_the_oracle(case):
+    # The search with and without the key block each equal the brute force
+    # by their pair distance, and so lie within rounding of each other.
     train_J, test_J, width, k, blocks, y_reg, y_cls = case
     train_X, test_X = train_J[:, :width], test_J[:, :width]
-    searches = [searched(train_J, test_J, k, width, *given) for given in [(), blocks]]
-    for _, work in searches:
+    for given in [(), blocks]:
+        out, work = searched(train_J, test_J, k, width, *given)
         pairs_by_stage(work)
-    (plain, _), (keyed, _) = searches
-    for (idx, dist), (ref_idx, ref_dist) in zip(keyed, plain):
-        assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
+        assert_searched_brute_force(out, train_J, test_J, k, width, *given)
 
-    train_P, test_P = plain_columns(train_J, blocks[0]), plain_columns(test_J, blocks[0])
-    main, got = knn_predict(train_P, y_reg, test_P, k=k, task="regression", main_width=width, _one_hot=blocks)
+    train_P, test_P, main_width, one_hot_blocks = plain_form(train_J, test_J, width, *blocks)
+    kwargs = {"main_width": main_width, "_one_hot": one_hot_blocks}
+    main, got = knn_predict(train_P, y_reg, test_P, k=k, task="regression", **kwargs)
     assert np.allclose(main, brute_force_knn(train_X, y_reg, test_X, k, "regression"), atol=1e-9, rtol=0)
     assert np.allclose(got, brute_force_knn(train_J, y_reg, test_J, k, "regression"), atol=1e-9, rtol=0)
     for (scores, classes), (X, T) in zip(
-        knn_predict(train_P, y_cls, test_P, k=k, task="classification", main_width=width, _one_hot=blocks),
+        knn_predict(train_P, y_cls, test_P, k=k, task="classification", **kwargs),
         [(train_X, test_X), (train_J, test_J)],
     ):
         ref_scores, ref_classes = brute_force_knn(X, y_cls, T, k, "classification")
@@ -429,26 +462,25 @@ def spanned_cases(draw):
 
     y_reg, y_cls = rng.normal(size=n), rng.integers(0, 4, size=n)
     row_codes = np.concatenate([np.column_stack(train), np.column_stack(test)])
-    blocks = one_hot([spans[j] for j in range(len(widths) + 1)], row_codes)
+    blocks = [spans[j] for j in range(len(widths) + 1)], row_codes
     return joined(train, train_num), joined(test, test_num), start, k, blocks, y_reg, y_cls
 
 
 @settings(max_examples=300, deadline=None)
 @given(spanned_cases())
 def test_other_spans_match_the_plain_search_and_the_oracle(case):
+    # The search without blocks, with the key's and with every block each
+    # equal the brute force by their pair distance, and so lie within
+    # rounding of each other.
     train_J, test_J, width, k, (spans, codes), y_reg, y_cls = case
     train_X, test_X = train_J[:, :width], test_J[:, :width]
-    given = [(), (spans[:1], codes[:, :1]), (spans, codes)]
-    searches = [searched(train_J, test_J, k, width, *blocks) for blocks in given]
-    for _, work in searches:
+    for given in [(), (spans[:1], codes[:, :1]), (spans, codes)]:
+        out, work = searched(train_J, test_J, k, width, *given)
         pairs_by_stage(work)
-    (plain, _), (keyed, _), (spanned, _) = searches
-    for (idx, dist), (plain_idx, plain_dist), (key_idx, key_dist) in zip(spanned, plain, keyed):
-        assert np.array_equal(idx, plain_idx) and np.array_equal(dist, plain_dist)
-        assert np.array_equal(idx, key_idx) and np.array_equal(dist, key_dist)
+        assert_searched_brute_force(out, train_J, test_J, k, width, *given)
 
-    kwargs = {"main_width": width, "_one_hot": (spans, codes)}
-    train_P, test_P = plain_columns(train_J, spans), plain_columns(test_J, spans)
+    train_P, test_P, main_width, blocks = plain_form(train_J, test_J, width, spans, codes)
+    kwargs = {"main_width": main_width, "_one_hot": blocks}
     main, got = knn_predict(train_P, y_reg, test_P, k=k, task="regression", **kwargs)
     assert np.allclose(main, brute_force_knn(train_X, y_reg, test_X, k, "regression"), atol=1e-9, rtol=0)
     assert np.allclose(got, brute_force_knn(train_J, y_reg, test_J, k, "regression"), atol=1e-9, rtol=0)
@@ -531,8 +563,8 @@ def coded_rows(rows):
 )
 def test_other_code_range_settles_below_its_threshold_only(test_row, train_rows, k, stages, settles):
     train_J, test_J = coded_rows(train_rows), coded_rows([test_row])
-    blocks = one_hot(CODED_SPANS, [row[:2] for row in [*train_rows, test_row]])
-    got, work = searched(train_J, test_J, k, 6, *blocks)
+    codes = [row[:2] for row in [*train_rows, test_row]]
+    got, work = searched(train_J, test_J, k, 6, CODED_SPANS, codes)
     # A settled row is ranked last by the last stage it read, any other by
     # the block screen.
     assert work.stage.tolist() == [stages[-1] if settles else 3]
@@ -567,7 +599,7 @@ def test_key_screen_measures_no_row_beyond_the_bound():
         axis=1,
     )
     test_J = np.array([[0.0, 1.0, 0.0, 0.0]])
-    blocks = one_hot([(1, 3)], [*np.repeat([0, 0, -1, 1], 40), 0])
+    blocks = [(1, 3)], [*np.repeat([0, 0, -1, 1], 40), 0]
     ((idx, dist), (joined_idx, joined_dist)), work = searched(train_J, test_J, 5, 3, *blocks)
     assert idx.tolist() == joined_idx.tolist() == [[0, 1, 2, 3, 4]]
     assert dist.tolist() == joined_dist.tolist() == [[0.0] * 5]
@@ -600,7 +632,7 @@ def test_own_key_bound_measures_only_the_keys_nearest_rows():
     keys = np.repeat([0, 1, 2], [1, 3, 36])
     train_J = np.concatenate([np.zeros((40, 1)), np.eye(3)[keys], 0.5 * keys[:, None]], axis=1)
     test_J = np.array([[0.0, 0.0, 1.0, 0.0, 0.5]])
-    blocks = one_hot([(1, 4)], [*keys, 1])
+    blocks = [(1, 4)], [*keys, 1]
     ((idx, dist), (joined_idx, joined_dist)), work = searched(train_J, test_J, 3, 4, *blocks)
     assert idx.tolist() == joined_idx.tolist() == [[1, 2, 3]]
     assert dist.tolist() == joined_dist.tolist() == [[0.0] * 3]
@@ -638,7 +670,7 @@ def test_joined_neighbour_between_the_own_and_the_strided_limit(far, shifts, joi
     test_J = np.zeros((len(shifts), 5))
     test_J[:, 0], test_J[:, 2] = shifts, 1.0
     plain, _ = _select_neighbors(train_J, test_J, 2, 4)
-    got, work = searched(train_J, test_J, 2, 4, *one_hot([(1, 4)], [*keys, *[1] * len(shifts)]))
+    got, work = searched(train_J, test_J, 2, 4, [(1, 4)], [*keys, *[1] * len(shifts)])
     # One ranking of the block by each stage: a main and a joined
     # measurement apiece.
     calls = measured_calls(work)
@@ -703,7 +735,7 @@ def test_settled_rows_measure_no_pair_outside_their_key():
         return np.concatenate([rest, keys[:, None] == np.arange(6), table[keys]], axis=1)
 
     train_J, test_J = joined(train_keys), joined(test_keys)
-    got, work = searched(train_J, test_J, 5, 8, *one_hot([(2, 8)], [*train_keys, *test_keys]))
+    got, work = searched(train_J, test_J, 5, 8, [(2, 8)], [*train_keys, *test_keys])
     assert work.stage.tolist() == [2] * 7 + [3, 3]
     pairs = [
         (test_keys[row], train_keys[cand]) for pairs in pairs_by_stage(work).values() for row, cand in pairs
@@ -715,48 +747,66 @@ def test_settled_rows_measure_no_pair_outside_their_key():
         assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
 
 
+def dense_pair_sq(train_X, test_X, spans, codes, rows, cand):
+    """The pairs' squared differences over the dense rows of the plain rows
+    and the blocks at ``spans``: the plain columns', row-major (count, plain
+    width), and each pair's sum over the one-hot columns, an exact integer."""
+    n = len(train_X)
+    sq = (dense_columns(train_X, spans, codes[:n])[cand] - dense_columns(test_X, spans, codes[n:])[rows]) ** 2
+    plain = np.ones(sq.shape[1], dtype=bool)
+    for start, stop in spans:
+        plain[start:stop] = False
+    return np.ascontiguousarray(sq[:, plain]), sq[:, ~plain].sum(axis=1)
+
+
 @pytest.mark.parametrize("n", [3_000, 60_000])
 def test_pair_gather_is_bounded_by_the_chunk(n):
     # 30,000 pairs over a 64-wide dense matrix whose blocks of 32 and 8
-    # columns leave 24 plain ones: the pairs are measured 2,048 at a time
-    # in one dense chunk, so the peak is the outputs, that chunk and a few
-    # gathers of the plain columns, whether the training matrix is small or
-    # large. The sums are the dense rows' bit for bit.
-    width, plain, count = 64, 24, 30_000
+    # columns leave 24 plain ones, 8 of them main: the pairs are measured
+    # 2,048 at a time, so the peak is the outputs and a few gathers of the
+    # plain columns and the codes, whether the training matrix is small or
+    # large. The sums are the dense rows' plain sums plus their one-hot
+    # sums, bit for bit.
+    plain, count = 24, 30_000
     spans = [(8, 40), (40, 48)]
     rng = np.random.default_rng(6)
     codes = np.column_stack([rng.integers(0, 33, size=n + 5), rng.integers(0, 9, size=n + 5)])
     train_X, test_X = rng.normal(size=(n, plain)), rng.normal(size=(5, plain))
     rows, cand = rng.integers(0, 5, size=count), rng.integers(0, n, size=count)
-    sq = (dense_columns(train_X, spans, codes[:n])[cand] - dense_columns(test_X, spans, codes[n:])[rows]) ** 2
+    plain_sq, block_sq = dense_pair_sq(train_X, test_X, spans, codes, rows, cand)
     # The main and joined widths at once, then the joined extras' tail alone.
-    for widths, start in [([48, width], 0), ([width], 48)]:
+    for widths, start in [([8, plain], None), ([plain], 8)]:
         tracemalloc.start()
         try:
-            dense = evaluate._dense(train_X, test_X, spans, codes)
-            got = evaluate._pair_sq(dense, rows, cand, widths, start)
+            pairs = evaluate._Pairs(train_X, test_X, np.array([32, 8]), codes[:n], codes[n:])
+            got = evaluate._pair_sq(pairs, rows, cand, widths, start)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * count * 8 + evaluate._PAIR_CHUNK * (width + 3 * plain + 8 * len(spans)) * 8
+        assert peak <= 2 * count * 8 + evaluate._PAIR_CHUNK * (3 * plain + 8 * len(spans)) * 8
         assert len(got) == len(widths)
         for sums, stop in zip(got, widths):
-            assert sums.tobytes() == sq[:, start:stop].sum(axis=1).tobytes()
+            expected = plain_sq[:, start or 0 : stop].sum(axis=1) + (block_sq if start is None else 0)
+            assert sums.tobytes() == expected.tobytes()
 
 
 # Dense rows of ``pair_cases``: numerics at 0, 4, 5, 7 and, past the main
 # width 12, at 12 to 14; blocks of 3, 1 and 4 columns, the last just before
-# the main width.
-PAIR_SPANS, PAIR_MAIN = [(1, 4), (6, 7), (8, 12)], 12
+# the main width. The plain rows hold 4 main columns and 7 in all.
+PAIR_SPANS, PAIR_MAIN = [(1, 4), (6, 7), (8, 12)], 4
 
 
 @pytest.mark.parametrize("n, count", [(7, 40), (50, 130), (5_000, 4_500)])
 @pytest.mark.parametrize("offset", [0.0, 1e8, -1e8])
 def test_pair_sums_equal_the_dense_rows_bit_for_bit(n, count, offset):
-    # Codes from alphabets of one more than each block's width, so unseen
-    # codes (the width) fall on either side and many pairs share a code;
-    # some test rows copy a training row, exact zeros. The pairs span
-    # several chunks of the buffer, which holds only zeros after every call.
+    # Each pair's sum is its plain columns' squared differences summed in
+    # column order, plus, over the whole rows, its count of differing codes:
+    # bit for bit the dense rows' plain sum plus their one-hot sum. A tail,
+    # from a given start, even from 0, sums plain columns alone.
+    # Codes come from alphabets of one more than each block's width, so
+    # unseen codes (the width) fall on either side and many pairs share a
+    # code; some test rows copy a training row, exact zeros. The pairs span
+    # several chunks.
     rng = np.random.default_rng(n + count)
     sizes = [stop - start for start, stop in PAIR_SPANS]
     codes = np.column_stack([rng.integers(0, size + 1, size=n + 9) for size in sizes])
@@ -765,12 +815,12 @@ def test_pair_sums_equal_the_dense_rows_bit_for_bit(n, count, offset):
     codes[n + 5 :] = codes[:4]
     rows, cand = rng.integers(0, 9, size=count), rng.integers(0, n, size=count)
     rows[:4], cand[:4] = range(5, 9), range(4)
-    dense = evaluate._dense(train_X, test_X, PAIR_SPANS, codes)
-    assert dense.buffer.shape == (max(1, min(evaluate._PAIR_CHUNK, n // 2)), 15)
-    sq = (dense_columns(train_X, PAIR_SPANS, codes[:n])[cand] - dense_columns(test_X, PAIR_SPANS, codes[n:])[rows]) ** 2
-    assert (sq[:4] == 0.0).all()
-    for widths, start in [([PAIR_MAIN, 15], 0), ([15], PAIR_MAIN), ([PAIR_MAIN], 0)]:
-        got = evaluate._pair_sq(dense, rows, cand, widths, start)
-        assert not dense.buffer.any()
+    pairs = evaluate._Pairs(train_X, test_X, np.array(sizes), codes[:n], codes[n:])
+    plain_sq, block_sq = dense_pair_sq(train_X, test_X, PAIR_SPANS, codes, rows, cand)
+    assert (plain_sq[:4] == 0.0).all() and (block_sq[:4] == 0.0).all()
+    assert (block_sq > 0).any() and (block_sq % 2 == 1).any()
+    for widths, start in [([PAIR_MAIN, 7], None), ([7], PAIR_MAIN), ([PAIR_MAIN], None), ([7], 0)]:
+        got = evaluate._pair_sq(pairs, rows, cand, widths, start)
         for sums, stop in zip(got, widths):
-            assert sums.tobytes() == sq[:, start:stop].sum(axis=1).tobytes()
+            expected = plain_sq[:, start or 0 : stop].sum(axis=1) + (block_sq if start is None else 0)
+            assert sums.tobytes() == expected.tobytes()
